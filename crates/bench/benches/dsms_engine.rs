@@ -31,16 +31,15 @@
 //!
 //! The `hot_key_skew` group drives a keyed aggregation workload with
 //! zipf-skewed vs uniform key distributions (from `cqac-workload`'s
-//! hot-key scenarios) at shards=4, sweeping the work-stealing knob. Under
-//! skew the hash-partitioned *home* placement concentrates on the hot
-//! shard while the *executing*-worker rows stay near-balanced — the
+//! hot-key scenarios) at shards=4. Under skew the hash-partitioned *home*
+//! placement concentrates on the hot shard while the
+//! *executing*-worker rows stay near-balanced — the
 //! morsel scheduler's idle workers steal the hot shard's backlog
 //! (`morsels_stolen > 0`); under uniform load the counters show workers
 //! park after one failed steal sweep instead of spinning. A
 //! `grouped_partials` cell runs a commutative grouped aggregate at a
 //! shard-incompatible group key — per-worker hash partials replace the
-//! chain-morsel fallback (`chain_morsels == 0`) — with the adaptive
-//! morsel controller swept off vs on.
+//! chain-morsel fallback (`chain_morsels == 0`).
 //!
 //! The `fault_recovery` group prices the robustness layer: an inert
 //! fault plan vs none (per-invocation injection-hook overhead), a
@@ -276,8 +275,8 @@ fn bench_hot_key_skew(c: &mut Criterion) {
     // column whose distribution is either Zipf(64, 1) — the hottest key
     // draws ~21% of rows, so its home shard owns ~40% of all work — or
     // the uniform control with the same support and seed. Two queries: a
-    // key-grouped Count (commutative keyed member → chunked into
-    // stealable morsels) and an ungrouped Sum over the Int payload (a
+    // key-grouped Count (commutative keyed member → one stealable morsel
+    // per unit) and an ungrouped Sum over the Int payload (a
     // partial-aggregation member combined on the control thread). The
     // engine persists across iterations with time-advancing rows so
     // windows close and the pool stays warm; counters accumulate over
@@ -297,186 +296,148 @@ fn bench_hot_key_skew(c: &mut Criterion) {
     ] {
         let base = hot_key_rows(&params);
         let span = params.rows as u64;
-        for stealing in [false, true] {
-            group.bench_with_input(
-                BenchmarkId::new(label, if stealing { "stealing" } else { "no_steal" }),
-                &stealing,
-                |b, &stealing| {
-                    let mut e = DsmsEngine::new()
-                        .with_max_batch_size(64)
-                        .with_shards(4)
-                        .with_shard_key("events", 0)
-                        .with_morsel_batches(1) // finest morsels: maximal rebalancing
-                        .with_stealing(stealing);
-                    e.register_stream("events", event_schema());
-                    e.add_query(LogicalPlan::source("events").aggregate(
-                        Some(0),
-                        AggFunc::Count,
-                        0,
-                        500,
-                    ))
-                    .expect("valid plan");
-                    e.add_query(LogicalPlan::source("events").aggregate(
-                        None,
-                        AggFunc::Sum,
-                        1,
-                        500,
-                    ))
-                    .expect("valid plan");
-                    let mut epoch = 0u64;
-                    let mut feed = |e: &mut DsmsEngine| {
-                        let off = epoch * span;
-                        epoch += 1;
-                        let rows = base
-                            .iter()
-                            .map(|r| {
-                                Tuple::new(
-                                    r.ts + off,
-                                    vec![Value::Int(r.key as i64), Value::Int(r.value)],
-                                )
-                            })
-                            .collect();
-                        e.push_rows("events", rows);
-                    };
-                    // Warmup flush spawns the pool; count from a clean slate.
-                    feed(&mut e);
-                    cqac_dsms::types::work::reset();
-                    b.iter(|| {
-                        feed(&mut e);
-                        black_box(e.tuples_processed())
-                    });
-                    let snap = cqac_dsms::types::work::snapshot();
-                    assert!(snap.morsels_executed > 0, "sharded flushes run as morsels");
-                    if stealing {
-                        // Idle-free: every miss belongs to one bounded
-                        // victim sweep (≤ shards-1 per `grab`), and a
-                        // worker makes one grab per morsel it executes
-                        // plus one parking sweep per wakeup — workers
-                        // never spin on empty deques.
-                        assert!(
-                            snap.steal_misses <= (snap.morsels_executed + snap.pool_wakeups) * 3,
-                            "steal misses ({}) exceed the sweep bound of {} morsels + {} wakeups",
-                            snap.steal_misses,
-                            snap.morsels_executed,
-                            snap.pool_wakeups
-                        );
-                        if label == "skewed" {
-                            assert!(
-                                snap.morsels_stolen > 0,
-                                "idle workers must steal the hot shard's backlog"
-                            );
-                        }
-                    } else {
-                        assert_eq!(snap.morsels_stolen, 0, "stealing is off");
-                        assert_eq!(snap.steal_misses, 0, "no steal sweeps when off");
-                    }
-                    // Home placement vs executing worker. `shard_rows` is
-                    // partition-time (hash of the key column): skew shows
-                    // here no matter what the scheduler does.
-                    let home = &e.stream_stats()["events"].shard_rows;
-                    let home_total: u64 = home.iter().sum();
-                    let home_max = home.iter().copied().max().unwrap_or(0);
-                    if label == "skewed" {
-                        assert!(
-                            home_max * 10 > home_total * 3,
-                            "zipf placement must concentrate on a hot shard \
-                             (max {home_max} of {home_total})"
-                        );
-                    }
-                    // `shard_stats` attributes rows to the *executing*
-                    // worker, so stealing keeps them near-balanced even
-                    // under skew. Scheduling-dependent, so only asserted
-                    // when workers can actually overlap, and leniently:
-                    // no worker hoards >3/4 of the rows and at least two
-                    // workers execute.
-                    let parallel =
-                        std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-                    if stealing && parallel >= 2 {
-                        let exec: Vec<u64> = e.shard_stats().iter().map(|s| s.rows).collect();
-                        let total: u64 = exec.iter().sum();
-                        let max = exec.iter().copied().max().unwrap_or(0);
-                        assert!(
-                            max * 4 <= total * 3,
-                            "executing rows stay near-balanced under stealing ({exec:?})"
-                        );
-                        assert!(
-                            exec.iter().filter(|&&r| r > 0).count() >= 2,
-                            "stealing spreads execution across workers ({exec:?})"
-                        );
-                    }
-                },
+        group.bench_function(label, |b| {
+            let mut e = DsmsEngine::new()
+                .with_max_batch_size(64)
+                .with_shards(4)
+                .with_shard_key("events", 0);
+            e.register_stream("events", event_schema());
+            e.add_query(LogicalPlan::source("events").aggregate(Some(0), AggFunc::Count, 0, 500))
+                .expect("valid plan");
+            e.add_query(LogicalPlan::source("events").aggregate(None, AggFunc::Sum, 1, 500))
+                .expect("valid plan");
+            let mut epoch = 0u64;
+            let mut feed = |e: &mut DsmsEngine| {
+                let off = epoch * span;
+                epoch += 1;
+                let rows = base
+                    .iter()
+                    .map(|r| {
+                        Tuple::new(
+                            r.ts + off,
+                            vec![Value::Int(r.key as i64), Value::Int(r.value)],
+                        )
+                    })
+                    .collect();
+                e.push_rows("events", rows);
+            };
+            // Warmup flush spawns the pool; count from a clean slate.
+            feed(&mut e);
+            cqac_dsms::types::work::reset();
+            b.iter(|| {
+                feed(&mut e);
+                black_box(e.tuples_processed())
+            });
+            let snap = cqac_dsms::types::work::snapshot();
+            assert!(snap.morsels_executed > 0, "sharded flushes run as morsels");
+            // Idle-free: every miss belongs to one bounded victim
+            // sweep (≤ shards-1 per `grab`), and a worker makes one
+            // grab per morsel it executes plus one parking sweep
+            // per wakeup — workers never spin on empty deques.
+            assert!(
+                snap.steal_misses <= (snap.morsels_executed + snap.pool_wakeups) * 3,
+                "steal misses ({}) exceed the sweep bound of {} morsels + {} wakeups",
+                snap.steal_misses,
+                snap.morsels_executed,
+                snap.pool_wakeups
             );
-        }
+            if label == "skewed" {
+                assert!(
+                    snap.morsels_stolen > 0,
+                    "idle workers must steal the hot shard's backlog"
+                );
+            }
+            // Home placement vs executing worker. `shard_rows` is
+            // partition-time (hash of the key column): skew shows
+            // here no matter what the scheduler does.
+            let home = &e.stream_stats()["events"].shard_rows;
+            let home_total: u64 = home.iter().sum();
+            let home_max = home.iter().copied().max().unwrap_or(0);
+            if label == "skewed" {
+                assert!(
+                    home_max * 10 > home_total * 3,
+                    "zipf placement must concentrate on a hot shard \
+                     (max {home_max} of {home_total})"
+                );
+            }
+            // `shard_stats` attributes rows to the *executing*
+            // worker, so stealing keeps them near-balanced even
+            // under skew. Scheduling-dependent, so only asserted
+            // when workers can actually overlap, and leniently:
+            // no worker hoards >3/4 of the rows and at least two
+            // workers execute.
+            let parallel = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
+            if parallel >= 2 {
+                let exec: Vec<u64> = e.shard_stats().iter().map(|s| s.rows).collect();
+                let total: u64 = exec.iter().sum();
+                let max = exec.iter().copied().max().unwrap_or(0);
+                assert!(
+                    max * 4 <= total * 3,
+                    "executing rows stay near-balanced under stealing ({exec:?})"
+                );
+                assert!(
+                    exec.iter().filter(|&&r| r > 0).count() >= 2,
+                    "stealing spreads execution across workers ({exec:?})"
+                );
+            }
+        });
     }
     // Grouped partial aggregation: a commutative grouped Sum at a
     // shard-incompatible group key (the Int payload, col 1 — the shard key
     // is col 0) runs as per-worker hash partials combined on the control
     // thread instead of falling back to serialized chain morsels behind
-    // the merge barrier. Swept with the adaptive morsel controller off vs
-    // on; under the controller the configured grain is only a ceiling.
+    // the merge barrier.
     let params = HotKeyParams::skewed(20_000);
     let base = hot_key_rows(&params);
     let span = params.rows as u64;
-    for adaptive in [false, true] {
-        group.bench_with_input(
-            BenchmarkId::new(
-                "grouped_partials",
-                if adaptive { "adaptive" } else { "static" },
-            ),
-            &adaptive,
-            |b, &adaptive| {
-                let mut e = DsmsEngine::new()
-                    .with_max_batch_size(64)
-                    .with_shards(4)
-                    .with_shard_key("events", 0)
-                    .with_morsel_batches(8)
-                    .with_stealing(true)
-                    .with_adaptive_morsels(adaptive);
-                e.register_stream("events", event_schema());
-                e.add_query(LogicalPlan::source("events").aggregate(Some(1), AggFunc::Sum, 1, 500))
-                    .expect("valid plan");
-                let mut epoch = 0u64;
-                let mut feed = |e: &mut DsmsEngine| {
-                    let off = epoch * span;
-                    epoch += 1;
-                    // Fold the ramp payload down to eight groups so every
-                    // group spans many rows, home shards, and therefore
-                    // worker partitions — each window close must combine
-                    // per-partition partial runs.
-                    let rows = base
-                        .iter()
-                        .map(|r| {
-                            Tuple::new(
-                                r.ts + off,
-                                vec![Value::Int(r.key as i64), Value::Int(r.value % 8)],
-                            )
-                        })
-                        .collect();
-                    e.push_rows("events", rows);
-                };
-                // Warmup flush spawns the pool; count from a clean slate.
-                feed(&mut e);
-                cqac_dsms::types::work::reset();
-                b.iter(|| {
-                    feed(&mut e);
-                    black_box(e.tuples_processed())
-                });
-                let snap = cqac_dsms::types::work::snapshot();
-                assert!(
-                    snap.grouped_partial_rows > 0,
-                    "grouped rows must accumulate in per-worker partials"
-                );
-                assert!(
-                    snap.partial_groups_combined > 0,
-                    "the watermark pass must combine per-group partial runs"
-                );
-                assert_eq!(
-                    snap.chain_morsels, 0,
-                    "a commutative grouped workload needs no chain-morsel fallback"
-                );
-            },
+    group.bench_function("grouped_partials", |b| {
+        let mut e = DsmsEngine::new()
+            .with_max_batch_size(64)
+            .with_shards(4)
+            .with_shard_key("events", 0);
+        e.register_stream("events", event_schema());
+        e.add_query(LogicalPlan::source("events").aggregate(Some(1), AggFunc::Sum, 1, 500))
+            .expect("valid plan");
+        let mut epoch = 0u64;
+        let mut feed = |e: &mut DsmsEngine| {
+            let off = epoch * span;
+            epoch += 1;
+            // Fold the ramp payload down to eight groups so every
+            // group spans many rows, home shards, and therefore
+            // worker partitions — each window close must combine
+            // per-partition partial runs.
+            let rows = base
+                .iter()
+                .map(|r| {
+                    Tuple::new(
+                        r.ts + off,
+                        vec![Value::Int(r.key as i64), Value::Int(r.value % 8)],
+                    )
+                })
+                .collect();
+            e.push_rows("events", rows);
+        };
+        // Warmup flush spawns the pool; count from a clean slate.
+        feed(&mut e);
+        cqac_dsms::types::work::reset();
+        b.iter(|| {
+            feed(&mut e);
+            black_box(e.tuples_processed())
+        });
+        let snap = cqac_dsms::types::work::snapshot();
+        assert!(
+            snap.grouped_partial_rows > 0,
+            "grouped rows must accumulate in per-worker partials"
         );
-    }
+        assert!(
+            snap.partial_groups_combined > 0,
+            "the watermark pass must combine per-group partial runs"
+        );
+        assert_eq!(
+            snap.chain_morsels, 0,
+            "a commutative grouped workload needs no chain-morsel fallback"
+        );
+    });
     group.finish();
 }
 

@@ -247,18 +247,6 @@ pub struct DsmsEngine {
     /// The persistent worker pool (threads spawn lazily on the first
     /// parallel flush and park between flushes).
     pool: WorkerPool,
-    /// Morsel granularity: how many work units (partitioned sub-batches)
-    /// one morsel carries.
-    morsel_batches: usize,
-    /// Whether idle workers steal morsels from busy workers' deque tails.
-    stealing: bool,
-    /// Whether the adaptive morsel controller drives the effective grain
-    /// (`morsel_batches` is then its ceiling). Off by default.
-    adaptive_morsels: bool,
-    /// The adaptive controller's cost statistics (per keyless stream +
-    /// one class for the keyed plan), fed by per-morsel
-    /// [`work::WorkSnapshot::cost_units`] deltas.
-    adaptive: AdaptiveState,
     /// The fault-injection plan driving soak tests and benches (`None` —
     /// inert — outside them).
     fault: Option<Arc<FaultPlan>>,
@@ -312,10 +300,6 @@ impl DsmsEngine {
             keyed_cache: None,
             merged_pending: VecDeque::new(),
             pool: WorkerPool::default(),
-            morsel_batches: 1,
-            stealing: true,
-            adaptive_morsels: false,
-            adaptive: AdaptiveState::default(),
             fault: None,
             pending_panics: Vec::new(),
             quarantine_log: Vec::new(),
@@ -377,11 +361,16 @@ impl DsmsEngine {
 
     /// Sets the worker-shard count — the knob next to the batch-size and
     /// fusion knobs. `1` (the default) compiles down to the single-threaded
-    /// path; `n > 1` runs each stream's stateless prefix (filters,
-    /// projections, fused chains) on `n` worker threads and merges shard
-    /// outputs deterministically before stateful operators and sinks, so
-    /// outputs are bit-identical to the single-threaded engine regardless
-    /// of shard count.
+    /// path; `n > 1` runs every flush as morsels on `n` pooled workers:
+    /// keyless streams' stateless prefixes (filters, projections, fused
+    /// chains) round-robin, and hash-partitioned streams' keyed plan —
+    /// stateless prefixes *plus* every compatibly keyed join and aggregate,
+    /// absorbing into per-shard state partitions inside the workers. Shard
+    /// outputs merge deterministically before the operators outside those
+    /// plans (see [`QueryNetwork::keyed_plan`] for the membership rule)
+    /// and the sinks, which run on the control thread, so outputs are
+    /// bit-identical to the single-threaded engine regardless of shard
+    /// count.
     ///
     /// Changing the count resets the per-shard statistics
     /// ([`DsmsEngine::shard_stats`], [`StreamStats::shard_rows`]) and the
@@ -459,89 +448,12 @@ impl DsmsEngine {
     /// Per-shard execution statistics (index = shard id; all zero until a
     /// sharded run happens).
     ///
-    /// With work stealing enabled the index is the **executing worker**,
-    /// not the partition-time home shard, so a zipf-skewed key
+    /// Idle workers always steal, so the index is the **executing
+    /// worker**, not the partition-time home shard: a zipf-skewed key
     /// distribution still shows near-balanced rows here (the home-shard
     /// skew stays visible in [`StreamStats::shard_rows`]).
     pub fn shard_stats(&self) -> &[ShardStats] {
         &self.shard_stats
-    }
-
-    /// Sets the morsel granularity (builder form; see
-    /// [`DsmsEngine::set_morsel_batches`]).
-    pub fn with_morsel_batches(mut self, n: usize) -> Self {
-        self.set_morsel_batches(n);
-        self
-    }
-
-    /// Sets the morsel granularity: how many work units (hash-partitioned
-    /// sub-batches or round-robin source batches) one morsel carries. `1`
-    /// (the default) maximizes stealable parallelism; larger morsels
-    /// amortize deque traffic at the cost of coarser rebalancing. Outputs
-    /// are bit-identical at every setting.
-    ///
-    /// # Panics
-    /// Panics when `n == 0`.
-    pub fn set_morsel_batches(&mut self, n: usize) {
-        assert!(n > 0, "morsel size must be positive");
-        self.morsel_batches = n;
-    }
-
-    /// The current morsel granularity.
-    pub fn morsel_batches(&self) -> usize {
-        self.morsel_batches
-    }
-
-    /// Enables or disables work stealing (builder form; see
-    /// [`DsmsEngine::set_stealing`]).
-    pub fn with_stealing(mut self, enabled: bool) -> Self {
-        self.set_stealing(enabled);
-        self
-    }
-
-    /// Enables or disables work stealing between the pool workers. On by
-    /// default: an idle worker pops morsels from the tails of busy
-    /// workers' deques, so skewed key distributions rebalance across
-    /// cores. Disabling pins every morsel to its home shard's worker
-    /// (fork/join behavior). Outputs are bit-identical either way.
-    pub fn set_stealing(&mut self, enabled: bool) {
-        self.stealing = enabled;
-    }
-
-    /// Whether work stealing is enabled.
-    pub fn stealing(&self) -> bool {
-        self.stealing
-    }
-
-    /// Enables adaptive morsel sizing (builder form; see
-    /// [`DsmsEngine::set_adaptive_morsels`]).
-    pub fn with_adaptive_morsels(mut self, enabled: bool) -> Self {
-        self.set_adaptive_morsels(enabled);
-        self
-    }
-
-    /// Enables or disables the adaptive morsel controller. Off by
-    /// default: every flush then cuts morsels at exactly
-    /// [`DsmsEngine::morsel_batches`] units, bit-for-bit today's static
-    /// behavior. When on, that knob becomes the **ceiling** of a
-    /// controller that tracks per-morsel execution cost (deterministic
-    /// [`work::WorkSnapshot::cost_units`], not wall clock) in a
-    /// per-stream EWMA + spread estimate: a high spread across a flush's
-    /// morsels (skew) shrinks the effective grain toward 1 so stealing
-    /// rebalances at fine granularity, a uniform cost profile grows it
-    /// back toward the ceiling to amortize deque traffic. Grain changes
-    /// are counted ([`work::WorkSnapshot::adaptive_resizes`]); the grain
-    /// for a flush is computed only from *prior* flushes' statistics, so
-    /// the morsel cutting — and therefore the whole resize trace — is a
-    /// deterministic function of the input. Outputs are bit-identical
-    /// either way.
-    pub fn set_adaptive_morsels(&mut self, enabled: bool) {
-        self.adaptive_morsels = enabled;
-    }
-
-    /// Whether adaptive morsel sizing is enabled.
-    pub fn adaptive_morsels(&self) -> bool {
-        self.adaptive_morsels
     }
 
     /// Enables or disables per-batch operator timing. On by default (the
@@ -1070,7 +982,6 @@ impl DsmsEngine {
         // -- 2. Parallel execution on the persistent pool ----------------
         let timing = self.timing;
         let columnar = crate::ops::columnar_kernels_enabled();
-        let simd = crate::ops::simd_kernels_enabled();
         let mut exits: HashMap<u32, Vec<Target>> = HashMap::new();
         for plan in &rr_plans {
             for node in &plan.nodes {
@@ -1147,28 +1058,10 @@ impl DsmsEngine {
                     .node(kn.id)
                     .is_some_and(|n| !n.op.keyed_commutative())
         });
-        // Effective morsel grain: the static knob, or — adaptive mode —
-        // the controller's pick from *prior* flushes' per-morsel cost
-        // statistics (never this flush's, so the cutting is a
-        // deterministic function of the input). The first adaptive flush
-        // has no statistics and cuts at the ceiling, i.e. exactly the
-        // static behavior.
-        let adaptive = self.adaptive_morsels;
-        let cap = self.morsel_batches;
-        let morsel_units = if adaptive {
-            let have_keyed = keyed_units.iter().any(|u| !u.is_empty());
-            self.adaptive
-                .grain(cap, plan_of_stream.keys().map(String::as_str), have_keyed)
-        } else {
-            cap
-        };
+        // One unit per morsel: the finest stealable grain.
         let mut deques: Vec<VecDeque<Morsel>> = (0..shards).map(|_| VecDeque::new()).collect();
-        let mut dispatched = 0usize;
         for (s, units) in rr_units.into_iter().enumerate() {
-            for chunk in chunked(units, morsel_units) {
-                deques[s].push_back(Morsel::Rr(chunk));
-                dispatched += 1;
-            }
+            deques[s].extend(units.into_iter().map(Morsel::Rr));
         }
         for (s, units) in keyed_units.into_iter().enumerate() {
             if ordered {
@@ -1178,24 +1071,20 @@ impl DsmsEngine {
                     // plans stopped paying it.
                     work::count_chain_morsel();
                     deques[s].push_back(Morsel::Chain { home: s, units });
-                    dispatched += 1;
                 }
             } else {
-                for chunk in chunked(units, morsel_units) {
-                    deques[s].push_back(Morsel::Keyed {
-                        home: s,
-                        units: chunk,
-                    });
-                    dispatched += 1;
-                }
+                deques[s].extend(
+                    units
+                        .into_iter()
+                        .map(|unit| Morsel::Keyed { home: s, unit }),
+                );
             }
         }
         let sched = MorselScheduler {
+            pending: AtomicUsize::new(deques.iter().map(VecDeque::len).sum()),
             deques: deques.into_iter().map(Mutex::new).collect(),
-            pending: AtomicUsize::new(dispatched),
             aborted: AtomicBool::new(false),
             deserted: AtomicBool::new(false),
-            stealing: self.stealing,
         };
         // In commutative mode the watermark pass runs as a second phase:
         // after every morsel of the flush is absorbed (the `pending == 0`
@@ -1226,47 +1115,33 @@ impl DsmsEngine {
                         }
                     }
                     // Pooled workers persist across flushes: counters and
-                    // the kernel switches are re-seeded per job, and the
+                    // the columnar switch are re-seeded per job, and the
                     // end-of-job snapshot is the job's delta. Re-seeding
                     // (not spawn-time inheritance) is what makes a seat
                     // respawned after a worker death pick the control
-                    // thread's current settings back up on its next job.
+                    // thread's current setting back up on its next job.
                     work::reset();
                     crate::ops::set_columnar_kernels(columnar);
-                    crate::ops::set_simd_kernels(simd);
                     let mut report = ShardReport::default();
                     while let Some((morsel, stolen)) = sched.grab(worker) {
                         work::count_morsel_executed();
                         if stolen {
                             work::count_morsel_stolen();
                         }
-                        // Adaptive mode: attribute this morsel's cost to a
-                        // controller class — the first unit's stream for
-                        // round-robin chunks (a chunk can mix streams;
-                        // first-unit attribution keeps it deterministic),
-                        // one shared class for the keyed plan. The cost is
-                        // the morsel's `cost_units` delta: deterministic
-                        // row/eval counts, so the sample multiset does not
-                        // depend on which worker ran what.
-                        let class = adaptive.then(|| match &morsel {
-                            Morsel::Rr(units) => units[0].plan as u32,
-                            Morsel::Keyed { .. } | Morsel::Chain { .. } => u32::MAX,
-                        });
-                        let before = class.map(|_| work::snapshot().cost_units());
                         // Kernel panics are caught per invocation *inside*
                         // the worker bodies (recover-and-continue); this
                         // outer net only catches genuine executor bugs,
                         // which still abort the flush.
                         let done = std::panic::catch_unwind(AssertUnwindSafe(|| match morsel {
-                            Morsel::Rr(units) => {
-                                shard_worker(rr_resolved, units, timing, fault, &mut report);
+                            Morsel::Rr(unit) => {
+                                shard_worker(rr_resolved, unit, timing, fault, &mut report);
                             }
-                            Morsel::Keyed { home, units } => keyed_worker(
+                            Morsel::Keyed { home, unit } => keyed_worker(
                                 home,
                                 worker,
                                 keyed_resolved,
                                 keyed_roots,
-                                units,
+                                [unit],
                                 watermark,
                                 timing,
                                 false,
@@ -1286,10 +1161,6 @@ impl DsmsEngine {
                                 &mut report,
                             ),
                         }));
-                        if let (Some(class), Some(before)) = (class, before) {
-                            let cost = work::snapshot().cost_units().saturating_sub(before);
-                            report.morsel_costs.push((class, cost));
-                        }
                         sched.pending.fetch_sub(1, Ordering::AcqRel);
                         if let Err(payload) = done {
                             // Unblock the other workers' barriers before
@@ -1325,7 +1196,7 @@ impl DsmsEngine {
                                 worker,
                                 keyed_resolved,
                                 keyed_roots,
-                                Vec::new(),
+                                [],
                                 watermark,
                                 timing,
                                 true,
@@ -1383,15 +1254,15 @@ impl DsmsEngine {
                     };
                     work::count_morsel_executed();
                     match morsel {
-                        Morsel::Rr(units) => {
-                            shard_worker(&rr_resolved, units, timing, fault, &mut recovery);
+                        Morsel::Rr(unit) => {
+                            shard_worker(&rr_resolved, unit, timing, fault, &mut recovery);
                         }
-                        Morsel::Keyed { home, units } => keyed_worker(
+                        Morsel::Keyed { home, unit } => keyed_worker(
                             home,
                             home,
                             &keyed_resolved,
                             &keyed_roots,
-                            units,
+                            [unit],
                             watermark,
                             timing,
                             false,
@@ -1421,7 +1292,7 @@ impl DsmsEngine {
                             *w,
                             &keyed_resolved,
                             &keyed_roots,
-                            Vec::new(),
+                            [],
                             watermark,
                             timing,
                             true,
@@ -1460,10 +1331,8 @@ impl DsmsEngine {
 
         // -- 3. Deterministic merge --------------------------------------
         let mut merged: BTreeMap<(u32, Vec<u32>), Parts> = BTreeMap::new();
-        let mut morsel_costs: Vec<(u32, u64)> = Vec::new();
         for (s, report) in reports {
             work::absorb(&report.work);
-            morsel_costs.extend(report.morsel_costs);
             self.processed += report.rows;
             self.batches += report.batches;
             debug_assert!(
@@ -1490,18 +1359,6 @@ impl DsmsEngine {
             for (node, entry, batch, tags) in report.outputs {
                 merged.entry((node, entry)).or_default().push((batch, tags));
             }
-        }
-        if !morsel_costs.is_empty() {
-            // Fold this flush's cost samples into the controller's EWMAs
-            // for the *next* flush. Which worker reported a sample is
-            // racy; the per-class sample multiset is not, and `observe`
-            // sorts before folding, so the EWMA trajectory — and with it
-            // the resize trace — is deterministic.
-            let mut class_streams = vec![String::new(); rr_plans.len()];
-            for (stream, &idx) in &plan_of_stream {
-                class_streams[idx] = stream.clone();
-            }
-            self.adaptive.observe(&class_streams, morsel_costs);
         }
         // BTreeMap order = ascending (node id, entry path): exactly the
         // order the single-threaded node loop dispatches these outputs.
@@ -1599,10 +1456,11 @@ impl DsmsEngine {
     }
 
     /// Processes every queued batch and propagates the watermark until the
-    /// network is quiescent. With a shard count above 1 the stateless
-    /// prefixes run on worker threads first (see
-    /// [`DsmsEngine::set_shards`]); the merge and everything stateful runs
-    /// on this thread exactly like the single-threaded engine.
+    /// network is quiescent. With a shard count above 1 the flush's
+    /// stateless prefixes and keyed stateful plan members run on the worker
+    /// pool first (see [`DsmsEngine::set_shards`]); the deterministic merge
+    /// and every operator outside those plans run on this thread exactly
+    /// like the single-threaded engine.
     pub fn run_until_quiescent(&mut self) {
         if self.shards() > 1 {
             self.flush_ingest_sharded();
@@ -1622,48 +1480,45 @@ impl DsmsEngine {
                     self.processed += in_rows;
                     self.batches += 1;
                     out_bufs.clear();
+                    let fault = self.fault.as_deref();
+                    let node = self.network.node_mut(id).expect("live node");
+                    node.in_count += in_rows;
+                    node.in_batches += 1;
                     // A pure filter's survivors stay a deferred selection
                     // (forwarded undensified by `dispatch_selected`);
-                    // everything else produces dense output batches.
-                    let mut refined: Option<(Arc<TupleBatch>, Vec<u32>)> = None;
-                    let mut caught: Option<String> = None;
-                    {
-                        let fault = self.fault.clone();
-                        let node = self.network.node_mut(id).expect("live node");
-                        node.in_count += in_rows;
-                        node.in_batches += 1;
-                        let kind = node.kind;
-                        let start = self.timing.then(Instant::now);
-                        // One panic net per kernel invocation, mirroring
-                        // the pooled workers: a panicking kernel loses
-                        // only this invocation's outputs and resolves into
-                        // a quarantine at quiescence — per query, never
-                        // per process.
-                        let attempt = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                            inject(fault.as_deref(), kind, shared.ts());
+                    // everything else produces dense output batches. A
+                    // panicking kernel loses only this invocation's outputs
+                    // and resolves into a quarantine at quiescence — per
+                    // query, never per process.
+                    let (produced, elapsed) = run_kernel(
+                        id.0,
+                        node.kind,
+                        fault,
+                        self.timing,
+                        &mut self.pending_panics,
+                        |inject| {
+                            inject(shared.ts());
                             let refine = node.op.shard_kernel().and_then(|k| {
                                 k.refine_selection(&shared, sel.as_ref().map(|s| s.as_slice()))
                             });
-                            match refine {
-                                Some(out_sel) => {
+                            match (refine, sel) {
+                                (Some(out_sel), _) => {
                                     node.out_count += out_sel.len() as u64;
-                                    if !out_sel.is_empty() {
-                                        refined = Some((shared, out_sel));
-                                    }
+                                    (!out_sel.is_empty()).then_some((shared, out_sel))
                                 }
-                                None if sel.is_some() => {
+                                (None, Some(sel)) => {
                                     // Absorb through the deferred selection
                                     // (stateful consumers push it down; the
                                     // default gathers once on entry).
-                                    let sel = sel.expect("checked some");
                                     node.op.process_selected(
                                         port,
                                         &shared,
                                         sel.as_slice(),
                                         &mut out_bufs,
                                     );
+                                    None
                                 }
-                                None => {
+                                (None, None) => {
                                     // Take ownership when this is the last
                                     // reference (the common single-consumer
                                     // hop). When another consumer — a node
@@ -1675,26 +1530,19 @@ impl DsmsEngine {
                                     let batch = Arc::try_unwrap(shared)
                                         .unwrap_or_else(|still_shared| (*still_shared).clone());
                                     node.op.process_batch(port, batch, &mut out_bufs);
+                                    None
                                 }
                             }
-                        }));
-                        if let Some(start) = start {
-                            node.busy += start.elapsed();
-                        }
-                        node.out_count += out_bufs.iter().map(|b| b.len() as u64).sum::<u64>();
-                        if let Err(payload) = attempt {
-                            caught = Some(panic_message(payload));
-                        }
-                    }
-                    if let Some(message) = caught {
+                        },
+                    );
+                    node.busy += elapsed;
+                    node.out_count += out_bufs.iter().map(|b| b.len() as u64).sum::<u64>();
+                    if produced.is_none() {
                         out_bufs.clear();
-                        refined = None;
-                        self.pending_panics.push((id.0, message));
                     }
-                    if let Some((batch, out_sel)) = refined {
-                        self.dispatch_selected(id, batch, out_sel);
-                    } else {
-                        self.dispatch(id, &mut out_bufs);
+                    match produced.flatten() {
+                        Some((batch, out_sel)) => self.dispatch_selected(id, batch, out_sel),
+                        None => self.dispatch(id, &mut out_bufs),
                     }
                 }
                 // Dispatch merged shard outputs *produced by* this node at
@@ -1727,36 +1575,31 @@ impl DsmsEngine {
                 });
                 if needs_watermark {
                     out_bufs.clear();
-                    let mut caught: Option<String> = None;
-                    {
-                        let fault = self.fault.clone();
-                        let watermark = self.watermark;
-                        let node = self.network.node_mut(id).expect("live node");
-                        let kind = node.kind;
-                        // Timed too: window-close work (eviction, emission)
-                        // happens here, and the measured cost model must
-                        // not undercount stateful operators.
-                        let start = self.timing.then(Instant::now);
-                        let attempt = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                            inject(fault.as_deref(), kind, &[]);
+                    let fault = self.fault.as_deref();
+                    let watermark = self.watermark;
+                    let node = self.network.node_mut(id).expect("live node");
+                    // Timed too: window-close work (eviction, emission)
+                    // happens here, and the measured cost model must not
+                    // undercount stateful operators.
+                    let (done, elapsed) = run_kernel(
+                        id.0,
+                        node.kind,
+                        fault,
+                        self.timing,
+                        &mut self.pending_panics,
+                        |inject| {
+                            inject(&[]);
                             node.op.advance_watermark(watermark, &mut out_bufs);
-                        }));
-                        if let Some(start) = start {
-                            node.busy += start.elapsed();
-                        }
-                        // Marked even when the pass panicked: the node is
-                        // about to be quarantined, and re-running a
-                        // panicking advance on every pass would never
-                        // reach quiescence.
-                        node.last_watermark = watermark;
-                        node.out_count += out_bufs.iter().map(|b| b.len() as u64).sum::<u64>();
-                        if let Err(payload) = attempt {
-                            caught = Some(panic_message(payload));
-                        }
-                    }
-                    if let Some(message) = caught {
+                        },
+                    );
+                    node.busy += elapsed;
+                    // Marked even when the pass panicked: the node is about
+                    // to be quarantined, and re-running a panicking advance
+                    // on every pass would never reach quiescence.
+                    node.last_watermark = watermark;
+                    node.out_count += out_bufs.iter().map(|b| b.len() as u64).sum::<u64>();
+                    if done.is_none() {
                         out_bufs.clear();
-                        self.pending_panics.push((id.0, message));
                     }
                     if !out_bufs.is_empty() {
                         any = true;
@@ -1879,23 +1722,22 @@ impl DsmsEngine {
             let mut any = false;
             for id in self.network.node_ids() {
                 out_bufs.clear();
-                let mut caught: Option<String> = None;
-                {
-                    let fault = self.fault.clone();
-                    let node = self.network.node_mut(id).expect("live node");
-                    let kind = node.kind;
-                    let attempt = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                        inject(fault.as_deref(), kind, &[]);
+                let fault = self.fault.as_deref();
+                let node = self.network.node_mut(id).expect("live node");
+                let (done, _) = run_kernel(
+                    id.0,
+                    node.kind,
+                    fault,
+                    false,
+                    &mut self.pending_panics,
+                    |inject| {
+                        inject(&[]);
                         node.op.finish(&mut out_bufs);
-                    }));
-                    node.out_count += out_bufs.iter().map(|b| b.len() as u64).sum::<u64>();
-                    if let Err(payload) = attempt {
-                        caught = Some(panic_message(payload));
-                    }
-                }
-                if let Some(message) = caught {
+                    },
+                );
+                node.out_count += out_bufs.iter().map(|b| b.len() as u64).sum::<u64>();
+                if done.is_none() {
                     out_bufs.clear();
-                    self.pending_panics.push((id.0, message));
                 }
                 if !out_bufs.is_empty() {
                     any = true;
@@ -2082,143 +1924,20 @@ struct KeyedUnit {
 /// indices, row tags), so the deterministic merge is independent of which
 /// worker executes it and in what order.
 enum Morsel {
-    /// Round-robin units headed into their stateless prefixes.
-    Rr(Vec<ShardUnit>),
-    /// Independent keyed units of one `home` shard — stealable at unit
-    /// granularity because every stateful plan member combines
-    /// commutatively.
-    Keyed { home: usize, units: Vec<KeyedUnit> },
+    /// One round-robin unit headed into its stateless prefix.
+    Rr(ShardUnit),
+    /// One independent keyed unit of its `home` shard — stealable alone
+    /// because every stateful plan member combines commutatively.
+    Keyed { home: usize, unit: KeyedUnit },
     /// One `home` shard's entire keyed workload plus its watermark pass,
     /// run sequentially (order-sensitive plans: joins, float aggregates).
     Chain { home: usize, units: Vec<KeyedUnit> },
 }
 
-/// The adaptive morsel controller's persistent statistics: one cost EWMA
-/// per round-robin stream plus one for the keyed plan (whose morsels all
-/// walk the same plan). Samples are per-morsel
-/// [`work::WorkSnapshot::cost_units`] deltas — deterministic row/eval
-/// counts, never wall clock — so the whole controller is a deterministic
-/// function of the input stream, reproducible across runs and shard
-/// schedules.
-#[derive(Debug, Default)]
-struct AdaptiveState {
-    /// Per-keyless-stream statistics (keyed by stream name — round-robin
-    /// plan indices are flush-scoped).
-    streams: HashMap<String, ClassEwma>,
-    /// The keyed plan's statistics.
-    keyed: ClassEwma,
-    /// The previous flush's effective grain (resize detection).
-    last_grain: Option<usize>,
-}
-
-/// One controller class's running estimate: mean per-morsel cost and the
-/// spread (max − min) across each flush's morsels, both as Q8
-/// fixed-point EWMAs (α = 1/4). Integer arithmetic throughout — floats
-/// would reintroduce platform-dependent rounding into the resize trace.
-#[derive(Debug, Default)]
-struct ClassEwma {
-    cost: u64,
-    spread: u64,
-    seeded: bool,
-}
-
-impl ClassEwma {
-    fn update(&mut self, mean: u64, spread: u64) {
-        let m = mean.saturating_mul(256);
-        let s = spread.saturating_mul(256);
-        if self.seeded {
-            self.cost = (self.cost.saturating_mul(3).saturating_add(m)) / 4;
-            self.spread = (self.spread.saturating_mul(3).saturating_add(s)) / 4;
-        } else {
-            self.cost = m;
-            self.spread = s;
-            self.seeded = true;
-        }
-    }
-
-    /// The class's preferred grain: skew — spread as a fraction of the
-    /// mean, saturated at 1 (= 256 in Q8) — interpolates linearly from
-    /// the ceiling (uniform costs, amortize deque traffic) down to 1
-    /// (heavy skew, maximize stealable parallelism). Unseeded classes
-    /// vote for the ceiling, today's static behavior.
-    fn grain(&self, cap: usize) -> usize {
-        if !self.seeded {
-            return cap;
-        }
-        let skew = self
-            .spread
-            .saturating_mul(256)
-            .checked_div(self.cost.max(1))
-            .unwrap_or(0)
-            .min(256) as usize;
-        1 + (cap - 1) * (256 - skew) / 256
-    }
-}
-
-impl AdaptiveState {
-    /// The effective grain for a flush whose round-robin streams are
-    /// `rr_streams` (plus the keyed plan when `have_keyed`): the minimum
-    /// of every contributing class's preference — one skewed stream is
-    /// enough to need fine-grained rebalancing. Counts a resize whenever
-    /// the pick differs from the previous flush's.
-    fn grain<'a>(
-        &mut self,
-        cap: usize,
-        rr_streams: impl Iterator<Item = &'a str>,
-        have_keyed: bool,
-    ) -> usize {
-        let mut g = cap;
-        for stream in rr_streams {
-            if let Some(e) = self.streams.get(stream) {
-                g = g.min(e.grain(cap));
-            }
-        }
-        if have_keyed {
-            g = g.min(self.keyed.grain(cap));
-        }
-        if self.last_grain.is_some_and(|prev| prev != g) {
-            work::count_adaptive_resize();
-        }
-        self.last_grain = Some(g);
-        g
-    }
-
-    /// Folds one flush's cost samples into the class EWMAs. Samples are
-    /// sorted first: worker-to-morsel assignment is racy, but the
-    /// per-class multiset is deterministic, so sorting makes the fold —
-    /// and every later grain pick — independent of the schedule.
-    fn observe(&mut self, class_streams: &[String], mut samples: Vec<(u32, u64)>) {
-        samples.sort_unstable();
-        let mut i = 0;
-        while i < samples.len() {
-            let class = samples[i].0;
-            let mut j = i;
-            while j < samples.len() && samples[j].0 == class {
-                j += 1;
-            }
-            let run = &samples[i..j];
-            let n = run.len() as u64;
-            let sum: u64 = run.iter().fold(0u64, |a, &(_, c)| a.saturating_add(c));
-            let mean = sum / n;
-            // Sorted by (class, cost): the run's ends are min and max.
-            let spread = run[run.len() - 1].1 - run[0].1;
-            let stat = if class == u32::MAX {
-                &mut self.keyed
-            } else {
-                self.streams
-                    .entry(class_streams[class as usize].clone())
-                    .or_default()
-            };
-            stat.update(mean, spread);
-            i = j;
-        }
-    }
-}
-
 /// The flush-scoped morsel scheduler: one deque per worker, seeded with
 /// the worker's home-shard morsels. The owner pops from the head; when a
-/// worker's own deque runs dry (and stealing is enabled) it pops from the
-/// tails of the other workers' deques, so a zipf-hot shard's backlog
+/// worker's own deque runs dry it pops from the tails of the other
+/// workers' deques in ascending seat offset, so a zipf-hot shard's backlog
 /// spreads over every idle core. Workers never push, so an empty scan
 /// means the flush's distribution phase is over for good.
 struct MorselScheduler {
@@ -2235,7 +1954,6 @@ struct MorselScheduler {
     /// `pending` share may never drain — and the control thread replays
     /// the leftover morsels inline after the pool joins.
     deserted: AtomicBool,
-    stealing: bool,
 }
 
 impl MorselScheduler {
@@ -2249,67 +1967,16 @@ impl MorselScheduler {
         if let Some(m) = lock_deque(&self.deques[me]).pop_front() {
             return Some((m, false));
         }
-        if !self.stealing {
-            return None;
-        }
         let n = self.deques.len();
-        for victim in Self::victims(me, n) {
-            match lock_deque(&self.deques[victim]).pop_back() {
+        for off in 1..n {
+            match lock_deque(&self.deques[(me + off) % n]).pop_back() {
                 Some(m) => return Some((m, true)),
                 None => work::count_steal_miss(),
             }
         }
         None
     }
-
-    /// Steal-victim visit order for worker `me` of `n`: ascending offset.
-    #[cfg(not(feature = "core_pinning"))]
-    fn victims(me: usize, n: usize) -> impl Iterator<Item = usize> {
-        (1..n).map(move |off| (me + off) % n)
-    }
-
-    /// Steal-victim visit order for worker `me` of `n`, by seat distance:
-    /// `+1, -1, +2, -2, …`. With pinned workers (seat = core), adjacent
-    /// seats share cache, so the nearest backlog is the cheapest steal.
-    /// Outputs are order-independent (the deterministic merge), so the
-    /// visit order is free to differ from the default build's.
-    #[cfg(feature = "core_pinning")]
-    fn victims(me: usize, n: usize) -> impl Iterator<Item = usize> {
-        (1..n).map(move |k| {
-            let d = k.div_ceil(2);
-            if k % 2 == 1 {
-                (me + d) % n
-            } else {
-                (me + n - d) % n
-            }
-        })
-    }
 }
-
-/// Pins the calling pool worker to core `seat mod available cores` via
-/// `sched_setaffinity(2)` — declared directly (std already links libc on
-/// Linux; no new dependency). Best effort: a container or cgroup that
-/// denies the call leaves the default mask, which is always correct.
-#[cfg(all(feature = "core_pinning", target_os = "linux"))]
-fn pin_worker(seat: usize) {
-    /// `cpu_set_t`: a 1024-bit mask (glibc's fixed default size).
-    #[repr(C)]
-    struct CpuSet([u64; 16]);
-    extern "C" {
-        fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const CpuSet) -> i32;
-    }
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let core = seat % cores;
-    let mut set = CpuSet([0; 16]);
-    set.0[core / 64] |= 1u64 << (core % 64);
-    // SAFETY: pid 0 = the calling thread; the mask outlives the call.
-    unsafe {
-        sched_setaffinity(0, std::mem::size_of::<CpuSet>(), &set);
-    }
-}
-
-#[cfg(not(all(feature = "core_pinning", target_os = "linux")))]
-fn pin_worker(_seat: usize) {}
 
 /// Rides over mutex poisoning: every lock in the engine guards data whose
 /// invariants hold between operations (a deque of whole morsels, a slot
@@ -2320,15 +1987,6 @@ fn pin_worker(_seat: usize) {}
 /// `unwrap_or_else(PoisonError::into_inner)` copies.
 fn ride_poison<T>(r: Result<T, std::sync::PoisonError<T>>) -> T {
     r.unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// The fault harness's kernel hook (inert without a plan). Lives *inside*
-/// each kernel's panic net, so an injected panic is indistinguishable
-/// from a genuine kernel bug to the recovery machinery it exercises.
-fn inject(fault: Option<&FaultPlan>, kind: &'static str, ts: &[u64]) {
-    if let Some(fault) = fault {
-        fault.before_kernel(kind, ts);
-    }
 }
 
 /// Extracts a readable message from a caught panic payload.
@@ -2342,19 +2000,42 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Runs one operator-kernel invocation under its own panic net. On panic
-/// the invocation's outputs are lost, the incident is recorded as
-/// `(node, message)` for quarantine resolution, and execution continues —
-/// the recover-and-continue half of the robustness contract (see the
-/// crate docs). Kernels only touch per-invocation inputs and their own
-/// node's state, so a caught invocation cannot corrupt any *other*
-/// node's state.
-fn run_kernel<T>(node: u32, panics: &mut Vec<(u32, String)>, f: impl FnOnce() -> T) -> Option<T> {
-    match std::panic::catch_unwind(AssertUnwindSafe(f)) {
-        Ok(v) => Some(v),
+/// The one guard around every operator-kernel invocation — worker
+/// morsels, keyed watermark passes, the control loop's queue walk and
+/// watermark pass, and `finish`: a panic net, the fault harness's hook and
+/// the `busy` timer in one place. `f` receives `inject` and calls it with
+/// its input's timestamps before touching the kernel; the hook lives
+/// *inside* the net, so an injected panic is indistinguishable from a
+/// genuine kernel bug to the recovery machinery it exercises (and inert
+/// without a plan). On panic the invocation's outputs are lost, the
+/// incident is recorded as `(node, message)` for quarantine resolution,
+/// and execution continues — the recover-and-continue half of the
+/// robustness contract (see the crate docs). Kernels only touch
+/// per-invocation inputs and their own node's state, so a caught
+/// invocation cannot corrupt any *other* node's state. Returns the
+/// result (`None` = panicked) and the elapsed wall time (zero with
+/// `timing` off).
+fn run_kernel<T>(
+    node: u32,
+    kind: &'static str,
+    fault: Option<&FaultPlan>,
+    timing: bool,
+    panics: &mut Vec<(u32, String)>,
+    f: impl FnOnce(&dyn Fn(&[u64])) -> T,
+) -> (Option<T>, Duration) {
+    let inject = |ts: &[u64]| {
+        if let Some(fault) = fault {
+            fault.before_kernel(kind, ts);
+        }
+    };
+    let start = timing.then(Instant::now);
+    let result = std::panic::catch_unwind(AssertUnwindSafe(|| f(&inject)));
+    let elapsed = start.map(|s| s.elapsed()).unwrap_or_default();
+    match result {
+        Ok(v) => (Some(v), elapsed),
         Err(payload) => {
             panics.push((node, panic_message(payload)));
-            None
+            (None, elapsed)
         }
     }
 }
@@ -2363,28 +2044,6 @@ fn run_kernel<T>(node: u32, panics: &mut Vec<(u32, String)>, f: impl FnOnce() ->
 /// is surfaced through the pool's `Done(Err)` path).
 fn lock_deque(m: &Mutex<VecDeque<Morsel>>) -> std::sync::MutexGuard<'_, VecDeque<Morsel>> {
     ride_poison(m.lock())
-}
-
-/// Splits `units` into order-preserving chunks of at most `size` (the
-/// morsel granularity knob). The common whole-fits case allocates nothing
-/// new.
-fn chunked<T>(units: Vec<T>, size: usize) -> Vec<Vec<T>> {
-    if units.is_empty() {
-        return Vec::new();
-    }
-    if units.len() <= size {
-        return vec![units];
-    }
-    let mut out = Vec::with_capacity(units.len().div_ceil(size));
-    let mut it = units.into_iter();
-    loop {
-        let chunk: Vec<T> = it.by_ref().take(size).collect();
-        if chunk.is_empty() {
-            break;
-        }
-        out.push(chunk);
-    }
-    out
 }
 
 /// A stream's prefix with operator references resolved for the workers.
@@ -2435,11 +2094,6 @@ struct ShardReport {
     /// Kernel panics caught during this shard's morsels: `(node id, panic
     /// message)`. Resolved into quarantines by the control thread.
     panics: Vec<(u32, String)>,
-    /// Adaptive-mode cost samples: `(controller class, cost_units delta)`
-    /// per executed morsel (empty with the controller off, so the static
-    /// path's reports are byte-identical to before). The class is a
-    /// round-robin plan index or `u32::MAX` for the keyed plan.
-    morsel_costs: Vec<(u32, u64)>,
     /// Whether this worker's advance-phase duty ran (always `true` when
     /// the flush has no second phase). A deserted flush leaves it `false`
     /// on workers that skipped their advance; the control thread makes
@@ -2480,79 +2134,82 @@ struct ResolvedKeyedNode<'a> {
     grouped: bool,
 }
 
-/// The body of the round-robin half of one shard job: runs whole source
-/// batches of keyless streams through their stateless prefixes in source
-/// order. Outputs merge trivially (a source batch lives whole on one
-/// shard), so no survivor tracing is needed.
+/// The body of a round-robin morsel: runs one whole source batch of a
+/// keyless stream through its stateless prefix. Outputs merge trivially
+/// (a source batch lives whole on one shard), so no survivor tracing is
+/// needed.
 fn shard_worker(
     plans: &[ResolvedPrefix<'_>],
-    units: Vec<ShardUnit>,
+    unit: ShardUnit,
     timing: bool,
     fault: Option<&FaultPlan>,
     report: &mut ShardReport,
 ) {
-    for unit in units {
-        let plan = &plans[unit.plan];
-        if let Some(ts) = unit.batch.max_ts() {
-            report.max_ts = report.max_ts.max(ts);
-        }
-        let mut slots: Vec<Option<TupleBatch>> = (0..plan.nodes.len()).map(|_| None).collect();
-        // Seed the roots (COW column sharing makes extra roots cheap).
-        let Some((&last_root, other_roots)) = plan.roots.split_last() else {
+    let plan = &plans[unit.plan];
+    if let Some(ts) = unit.batch.max_ts() {
+        report.max_ts = report.max_ts.max(ts);
+    }
+    let mut slots: Vec<Option<TupleBatch>> = (0..plan.nodes.len()).map(|_| None).collect();
+    // Seed the roots (COW column sharing makes extra roots cheap).
+    let Some((&last_root, other_roots)) = plan.roots.split_last() else {
+        return;
+    };
+    for &r in other_roots {
+        slots[r] = Some(unit.batch.clone());
+    }
+    slots[last_root] = Some(unit.batch);
+    // Ascending position is a topological order (node ids ascend along
+    // edges), so one pass drains the whole prefix.
+    for pos in 0..plan.nodes.len() {
+        let Some(batch) = slots[pos].take() else {
             continue;
         };
-        for &r in other_roots {
-            slots[r] = Some(unit.batch.clone());
-        }
-        slots[last_root] = Some(unit.batch);
-        // Ascending position is a topological order (node ids ascend along
-        // edges), so one pass drains the whole prefix.
-        for pos in 0..plan.nodes.len() {
-            let Some(batch) = slots[pos].take() else {
-                continue;
-            };
-            let node = &plan.nodes[pos];
-            let in_rows = batch.len() as u64;
-            report.rows += in_rows;
-            report.batches += 1;
-            work::count_shard_batches(1);
-            let start = timing.then(Instant::now);
-            let produced = run_kernel(node.id, &mut report.panics, || {
-                inject(fault, node.kind, batch.ts());
+        let node = &plan.nodes[pos];
+        let in_rows = batch.len() as u64;
+        report.rows += in_rows;
+        report.batches += 1;
+        work::count_shard_batches(1);
+        let (produced, elapsed) = run_kernel(
+            node.id,
+            node.kind,
+            fault,
+            timing,
+            &mut report.panics,
+            |inject| {
+                inject(batch.ts());
                 node.op.process_traced(batch, false)
-            });
-            let elapsed = start.map(|s| s.elapsed()).unwrap_or_default();
-            report.busy += elapsed;
-            let delta = report.node_stats.entry(node.id).or_default();
-            delta.in_rows += in_rows;
-            delta.in_batches += 1;
-            delta.busy += elapsed;
-            // A caught panic drops this invocation's outputs and moves on:
-            // downstream nodes simply see nothing from it, and the node's
-            // owners are quarantined at quiescence.
-            let Some((out, _)) = produced else {
+            },
+        );
+        report.busy += elapsed;
+        let delta = report.node_stats.entry(node.id).or_default();
+        delta.in_rows += in_rows;
+        delta.in_batches += 1;
+        delta.busy += elapsed;
+        // A caught panic drops this invocation's outputs and moves on:
+        // downstream nodes simply see nothing from it, and the node's
+        // owners are quarantined at quiescence.
+        let Some((out, _)) = produced else {
+            continue;
+        };
+        delta.out_rows += out.len() as u64;
+        if out.is_empty() {
+            continue;
+        }
+        if node.record {
+            for &c in &node.internal {
+                slots[c] = Some(out.clone());
+            }
+            report
+                .outputs
+                .push((node.id, vec![unit.batch_idx as u32], out, None));
+        } else {
+            let Some((&last_c, rest_c)) = node.internal.split_last() else {
                 continue;
             };
-            delta.out_rows += out.len() as u64;
-            if out.is_empty() {
-                continue;
+            for &c in rest_c {
+                slots[c] = Some(out.clone());
             }
-            if node.record {
-                for &c in &node.internal {
-                    slots[c] = Some(out.clone());
-                }
-                report
-                    .outputs
-                    .push((node.id, vec![unit.batch_idx as u32], out, None));
-            } else {
-                let Some((&last_c, rest_c)) = node.internal.split_last() else {
-                    continue;
-                };
-                for &c in rest_c {
-                    slots[c] = Some(out.clone());
-                }
-                slots[last_c] = Some(out);
-            }
+            slots[last_c] = Some(out);
         }
     }
 }
@@ -2615,7 +2272,7 @@ fn keyed_worker(
     partial_shard: usize,
     nodes: &[ResolvedKeyedNode<'_>],
     roots: &[Vec<(usize, usize)>],
-    units: Vec<KeyedUnit>,
+    units: impl IntoIterator<Item = KeyedUnit>,
     watermark: u64,
     timing: bool,
     advance: bool,
@@ -2661,81 +2318,90 @@ fn keyed_worker(
             report.rows += in_rows;
             report.batches += 1;
             work::count_shard_batches(1);
-            let start = timing.then(Instant::now);
             // Produce: either a refined deferred selection (filters), or a
             // materialized output batch with composed tags. The whole
             // production — one logical kernel invocation — runs under its
             // own panic net: a caught panic drops only this entry's
             // outputs, and the node's owners are quarantined at
             // quiescence.
-            let produced: Option<KeyedEntry> = run_kernel(node.id, &mut report.panics, || {
-                inject(fault, node.kind, entry.batch.ts());
-                match &node.kernel {
-                    ResolvedKeyedKernel::Stateless(k) => {
-                        match k.refine_selection(&entry.batch, entry.sel.as_deref()) {
-                            Some(sel) => (!sel.is_empty()).then(|| KeyedEntry {
-                                key: entry.key.clone(),
-                                port: 0,
-                                batch: entry.batch,
-                                sel: Some(sel),
-                                tags: entry.tags,
-                            }),
-                            None => {
-                                let (batch, tags) = materialize(entry.batch, entry.sel, entry.tags);
-                                let (out, trace) = k.process_traced(batch, true);
-                                (!out.is_empty()).then(|| {
-                                    let tags = match trace {
-                                        None => tags,
-                                        Some(t) => tags.take(&t),
-                                    };
-                                    KeyedEntry {
-                                        key: entry.key.clone(),
-                                        port: 0,
-                                        batch: out,
-                                        sel: None,
-                                        tags,
-                                    }
-                                })
+            let (produced, elapsed) = run_kernel(
+                node.id,
+                node.kind,
+                fault,
+                timing,
+                &mut report.panics,
+                |inject| {
+                    inject(entry.batch.ts());
+                    match &node.kernel {
+                        ResolvedKeyedKernel::Stateless(k) => {
+                            match k.refine_selection(&entry.batch, entry.sel.as_deref()) {
+                                Some(sel) => (!sel.is_empty()).then(|| KeyedEntry {
+                                    key: entry.key.clone(),
+                                    port: 0,
+                                    batch: entry.batch,
+                                    sel: Some(sel),
+                                    tags: entry.tags,
+                                }),
+                                None => {
+                                    let (batch, tags) =
+                                        materialize(entry.batch, entry.sel, entry.tags);
+                                    let (out, trace) = k.process_traced(batch, true);
+                                    (!out.is_empty()).then(|| {
+                                        let tags = match trace {
+                                            None => tags,
+                                            Some(t) => tags.take(&t),
+                                        };
+                                        KeyedEntry {
+                                            key: entry.key.clone(),
+                                            port: 0,
+                                            batch: out,
+                                            sel: None,
+                                            tags,
+                                        }
+                                    })
+                                }
                             }
                         }
-                    }
-                    ResolvedKeyedKernel::Stateful(k) => {
-                        work::count_keyed_shard_rows(in_rows);
-                        if entry.sel.is_some() {
-                            // Absorbed through the deferred selection: these
-                            // rows were never gathered into a dense batch.
-                            work::count_pushdown_rows(in_rows);
+                        ResolvedKeyedKernel::Stateful(k) => {
+                            work::count_keyed_shard_rows(in_rows);
+                            if entry.sel.is_some() {
+                                // Absorbed through the deferred selection: these
+                                // rows were never gathered into a dense batch.
+                                work::count_pushdown_rows(in_rows);
+                            }
+                            if node.grouped {
+                                // Grouped rows absorbed past the merge barrier
+                                // into per-worker hash partials.
+                                work::count_grouped_partial_rows(in_rows);
+                            }
+                            let shard = if node.partial {
+                                partial_shard
+                            } else {
+                                state_shard
+                            };
+                            let (out, trace) = k.process_keyed(
+                                shard,
+                                entry.port,
+                                &entry.batch,
+                                entry.sel.as_deref(),
+                            );
+                            (!out.is_empty()).then(|| KeyedEntry {
+                                key: entry.key.clone(),
+                                port: 0,
+                                batch: out,
+                                sel: None,
+                                tags: entry.tags.take(&trace),
+                            })
                         }
-                        if node.grouped {
-                            // Grouped rows absorbed past the merge barrier
-                            // into per-worker hash partials.
-                            work::count_grouped_partial_rows(in_rows);
-                        }
-                        let shard = if node.partial {
-                            partial_shard
-                        } else {
-                            state_shard
-                        };
-                        let (out, trace) =
-                            k.process_keyed(shard, entry.port, &entry.batch, entry.sel.as_deref());
-                        (!out.is_empty()).then(|| KeyedEntry {
-                            key: entry.key.clone(),
-                            port: 0,
-                            batch: out,
-                            sel: None,
-                            tags: entry.tags.take(&trace),
-                        })
                     }
-                }
-            })
-            .flatten();
-            let elapsed = start.map(|s| s.elapsed()).unwrap_or_default();
+                },
+            );
             report.busy += elapsed;
             let delta = report.node_stats.entry(node.id).or_default();
             delta.in_rows += in_rows;
             delta.in_batches += 1;
             delta.busy += elapsed;
-            if let Some(out) = produced {
+            if let Some(out) = produced.flatten() {
                 delta.out_rows += out.sel.as_ref().map_or(out.batch.len(), Vec::len) as u64;
                 dispatch_keyed(node, out, &mut queues, report);
             }
@@ -2746,17 +2412,21 @@ fn keyed_worker(
         // morsels — their flush runs a dedicated advance phase instead).
         if advance && node.advance {
             if let ResolvedKeyedKernel::Stateful(k) = &node.kernel {
-                let start = timing.then(Instant::now);
-                let emitted = run_kernel(node.id, &mut report.panics, || {
-                    inject(fault, node.kind, &[]);
-                    k.advance_keyed(state_shard, watermark)
-                })
-                .flatten();
-                let elapsed = start.map(|s| s.elapsed()).unwrap_or_default();
+                let (emitted, elapsed) = run_kernel(
+                    node.id,
+                    node.kind,
+                    fault,
+                    timing,
+                    &mut report.panics,
+                    |inject| {
+                        inject(&[]);
+                        k.advance_keyed(state_shard, watermark)
+                    },
+                );
                 report.busy += elapsed;
                 let delta = report.node_stats.entry(node.id).or_default();
                 delta.busy += elapsed;
-                if let Some((batch, keys)) = emitted {
+                if let Some((batch, keys)) = emitted.flatten() {
                     delta.out_rows += batch.len() as u64;
                     dispatch_keyed(
                         node,
@@ -2895,8 +2565,7 @@ fn lock_slot(slot: &WorkerSlot) -> std::sync::MutexGuard<'_, SlotState> {
     ride_poison(slot.state.lock())
 }
 
-fn pool_worker_main(seat: usize, slot: Arc<WorkerSlot>) {
-    pin_worker(seat);
+fn pool_worker_main(slot: Arc<WorkerSlot>) {
     let mut state = lock_slot(&slot);
     loop {
         match std::mem::replace(&mut *state, SlotState::Idle) {
@@ -2941,7 +2610,7 @@ impl WorkerPool {
             let thread_slot = slot.clone();
             let handle = std::thread::Builder::new()
                 .name(format!("cqac-shard-{seat}"))
-                .spawn(move || pool_worker_main(seat, thread_slot))
+                .spawn(move || pool_worker_main(thread_slot))
                 .expect("spawn pool worker");
             self.workers.push(PoolWorker {
                 slot,
@@ -3017,7 +2686,7 @@ impl WorkerPool {
         let thread_slot = w.slot.clone();
         let handle = std::thread::Builder::new()
             .name(format!("cqac-shard-{i}"))
-            .spawn(move || pool_worker_main(i, thread_slot))
+            .spawn(move || pool_worker_main(thread_slot))
             .expect("spawn pool worker");
         w.handle = Some(handle);
     }

@@ -551,14 +551,9 @@ const LANES: usize = 8;
 
 /// Elementwise `f` over two equal-length slices, processing full
 /// `LANES`-wide chunks with a fixed trip count (the SIMD shape) and the
-/// sub-lane tail row by row. With the SIMD kill switch off
-/// ([`crate::ops::set_simd_kernels`]) the whole slice runs the scalar
-/// reference loop — bit-identical output, `work::simd_lanes` untouched.
+/// sub-lane tail row by row.
 fn lanes_zip<T: Copy, O>(x: &[T], y: &[T], f: impl Fn(T, T) -> O) -> Vec<O> {
     debug_assert_eq!(x.len(), y.len());
-    if !crate::ops::simd_kernels_enabled() {
-        return x.iter().zip(y).map(|(&a, &b)| f(a, b)).collect();
-    }
     work::count_simd_lanes((x.len() / LANES) as u64);
     let mut out = Vec::with_capacity(x.len());
     let mut xs = x.chunks_exact(LANES);
@@ -576,9 +571,6 @@ fn lanes_zip<T: Copy, O>(x: &[T], y: &[T], f: impl Fn(T, T) -> O) -> Vec<O> {
 
 /// Unary twin of [`lanes_zip`].
 fn lanes_map<T: Copy, O>(x: &[T], f: impl Fn(T) -> O) -> Vec<O> {
-    if !crate::ops::simd_kernels_enabled() {
-        return x.iter().map(|&a| f(a)).collect();
-    }
     work::count_simd_lanes((x.len() / LANES) as u64);
     let mut out = Vec::with_capacity(x.len());
     let mut xs = x.chunks_exact(LANES);
@@ -1489,14 +1481,11 @@ mod tests {
         let eq = Expr::col(1).eq(Expr::lit(Value::Int(big + 1)));
         assert_eq!(eq.filter_indices(&batch, None), vec![1]);
         assert_eq!(row_survivors(&eq, &batch), vec![1]);
-        // The same exactness must hold through a selection view and with
-        // the SIMD lane loops disabled.
+        // The same exactness must hold through a selection view (the
+        // scalar gather loop).
         let sel: Vec<u32> = vec![0, 1, 2];
         assert_eq!(gt.filter_indices(&batch, Some(&sel)), vec![1]);
-        crate::ops::with_simd_kernels(false, || {
-            assert_eq!(gt.filter_indices(&batch, None), vec![1]);
-            assert_eq!(eq.filter_indices(&batch, None), vec![1]);
-        });
+        assert_eq!(eq.filter_indices(&batch, Some(&sel)), vec![1]);
     }
 
     #[test]
@@ -1594,16 +1583,13 @@ mod tests {
         let batch = TupleBatch::from_rows(schema, rows);
         // Mixed Int/Float compare with NaN rows: the row path errors (and
         // drops the row); the columnar kernels must invalidate exactly
-        // those rows — with lanes on, off, and through a selection.
+        // those rows — contiguous and through a selection.
         let pred = Expr::col(1).cmp(CmpOp::Le, Expr::col(2));
         let expect = row_survivors(&pred, &batch);
         assert_eq!(expect, vec![0, 2]);
         assert_eq!(pred.filter_indices(&batch, None), expect);
         let sel: Vec<u32> = vec![0, 1, 2, 3];
         assert_eq!(pred.filter_indices(&batch, Some(&sel)), expect);
-        crate::ops::with_simd_kernels(false, || {
-            assert_eq!(pred.filter_indices(&batch, None), expect);
-        });
         // A NaN constant invalidates every row.
         let none = Expr::col(1).ge(Expr::lit(Value::Float(f64::NAN)));
         assert_eq!(none.filter_indices(&batch, None), Vec::<u32>::new());
@@ -1611,7 +1597,7 @@ mod tests {
     }
 
     #[test]
-    fn simd_kill_switch_is_bit_identical_and_uncounted() {
+    fn lane_loops_are_bit_identical_to_the_scalar_gather_loop() {
         let vols: Vec<i64> = (0..100).collect();
         let syms: Vec<&str> = (0..100)
             .map(|i| if i % 2 == 0 { "E" } else { "O" })
@@ -1621,16 +1607,17 @@ mod tests {
             .ge(Expr::lit(Value::Int(25)))
             .and(Expr::col(1).lt(Expr::lit(Value::Int(75))));
         work::reset();
-        let on = pred.filter_indices(&batch, None);
-        let lanes_on = work::snapshot().simd_lanes;
-        let off = crate::ops::with_simd_kernels(false, || {
-            work::reset();
-            let off = pred.filter_indices(&batch, None);
-            assert_eq!(work::snapshot().simd_lanes, 0, "switch off counts no lanes");
-            off
-        });
-        assert_eq!(on, off, "lane loops are bit-identical to scalar");
-        assert!(lanes_on > 0, "contiguous compares run the lane loops");
+        let contiguous = pred.filter_indices(&batch, None);
+        let lanes = work::snapshot().simd_lanes;
+        // An all-rows selection reads the same rows through
+        // `Operand::Gather`, which only has the scalar loop.
+        let all_rows: Vec<u32> = (0..100).collect();
+        work::reset();
+        let gathered = pred.filter_indices(&batch, Some(&all_rows));
+        assert_eq!(work::snapshot().simd_lanes, 0, "gathers count no lanes");
+        assert_eq!(contiguous, gathered, "lane loops match the scalar loop");
+        assert_eq!(contiguous, row_survivors(&pred, &batch));
+        assert!(lanes > 0, "contiguous compares run the lane loops");
     }
 
     #[test]

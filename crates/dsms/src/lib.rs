@@ -84,13 +84,11 @@
 //! with no bounds checks or data-dependent branches — the shape the
 //! vendored toolchain reliably auto-vectorizes; no SIMD crates or
 //! intrinsics). Gathered (selection-indexed) shapes and lane tails run a
-//! scalar loop. Full lanes are counted by
-//! [`types::work::WorkSnapshot::simd_lanes`], and a per-thread kill
-//! switch ([`ops::set_simd_kernels`], inherited by pool workers exactly
-//! like the columnar switch — including seats respawned after a worker
-//! death) swaps in a scalar reference loop that is **bit-identical** and
-//! counts zero lanes; CI matrixes `CQAC_SIMD=on|off` through the
-//! shard-invariance suites to keep both paths honest.
+//! scalar loop that is **bit-identical** to the lane loops — pinned by
+//! comparing a contiguous evaluation against the same rows read through an
+//! all-rows selection (`expr.rs`) and batch cap 1 against cap 1024
+//! (`scalar_vs_batched_equivalence`). Full lanes are counted by
+//! [`types::work::WorkSnapshot::simd_lanes`].
 //!
 //! **Exact integer comparisons.** `Int × Int` compares — row path and
 //! columnar — compare `i64` exactly; widening to `f64` happens only for
@@ -207,20 +205,17 @@
 //!    round-robin into their stateless prefixes. Subscribers outside both
 //!    plans — shard-incompatible operators and sinks — receive raw
 //!    batches at flush time, exactly like the single-threaded engine.
-//! 2. **Morsel-driven execution on the pool.** The flush's work units are
-//!    cut into **morsels** — batch-sized, sequence-tagged work items of at
-//!    most [`engine::DsmsEngine::set_morsel_batches`] units each (a
-//!    *ceiling* once the adaptive controller below is enabled) — and
-//!    dealt onto **per-worker deques**: worker `w`'s deque holds the
+//! 2. **Morsel-driven execution on the pool.** Each of the flush's work
+//!    units becomes one **morsel** — a batch-sized, sequence-tagged work
+//!    item — dealt onto **per-worker deques**: worker `w`'s deque holds the
 //!    morsels whose rows hash-partitioned to home shard `w` (plus its
 //!    round-robin share). One job per worker runs on a **persistent
 //!    worker pool** (long-lived threads spawn once, park on condvar
 //!    inboxes, wake per flush — [`types::work::WorkSnapshot::pool_spawns`]
 //!    stays flat after warmup): each worker pops its *own deque's head*
 //!    first, and when that runs dry **steals from the tail** of the next
-//!    busy worker's deque ([`engine::DsmsEngine::set_stealing`], on by
-//!    default) — so a zipf-skewed key distribution that floods one home
-//!    shard rebalances across whichever workers are idle. Executed,
+//!    busy worker's deque — so a zipf-skewed key distribution that floods
+//!    one home shard rebalances across whichever workers are idle. Executed,
 //!    stolen, and missed-steal morsels are counted
 //!    ([`types::work::WorkSnapshot::morsels_executed`] /
 //!    [`types::work::WorkSnapshot::morsels_stolen`] /
@@ -259,8 +254,8 @@
 //! mutations that produce inline outputs, so the scheduler classifies
 //! each keyed plan: when every stateful member **commutes** (exact
 //! aggregates — absorption order cannot change the combined state, and
-//! aggregates emit only at window closes), a home shard's units chunk
-//! into independent morsels and the watermark pass runs as a **second
+//! aggregates emit only at window closes), a home shard's units are
+//! independent morsels and the watermark pass runs as a **second
 //! phase** behind an all-absorbed barrier (worker `w` closes partition
 //! `w`'s windows — per-partition, so the pass needs no locks). Plans with
 //! order-sensitive members (joins, float Sum/Avg aggregates) fall back to
@@ -291,32 +286,14 @@
 //! ([`types::work::WorkSnapshot::chain_morsels`]); the
 //! grouped/ungrouped equivalence properties pin both halves.
 //!
-//! **Adaptive morsel sizing.** With
-//! [`engine::DsmsEngine::set_adaptive_morsels`] on, the configured grain
-//! becomes a ceiling and the engine picks each flush's effective grain
-//! from **execution-cost feedback**: every morsel's cost is measured in
-//! the deterministic [`types::work`] units (never wall clock), workers
-//! report `(class, cost)` samples per flush (class = the round-robin
-//! plan index, or the keyed plan), and the control thread folds each
-//! class's sorted samples into integer Q8 EWMAs of mean cost and spread
-//! (max − min). High spread — skewed per-morsel cost — shrinks the grain
-//! toward 1 so stealing can rebalance; uniform cost grows it back toward
-//! the ceiling to amortize scheduling overhead. The grain for a flush is
-//! computed from *prior* flushes only and unseeded classes vote the
-//! ceiling, so morsel cutting stays a deterministic function of the
-//! input history: the resize trace
-//! ([`types::work::WorkSnapshot::adaptive_resizes`]) is reproducible
-//! run-to-run, outputs stay bit-identical to the static grain, and the
-//! knob off (the default) reproduces the static scheduler exactly —
-//! pinned by the `adaptive_controller_is_deterministic` property.
-//!
-//! **Core pinning (`core_pinning` feature).** An off-by-default cargo
-//! feature makes worker seats topology-aware: each pool worker pins
-//! itself to a core via `sched_setaffinity(2)` (best-effort, Linux only)
-//! and steal victims are swept in **seat-distance order** (±1, ±2, …)
-//! so rebalancing prefers nearby cores. Outputs are merge-order
-//! independent, so the steal order cannot affect results; the portable
-//! default build compiles the whole path out.
+//! **One schedule.** Nothing about the schedule is configurable: a
+//! round-robin or commutative keyed morsel carries exactly one unit (the
+//! finest stealable grain; only a chain morsel carries a home shard's
+//! whole unit list), idle workers always steal, sweeping the other deques
+//! in ascending seat offset, the lane loops always run, and worker
+//! threads are never pinned to cores. The engine's callers set what they
+//! genuinely differ in — shard count, shard keys, batch cap — and the
+//! executor has one behaviour per plan.
 //!
 //! **Determinism argument.** Hash partitioning sends every pair of rows a
 //! keyed stateful operator must combine (equal join keys, equal group
@@ -331,14 +308,13 @@
 //! `(window start, group)` emission comparator therefore reassemble the
 //! exact single-threaded output sequences. Output sequences are hence
 //! **bit-identical to the single-threaded engine regardless of shard
-//! count, morsel size, stealing, or the adaptive controller** — pinned
+//! count or of which worker ran which morsel** — pinned
 //! by the `shard_count_invariance`, `keyed_stateful_shard_invariance`,
 //! `ungrouped_aggregate_partials_match_single_threaded`, and
 //! `grouped_partials_match_single_threaded` properties (stateless,
 //! keyed-stateful, and grouped/ungrouped partial-aggregate plan shapes ×
-//! batch caps 1/7/64/1024 × shard counts 1/2/4/8 × both partition modes
-//! × morsel grains 1/4/16 × stealing on/off × adaptive on/off, strict
-//! sequence equality), a 100-seed concurrency soak, and a skewed-key
+//! batch caps 1/7/64/1024 × shard counts 1/2/4/8 × both partition modes,
+//! strict sequence equality), a 100-seed concurrency soak, and a skewed-key
 //! soak in `tests/shard_exec.rs`.
 //!
 //! Per-worker load is observable ([`engine::DsmsEngine::shard_stats`] —
@@ -411,8 +387,8 @@
 //!   keeps serving: kernels are pure functions of per-invocation inputs
 //!   plus per-node state, so a caught invocation cannot corrupt a
 //!   *different* node's state, and surviving-CQ outputs stay bit-identical
-//!   to a fault-free run (pinned per operator kind × shard count × morsel
-//!   grain × stealing in `tests/fault_recovery.rs`). Worker threads
+//!   to a fault-free run (pinned per operator kind × shard count in
+//!   `tests/fault_recovery.rs`). Worker threads
 //!   survive kernel panics — `pool_spawns` stays flat — while an injected
 //!   worker *death* is detected at job granularity: the scheduler's
 //!   desertion flag releases the survivors' advance barrier, the control

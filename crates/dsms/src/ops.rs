@@ -37,14 +37,6 @@ thread_local! {
     /// the per-row fallback. Thread-local because the engine is
     /// single-threaded by design and parallel tests must not interfere.
     static COLUMNAR: Cell<bool> = const { Cell::new(true) };
-
-    /// Whether the columnar kernels run their unrolled fixed-width lane
-    /// loops (default) or the scalar reference loops. Independent of the
-    /// columnar switch: `COLUMNAR` selects row vs columnar evaluation,
-    /// `SIMD` selects how the columnar kernels traverse contiguous slices.
-    /// Off produces bit-identical results with `work::simd_lanes` pinned
-    /// to zero — the kill switch the `CQAC_SIMD` CI axis drives.
-    static SIMD: Cell<bool> = const { Cell::new(true) };
 }
 
 /// Enables or disables the columnar filter/project kernels on this thread.
@@ -70,32 +62,6 @@ pub fn with_columnar_kernels<R>(enabled: bool, f: impl FnOnce() -> R) -> R {
     }
     let _restore = Restore(columnar_kernels_enabled());
     set_columnar_kernels(enabled);
-    f()
-}
-
-/// Enables or disables the unrolled SIMD lane loops inside the columnar
-/// kernels on this thread. Off falls back to the scalar reference loops —
-/// bit-identical output, `work::simd_lanes` stays zero.
-pub fn set_simd_kernels(enabled: bool) {
-    SIMD.with(|c| c.set(enabled));
-}
-
-/// Whether the SIMD lane loops are enabled on this thread (default true).
-pub fn simd_kernels_enabled() -> bool {
-    SIMD.with(Cell::get)
-}
-
-/// Runs `f` with the SIMD lane loops forced on or off, restoring the
-/// previous setting afterwards (panic-safe).
-pub fn with_simd_kernels<R>(enabled: bool, f: impl FnOnce() -> R) -> R {
-    struct Restore(bool);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            set_simd_kernels(self.0);
-        }
-    }
-    let _restore = Restore(simd_kernels_enabled());
-    set_simd_kernels(enabled);
     f()
 }
 
@@ -1669,8 +1635,7 @@ impl AggregateOp {
     /// per-row lookup and enum dispatch. Updates apply in row order, so
     /// the result is bit-identical to the scalar reference loop — float
     /// sums included. Sliding windows and grouped aggregates keep the
-    /// scalar path; the SIMD kill switch ([`set_simd_kernels`]) disables
-    /// this path entirely.
+    /// scalar path.
     fn absorb_dense_runs(
         window_ms: u64,
         part: &mut AggPart,
@@ -1832,7 +1797,7 @@ impl AggregateOp {
         // Ungrouped tumbling aggregates absorb the row set as dense runs
         // through the eight-lane fast path (with no group key to hash,
         // every row routes to partition 0).
-        if self.group_by.is_none() && self.slide_ms == self.window_ms && simd_kernels_enabled() {
+        if self.group_by.is_none() && self.slide_ms == self.window_ms {
             let window_ms = self.window_ms;
             let part = self.parts[0]
                 .get_mut()
@@ -1919,7 +1884,7 @@ impl AggregateOp {
         input: &AggColumn<'_>,
         rows: impl Iterator<Item = usize>,
     ) {
-        if self.group_by.is_none() && self.slide_ms == self.window_ms && simd_kernels_enabled() {
+        if self.group_by.is_none() && self.slide_ms == self.window_ms {
             return Self::absorb_dense_runs(self.window_ms, part, batch.ts(), input, rows);
         }
         let mut reader = self.group_by.map(|col| KeyReader::new(batch.column(col)));
@@ -2839,17 +2804,6 @@ mod tests {
         }
         assert_eq!(Key::Int(7).shard_of(1), 0);
         assert_eq!(Key::Bool(true).shard_of(3), Key::Bool(true).shard_of(3));
-    }
-
-    #[test]
-    fn simd_kernel_knob_is_scoped_and_restored() {
-        assert!(simd_kernels_enabled(), "defaults to on");
-        with_simd_kernels(false, || {
-            assert!(!simd_kernels_enabled());
-            with_simd_kernels(true, || assert!(simd_kernels_enabled()));
-            assert!(!simd_kernels_enabled());
-        });
-        assert!(simd_kernels_enabled());
     }
 
     #[test]

@@ -1279,364 +1279,156 @@ impl MergeTags {
 pub mod work {
     use std::cell::Cell;
 
-    thread_local! {
-        static ROWS_MATERIALIZED: Cell<u64> = const { Cell::new(0) };
-        static ROW_EVALS: Cell<u64> = const { Cell::new(0) };
-        static KERNEL_OPS: Cell<u64> = const { Cell::new(0) };
-        static BATCH_DEEP_CLONES: Cell<u64> = const { Cell::new(0) };
-        static SHARD_BATCHES: Cell<u64> = const { Cell::new(0) };
-        static SHARD_MERGE_ROWS: Cell<u64> = const { Cell::new(0) };
-        static KEYED_SHARD_ROWS: Cell<u64> = const { Cell::new(0) };
-        static PUSHDOWN_ROWS: Cell<u64> = const { Cell::new(0) };
-        static POOL_SPAWNS: Cell<u64> = const { Cell::new(0) };
-        static POOL_WAKEUPS: Cell<u64> = const { Cell::new(0) };
-        static MORSELS_EXECUTED: Cell<u64> = const { Cell::new(0) };
-        static MORSELS_STOLEN: Cell<u64> = const { Cell::new(0) };
-        static STEAL_MISSES: Cell<u64> = const { Cell::new(0) };
-        static ROWS_SHED: Cell<u64> = const { Cell::new(0) };
-        static QUARANTINES: Cell<u64> = const { Cell::new(0) };
-        static OVERLOAD_FLUSHES: Cell<u64> = const { Cell::new(0) };
-        static SIMD_LANES: Cell<u64> = const { Cell::new(0) };
-        static DICT_CODE_CMPS: Cell<u64> = const { Cell::new(0) };
-        static STR_CMPS: Cell<u64> = const { Cell::new(0) };
-        static ADAPTIVE_RESIZES: Cell<u64> = const { Cell::new(0) };
-        static CHAIN_MORSELS: Cell<u64> = const { Cell::new(0) };
-        static GROUPED_PARTIAL_ROWS: Cell<u64> = const { Cell::new(0) };
-        static PARTIAL_GROUPS_COMBINED: Cell<u64> = const { Cell::new(0) };
-        static DICT_BATCHES_PRUNED: Cell<u64> = const { Cell::new(0) };
+    /// Declares every work counter exactly once. Each `field => count_fn(..)`
+    /// entry becomes a [`WorkSnapshot`] field, a thread-local cell, its
+    /// line in [`reset`] / [`snapshot`] / [`absorb`], and a crate-private
+    /// `count_fn` that adds `n` (or 1 when the entry takes no argument).
+    macro_rules! work_counters {
+        ($($(#[$doc:meta])* $field:ident $(=> $count:ident($($n:ident)?))?;)*) => {
+            /// A snapshot of the current thread's work counters.
+            #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+            pub struct WorkSnapshot {
+                $($(#[$doc])* pub $field: u64,)*
+            }
+
+            // One thread-local per counter, named after its field. (One
+            // struct of cells in a single thread-local measurably shifted
+            // the workers' steal balance in the `hot_key_skew` bench.)
+            #[allow(non_upper_case_globals)]
+            mod cells {
+                use std::cell::Cell;
+                thread_local! {
+                    $(pub(super) static $field: Cell<u64> = const { Cell::new(0) };)*
+                }
+            }
+
+            /// Resets this thread's counters to zero.
+            pub fn reset() {
+                $(cells::$field.with(|c| c.set(0));)*
+            }
+
+            /// Reads this thread's counters.
+            pub fn snapshot() -> WorkSnapshot {
+                WorkSnapshot { $($field: cells::$field.with(Cell::get),)* }
+            }
+
+            /// Folds another thread's counters into this thread's — the
+            /// shard-join path: each worker accumulates into its own
+            /// thread-locals and the engine absorbs the workers' snapshots
+            /// when they join, keeping the control thread's totals
+            /// deterministic and shard-count independent.
+            pub fn absorb(other: &WorkSnapshot) {
+                $(cells::$field.with(|c| c.set(c.get() + other.$field));)*
+            }
+
+            $($(
+                #[inline]
+                pub(crate) fn $count($($n: u64)?) {
+                    cells::$field.with(|c| c.set(c.get() + work_counters!(@step $($n)?)));
+                }
+            )?)*
+        };
+        (@step) => { 1 };
+        (@step $n:ident) => { $n };
     }
 
-    /// A snapshot of the current thread's work counters.
-    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-    pub struct WorkSnapshot {
+    work_counters! {
         /// Rows materialized from columnar batches into [`super::Tuple`]s
         /// (row-fallback kernels, join state, sink delivery).
-        pub rows_materialized: u64,
+        rows_materialized => count_rows_materialized(n);
         /// Per-row expression-node evaluations (one per
         /// [`crate::expr::Expr`] node visited per row on the row path).
-        pub row_evals: u64,
+        row_evals => count_row_eval();
         /// Columnar kernel passes (one per expression node per *batch* on
         /// the columnar path).
-        pub kernel_ops: u64,
+        kernel_ops => count_kernel_op();
         /// Column-data copies forced by mutating a still-shared batch —
         /// the copy-on-write miss of the `Arc`-shared [`super::TupleBatch`]
         /// columns. Fan-out to any mix of node and sink consumers shares
         /// columns outright (readers never copy), so this stays 0 unless a
         /// holder *writes* into a batch another holder still shares.
-        pub batch_deep_clones: u64,
+        batch_deep_clones => count_batch_deep_clone();
         /// Sub-batches processed on shard worker threads (0 when the
         /// engine runs single-threaded).
-        pub shard_batches: u64,
+        shard_batches => count_shard_batches(n);
         /// Rows gathered by the deterministic cross-shard merge
         /// ([`super::TupleBatch::interleave`]) — 0 for round-robin batch
         /// sharding, where every source batch stays whole on one shard.
-        pub shard_merge_rows: u64,
+        shard_merge_rows => count_shard_merge_rows(n);
         /// Rows absorbed by keyed **stateful** operators (joins,
         /// aggregates) *inside* shard workers — the work the merge barrier
         /// used to serialize on the control thread.
-        pub keyed_shard_rows: u64,
+        keyed_shard_rows => count_keyed_shard_rows(n);
         /// Rows a stateful operator absorbed through a deferred selection
         /// vector instead of a densified (gathered) batch — each one an
         /// avoided row materialization.
-        pub selection_pushdown_rows: u64,
+        selection_pushdown_rows => count_pushdown_rows(n);
         /// Worker threads spawned by the persistent pool. After warmup
         /// (one spawn per shard) this must stay flat: flushes reuse parked
         /// workers instead of spawning.
-        pub pool_spawns: u64,
+        pool_spawns => count_pool_spawn();
         /// Jobs dispatched to (and woken on) pooled workers — one per
         /// shard per parallel flush.
-        pub pool_wakeups: u64,
+        pool_wakeups => count_pool_wakeup();
         /// Morsels (batch-sized work items) executed by workers — counts
         /// both locally popped and stolen morsels, so the sum across
         /// workers equals the morsels scheduled per flush.
-        pub morsels_executed: u64,
+        morsels_executed => count_morsel_executed();
         /// Morsels an idle worker stole from the tail of another worker's
         /// deque — nonzero under skewed key distributions, where stealing
         /// rebalances a hot shard's backlog onto idle cores.
-        pub morsels_stolen: u64,
+        morsels_stolen => count_morsel_stolen();
         /// Steal attempts that found the victim's deque empty — a measure
         /// of wasted scans while draining the flush's final morsels.
-        pub steal_misses: u64,
+        steal_misses => count_steal_miss();
         /// Rows dropped by the overload guardrail: whole ingestion batches
         /// shed, lowest-priority stream first, when a flush's pending rows
         /// exceed the configured ingress budget. Shedding runs *before*
         /// partitioning, so the count is shard-count invariant.
-        pub rows_shed: u64,
+        rows_shed => count_rows_shed(n);
         /// Continuous queries quarantined after an operator panic (one per
         /// quarantined query, not per panic).
-        pub quarantines: u64,
+        quarantines => count_quarantine();
         /// Flushes in which the overload guardrail shed at least one
         /// batch.
-        pub overload_flushes: u64,
+        overload_flushes => count_overload_flush();
         /// Full fixed-width lanes processed by the unrolled compare/arith
         /// kernels (one per [`crate::expr`] lane of contiguous rows; tail
         /// rows and gather-indexed rows run scalar and are not counted).
-        /// Zero when the SIMD kill switch
-        /// ([`crate::ops::set_simd_kernels`]) is off.
-        pub simd_lanes: u64,
+        simd_lanes => count_simd_lanes(n);
         /// Per-row `u32` dictionary-code comparisons (string equality over
         /// [`super::Column::Dict`] columns) and per-row code-memo key
         /// lookups (joins/group-bys keyed off a dictionary column) — the
         /// work that *replaces* per-row string byte comparisons.
-        pub dict_code_cmps: u64,
+        dict_code_cmps => count_dict_code_cmps(n);
         /// Per-row string byte comparisons performed by the columnar
         /// kernels (plain [`super::Column::Str`] predicates, ordering
         /// comparisons on dictionary columns). The dictionary fast path
         /// keeps this at zero: byte comparisons happen only while
         /// building or remapping a dictionary, never per row.
-        pub str_cmps: u64,
-        /// Flushes in which the adaptive morsel controller changed the
-        /// effective morsel grain of at least one stream (0 with
-        /// [`set_adaptive_morsels`](crate::engine::DsmsEngine::set_adaptive_morsels)
-        /// off). Counted on the control thread, so the resize trace is
-        /// deterministic for a fixed input regardless of which workers
-        /// executed which morsels.
-        pub adaptive_resizes: u64,
+        str_cmps => count_str_cmps(n);
+        /// Always 0: the adaptive morsel controller that counted here is
+        /// gone (every morsel carries one unit). The field stays because
+        /// the `auction-day` benchmark builds this struct by literal and
+        /// reports `engine.adaptive_resizes`; a benchmark change drops it.
+        adaptive_resizes;
         /// Chain morsels scheduled for order-sensitive keyed plans — the
         /// serialized fallback that keeps non-commutative stateful
         /// operators ordered. A fully commutative plan (including grouped
         /// exact partials) keeps this at zero.
-        pub chain_morsels: u64,
+        chain_morsels => count_chain_morsel();
         /// Rows absorbed into per-worker **grouped** hash partials of
         /// shard-incompatible exact aggregates — grouped work that used to
         /// serialize behind the merge barrier.
-        pub grouped_partial_rows: u64,
+        grouped_partial_rows => count_grouped_partial_rows(n);
         /// Grouped per-worker partial accumulators combined by the control
         /// thread's watermark pass (one per absorbed duplicate of a group
         /// key across partitions; ungrouped partial combines are not
         /// counted).
-        pub partial_groups_combined: u64,
+        partial_groups_combined => count_partial_groups_combined(n);
         /// Batches whose dictionary min/max metadata proved a range
         /// predicate matches no row, skipping the per-row scan entirely.
-        pub dict_batches_pruned: u64,
-    }
-
-    impl WorkSnapshot {
-        /// Deterministic scalar cost of this snapshot in abstract work
-        /// units — the adaptive morsel controller's clock. A weighted sum
-        /// of the per-row/per-batch counters that dominate morsel
-        /// execution, so equal inputs always measure equal cost on any
-        /// machine (unlike wall time).
-        pub fn cost_units(&self) -> u64 {
-            self.rows_materialized
-                + self.row_evals
-                + self.kernel_ops
-                + self.keyed_shard_rows
-                + self.selection_pushdown_rows
-                + 8 * self.simd_lanes
-                + self.dict_code_cmps
-                + self.str_cmps
-                + self.grouped_partial_rows
-        }
-    }
-
-    /// Resets this thread's counters to zero.
-    pub fn reset() {
-        ROWS_MATERIALIZED.with(|c| c.set(0));
-        ROW_EVALS.with(|c| c.set(0));
-        KERNEL_OPS.with(|c| c.set(0));
-        BATCH_DEEP_CLONES.with(|c| c.set(0));
-        SHARD_BATCHES.with(|c| c.set(0));
-        SHARD_MERGE_ROWS.with(|c| c.set(0));
-        KEYED_SHARD_ROWS.with(|c| c.set(0));
-        PUSHDOWN_ROWS.with(|c| c.set(0));
-        POOL_SPAWNS.with(|c| c.set(0));
-        POOL_WAKEUPS.with(|c| c.set(0));
-        MORSELS_EXECUTED.with(|c| c.set(0));
-        MORSELS_STOLEN.with(|c| c.set(0));
-        STEAL_MISSES.with(|c| c.set(0));
-        ROWS_SHED.with(|c| c.set(0));
-        QUARANTINES.with(|c| c.set(0));
-        OVERLOAD_FLUSHES.with(|c| c.set(0));
-        SIMD_LANES.with(|c| c.set(0));
-        DICT_CODE_CMPS.with(|c| c.set(0));
-        STR_CMPS.with(|c| c.set(0));
-        ADAPTIVE_RESIZES.with(|c| c.set(0));
-        CHAIN_MORSELS.with(|c| c.set(0));
-        GROUPED_PARTIAL_ROWS.with(|c| c.set(0));
-        PARTIAL_GROUPS_COMBINED.with(|c| c.set(0));
-        DICT_BATCHES_PRUNED.with(|c| c.set(0));
-    }
-
-    /// Reads this thread's counters.
-    pub fn snapshot() -> WorkSnapshot {
-        WorkSnapshot {
-            rows_materialized: ROWS_MATERIALIZED.with(Cell::get),
-            row_evals: ROW_EVALS.with(Cell::get),
-            kernel_ops: KERNEL_OPS.with(Cell::get),
-            batch_deep_clones: BATCH_DEEP_CLONES.with(Cell::get),
-            shard_batches: SHARD_BATCHES.with(Cell::get),
-            shard_merge_rows: SHARD_MERGE_ROWS.with(Cell::get),
-            keyed_shard_rows: KEYED_SHARD_ROWS.with(Cell::get),
-            selection_pushdown_rows: PUSHDOWN_ROWS.with(Cell::get),
-            pool_spawns: POOL_SPAWNS.with(Cell::get),
-            pool_wakeups: POOL_WAKEUPS.with(Cell::get),
-            morsels_executed: MORSELS_EXECUTED.with(Cell::get),
-            morsels_stolen: MORSELS_STOLEN.with(Cell::get),
-            steal_misses: STEAL_MISSES.with(Cell::get),
-            rows_shed: ROWS_SHED.with(Cell::get),
-            quarantines: QUARANTINES.with(Cell::get),
-            overload_flushes: OVERLOAD_FLUSHES.with(Cell::get),
-            simd_lanes: SIMD_LANES.with(Cell::get),
-            dict_code_cmps: DICT_CODE_CMPS.with(Cell::get),
-            str_cmps: STR_CMPS.with(Cell::get),
-            adaptive_resizes: ADAPTIVE_RESIZES.with(Cell::get),
-            chain_morsels: CHAIN_MORSELS.with(Cell::get),
-            grouped_partial_rows: GROUPED_PARTIAL_ROWS.with(Cell::get),
-            partial_groups_combined: PARTIAL_GROUPS_COMBINED.with(Cell::get),
-            dict_batches_pruned: DICT_BATCHES_PRUNED.with(Cell::get),
-        }
-    }
-
-    /// Folds another thread's counters into this thread's — the shard-join
-    /// path: each worker accumulates into its own thread-locals and the
-    /// engine absorbs the workers' snapshots when they join, keeping the
-    /// control thread's totals deterministic and shard-count independent.
-    pub fn absorb(other: &WorkSnapshot) {
-        ROWS_MATERIALIZED.with(|c| c.set(c.get() + other.rows_materialized));
-        ROW_EVALS.with(|c| c.set(c.get() + other.row_evals));
-        KERNEL_OPS.with(|c| c.set(c.get() + other.kernel_ops));
-        BATCH_DEEP_CLONES.with(|c| c.set(c.get() + other.batch_deep_clones));
-        SHARD_BATCHES.with(|c| c.set(c.get() + other.shard_batches));
-        SHARD_MERGE_ROWS.with(|c| c.set(c.get() + other.shard_merge_rows));
-        KEYED_SHARD_ROWS.with(|c| c.set(c.get() + other.keyed_shard_rows));
-        PUSHDOWN_ROWS.with(|c| c.set(c.get() + other.selection_pushdown_rows));
-        POOL_SPAWNS.with(|c| c.set(c.get() + other.pool_spawns));
-        POOL_WAKEUPS.with(|c| c.set(c.get() + other.pool_wakeups));
-        MORSELS_EXECUTED.with(|c| c.set(c.get() + other.morsels_executed));
-        MORSELS_STOLEN.with(|c| c.set(c.get() + other.morsels_stolen));
-        STEAL_MISSES.with(|c| c.set(c.get() + other.steal_misses));
-        ROWS_SHED.with(|c| c.set(c.get() + other.rows_shed));
-        QUARANTINES.with(|c| c.set(c.get() + other.quarantines));
-        OVERLOAD_FLUSHES.with(|c| c.set(c.get() + other.overload_flushes));
-        SIMD_LANES.with(|c| c.set(c.get() + other.simd_lanes));
-        DICT_CODE_CMPS.with(|c| c.set(c.get() + other.dict_code_cmps));
-        STR_CMPS.with(|c| c.set(c.get() + other.str_cmps));
-        ADAPTIVE_RESIZES.with(|c| c.set(c.get() + other.adaptive_resizes));
-        CHAIN_MORSELS.with(|c| c.set(c.get() + other.chain_morsels));
-        GROUPED_PARTIAL_ROWS.with(|c| c.set(c.get() + other.grouped_partial_rows));
-        PARTIAL_GROUPS_COMBINED.with(|c| c.set(c.get() + other.partial_groups_combined));
-        DICT_BATCHES_PRUNED.with(|c| c.set(c.get() + other.dict_batches_pruned));
-    }
-
-    #[inline]
-    pub(crate) fn count_rows_materialized(n: u64) {
-        ROWS_MATERIALIZED.with(|c| c.set(c.get() + n));
-    }
-
-    #[inline]
-    pub(crate) fn count_row_eval() {
-        ROW_EVALS.with(|c| c.set(c.get() + 1));
-    }
-
-    #[inline]
-    pub(crate) fn count_kernel_op() {
-        KERNEL_OPS.with(|c| c.set(c.get() + 1));
-    }
-
-    #[inline]
-    pub(crate) fn count_batch_deep_clone() {
-        BATCH_DEEP_CLONES.with(|c| c.set(c.get() + 1));
-    }
-
-    #[inline]
-    pub(crate) fn count_shard_batches(n: u64) {
-        SHARD_BATCHES.with(|c| c.set(c.get() + n));
-    }
-
-    #[inline]
-    pub(crate) fn count_shard_merge_rows(n: u64) {
-        SHARD_MERGE_ROWS.with(|c| c.set(c.get() + n));
-    }
-
-    #[inline]
-    pub(crate) fn count_keyed_shard_rows(n: u64) {
-        KEYED_SHARD_ROWS.with(|c| c.set(c.get() + n));
-    }
-
-    #[inline]
-    pub(crate) fn count_pushdown_rows(n: u64) {
-        PUSHDOWN_ROWS.with(|c| c.set(c.get() + n));
-    }
-
-    #[inline]
-    pub(crate) fn count_pool_spawn() {
-        POOL_SPAWNS.with(|c| c.set(c.get() + 1));
-    }
-
-    #[inline]
-    pub(crate) fn count_pool_wakeup() {
-        POOL_WAKEUPS.with(|c| c.set(c.get() + 1));
-    }
-
-    #[inline]
-    pub(crate) fn count_morsel_executed() {
-        MORSELS_EXECUTED.with(|c| c.set(c.get() + 1));
-    }
-
-    #[inline]
-    pub(crate) fn count_morsel_stolen() {
-        MORSELS_STOLEN.with(|c| c.set(c.get() + 1));
-    }
-
-    #[inline]
-    pub(crate) fn count_steal_miss() {
-        STEAL_MISSES.with(|c| c.set(c.get() + 1));
-    }
-
-    #[inline]
-    pub(crate) fn count_rows_shed(n: u64) {
-        ROWS_SHED.with(|c| c.set(c.get() + n));
-    }
-
-    #[inline]
-    pub(crate) fn count_quarantine() {
-        QUARANTINES.with(|c| c.set(c.get() + 1));
-    }
-
-    #[inline]
-    pub(crate) fn count_overload_flush() {
-        OVERLOAD_FLUSHES.with(|c| c.set(c.get() + 1));
-    }
-
-    #[inline]
-    pub(crate) fn count_simd_lanes(n: u64) {
-        SIMD_LANES.with(|c| c.set(c.get() + n));
-    }
-
-    #[inline]
-    pub(crate) fn count_dict_code_cmps(n: u64) {
-        DICT_CODE_CMPS.with(|c| c.set(c.get() + n));
-    }
-
-    #[inline]
-    pub(crate) fn count_str_cmps(n: u64) {
-        STR_CMPS.with(|c| c.set(c.get() + n));
-    }
-
-    #[inline]
-    pub(crate) fn count_adaptive_resize() {
-        ADAPTIVE_RESIZES.with(|c| c.set(c.get() + 1));
-    }
-
-    #[inline]
-    pub(crate) fn count_chain_morsel() {
-        CHAIN_MORSELS.with(|c| c.set(c.get() + 1));
-    }
-
-    #[inline]
-    pub(crate) fn count_grouped_partial_rows(n: u64) {
-        GROUPED_PARTIAL_ROWS.with(|c| c.set(c.get() + n));
-    }
-
-    #[inline]
-    pub(crate) fn count_partial_groups_combined(n: u64) {
-        PARTIAL_GROUPS_COMBINED.with(|c| c.set(c.get() + n));
-    }
-
-    #[inline]
-    pub(crate) fn count_dict_batch_pruned() {
-        DICT_BATCHES_PRUNED.with(|c| c.set(c.get() + 1));
+        dict_batches_pruned => count_dict_batch_pruned();
     }
 }
 

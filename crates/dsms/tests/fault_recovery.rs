@@ -4,9 +4,9 @@
 //! The contract under test (see the crate docs' *Robustness & failure
 //! semantics* section): an operator panic quarantines exactly the queries
 //! owning the panicked node — every other query's outputs stay
-//! **byte-identical** to a fault-free run, across shard counts, morsel
-//! grains, and work stealing; an injected worker death never loses or
-//! duplicates a morsel; overload shedding drops the same rows at every
+//! **byte-identical** to a fault-free run, across shard counts; an
+//! injected worker death never loses or duplicates a morsel; overload
+//! shedding drops the same rows at every
 //! shard count and never touches the highest-priority stream while lower
 //! ones still have batches to give.
 //!
@@ -173,20 +173,12 @@ struct RunOutcome {
     quarantines: u64,
 }
 
-fn run_kind(
-    kind: &str,
-    shards: usize,
-    grain: usize,
-    stealing: bool,
-    fault: Option<Arc<FaultPlan>>,
-) -> RunOutcome {
+fn run_kind(kind: &str, shards: usize, fault: Option<Arc<FaultPlan>>) -> RunOutcome {
     work::reset();
     let mut e = DsmsEngine::new();
     e.set_fusion(kind == "fused");
     e.set_shards(shards);
     e.set_max_batch_size(16);
-    e.set_morsel_batches(grain);
-    e.set_stealing(stealing);
     e.set_shard_key("quotes", 0).unwrap();
     e.set_shard_key("news", 0).unwrap();
     e.register_stream("quotes", quote_schema());
@@ -213,10 +205,10 @@ fn run_kind(
 }
 
 /// The tentpole property: faulting each operator kind in turn, across
-/// shard counts × morsel grains × stealing on/off, quarantines exactly
-/// the owning query — the surviving query's outputs are byte-identical to
-/// the fault-free run's and no pool worker is ever replaced (kernel
-/// panics are caught per invocation, they do not kill threads).
+/// shard counts, quarantines exactly the owning query — the surviving
+/// query's outputs are byte-identical to the fault-free run's and no pool
+/// worker is ever replaced (kernel panics are caught per invocation, they
+/// do not kill threads).
 #[test]
 fn each_kind_quarantines_only_its_owner() {
     if !fault_modes().contains(&"panic") {
@@ -224,40 +216,38 @@ fn each_kind_quarantines_only_its_owner() {
     }
     for kind in OPERATOR_KINDS {
         for shards in shard_counts() {
-            for (grain, stealing) in [(1, false), (4, true)] {
-                let clean = run_kind(kind, shards, grain, stealing, None);
-                assert!(
-                    clean.quarantined.is_empty() && clean.quarantines == 0,
-                    "clean run must not quarantine ({kind}, shards={shards})"
-                );
-                let fault = Arc::new(FaultPlan::new().panic_on(kind, 1));
-                let hurt = run_kind(kind, shards, grain, stealing, Some(fault));
-                let ctx = format!("kind={kind} shards={shards} grain={grain} steal={stealing}");
-                assert_eq!(hurt.quarantined.len(), 1, "one owner quarantined ({ctx})");
-                assert_eq!(hurt.quarantines, 1, "quarantine counted once ({ctx})");
-                assert_eq!(
-                    hurt.survivor_out, clean.survivor_out,
-                    "survivor diverged ({ctx})"
-                );
-                assert_ne!(
-                    hurt.victim_out, clean.victim_out,
-                    "victim unaffected — fault did not land ({ctx})"
-                );
-                assert_eq!(
-                    hurt.pool_spawns, clean.pool_spawns,
-                    "kernel panic must not respawn workers ({ctx})"
-                );
-                let event = &hurt.events[0];
-                assert_eq!(event.kind, kind, "panic attributed to the kind ({ctx})");
-                assert!(
-                    event.message.starts_with(INJECTED_PANIC_PREFIX),
-                    "unexpected payload '{}' ({ctx})",
-                    event.message
-                );
-                assert!(event.report.has_code(Code::OperatorPanic), "{ctx}");
-                assert!(event.report.has_code(Code::QuarantinedQuery), "{ctx}");
-                assert!(hurt.runtime_report.has_code(Code::OperatorPanic), "{ctx}");
-            }
+            let clean = run_kind(kind, shards, None);
+            assert!(
+                clean.quarantined.is_empty() && clean.quarantines == 0,
+                "clean run must not quarantine ({kind}, shards={shards})"
+            );
+            let fault = Arc::new(FaultPlan::new().panic_on(kind, 1));
+            let hurt = run_kind(kind, shards, Some(fault));
+            let ctx = format!("kind={kind} shards={shards}");
+            assert_eq!(hurt.quarantined.len(), 1, "one owner quarantined ({ctx})");
+            assert_eq!(hurt.quarantines, 1, "quarantine counted once ({ctx})");
+            assert_eq!(
+                hurt.survivor_out, clean.survivor_out,
+                "survivor diverged ({ctx})"
+            );
+            assert_ne!(
+                hurt.victim_out, clean.victim_out,
+                "victim unaffected — fault did not land ({ctx})"
+            );
+            assert_eq!(
+                hurt.pool_spawns, clean.pool_spawns,
+                "kernel panic must not respawn workers ({ctx})"
+            );
+            let event = &hurt.events[0];
+            assert_eq!(event.kind, kind, "panic attributed to the kind ({ctx})");
+            assert!(
+                event.message.starts_with(INJECTED_PANIC_PREFIX),
+                "unexpected payload '{}' ({ctx})",
+                event.message
+            );
+            assert!(event.report.has_code(Code::OperatorPanic), "{ctx}");
+            assert!(event.report.has_code(Code::QuarantinedQuery), "{ctx}");
+            assert!(hurt.runtime_report.has_code(Code::OperatorPanic), "{ctx}");
         }
     }
 }
@@ -292,8 +282,8 @@ fn soak_100_seeds_never_aborts_and_survivors_replay() {
             .expect("seeded plan targets one kind");
         let clean = clean_by_kind
             .entry(kind)
-            .or_insert_with(|| run_kind(kind, 4, 4, true, None));
-        let hurt = run_kind(kind, 4, 4, true, Some(Arc::new(probe)));
+            .or_insert_with(|| run_kind(kind, 4, None));
+        let hurt = run_kind(kind, 4, Some(Arc::new(probe)));
         assert_eq!(
             hurt.survivor_out, clean.survivor_out,
             "seed {seed}: survivor diverged"
@@ -382,63 +372,45 @@ fn worker_death_recovers_inline_and_respawns_the_seat() {
     if !fault_modes().contains(&"death") {
         return;
     }
-    for (grain, stealing) in [(1, false), (4, true)] {
-        let clean = run_kind("aggregate", 4, grain, stealing, None);
-        let fault = Arc::new(FaultPlan::new().with_worker_death(1, 1));
-        let hurt = run_kind("aggregate", 4, grain, stealing, Some(fault));
-        let ctx = format!("grain={grain} steal={stealing}");
-        assert!(
-            hurt.quarantined.is_empty(),
-            "death quarantined a CQ ({ctx})"
-        );
-        assert_eq!(
-            hurt.victim_out, clean.victim_out,
-            "victim lost rows ({ctx})"
-        );
-        assert_eq!(
-            hurt.survivor_out, clean.survivor_out,
-            "survivor lost rows ({ctx})"
-        );
-        assert_eq!(
-            hurt.pool_spawns,
-            clean.pool_spawns + 1,
-            "exactly one respawn ({ctx})"
-        );
-        assert!(
-            hurt.runtime_report.has_code(Code::WorkerDeath),
-            "missing NL062 ({ctx})"
-        );
-    }
+    let clean = run_kind("aggregate", 4, None);
+    let fault = Arc::new(FaultPlan::new().with_worker_death(1, 1));
+    let hurt = run_kind("aggregate", 4, Some(fault));
+    assert!(hurt.quarantined.is_empty(), "death quarantined a CQ");
+    assert_eq!(hurt.victim_out, clean.victim_out, "victim lost rows");
+    assert_eq!(hurt.survivor_out, clean.survivor_out, "survivor lost rows");
+    assert_eq!(
+        hurt.pool_spawns,
+        clean.pool_spawns + 1,
+        "exactly one respawn"
+    );
+    assert!(
+        hurt.runtime_report.has_code(Code::WorkerDeath),
+        "missing NL062"
+    );
 }
 
 /// A seat respawned after a worker death re-seeds the control thread's
-/// kernel kill switches on its next job. With the columnar and SIMD
-/// switches both off, every row must take the scalar row path — so
-/// `row_evals` matches the shards=1 run exactly and `simd_lanes` stays
-/// zero even when a shards=4 worker dies mid-flush and is replaced. A
-/// respawned seat that silently reverted to the defaults would push its
-/// share of rows through the columnar/SIMD kernels and skew both
-/// counters.
+/// columnar kill switch on its next job. With the switch off, every row
+/// must take the row path — so `row_evals` matches the shards=1 run
+/// exactly even when a shards=4 worker dies mid-flush and is replaced. A
+/// respawned seat that silently reverted to the default would push its
+/// share of rows through the columnar kernels and skew the counter.
 #[test]
-fn respawned_worker_inherits_kernel_kill_switches() {
-    use cqac_dsms::ops::{with_columnar_kernels, with_simd_kernels};
+fn respawned_worker_inherits_the_columnar_switch() {
+    use cqac_dsms::ops::with_columnar_kernels;
     if !fault_modes().contains(&"death") {
         return;
     }
     let death = || Some(Arc::new(FaultPlan::new().with_worker_death(1, 1)));
     let run = |shards: usize, fault: Option<Arc<FaultPlan>>| {
         with_columnar_kernels(false, || {
-            with_simd_kernels(false, || {
-                let out = run_kind("fused", shards, 4, true, fault);
-                let snap = work::snapshot();
-                (out, snap.row_evals, snap.simd_lanes)
-            })
+            let out = run_kind("fused", shards, fault);
+            (out, work::snapshot().row_evals)
         })
     };
-    let (clean, clean_rows, clean_lanes) = run(1, None);
+    let (clean, clean_rows) = run(1, None);
     assert!(clean_rows > 0, "columnar off must force the row path");
-    assert_eq!(clean_lanes, 0, "SIMD off must count zero lanes");
-    let (hurt, hurt_rows, hurt_lanes) = run(4, death());
+    let (hurt, hurt_rows) = run(4, death());
     assert!(
         hurt.runtime_report.has_code(Code::WorkerDeath),
         "death did not land"
@@ -447,24 +419,20 @@ fn respawned_worker_inherits_kernel_kill_switches() {
         hurt_rows, clean_rows,
         "respawned seat must inherit the columnar kill switch"
     );
-    assert_eq!(
-        hurt_lanes, 0,
-        "respawned seat must inherit the SIMD kill switch"
-    );
     assert_eq!(hurt.victim_out, clean.victim_out);
     assert_eq!(hurt.survivor_out, clean.survivor_out);
 
-    // The converse: at the default settings the same faulted run counts
-    // SIMD lanes and zero row evals — the re-seed forwards the live
-    // switch values, it does not pin a stale 'off'.
-    let on = run_kind("fused", 4, 4, true, death());
+    // The converse: at the default setting the same faulted run counts
+    // lanes and zero row evals — the re-seed forwards the live switch
+    // value, it does not pin a stale 'off'.
+    let on = run_kind("fused", 4, death());
     let snap = work::snapshot();
     assert!(on.runtime_report.has_code(Code::WorkerDeath));
-    assert!(snap.simd_lanes > 0, "default-on run must count SIMD lanes");
+    assert!(snap.simd_lanes > 0, "columnar kernels run the lane loops");
     assert_eq!(snap.row_evals, 0, "columnar kernels must handle every row");
     assert_eq!(
         on.victim_out, clean.victim_out,
-        "switches must not change outputs"
+        "the switch must not change outputs"
     );
     assert_eq!(on.survivor_out, clean.survivor_out);
 }

@@ -5,7 +5,7 @@
 use cqac_dsms::engine::DsmsEngine;
 use cqac_dsms::expr::Expr;
 use cqac_dsms::plan::{AggFunc, LogicalPlan};
-use cqac_dsms::types::{DataType, Field, Schema, Tuple, Value};
+use cqac_dsms::types::{work, DataType, Field, Schema, Tuple, Value};
 use proptest::prelude::*;
 
 fn quote_schema() -> Schema {
@@ -448,6 +448,31 @@ proptest! {
                 "chunk {} / cap {} diverged from scalar execution", chunk, cap
             );
         }
+
+        // The lane loops against their scalar tail. A one-row batch never
+        // forms a full lane — in the compare kernels or in `AggregateOp`'s
+        // dense-run absorb — so cap 1 is the all-scalar run of the feed; at
+        // cap 1024 the quotes arrive as one batch and every full group of
+        // eight rows runs the lane loops. Float sums included, the outputs
+        // must be bit-identical.
+        let lane_plan = LogicalPlan::source("quotes")
+            .filter(Expr::col(1).gt(Expr::lit(Value::Float(f64::from(thresh) / 100.0))))
+            .aggregate(None, AggFunc::Sum, 1, window);
+        let quotes_only: Vec<(String, Tuple)> = quotes
+            .iter()
+            .cloned()
+            .map(|t| ("quotes".to_string(), t))
+            .collect();
+        let run = |cap: usize| {
+            work::reset();
+            let (out, _) = run_chunked(&lane_plan, &quotes_only, quotes_only.len(), cap);
+            (out, work::snapshot().simd_lanes)
+        };
+        let (scalar, scalar_lanes) = run(1);
+        let (batched, batched_lanes) = run(1024);
+        prop_assert_eq!(scalar, batched, "lane loops diverged from the scalar loop");
+        prop_assert_eq!(scalar_lanes, 0, "cap 1 never forms a full lane");
+        prop_assert_eq!(batched_lanes > 0, quotes.len() >= 8);
     }
 }
 
@@ -558,10 +583,9 @@ proptest! {
     /// stateless chains), an engine running the columnar filter/project
     /// kernels produces outputs **sequence-identical** to the same engine
     /// running the per-row fallback kernels, across batch-size caps
-    /// 1/7/64/1024 — and, per [`simd_modes`], with the unrolled SIMD lane
-    /// loops both on and off. Both runs chunk the feed identically, so
-    /// even the multi-port operators (join, union) must agree row for
-    /// row — no canonicalization.
+    /// 1/7/64/1024. Both runs chunk the feed identically, so even the
+    /// multi-port operators (join, union) must agree row for row — no
+    /// canonicalization.
     #[test]
     fn columnar_kernels_equal_row_kernels(
         quotes in quote_stream(60),
@@ -588,18 +612,11 @@ proptest! {
                 run_chunked(&plan, &feed, feed.len(), cap)
             });
             prop_assert_eq!(&row_q1, &row_q2, "row sharing at cap {}", cap);
-            for simd in simd_modes() {
-                let (col_q1, col_q2) = cqac_dsms::ops::with_columnar_kernels(true, || {
-                    cqac_dsms::ops::with_simd_kernels(simd, || {
-                        run_chunked(&plan, &feed, feed.len(), cap)
-                    })
-                });
-                prop_assert_eq!(&col_q1, &col_q2, "columnar sharing at cap {}", cap);
-                prop_assert_eq!(
-                    &col_q1, &row_q1,
-                    "columnar (simd {}) ≠ row kernels at cap {}", simd, cap
-                );
-            }
+            let (col_q1, col_q2) = cqac_dsms::ops::with_columnar_kernels(true, || {
+                run_chunked(&plan, &feed, feed.len(), cap)
+            });
+            prop_assert_eq!(&col_q1, &col_q2, "columnar sharing at cap {}", cap);
+            prop_assert_eq!(&col_q1, &row_q1, "columnar ≠ row kernels at cap {}", cap);
         }
     }
 
@@ -637,11 +654,11 @@ proptest! {
 
     /// **NaN-ordering equivalence** — mixed Int×Float compares over a feed
     /// whose float column carries NaN rows: every comparison path (the
-    /// per-row interpreter, the columnar kernels with the SIMD lane loops,
-    /// and the columnar kernels with SIMD off) drops NaN rows identically,
-    /// across batch caps 1/7/64/1024 and shards × morsel grains ×
-    /// stealing. Both mixed operand orders (Int op Float, Float op Int)
-    /// and all six comparison operators are covered.
+    /// per-row interpreter and the columnar kernels — all scalar at cap 1,
+    /// lane loops plus tail above it) drops NaN rows identically, across
+    /// batch caps 1/7/64/1024 and shard counts. Both mixed operand orders
+    /// (Int op Float, Float op Int) and all six comparison operators are
+    /// covered.
     #[test]
     fn nan_rows_drop_identically_everywhere(
         raw in proptest::collection::vec((0u64..500, 0usize..3, 1u32..30_000, 0u8..5), 1..60),
@@ -679,31 +696,21 @@ proptest! {
 
         for &cap in &[1usize, 7, 64, 1024] {
             let reference = cqac_dsms::ops::with_columnar_kernels(false, || {
-                run_ticks_sharded(&plan, &feed, cap, 1, 1, true)
+                run_ticks_sharded(&plan, &feed, cap, 1)
             });
-            for simd in simd_modes() {
-                let col = cqac_dsms::ops::with_columnar_kernels(true, || {
-                    cqac_dsms::ops::with_simd_kernels(simd, || {
-                        run_ticks_sharded(&plan, &feed, cap, 1, 1, true)
-                    })
-                });
-                prop_assert_eq!(
-                    &col, &reference,
-                    "NaN rows: columnar (simd {}) ≠ row at cap {}", simd, cap
-                );
-            }
+            let col = cqac_dsms::ops::with_columnar_kernels(true, || {
+                run_ticks_sharded(&plan, &feed, cap, 1)
+            });
+            prop_assert_eq!(&col, &reference, "NaN rows: columnar ≠ row at cap {}", cap);
             for &shards in &shard_counts() {
                 if shards == 1 {
                     continue;
                 }
-                for (morsel, stealing) in morsel_axes() {
-                    let got = run_ticks_sharded(&plan, &feed, cap, shards, morsel, stealing);
-                    prop_assert_eq!(
-                        &got, &reference,
-                        "NaN rows diverged at shards {} (morsel {}, stealing {}) cap {}",
-                        shards, morsel, stealing, cap
-                    );
-                }
+                let got = run_ticks_sharded(&plan, &feed, cap, shards);
+                prop_assert_eq!(
+                    &got, &reference,
+                    "NaN rows diverged at shards {} cap {}", shards, cap
+                );
             }
         }
     }
@@ -717,11 +724,10 @@ proptest! {
     /// (dictionary-encoded at ingestion: predicates compare u32 codes,
     /// keys hash through the per-code memo) and a wide universe past
     /// `DICT_MAX_CARDINALITY` (decayed back to plain `Str` columns): the
-    /// columnar and row kernels agree across batch caps and SIMD modes,
-    /// and the sharded engine replays the single-threaded run across
-    /// shards × partition modes × morsel grains × stealing with identical
-    /// `tuples_processed` — the encoding is a representation choice, never
-    /// an observable one.
+    /// columnar and row kernels agree across batch caps, and the sharded
+    /// engine replays the single-threaded run across shards × partition
+    /// modes with identical `tuples_processed` — the encoding is a
+    /// representation choice, never an observable one.
     #[test]
     fn dict_and_plain_string_columns_are_equivalent(
         raw_quotes in proptest::collection::vec((0u64..500, 0usize..1000, 1u32..30_000), 1..60),
@@ -763,17 +769,13 @@ proptest! {
             let (row, _) = cqac_dsms::ops::with_columnar_kernels(false, || {
                 run_chunked(&plan, &feed, feed.len(), cap)
             });
-            for simd in simd_modes() {
-                let (col, _) = cqac_dsms::ops::with_columnar_kernels(true, || {
-                    cqac_dsms::ops::with_simd_kernels(simd, || {
-                        run_chunked(&plan, &feed, feed.len(), cap)
-                    })
-                });
-                prop_assert_eq!(
-                    &col, &row,
-                    "dict/str columnar (simd {}) ≠ row at cap {} (wide {})", simd, cap, wide
-                );
-            }
+            let (col, _) = cqac_dsms::ops::with_columnar_kernels(true, || {
+                run_chunked(&plan, &feed, feed.len(), cap)
+            });
+            prop_assert_eq!(
+                &col, &row,
+                "dict/str columnar ≠ row at cap {} (wide {})", cap, wide
+            );
         }
         // Shard invariance at a mid-size cap: hash partitioning hashes
         // the decoded bytes whatever the representation, so placement
@@ -784,17 +786,13 @@ proptest! {
                 continue;
             }
             for hash_key in partition_modes() {
-                for (morsel, stealing) in morsel_axes() {
-                    let (got, work) =
-                        run_sharded_morsel(&plan, &feed, 7, shards, hash_key, morsel, stealing);
-                    prop_assert_eq!(
-                        &got, &reference,
-                        "dict/str plan kind {} diverged at shards {} \
-                         (hash_key {}, morsel {}, stealing {}, wide {})",
-                        kind, shards, hash_key, morsel, stealing, wide
-                    );
-                    prop_assert_eq!(work, ref_work);
-                }
+                let (got, work) = run_sharded(&plan, &feed, 7, shards, hash_key);
+                prop_assert_eq!(
+                    &got, &reference,
+                    "dict/str plan kind {} diverged at shards {} (hash_key {}, wide {})",
+                    kind, shards, hash_key, wide
+                );
+                prop_assert_eq!(work, ref_work);
             }
         }
     }
@@ -832,86 +830,20 @@ fn partition_modes() -> Vec<bool> {
     }
 }
 
-/// Morsel granularities exercised by the shard-invariance suites
-/// (`DsmsEngine::set_morsel_batches`). `CQAC_MORSEL` (a comma-separated
-/// list) overrides the default `1,4,16` so CI can matrix morsel sizes
-/// without recompiling — `1` cuts every work unit into its own stealable
-/// morsel, `16` approaches whole-shard chains.
-fn morsel_grains() -> Vec<usize> {
-    match std::env::var("CQAC_MORSEL") {
-        Ok(s) => {
-            let grains: Vec<usize> = s
-                .split(',')
-                .filter_map(|t| t.trim().parse().ok())
-                .filter(|&n| n > 0)
-                .collect();
-            assert!(!grains.is_empty(), "CQAC_MORSEL must list morsel sizes");
-            grains
-        }
-        Err(_) => vec![1, 4, 16],
-    }
-}
-
-/// The work-stealing axis crossed with [`morsel_grains`] by the
-/// shard-invariance suites: each grain runs with idle-worker stealing
-/// both off (workers execute exactly their home deques) and on (morsels
-/// migrate to whichever worker grabs them — outputs must not notice).
-fn morsel_axes() -> Vec<(usize, bool)> {
-    morsel_grains()
-        .into_iter()
-        .flat_map(|grain| [(grain, false), (grain, true)])
-        .collect()
-}
-
-/// SIMD kernel modes exercised by the kernel-equivalence and
-/// shard-invariance suites (the `ops::set_simd_kernels` kill switch).
-/// `CQAC_SIMD` — `on`, `off`, or `both` (default) — selects the axis so
-/// CI can matrix the unrolled lane loops against the scalar reference
-/// loops without recompiling. Outputs must be bit-identical either way;
-/// `off` additionally pins `work::simd_lanes` to zero.
-fn simd_modes() -> Vec<bool> {
-    match std::env::var("CQAC_SIMD").as_deref() {
-        Ok("on") => vec![true],
-        Ok("off") => vec![false],
-        Ok("both") | Err(_) => vec![true, false],
-        Ok(other) => panic!("CQAC_SIMD must be on|off|both, got '{other}'"),
-    }
-}
-
-/// Adaptive-morsel-controller modes exercised by the shard-invariance
-/// suites (`DsmsEngine::set_adaptive_morsels`). `CQAC_ADAPTIVE` — `on`,
-/// `off`, or `both` (default) — selects the axis so CI can matrix the
-/// adaptive controller against the static grain without recompiling.
-/// Outputs must be bit-identical either way; `off` additionally pins
-/// `work::adaptive_resizes` to zero.
-fn adaptive_modes() -> Vec<bool> {
-    match std::env::var("CQAC_ADAPTIVE").as_deref() {
-        Ok("on") => vec![true],
-        Ok("off") => vec![false],
-        Ok("both") | Err(_) => vec![false, true],
-        Ok(other) => panic!("CQAC_ADAPTIVE must be on|off|both, got '{other}'"),
-    }
-}
-
 /// Runs `plan` (registered twice, so sharing is exercised) over `feed` on
 /// an engine with the given shard count, optionally hash-partitioning both
-/// streams on the symbol column, at the given morsel granularity with
-/// stealing on or off. Returns the outputs and the machine-independent
-/// work measure.
-fn run_sharded_morsel(
+/// streams on the symbol column. Returns the outputs and the
+/// machine-independent work measure.
+fn run_sharded(
     plan: &LogicalPlan,
     feed: &[(String, Tuple)],
     max_batch: usize,
     shards: usize,
     hash_key: bool,
-    morsel: usize,
-    stealing: bool,
 ) -> (Vec<Tuple>, u64) {
     let mut e = engine();
     e.set_max_batch_size(max_batch);
     e.set_shards(shards);
-    e.set_morsel_batches(morsel);
-    e.set_stealing(stealing);
     if hash_key {
         e.set_shard_key("quotes", 0).unwrap();
         e.set_shard_key("news", 0).unwrap();
@@ -923,18 +855,6 @@ fn run_sharded_morsel(
     let out = e.take_outputs(q1);
     assert_eq!(out, e.take_outputs(q2), "shared queries must agree");
     (out, e.tuples_processed())
-}
-
-/// [`run_sharded_morsel`] at the engine's default morsel granularity and
-/// stealing setting.
-fn run_sharded(
-    plan: &LogicalPlan,
-    feed: &[(String, Tuple)],
-    max_batch: usize,
-    shards: usize,
-    hash_key: bool,
-) -> (Vec<Tuple>, u64) {
-    run_sharded_morsel(plan, feed, max_batch, shards, hash_key, 1, true)
 }
 
 proptest! {
@@ -979,25 +899,15 @@ proptest! {
                     continue;
                 }
                 for hash_key in partition_modes() {
-                    for (morsel, stealing) in morsel_axes() {
-                        for simd in simd_modes() {
-                            let (got, work) = cqac_dsms::ops::with_simd_kernels(simd, || {
-                                run_sharded_morsel(
-                                    &plan, &feed, cap, shards, hash_key, morsel, stealing,
-                                )
-                            });
-                            prop_assert_eq!(
-                                &got, &reference,
-                                "shards {} (hash_key {}, morsel {}, stealing {}, simd {}) \
-                                 diverged at cap {}",
-                                shards, hash_key, morsel, stealing, simd, cap
-                            );
-                            prop_assert_eq!(
-                                work, ref_work,
-                                "per-row work must be shard-count invariant (shards {})", shards
-                            );
-                        }
-                    }
+                    let (got, work) = run_sharded(&plan, &feed, cap, shards, hash_key);
+                    prop_assert_eq!(
+                        &got, &reference,
+                        "shards {} (hash_key {}) diverged at cap {}", shards, hash_key, cap
+                    );
+                    prop_assert_eq!(
+                        work, ref_work,
+                        "per-row work must be shard-count invariant (shards {})", shards
+                    );
                 }
             }
         }
@@ -1080,22 +990,14 @@ proptest! {
                     continue;
                 }
                 for hash_key in partition_modes() {
-                    for (morsel, stealing) in morsel_axes() {
-                        for simd in simd_modes() {
-                            let (got, work) = cqac_dsms::ops::with_simd_kernels(simd, || {
-                                run_sharded_morsel(
-                                    &plan, &feed, cap, shards, hash_key, morsel, stealing,
-                                )
-                            });
-                            prop_assert_eq!(
-                                &got, &reference,
-                                "keyed stateful plan kind {} diverged at shards {} \
-                                 (hash_key {}, morsel {}, stealing {}, simd {}) cap {}",
-                                kind, shards, hash_key, morsel, stealing, simd, cap
-                            );
-                            prop_assert_eq!(work, ref_work);
-                        }
-                    }
+                    let (got, work) = run_sharded(&plan, &feed, cap, shards, hash_key);
+                    prop_assert_eq!(
+                        &got, &reference,
+                        "keyed stateful plan kind {} diverged at shards {} \
+                         (hash_key {}) cap {}",
+                        kind, shards, hash_key, cap
+                    );
+                    prop_assert_eq!(work, ref_work);
                 }
             }
         }
@@ -1158,30 +1060,11 @@ fn run_ticks_sharded(
     feed: &[Tuple],
     max_batch: usize,
     shards: usize,
-    morsel: usize,
-    stealing: bool,
-) -> Vec<Tuple> {
-    run_ticks_adaptive(plan, feed, max_batch, shards, morsel, stealing, false)
-}
-
-/// [`run_ticks_sharded`] with the adaptive morsel controller on or off.
-#[allow(clippy::too_many_arguments)]
-fn run_ticks_adaptive(
-    plan: &LogicalPlan,
-    feed: &[Tuple],
-    max_batch: usize,
-    shards: usize,
-    morsel: usize,
-    stealing: bool,
-    adaptive: bool,
 ) -> Vec<Tuple> {
     let mut e = DsmsEngine::new();
     e.register_stream("ticks", tick_schema());
     e.set_max_batch_size(max_batch);
     e.set_shards(shards);
-    e.set_morsel_batches(morsel);
-    e.set_stealing(stealing);
-    e.set_adaptive_morsels(adaptive);
     e.set_shard_key("ticks", 0).unwrap();
     let cq = e.add_query(plan.clone()).unwrap();
     for chunk in feed.chunks(max_batch.max(1) * 2) {
@@ -1201,9 +1084,8 @@ proptest! {
     /// members — per-worker partials folded in deterministic partition
     /// order on the control thread; float Sum/Avg are inexact and keep
     /// the merge barrier. Either path must be **bit-identical** to the
-    /// single-threaded engine across shard counts × morsel grains ×
-    /// stealing on/off, including windows that close empty along sparse
-    /// stretches of the feed.
+    /// single-threaded engine across shard counts, including windows that
+    /// close empty along sparse stretches of the feed.
     #[test]
     fn ungrouped_aggregate_partials_match_single_threaded(
         raw in proptest::collection::vec((0u64..500, 0usize..3, 1u32..30_000), 1..60),
@@ -1236,20 +1118,17 @@ proptest! {
         let plan = plan.aggregate(None, funcs[func], col, window);
 
         for &cap in &[1usize, 7, 64] {
-            let reference = run_ticks_sharded(&plan, &feed, cap, 1, 1, true);
+            let reference = run_ticks_sharded(&plan, &feed, cap, 1);
             for &shards in &shard_counts() {
                 if shards == 1 {
                     continue;
                 }
-                for (morsel, stealing) in morsel_axes() {
-                    let got = run_ticks_sharded(&plan, &feed, cap, shards, morsel, stealing);
-                    prop_assert_eq!(
-                        &got, &reference,
-                        "ungrouped {:?} over col {} diverged at shards {} \
-                         (morsel {}, stealing {}) cap {}",
-                        funcs[func], col, shards, morsel, stealing, cap
-                    );
-                }
+                let got = run_ticks_sharded(&plan, &feed, cap, shards);
+                prop_assert_eq!(
+                    &got, &reference,
+                    "ungrouped {:?} over col {} diverged at shards {} cap {}",
+                    funcs[func], col, shards, cap
+                );
             }
         }
     }
@@ -1268,8 +1147,7 @@ proptest! {
     /// **strictly equal output sequence** to the single-threaded engine
     /// (same rows, same order, same windows closing empty along sparse
     /// stretches) across group-key cardinalities 1/8/1000 × aggregate
-    /// kinds × shard counts × morsel grains × stealing × adaptive
-    /// controller on/off.
+    /// kinds × shard counts.
     #[test]
     fn grouped_partials_match_single_threaded(
         raw in proptest::collection::vec((0u64..400, 0usize..1000, 1u32..30_000), 1..60),
@@ -1300,85 +1178,19 @@ proptest! {
         let plan = LogicalPlan::source("ticks").aggregate(Some(1), funcs[func], col, window);
 
         for &cap in &[1usize, 7, 64] {
-            let reference = run_ticks_sharded(&plan, &feed, cap, 1, 1, true);
+            let reference = run_ticks_sharded(&plan, &feed, cap, 1);
             for &shards in &shard_counts() {
                 if shards == 1 {
                     continue;
                 }
-                for (morsel, stealing) in morsel_axes() {
-                    for adaptive in adaptive_modes() {
-                        let got = run_ticks_adaptive(
-                            &plan, &feed, cap, shards, morsel, stealing, adaptive,
-                        );
-                        prop_assert_eq!(
-                            &got, &reference,
-                            "grouped {:?} over col {} (card {}) diverged at shards {} \
-                             (morsel {}, stealing {}, adaptive {}) cap {}",
-                            funcs[func], col, card, shards, morsel, stealing, adaptive, cap
-                        );
-                    }
-                }
+                let got = run_ticks_sharded(&plan, &feed, cap, shards);
+                prop_assert_eq!(
+                    &got, &reference,
+                    "grouped {:?} over col {} (card {}) diverged at shards {} cap {}",
+                    funcs[func], col, card, shards, cap
+                );
             }
         }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// **Adaptive-controller determinism** — the controller's inputs are
-    /// deterministic `work` cost units, never wall clock, so for a fixed
-    /// input the whole resize trace is reproducible: two identical
-    /// adaptive runs agree on `adaptive_resizes` (and on outputs), the
-    /// controller off pins the counter to zero while producing the same
-    /// output sequence, and with stealing disabled the *entire*
-    /// work-counter snapshot — every row, eval, lane, and resize count —
-    /// is byte-identical between repeated adaptive runs.
-    #[test]
-    fn adaptive_controller_is_deterministic(
-        raw in proptest::collection::vec((0u64..400, 0usize..1000, 1u32..30_000), 20..80),
-        window in 1u64..60,
-    ) {
-        use cqac_dsms::types::work;
-        let mut feed: Vec<Tuple> = raw
-            .into_iter()
-            .map(|(ts, g, p)| {
-                Tuple::new(
-                    ts,
-                    vec![
-                        // Zipf-ish hot key: most rows land on one home
-                        // shard, so per-morsel costs spread and the
-                        // controller has something to react to.
-                        Value::str(SYMS[if g % 5 == 0 { g % SYMS.len() } else { 0 }]),
-                        Value::Int((g % 8) as i64),
-                        Value::Float(f64::from(p) / 100.0),
-                    ],
-                )
-            })
-            .collect();
-        feed.sort_by_key(|t| t.ts);
-        let plan = LogicalPlan::source("ticks").aggregate(Some(1), AggFunc::Sum, 1, window);
-
-        let run = |stealing: bool, adaptive: bool| {
-            work::reset();
-            let out = run_ticks_adaptive(&plan, &feed, 8, 4, 8, stealing, adaptive);
-            (out, work::snapshot())
-        };
-        let (out_a, snap_a) = run(true, true);
-        let (out_b, snap_b) = run(true, true);
-        prop_assert_eq!(&out_a, &out_b);
-        prop_assert_eq!(
-            snap_a.adaptive_resizes, snap_b.adaptive_resizes,
-            "the resize trace must not depend on the schedule"
-        );
-        let (out_off, snap_off) = run(true, false);
-        prop_assert_eq!(snap_off.adaptive_resizes, 0, "off means static grain");
-        prop_assert_eq!(&out_off, &out_a, "the controller must not change outputs");
-        // Without stealing the schedule itself is deterministic, so the
-        // full counter trace must replay exactly.
-        let (_, pinned_a) = run(false, true);
-        let (_, pinned_b) = run(false, true);
-        prop_assert_eq!(pinned_a, pinned_b);
     }
 }
 
@@ -1402,7 +1214,7 @@ fn sharded_int_sum_partials_are_exact_past_2_pow_53() {
         })
         .collect();
     let plan = LogicalPlan::source("ticks").aggregate(None, AggFunc::Sum, 1, 100);
-    let out = run_ticks_sharded(&plan, &feed, 1, 4, 1, true);
+    let out = run_ticks_sharded(&plan, &feed, 1, 4);
     assert_eq!(out.len(), 1);
     assert_eq!(
         out[0].values[1],
