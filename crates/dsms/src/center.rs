@@ -278,7 +278,11 @@ impl DsmsCenter {
                 rejections.push(None);
             }
         }
-        shadow.push_batch(calibration.iter().cloned());
+        // `push_batch` without its owned stream names: only tuples clone.
+        for (stream, tuple) in calibration {
+            shadow.push(stream, tuple.clone());
+        }
+        shadow.run_until_quiescent();
 
         // 2. The auction instance, over the verified submissions only.
         // `auction_pos[idx]` is submission `idx`'s index into the bid list

@@ -571,6 +571,11 @@ impl DsmsEngine {
     /// [`DsmsEngine::push`]. Returns a structured [`IngestError`] for an
     /// unknown stream or a non-conforming tuple; on error nothing is
     /// buffered and no statistics move.
+    ///
+    /// Rows buffer into plain columns; the batch is sealed
+    /// ([`TupleBatch::seal`]: low-cardinality string columns become
+    /// `Column::Dict`) when a flush takes it from the ingestion buffer —
+    /// the one place every `push*` call's batches are sealed.
     pub fn try_push(&mut self, stream: &str, tuple: Tuple) -> Result<(), IngestError> {
         let Some(schema) = self.network.stream_schema(stream) else {
             return Err(IngestError::UnknownStream {
@@ -583,10 +588,7 @@ impl DsmsEngine {
                 row: 0,
             });
         }
-        self.stream_stats
-            .entry(stream.to_string())
-            .or_default()
-            .note(tuple.ts);
+        self.stats_mut(stream).note(tuple.ts);
 
         let max_batch_size = self.max_batch_size;
         let buffer = if self.holding {
@@ -657,7 +659,10 @@ impl DsmsEngine {
 
     /// Pushes `(stream, tuple)` pairs — grouping consecutive same-stream
     /// tuples into batches — and processes to quiescence. This is the
-    /// primary ingestion path.
+    /// primary ingestion path. The batches it builds are sealed when the
+    /// flush takes them (see [`DsmsEngine::try_push`]), so operators run
+    /// the same [`Column::Dict`](crate::types::Column::Dict) fast paths as
+    /// under [`DsmsEngine::push_rows`].
     ///
     /// # Panics
     /// Panics on an unknown stream or non-conforming tuple — use
@@ -687,11 +692,14 @@ impl DsmsEngine {
                 row,
             });
         }
-        let stats = self.stream_stats.entry(stream.to_string()).or_default();
+        let stats = self.stats_mut(stream);
         for t in &rows {
             stats.note(t.ts);
         }
-        let mut batch = TupleBatch::from_rows(schema, rows);
+        // Plain columns, like `try_push` builds: the flush seals each
+        // cap-sized chunk on its own, exactly as it seals row-pushed ones.
+        let mut batch = TupleBatch::with_capacity(schema, rows.len());
+        batch.extend(rows);
         let buffer = if self.holding {
             &mut self.held
         } else {
@@ -718,6 +726,31 @@ impl DsmsEngine {
     pub fn push_rows(&mut self, stream: &str, rows: Vec<Tuple>) {
         self.try_push_rows(stream, rows)
             .unwrap_or_else(|e| panic!("{e}"));
+    }
+
+    /// The stream's statistics entry; the name is allocated only the first
+    /// time a stream is seen, not per tuple.
+    fn stats_mut(&mut self, stream: &str) -> &mut StreamStats {
+        if !self.stream_stats.contains_key(stream) {
+            self.stream_stats
+                .insert(stream.to_string(), StreamStats::default());
+        }
+        self.stream_stats
+            .get_mut(stream)
+            .expect("entry inserted above")
+    }
+
+    /// Hands the oldest pending ingestion batch to a flush, **sealed**
+    /// ([`TupleBatch::seal`]). Both flush paths take their batches here, and
+    /// a transition's held batches re-enter `ingest` before they flush, so
+    /// this is the one point where row-pushed (`push`/`push_batch`) and
+    /// column-pushed (`push_rows`) batches take the same shape: operators
+    /// see `Column::Dict` for low-cardinality strings whatever the entry
+    /// point. Runs after shedding — shed batches are never encoded.
+    fn next_ingest(&mut self) -> Option<(String, TupleBatch)> {
+        let (stream, mut batch) = self.ingest.pop_front()?;
+        batch.seal();
+        Some((stream, batch))
     }
 
     /// Advances the watermark to cover `ts`. Every routing path — single
@@ -776,7 +809,7 @@ impl DsmsEngine {
     /// advancing the watermark.
     fn flush_ingest(&mut self) {
         self.apply_shedding();
-        while let Some((stream, batch)) = self.ingest.pop_front() {
+        while let Some((stream, batch)) = self.next_ingest() {
             if let Some(ts) = batch.max_ts() {
                 self.advance_watermark_to(ts);
             }
@@ -862,7 +895,8 @@ impl DsmsEngine {
         // Shedding runs on the arrival-ordered whole batches, before any
         // partitioning — the shed set cannot depend on the shard count.
         self.apply_shedding();
-        let ingested: Vec<(String, TupleBatch)> = self.ingest.drain(..).collect();
+        let ingested: Vec<(String, TupleBatch)> =
+            std::iter::from_fn(|| self.next_ingest()).collect();
         if ingested.is_empty() {
             return;
         }
@@ -1389,7 +1423,7 @@ impl DsmsEngine {
 
     /// Records rows routed to one shard in the stream's statistics.
     fn note_shard_rows(&mut self, stream: &str, shard: usize, rows: u64, shards: usize) {
-        let stats = self.stream_stats.entry(stream.to_string()).or_default();
+        let stats = self.stats_mut(stream);
         if stats.shard_rows.len() < shards {
             stats.shard_rows.resize(shards, 0);
         }

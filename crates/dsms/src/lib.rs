@@ -99,8 +99,9 @@
 //! established for `Sum`'s i128 accumulator.
 //!
 //! **Dictionary-encoded strings.** String columns are interned at the
-//! ingestion and merge boundaries ([`types::TupleBatch::from_rows`],
-//! which every `push` path funnels through) into
+//! ingestion and merge boundaries ([`types::TupleBatch::seal`]: the engine
+//! seals every batch a flush takes from its ingestion buffer, so `push`,
+//! `push_batch` and `push_rows` reach the operators in one shape) into
 //! [`types::Column::Dict`] — `u32` codes plus a first-appearance
 //! dictionary of distinct `Arc<str>` values — whenever a batch stays
 //! within [`types::Column::DICT_MAX_CARDINALITY`] distinct strings; wider columns
@@ -113,8 +114,9 @@
 //! predicates against a constant byte-compare **once per dictionary
 //! entry** and then look up one `u32` verdict per row, dict×dict equality
 //! remaps the right dictionary into the left code space once, and joins
-//! and group-bys read keys through a per-code memo ([`ops`]' internal
-//! `KeyReader`) that hashes each distinct string once per batch. Per-row code
+//! and group-bys resolve each distinct code's key once per batch
+//! ([`ops`]' internal `KeyReader` memo; [`ops::AggregateOp`] sorts rows by
+//! code and probes its state once per code and window). Per-row code
 //! comparisons are counted by
 //! [`types::work::WorkSnapshot::dict_code_cmps`]; residual per-row byte
 //! compares (plain columns, dict-vs-column ordering) by

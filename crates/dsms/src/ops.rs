@@ -24,7 +24,7 @@ use crate::plan::AggFunc;
 use crate::types::{Column, EmitKey, Schema, Tuple, TupleBatch, Value};
 use std::cell::Cell;
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -174,13 +174,24 @@ impl Key {
 /// `(Key, hash)` pair once per distinct code and serves subsequent rows
 /// from a u32-indexed memo — byte hashing happens at dictionary
 /// granularity, the per-row work is one code lookup (counted by
-/// [`crate::types::work::WorkSnapshot::dict_code_cmps`]). Non-dictionary
+/// [`crate::types::work::WorkSnapshot::dict_code_cmps`]: one per row read,
+/// added in one step when the reader drops). Non-dictionary
 /// columns pass straight through to the per-row paths, so the reader is
 /// always safe to use in key loops.
 pub(crate) struct KeyReader<'a> {
     col: &'a Column,
     /// Lazily-filled per-code memo for `Column::Dict`: `(key, FNV hash)`.
     memo: Vec<Option<(Key, u64)>>,
+    /// Code lookups served so far (the reader's `dict_code_cmps` share).
+    lookups: u64,
+}
+
+impl Drop for KeyReader<'_> {
+    fn drop(&mut self) {
+        if self.lookups > 0 {
+            crate::types::work::count_dict_code_cmps(self.lookups);
+        }
+    }
 }
 
 impl<'a> KeyReader<'a> {
@@ -192,6 +203,7 @@ impl<'a> KeyReader<'a> {
         KeyReader {
             col,
             memo: vec![None; codes],
+            lookups: 0,
         }
     }
 
@@ -201,7 +213,7 @@ impl<'a> KeyReader<'a> {
         let Column::Dict { codes, dict, .. } = self.col else {
             return None;
         };
-        crate::types::work::count_dict_code_cmps(1);
+        self.lookups += 1;
         let c = codes[i] as usize;
         if self.memo[c].is_none() {
             let s = &dict[c];
@@ -210,17 +222,10 @@ impl<'a> KeyReader<'a> {
         self.memo[c].as_ref()
     }
 
-    /// The key at row `i`; `None` for unhashable (float) columns.
-    pub(crate) fn key(&mut self, i: usize) -> Option<Key> {
-        if matches!(self.col, Column::Dict { .. }) {
-            return self.dict_entry(i).map(|(k, _)| k.clone());
-        }
-        Key::from_column(self.col, i)
-    }
-
     /// The key at row `i` together with its partition among `parts` — one
     /// memo lookup for dictionary columns, so the counted per-row work is
-    /// the same whatever the partition count.
+    /// the same whatever the partition count. `None` for unhashable
+    /// (float) columns.
     pub(crate) fn key_and_shard(&mut self, i: usize, parts: usize) -> Option<(Key, usize)> {
         if matches!(self.col, Column::Dict { .. }) {
             let &(ref k, h) = self.dict_entry(i)?;
@@ -971,6 +976,12 @@ struct JoinPart {
     left: HashMap<Key, VecDeque<Tuple>>,
     right: HashMap<Key, VecDeque<Tuple>>,
     len: usize,
+    /// Per side (left, right), a lower bound on the `ts` at the front of
+    /// every queue: eviction only ever pops fronts, so a horizon at or
+    /// below the bound expires nothing and [`JoinPart::evict`] skips that
+    /// side's scan. Lowered on insert, made exact by every scan; the
+    /// default 0 forces the first scan.
+    oldest: [u64; 2],
 }
 
 impl JoinPart {
@@ -988,6 +999,8 @@ impl JoinPart {
             0 => (&mut self.left, &self.right, true),
             _ => (&mut self.right, &self.left, false),
         };
+        let oldest = &mut self.oldest[usize::from(!is_left)];
+        *oldest = (*oldest).min(tuple.ts);
         let before = matches.len();
         if let Some(partners) = other_state.get(&key) {
             for partner in partners {
@@ -1008,11 +1021,21 @@ impl JoinPart {
     /// Evicts state older than the watermark horizon.
     fn evict(&mut self, horizon: u64) {
         let mut evicted = 0usize;
-        for state in [&mut self.left, &mut self.right] {
+        for (state, oldest) in [&mut self.left, &mut self.right]
+            .into_iter()
+            .zip(&mut self.oldest)
+        {
+            if *oldest >= horizon {
+                continue;
+            }
+            *oldest = u64::MAX;
             state.retain(|_, q| {
                 while q.front().is_some_and(|t| t.ts < horizon) {
                     q.pop_front();
                     evicted += 1;
+                }
+                if let Some(front) = q.front() {
+                    *oldest = (*oldest).min(front.ts);
                 }
                 !q.is_empty()
             });
@@ -1388,37 +1411,59 @@ impl AggState {
         }
     }
 
-    fn update(&mut self, v: AggInput) {
-        match (self, v) {
-            (
-                AggState::Int {
-                    count,
-                    sum,
-                    min,
-                    max,
-                },
-                AggInput::Int(i),
-            ) => {
-                *count += 1;
-                *sum += i128::from(i);
-                *min = (*min).min(i);
-                *max = (*max).max(i);
-            }
-            (
-                AggState::Float {
-                    count,
-                    sum,
-                    min,
-                    max,
-                },
-                AggInput::Float(f),
-            ) => {
-                *count += 1;
-                *sum += f;
-                *min = min.min(f);
-                *max = max.max(f);
-            }
-            _ => debug_assert!(false, "aggregate input type drifted mid-window"),
+    /// Folds integer inputs, in iteration order, into an `Int` accumulator.
+    fn fold_ints(&mut self, values: impl Iterator<Item = i64>) {
+        let AggState::Int {
+            count,
+            sum,
+            min,
+            max,
+        } = self
+        else {
+            debug_assert!(false, "aggregate input type drifted mid-window");
+            return;
+        };
+        for v in values {
+            *count += 1;
+            *sum += i128::from(v);
+            *min = (*min).min(v);
+            *max = (*max).max(v);
+        }
+    }
+
+    /// Folds float inputs, in iteration order, into a `Float` accumulator.
+    fn fold_floats(&mut self, values: impl Iterator<Item = f64>) {
+        let AggState::Float {
+            count,
+            sum,
+            min,
+            max,
+        } = self
+        else {
+            debug_assert!(false, "aggregate input type drifted mid-window");
+            return;
+        };
+        for v in values {
+            *count += 1;
+            *sum += v;
+            *min = min.min(v);
+            *max = max.max(v);
+        }
+    }
+
+    /// Folds the aggregated column's values at `rows` in iteration (= row)
+    /// order: one match on the input type per call, not per row.
+    fn fold(&mut self, input: &AggColumn<'_>, rows: impl ExactSizeIterator<Item = usize>) {
+        match input {
+            // `Count` never reads the column: a whole run is one add.
+            AggColumn::CountOnly => match self {
+                AggState::Int { count, .. } | AggState::Float { count, .. } => {
+                    *count += rows.len() as u64;
+                }
+            },
+            AggColumn::Ints(xs) => self.fold_ints(rows.map(|i| xs[i])),
+            AggColumn::Floats(xs) => self.fold_floats(rows.map(|i| xs[i])),
+            AggColumn::WidenInts(xs) => self.fold_floats(rows.map(|i| xs[i] as f64)),
         }
     }
 
@@ -1510,14 +1555,17 @@ impl AggState {
     }
 }
 
-/// One shard partition of an [`AggregateOp`]'s windowed state:
-/// `(window_start, group) → running accumulator`. When the aggregate runs
+/// One shard partition of an [`AggregateOp`]'s windowed state, ordered by
+/// window: `window start → group → running accumulator` (ungrouped
+/// aggregates keep the single group `None`). Windows close in start order,
+/// so the closed ones pop off the front of the tree and a watermark that
+/// closes nothing costs one look at the first key. When the aggregate runs
 /// as a **full** keyed member, a group's windows live in exactly one
 /// partition ([`Key::shard_of`]); as a **partial** member (ungrouped, or
 /// grouped at a shard-incompatible key) each worker owns one partition of
 /// per-worker partials and a window's state spans however many workers
 /// absorbed its rows until the watermark combine folds them.
-type AggPart = HashMap<(u64, Option<Key>), AggState>;
+type AggPart = BTreeMap<u64, HashMap<Option<Key>, AggState>>;
 
 /// Windowed aggregate, optionally grouped by one column.
 ///
@@ -1526,6 +1574,20 @@ type AggPart = HashMap<(u64, Option<Key>), AggState>;
 /// `start ≤ ts < start + window_ms` (one window when tumbling, i.e.
 /// `slide == window`). A window closes — and emits one tuple per group —
 /// when the watermark reaches its end. Output: `(window_end, [group], agg)`.
+///
+/// **Absorb costs one state probe per (batch, window, distinct key), not
+/// per row.** State is window-ordered (`window start → group →
+/// accumulator`, closed windows pop off the front). A batch keyed by a
+/// [`Column::Dict`] column — every low-cardinality string key, whichever
+/// `push*` call ingested it — is absorbed by a stable counting sort of its
+/// (possibly selected) rows on their codes: `Key` and partition resolve
+/// once per distinct code, consecutive rows of a code covered by the same
+/// windows form a run, and each run probes each covering window once and
+/// folds in row order. Every `(window, group)` accumulator therefore sees
+/// its rows in exactly the order the row-at-a-time loop would feed them —
+/// float `Sum`/`Avg`, overlapping windows and late rows are bit-identical.
+/// `Int`/`Bool`/over-cardinality `Str` keys take the same run fold one row
+/// at a time; ungrouped tumbling aggregates fold dense row ranges.
 ///
 /// State is **hash-partitioned by group key** into per-shard `AggPart`
 /// slices, so a
@@ -1627,15 +1689,13 @@ impl AggregateOp {
     }
 
     /// Selection-aware absorb for **ungrouped tumbling** aggregates:
-    /// walks the row set as maximal dense runs, splits each run at window
-    /// boundaries, and folds every window-homogeneous segment into its
-    /// accumulator with one state lookup and a fixed-trip-count
-    /// eight-lane loop (counted by
+    /// walks the row set as maximal dense, window-homogeneous segments and
+    /// folds each into its accumulator with one state probe and one pass
+    /// over the typed slice (full eight-row lanes counted by
     /// [`crate::types::work::WorkSnapshot::simd_lanes`]) instead of a
     /// per-row lookup and enum dispatch. Updates apply in row order, so
     /// the result is bit-identical to the scalar reference loop — float
-    /// sums included. Sliding windows and grouped aggregates keep the
-    /// scalar path.
+    /// sums included.
     fn absorb_dense_runs(
         window_ms: u64,
         part: &mut AggPart,
@@ -1643,371 +1703,275 @@ impl AggregateOp {
         input: &AggColumn<'_>,
         rows: impl Iterator<Item = usize>,
     ) {
-        let mut run: Option<(usize, usize)> = None; // current dense [lo, hi)
+        let mut fold_segment = |(lo, hi, start): (usize, usize, u64)| {
+            let folded = Self::fold_run(part, start, &None, input, lo..hi);
+            if !matches!(input, AggColumn::CountOnly) {
+                crate::types::work::count_simd_lanes((folded / LANES) as u64);
+            }
+        };
+        let mut segment: Option<(usize, usize, u64)> = None; // dense [lo, hi) of one window
         for i in rows {
-            run = match run {
-                Some((lo, hi)) if i == hi => Some((lo, hi + 1)),
-                Some((lo, hi)) => {
-                    Self::absorb_window_segments(window_ms, part, ts, input, lo, hi);
-                    Some((i, i + 1))
+            let start = ts[i] - ts[i] % window_ms;
+            segment = match segment {
+                Some((lo, hi, s)) if i == hi && start == s => Some((lo, hi + 1, s)),
+                ended => {
+                    if let Some(ended) = ended {
+                        fold_segment(ended);
+                    }
+                    Some((i, i + 1, start))
                 }
-                None => Some((i, i + 1)),
             };
         }
-        if let Some((lo, hi)) = run {
-            Self::absorb_window_segments(window_ms, part, ts, input, lo, hi);
+        if let Some(last) = segment {
+            fold_segment(last);
         }
     }
 
-    /// Splits a dense run `[lo, hi)` at tumbling-window boundaries and
-    /// folds each window's segment into its accumulator.
-    fn absorb_window_segments(
-        window_ms: u64,
+    /// The one state probe of a run: folds `rows` of the aggregated column,
+    /// in order, into the `(start, group)` accumulator — seeded from the
+    /// first row when the pair is new. Returns the rows folded after
+    /// seeding.
+    fn fold_run(
         part: &mut AggPart,
-        ts: &[u64],
+        start: u64,
+        group: &Option<Key>,
         input: &AggColumn<'_>,
-        lo: usize,
-        hi: usize,
+        mut rows: impl ExactSizeIterator<Item = usize>,
+    ) -> usize {
+        let groups = part.entry(start).or_default();
+        let state = match groups.get_mut(group) {
+            Some(state) => state,
+            None => {
+                let Some(first) = rows.next() else { return 0 };
+                groups
+                    .entry(group.clone())
+                    .or_insert(AggState::seeded(input.get(first)))
+            }
+        };
+        let folded = rows.len();
+        state.fold(input, rows);
+        folded
+    }
+
+    /// Folds one group's `rows` (batch-row indices, in row order) into
+    /// `part`. Every window `[start, start + window)` with `start ≤ ts <
+    /// start + window` and `start ≡ 0 (mod slide)` contains a row at `ts`;
+    /// consecutive rows covered by the same windows form a run, and a run
+    /// costs one [`AggregateOp::fold_run`] probe per covering window.
+    fn fold_group(
+        &self,
+        part: &mut AggPart,
+        group: &Option<Key>,
+        input: &AggColumn<'_>,
+        ts: &[u64],
+        rows: &[u32],
     ) {
-        let mut a = lo;
-        while a < hi {
-            let start = ts[a] - ts[a] % window_ms;
+        let (window, slide) = (self.window_ms, self.slide_ms);
+        let mut a = 0;
+        while a < rows.len() {
+            // The run's cover: `back` windows before the one starting at
+            // `last` still reach `t`. That count holds for offsets into the
+            // slide bucket from `window - (back + 1)·slide` up to
+            // `window - 1 - back·slide` (and the bucket's end), so the run
+            // extends while `ts` stays in `lo ..= lo + width`.
+            let t = ts[rows[a] as usize];
+            let last = t - t % slide;
+            let back = (window - 1 - (t - last)) / slide;
+            let lo = window.saturating_sub((back + 1) * slide);
+            let width = (window - 1 - back * slide).min(slide - 1) - lo;
+            let lo = last + lo;
             let mut b = a + 1;
-            while b < hi && ts[b] - ts[b] % window_ms == start {
+            while b < rows.len() && ts[rows[b] as usize].wrapping_sub(lo) <= width {
                 b += 1;
             }
-            match part.entry((start, None)) {
-                Entry::Occupied(mut e) => Self::fold_segment(e.get_mut(), input, a, b),
-                Entry::Vacant(e) => {
-                    let state = e.insert(AggState::seeded(input.get(a)));
-                    Self::fold_segment(state, input, a + 1, b);
+            // Windows before event time 0 do not exist.
+            let first = last.saturating_sub(back * slide);
+            let mut start = last;
+            loop {
+                let run = rows[a..b].iter().map(|&i| i as usize);
+                Self::fold_run(part, start, group, input, run);
+                if start == first {
+                    break;
                 }
+                start -= slide;
             }
             a = b;
         }
     }
 
-    /// Folds rows `[lo, hi)` of the aggregated column into `state` in row
-    /// order — eight-lane chunks with a scalar tail, the same SIMD shape
-    /// as the [`crate::expr`] kernels.
-    fn fold_segment(state: &mut AggState, input: &AggColumn<'_>, lo: usize, hi: usize) {
-        if lo >= hi {
-            return;
-        }
-        let n = (hi - lo) as u64;
-        match (state, input) {
-            // `Count` never reads the column: a whole run is one add.
-            (AggState::Int { count, .. }, AggColumn::CountOnly) => *count += n,
-            (
-                AggState::Int {
-                    count,
-                    sum,
-                    min,
-                    max,
-                },
-                AggColumn::Ints(xs),
-            ) => {
-                *count += n;
-                let xs = &xs[lo..hi];
-                crate::types::work::count_simd_lanes((xs.len() / LANES) as u64);
-                let mut chunks = xs.chunks_exact(LANES);
-                for c in &mut chunks {
-                    for &v in c {
-                        *sum += i128::from(v);
-                        *min = (*min).min(v);
-                        *max = (*max).max(v);
-                    }
-                }
-                for &v in chunks.remainder() {
-                    *sum += i128::from(v);
-                    *min = (*min).min(v);
-                    *max = (*max).max(v);
-                }
-            }
-            (
-                AggState::Float {
-                    count,
-                    sum,
-                    min,
-                    max,
-                },
-                AggColumn::Floats(xs),
-            ) => {
-                *count += n;
-                let xs = &xs[lo..hi];
-                crate::types::work::count_simd_lanes((xs.len() / LANES) as u64);
-                let mut chunks = xs.chunks_exact(LANES);
-                for c in &mut chunks {
-                    for &v in c {
-                        *sum += v;
-                        *min = min.min(v);
-                        *max = max.max(v);
-                    }
-                }
-                for &v in chunks.remainder() {
-                    *sum += v;
-                    *min = min.min(v);
-                    *max = max.max(v);
-                }
-            }
-            (
-                AggState::Float {
-                    count,
-                    sum,
-                    min,
-                    max,
-                },
-                AggColumn::WidenInts(xs),
-            ) => {
-                *count += n;
-                let xs = &xs[lo..hi];
-                crate::types::work::count_simd_lanes((xs.len() / LANES) as u64);
-                let mut chunks = xs.chunks_exact(LANES);
-                for c in &mut chunks {
-                    for &i in c {
-                        let v = i as f64;
-                        *sum += v;
-                        *min = min.min(v);
-                        *max = max.max(v);
-                    }
-                }
-                for &i in chunks.remainder() {
-                    let v = i as f64;
-                    *sum += v;
-                    *min = min.min(v);
-                    *max = max.max(v);
-                }
-            }
-            _ => debug_assert!(false, "aggregate input type drifted mid-window"),
-        }
-    }
-
-    /// Absorbs `rows` (batch-row indices) of one batch, routing each row
-    /// to the partition its group key hashes to — the shared body of
-    /// [`Operator::process_batch`] and [`Operator::process_selected`].
-    fn absorb_routed(&mut self, batch: &TupleBatch, rows: impl Iterator<Item = usize>) {
-        // Typed columnar absorb: the aggregated column and the group-key
-        // column are resolved once per batch; the loop reads slices and
-        // never materializes a row or widens a `Value`. Rows route to the
-        // partition their group key hashes to — the same partition the
-        // keyed shard path would use.
+    /// Absorbs the rows of one batch (`sel`'s rows when a deferred
+    /// selection is pushed down — never gathered) into `parts`, routing
+    /// each group to the partition its key hashes to. A caller that has
+    /// already routed the rows (the keyed shard path) passes its one
+    /// partition.
+    fn absorb(&self, parts: &mut [&mut AggPart], batch: &TupleBatch, sel: Option<&[u32]>) {
+        // The aggregated column and the group-key column are resolved once
+        // per batch; the loops read slices and never materialize a row or
+        // widen a `Value`.
         let Some(input) = self.agg_column(batch) else {
             return;
         };
-        // Ungrouped tumbling aggregates absorb the row set as dense runs
-        // through the eight-lane fast path (with no group key to hash,
-        // every row routes to partition 0).
-        if self.group_by.is_none() && self.slide_ms == self.window_ms {
-            let window_ms = self.window_ms;
-            let part = self.parts[0]
-                .get_mut()
-                .expect("aggregate partition lock poisoned");
-            return Self::absorb_dense_runs(window_ms, part, batch.ts(), &input, rows);
-        }
-        let (slide_ms, window_ms, group_by) = (self.slide_ms, self.window_ms, self.group_by);
-        // `&mut self` owns the locks: borrow every partition once per
-        // batch instead of locking per row.
-        let mut parts: Vec<&mut AggPart> = self
-            .parts
-            .iter_mut()
-            .map(|m| m.get_mut().expect("aggregate partition lock poisoned"))
-            .collect();
-        let n_parts = parts.len();
-        let mut reader = group_by.map(|col| KeyReader::new(batch.column(col)));
-        for i in rows {
-            let (group, p) = match reader.as_mut() {
-                Some(reader) => match reader.key_and_shard(i, n_parts) {
-                    Some((k, p)) => (Some(k), p),
-                    None => {
-                        // Plan validation rejects float group keys
-                        // (diagnostic NL011,
-                        // `diag::Code::UnhashableGroupKey`); see the
-                        // matching guard in `JoinOp`.
-                        debug_assert!(false, "unhashable group key escaped plan validation");
-                        continue;
-                    }
-                },
-                None => (None, 0),
-            };
-            Self::absorb_at(
-                parts[p],
-                slide_ms,
-                window_ms,
-                batch.ts()[i],
-                group,
-                input.get(i),
-            );
-        }
-    }
-
-    /// Absorbs one value into every window of `part` covering `ts` (a
-    /// free-standing helper so callers that hold `&mut` borrows into
-    /// `self.parts` can still route rows — see `process_batch`).
-    fn absorb_at(
-        part: &mut AggPart,
-        slide_ms: u64,
-        window_ms: u64,
-        ts: u64,
-        group: Option<Key>,
-        v: AggInput,
-    ) {
-        // Every window [start, start + window) with start ≤ ts < start +
-        // window and start ≡ 0 (mod slide) contains this tuple.
-        let last_start = ts - ts % slide_ms;
-        let mut start = last_start;
-        loop {
-            match part.entry((start, group.clone())) {
-                Entry::Occupied(mut e) => e.get_mut().update(v),
-                Entry::Vacant(e) => {
-                    e.insert(AggState::seeded(v));
+        let ts = batch.ts();
+        let n = sel.map_or(batch.len(), <[u32]>::len);
+        let rows = (0..n).map(|k| sel.map_or(k, |s| s[k] as usize));
+        let Some(col) = self.group_by.map(|c| batch.column(c)) else {
+            // No group key to hash: every row routes to partition 0.
+            if self.slide_ms == self.window_ms {
+                return Self::absorb_dense_runs(self.window_ms, parts[0], ts, &input, rows);
+            }
+            let all: Vec<u32>;
+            let rows = match sel {
+                Some(sel) => sel,
+                None => {
+                    all = (0..n as u32).collect();
+                    &all
                 }
-            }
-            // Step back one slide while the window still covers `ts`.
-            let Some(prev) = start.checked_sub(slide_ms) else {
-                break;
             };
-            if prev + window_ms <= ts {
-                break;
-            }
-            start = prev;
-        }
-    }
-
-    /// Absorbs `rows` (batch-row indices) of one batch into `part`
-    /// (possibly a deferred selection — the pushdown path never gathers).
-    /// The caller has already routed the rows: under keyed sharding every
-    /// row of the batch belongs to this partition.
-    fn absorb_rows(
-        &self,
-        part: &mut AggPart,
-        batch: &TupleBatch,
-        input: &AggColumn<'_>,
-        rows: impl Iterator<Item = usize>,
-    ) {
-        if self.group_by.is_none() && self.slide_ms == self.window_ms {
-            return Self::absorb_dense_runs(self.window_ms, part, batch.ts(), input, rows);
-        }
-        let mut reader = self.group_by.map(|col| KeyReader::new(batch.column(col)));
-        for i in rows {
-            let group = match reader.as_mut() {
-                Some(reader) => match reader.key(i) {
-                    Some(k) => Some(k),
-                    None => {
-                        // Plan validation rejects float group keys
-                        // (diagnostic NL011,
-                        // `diag::Code::UnhashableGroupKey`); see the
-                        // matching guard in `JoinOp`.
-                        debug_assert!(false, "unhashable group key escaped plan validation");
-                        continue;
-                    }
-                },
-                None => None,
-            };
-            Self::absorb_at(
-                part,
-                self.slide_ms,
-                self.window_ms,
-                batch.ts()[i],
-                group,
-                input.get(i),
-            );
-        }
-    }
-
-    fn emit_window(
-        &self,
-        (start, group): &(u64, Option<Key>),
-        state: &AggState,
-        out: &mut TupleBatch,
-    ) {
-        let Some(agg) = state.result(self.func) else {
-            debug_assert!(false, "empty window state scheduled for emission");
-            return;
+            return self.fold_group(parts[0], &None, &input, ts, rows);
         };
-        let end = start + self.window_ms;
-        let mut values = vec![Value::Int(end as i64)];
-        if let Some(k) = group {
-            values.push(k.to_value());
+        let n_parts = parts.len();
+        if let Column::Dict { codes, dict, .. } = col {
+            // Stable counting sort of the rows on their codes: `bounds[c]`
+            // is code `c`'s cursor into `sorted` and ends as its end.
+            crate::types::work::count_dict_code_cmps(n as u64);
+            let mut bounds = vec![0usize; dict.len()];
+            for i in rows.clone() {
+                bounds[codes[i] as usize] += 1;
+            }
+            let mut at = 0;
+            for bound in &mut bounds {
+                at += std::mem::replace(bound, at);
+            }
+            let mut sorted = vec![0u32; n];
+            for i in rows {
+                let cursor = &mut bounds[codes[i] as usize];
+                sorted[*cursor] = i as u32;
+                *cursor += 1;
+            }
+            let mut lo = 0;
+            for (c, &hi) in bounds.iter().enumerate() {
+                if hi > lo {
+                    let key = Key::Str(dict[c].clone());
+                    let p = if n_parts == 1 {
+                        0
+                    } else {
+                        key.shard_of(n_parts)
+                    };
+                    self.fold_group(parts[p], &Some(key), &input, ts, &sorted[lo..hi]);
+                }
+                lo = hi;
+            }
+            return;
         }
-        values.push(agg);
-        out.push(Tuple::new(end, values));
+        let mut reader = KeyReader::new(col);
+        for i in rows {
+            let Some((key, p)) = reader.key_and_shard(i, n_parts) else {
+                // Plan validation rejects float group keys (diagnostic
+                // NL011, `diag::Code::UnhashableGroupKey`); see the
+                // matching guard in `JoinOp`.
+                debug_assert!(false, "unhashable group key escaped plan validation");
+                continue;
+            };
+            self.fold_group(parts[p], &Some(key), &input, ts, &[i as u32]);
+        }
     }
 
-    /// Drains windows of `part` closed by `watermark` — unsorted; each
-    /// caller sorts exactly once by the deterministic emission comparator
-    /// (`(window start, group debug)`, i.e. ascending [`EmitKey`]): per
-    /// shard in `advance_keyed`, globally in `emit_closed`.
+    /// The control thread's absorb over every partition (the shared body
+    /// of [`Operator::process_batch`] and [`Operator::process_selected`]).
+    fn absorb_routed(&self, batch: &TupleBatch, sel: Option<&[u32]>) {
+        let mut guards: Vec<_> = self
+            .parts
+            .iter()
+            .map(|m| m.lock().expect("aggregate partition lock poisoned"))
+            .collect();
+        let mut parts: Vec<&mut AggPart> = guards.iter_mut().map(|g| &mut **g).collect();
+        self.absorb(&mut parts, batch, sel);
+    }
+
+    /// Pops the windows of `part` closed by `watermark` off the front of
+    /// the window order into `ready`, each tagged with its [`EmitKey`] —
+    /// the deterministic emission comparator `(window start, group debug)`.
     fn drain_closed(
         &self,
         part: &mut AggPart,
         watermark: u64,
-    ) -> Vec<((u64, Option<Key>), AggState)> {
-        let window_ms = self.window_ms;
-        let mut ready: Vec<((u64, Option<Key>), AggState)> = Vec::new();
-        part.retain(|key, state| {
-            if key.0 + window_ms <= watermark {
-                ready.push((key.clone(), state.clone()));
-                false
-            } else {
-                true
+        ready: &mut Vec<(EmitKey, Option<Key>, AggState)>,
+    ) {
+        while let Some(first) = part.first_entry() {
+            if *first.key() + self.window_ms > watermark {
+                break;
             }
-        });
-        ready
+            let (start, groups) = first.remove_entry();
+            ready.extend(
+                groups
+                    .into_iter()
+                    .map(|(g, state)| ((start, format!("{g:?}")), g, state)),
+            );
+        }
     }
 
-    fn emit_closed(&mut self, watermark: u64, out: &mut Vec<TupleBatch>) {
-        // Drain every partition, then sort globally: identical to the
-        // unpartitioned operator's single global sort, whatever the
-        // partition count.
-        let mut ready: Vec<((u64, Option<Key>), AggState)> = Vec::new();
-        for part in &self.parts {
-            let mut part = part.lock().expect("aggregate partition lock poisoned");
-            ready.extend(self.drain_closed(&mut part, watermark));
-        }
+    /// Emits drained windows in ascending [`EmitKey`] order — one batch
+    /// plus the key of every row, `None` when nothing closed. `ready` holds
+    /// the drains of one partition (`advance_keyed`) or of every partition
+    /// in partition order (the control thread), so the one sort is the
+    /// unpartitioned operator's emission order whatever the partition
+    /// count.
+    fn emit_sorted(
+        &self,
+        mut ready: Vec<(EmitKey, Option<Key>, AggState)>,
+    ) -> Option<(TupleBatch, Vec<EmitKey>)> {
         if ready.is_empty() {
-            return;
+            return None;
         }
-        // Deterministic emission order: by window start, then group key
-        // (one rendered key per element, not two per comparison).
-        ready.sort_by_cached_key(|(key, _)| (key.0, format!("{:?}", key.1)));
-        // Combine runs of equal keys: a window absorbed as per-worker
-        // partials — ungrouped, or grouped at a shard-incompatible group
-        // key — lives in several partitions at once. The stable sort
-        // keeps equal keys in partition order, so the left-to-right fold
-        // *is* the deterministic partition-order combine (exact for every
-        // partial-eligible aggregate, so the fold order cannot shift the
-        // value anyway). Grouped combines are counted
-        // ([`work::WorkSnapshot::partial_groups_combined`]): each one is
-        // a group that crossed the merge barrier as partials.
-        let mut merged: Vec<((u64, Option<Key>), AggState)> = Vec::with_capacity(ready.len());
+        ready.sort_by(|a, b| a.0.cmp(&b.0));
+        let mut closed = TupleBatch::with_capacity(self.schema.clone(), ready.len());
+        let mut keys: Vec<EmitKey> = Vec::with_capacity(ready.len());
         let mut grouped_combines = 0u64;
-        for (key, state) in ready {
-            match merged.last_mut() {
-                Some((prev, acc)) if *prev == key => {
-                    if key.1.is_some() {
-                        grouped_combines += 1;
-                    }
-                    acc.combine(&state);
-                }
-                _ => merged.push((key, state)),
+        let mut ready = ready.into_iter().peekable();
+        while let Some((emit_key, group, mut state)) = ready.next() {
+            // Combine runs of equal keys: a window absorbed as per-worker
+            // partials — ungrouped, or grouped at a shard-incompatible group
+            // key — lives in several partitions at once. The stable sort
+            // keeps equal keys in partition order, so the left-to-right fold
+            // *is* the deterministic partition-order combine (exact for every
+            // partial-eligible aggregate, so the fold order cannot shift the
+            // value anyway). Grouped combines are counted
+            // ([`work::WorkSnapshot::partial_groups_combined`]): each one is
+            // a group that crossed the merge barrier as partials.
+            while let Some((_, _, partial)) = ready.next_if(|next| next.0 == emit_key) {
+                grouped_combines += u64::from(group.is_some());
+                state.combine(&partial);
             }
+            let Some(agg) = state.result(self.func) else {
+                debug_assert!(false, "empty window state scheduled for emission");
+                continue;
+            };
+            let end = emit_key.0 + self.window_ms;
+            let mut values = vec![Value::Int(end as i64)];
+            values.extend(group.map(|k| k.to_value()));
+            values.push(agg);
+            closed.push(Tuple::new(end, values));
+            keys.push(emit_key);
         }
         if grouped_combines > 0 {
             crate::types::work::count_partial_groups_combined(grouped_combines);
         }
-        let mut closed = TupleBatch::with_capacity(self.schema.clone(), merged.len());
-        for (key, state) in merged {
-            self.emit_window(&key, &state, &mut closed);
+        (!closed.is_empty()).then_some((closed, keys))
+    }
+
+    fn emit_closed(&mut self, watermark: u64, out: &mut Vec<TupleBatch>) {
+        let mut ready = Vec::new();
+        for part in &self.parts {
+            let mut part = part.lock().expect("aggregate partition lock poisoned");
+            self.drain_closed(&mut part, watermark, &mut ready);
         }
-        if !closed.is_empty() {
-            out.push(closed);
-        }
+        out.extend(self.emit_sorted(ready).map(|(closed, _)| closed));
     }
 }
 
 impl Operator for AggregateOp {
     fn process_batch(&mut self, _port: usize, batch: TupleBatch, _out: &mut Vec<TupleBatch>) {
-        self.absorb_routed(&batch, 0..batch.len());
+        self.absorb_routed(&batch, None);
     }
 
     fn process_selected(
@@ -2020,7 +1984,7 @@ impl Operator for AggregateOp {
         // Absorb straight through the deferred selection: the dropped
         // rows of the upstream filter are never gathered.
         crate::types::work::count_pushdown_rows(sel.len() as u64);
-        self.absorb_routed(batch, sel.iter().map(|&i| i as usize));
+        self.absorb_routed(batch, Some(sel));
     }
 
     fn advance_watermark(&mut self, watermark: u64, out: &mut Vec<TupleBatch>) {
@@ -2042,7 +2006,10 @@ impl Operator for AggregateOp {
     fn state_size(&self) -> usize {
         self.parts
             .iter()
-            .map(|p| p.lock().expect("aggregate partition lock poisoned").len())
+            .map(|p| {
+                let part = p.lock().expect("aggregate partition lock poisoned");
+                part.values().map(HashMap::len).sum::<usize>()
+            })
             .sum()
     }
 
@@ -2080,8 +2047,8 @@ impl Operator for AggregateOp {
             .map(|m| m.into_inner().expect("aggregate partition lock poisoned"))
             .collect();
         let mut parts: Vec<AggPart> = (0..n).map(|_| AggPart::new()).collect();
-        for part in old {
-            for ((start, group), state) in part {
+        for (start, groups) in old.into_iter().flatten() {
+            for (group, state) in groups {
                 // Ungrouped state re-homes to partition 0 (its partials
                 // spread across workers only during a flush); grouped
                 // state moves to the partition its key hashes to.
@@ -2089,7 +2056,7 @@ impl Operator for AggregateOp {
                     Some(k) if n > 1 => k.shard_of(n),
                     _ => 0,
                 };
-                match parts[p].entry((start, group)) {
+                match parts[p].entry(start).or_default().entry(group) {
                     // Per-worker partials of one window merge when
                     // partitions collapse — iterating `old` in partition
                     // order keeps the combine deterministic. This covers
@@ -2119,49 +2086,21 @@ impl KeyedKernel for AggregateOp {
         batch: &TupleBatch,
         sel: Option<&[u32]>,
     ) -> (TupleBatch, Vec<u32>) {
-        let empty = (TupleBatch::new(self.schema.clone()), Vec::new());
-        let Some(input) = self.agg_column(batch) else {
-            return empty;
-        };
         let mut part = self.parts[shard]
             .lock()
             .expect("aggregate partition lock poisoned");
-        match sel {
-            Some(sel) => {
-                self.absorb_rows(&mut part, batch, &input, sel.iter().map(|&i| i as usize));
-            }
-            None => self.absorb_rows(&mut part, batch, &input, 0..batch.len()),
-        }
-        empty
+        self.absorb(&mut [&mut part], batch, sel);
+        (TupleBatch::new(self.schema.clone()), Vec::new())
     }
 
     fn advance_keyed(&self, shard: usize, watermark: u64) -> Option<(TupleBatch, Vec<EmitKey>)> {
-        let ready = {
-            let mut part = self.parts[shard]
-                .lock()
-                .expect("aggregate partition lock poisoned");
-            self.drain_closed(&mut part, watermark)
-        };
-        if ready.is_empty() {
-            return None;
-        }
-        // Tag with the emission key (needed for the merge anyway), then
-        // sort by it — exactly the emission comparator `emit_closed` uses.
-        let mut tagged: Vec<(EmitKey, (u64, Option<Key>), AggState)> = ready
-            .into_iter()
-            .map(|(key, state)| ((key.0, format!("{:?}", key.1)), key, state))
-            .collect();
-        tagged.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut closed = TupleBatch::with_capacity(self.schema.clone(), tagged.len());
-        let mut keys: Vec<EmitKey> = Vec::with_capacity(tagged.len());
-        for (emit_key, key, state) in tagged {
-            let before = closed.len();
-            self.emit_window(&key, &state, &mut closed);
-            if closed.len() > before {
-                keys.push(emit_key);
-            }
-        }
-        (!closed.is_empty()).then_some((closed, keys))
+        let mut ready = Vec::new();
+        let mut part = self.parts[shard]
+            .lock()
+            .expect("aggregate partition lock poisoned");
+        self.drain_closed(&mut part, watermark, &mut ready);
+        drop(part);
+        self.emit_sorted(ready)
     }
 }
 
@@ -2826,25 +2765,27 @@ mod tests {
         let mut reader = KeyReader::new(col);
         for shards in [1usize, 3, 8] {
             for i in 0..batch.len() {
-                assert_eq!(reader.key(i), Key::from_column(col, i));
                 assert_eq!(reader.shard(i, shards), shard_of_cell(col, i, shards));
                 let (k, p) = reader.key_and_shard(i, shards).unwrap();
                 assert_eq!(k, Key::from_column(col, i).unwrap());
                 assert_eq!(p, shard_of_cell(col, i, shards));
             }
         }
-        assert!(
-            crate::types::work::snapshot().dict_code_cmps > 0,
-            "dict key loops count code lookups"
-        );
+        // One code lookup per row read, added in one step on drop.
+        assert_eq!(crate::types::work::snapshot().dict_code_cmps, 0);
+        drop(reader);
+        assert_eq!(crate::types::work::snapshot().dict_code_cmps, 3 * 2 * 5);
         // Plain (non-dict) columns pass through untouched and uncounted.
         let plain = Column::Int(vec![10, 20, 30]);
         crate::types::work::reset();
         let mut reader = KeyReader::new(&plain);
         for i in 0..3 {
-            assert_eq!(reader.key(i), Key::from_column(&plain, i));
+            let (k, p) = reader.key_and_shard(i, 4).unwrap();
+            assert_eq!(Some(k), Key::from_column(&plain, i));
+            assert_eq!(p, shard_of_cell(&plain, i, 4));
             assert_eq!(reader.shard(i, 4), shard_of_cell(&plain, i, 4));
         }
+        drop(reader);
         assert_eq!(crate::types::work::snapshot().dict_code_cmps, 0);
     }
 
@@ -2974,6 +2915,230 @@ mod tests {
             Value::Int(2),
             "only the selected rows were absorbed"
         );
+    }
+
+    /// The aggregate's meaning, spelled naively: a row joins every aligned
+    /// window that covers it (found by scanning every start), each
+    /// `(window, group)` keeps its inputs in arrival order, and a
+    /// watermark drains — `retain`s out — every window it has passed, in
+    /// `(start, group debug)` order. Shares no code with `AggregateOp`.
+    #[derive(Default)]
+    struct NaiveWindows {
+        open: HashMap<(u64, String), (Option<Key>, Vec<Value>)>,
+    }
+
+    impl NaiveWindows {
+        fn absorb(&mut self, window: u64, slide: u64, ts: u64, group: Option<Key>, v: Value) {
+            for start in (0..=ts).step_by(slide as usize) {
+                if ts < start + window {
+                    let slot = self.open.entry((start, format!("{group:?}")));
+                    slot.or_insert((group.clone(), Vec::new()))
+                        .1
+                        .push(v.clone());
+                }
+            }
+        }
+
+        fn drain(&mut self, func: AggFunc, window: u64, watermark: u64) -> Vec<Tuple> {
+            let mut closed = Vec::new();
+            self.open.retain(|(start, label), (group, inputs)| {
+                let keep = start + window > watermark;
+                if !keep {
+                    closed.push((*start, label.clone(), group.clone(), inputs.clone()));
+                }
+                keep
+            });
+            closed.sort_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
+            closed
+                .into_iter()
+                .map(|(start, _, group, inputs)| {
+                    let floats = inputs.iter().map(|v| v.as_f64().unwrap());
+                    let agg = match (func, &inputs[0]) {
+                        (AggFunc::Count, _) => Value::Int(inputs.len() as i64),
+                        (AggFunc::Sum, Value::Int(_)) => {
+                            Value::Int(inputs.iter().map(|v| v.as_int().unwrap()).sum())
+                        }
+                        (AggFunc::Max, _) => Value::Float(floats.reduce(f64::max).unwrap()),
+                        (AggFunc::Avg, _) => {
+                            Value::Float(floats.reduce(|a, b| a + b).unwrap() / inputs.len() as f64)
+                        }
+                        other => unreachable!("not generated: {other:?}"),
+                    };
+                    let end = start + window;
+                    let mut values = vec![Value::Int(end as i64)];
+                    values.extend(group.map(|k| k.to_value()));
+                    values.push(agg);
+                    Tuple::new(end, values)
+                })
+                .collect()
+        }
+    }
+
+    #[test]
+    fn code_grouped_absorb_equals_row_path_and_naive_windows() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let input = Arc::new(Schema::new(vec![
+            Field::new("symbol", DataType::Str),
+            Field::new("price", DataType::Float),
+            Field::new("volume", DataType::Int),
+            Field::new("account", DataType::Int),
+        ]));
+        let mut rng = StdRng::seed_from_u64(0xA66);
+        let mut shapes = std::collections::HashSet::new();
+        for case in 0..240 {
+            // Tumbling, sliding, and a window that is no multiple of its slide.
+            let (window, slide) = [(100, 100), (100, 50), (100, 30), (90, 40), (70, 70)][case % 5];
+            let (func, column, int_input) = [
+                (AggFunc::Count, 0, true),
+                (AggFunc::Max, 1, false),
+                (AggFunc::Avg, 1, false),
+                (AggFunc::Sum, 2, true),
+            ][rng.random_range(0..4usize)];
+            // Symbol pools of 5 (always `Dict`) and 300 (a big batch decays
+            // to `Str` mid-stream), an `Int` key, or no key at all.
+            let (group_by, pool) = [(Some(0), 5), (Some(0), 300), (Some(3), 7), (None, 1)]
+                [rng.random_range(0..4usize)];
+            let mut fields = vec![Field::new("window_end", DataType::Int)];
+            fields.extend(group_by.map(|c| input.fields[c].clone()));
+            let agg_type = if int_input {
+                DataType::Int
+            } else {
+                DataType::Float
+            };
+            fields.push(Field::new("agg", agg_type));
+            let schema = Schema::new(fields);
+            let new_op = || {
+                AggregateOp::with_slide(
+                    group_by,
+                    func,
+                    column,
+                    window,
+                    slide,
+                    schema.clone(),
+                    int_input,
+                )
+            };
+            let (mut coded, mut scalar, mut naive) = (new_op(), new_op(), NaiveWindows::default());
+            coded.set_partitions([1, 2, 4][rng.random_range(0..3usize)]);
+            let (mut base, mut watermark) = (0u64, 0u64);
+            for _ in 0..rng.random_range(1..6usize) {
+                // Out-of-order inside the batch, and late against earlier
+                // batches (and against the watermark).
+                let n = [0, 1, 17, 40, 600][rng.random_range(0..5usize)];
+                base += rng.random_range(0..250u64);
+                let rows: Vec<Tuple> = (0..n)
+                    .map(|_| {
+                        let ts = (base + rng.random_range(0..200u64)).saturating_sub(120);
+                        let key = rng.random_range(0..pool as i64);
+                        Tuple::new(
+                            ts,
+                            vec![
+                                Value::str(format!("S{key}")),
+                                Value::Float(rng.random_range(-50.0..50.0)),
+                                Value::Int(rng.random_range(-1000..1000i64)),
+                                Value::Int(key),
+                            ],
+                        )
+                    })
+                    .collect();
+                // Dense, or a deferred selection of about half the rows.
+                let sel: Option<Vec<u32>> = rng
+                    .random_bool(0.5)
+                    .then(|| (0..n as u32).filter(|_| rng.random_bool(0.5)).collect());
+                let batch = TupleBatch::from_rows(input.clone(), rows.clone());
+                shapes.insert((group_by, batch.column(0).as_dict().is_some()));
+                let (mut out_c, mut out_s) = (Vec::new(), Vec::new());
+                match &sel {
+                    Some(sel) => coded.process_selected(0, &batch, sel, &mut out_c),
+                    None => coded.process_batch(0, batch, &mut out_c),
+                }
+                for i in sel.unwrap_or_else(|| (0..n as u32).collect()) {
+                    // The scalar row path: one plain-column row per call.
+                    let row = rows[i as usize].clone();
+                    let group = group_by.map(|c| Key::from_value(row.value(c)).unwrap());
+                    naive.absorb(window, slide, row.ts, group, row.value(column).clone());
+                    let mut one = TupleBatch::with_capacity(input.clone(), 1);
+                    one.push(row);
+                    assert!(one.column(0).as_dict().is_none());
+                    scalar.process_batch(0, one, &mut out_s);
+                }
+                watermark = watermark.max((base + rng.random_range(0..100u64)).saturating_sub(150));
+                coded.advance_watermark(watermark, &mut out_c);
+                scalar.advance_watermark(watermark, &mut out_s);
+                // `{:?}` of an f64 round-trips, so equal text is equal bits.
+                let expected = format!("{:?}", naive.drain(func, window, watermark));
+                assert_eq!(format!("{:?}", rows_of(&out_c)), expected, "case {case}");
+                assert_eq!(format!("{:?}", rows_of(&out_s)), expected, "case {case}");
+            }
+            let (mut out_c, mut out_s) = (Vec::new(), Vec::new());
+            coded.finish(&mut out_c);
+            scalar.finish(&mut out_s);
+            let expected = format!("{:?}", naive.drain(func, window, u64::MAX));
+            assert_eq!(
+                format!("{:?}", rows_of(&out_c)),
+                expected,
+                "case {case} finish"
+            );
+            assert_eq!(
+                format!("{:?}", rows_of(&out_s)),
+                expected,
+                "case {case} finish"
+            );
+            assert_eq!(coded.state_size() + scalar.state_size(), 0);
+        }
+        // The cases covered `Dict` keys, a decayed `Str` column, `Int` keys
+        // and ungrouped state.
+        for shape in [
+            (Some(0), true),
+            (Some(0), false),
+            (Some(3), true),
+            (None, true),
+        ] {
+            assert!(shapes.contains(&shape), "{shape:?} never generated");
+        }
+    }
+
+    #[test]
+    fn late_row_reopens_a_closed_window_and_drains_again() {
+        let schema = Schema::new(vec![
+            Field::new("window_end", DataType::Int),
+            Field::new("symbol", DataType::Str),
+            Field::new("count", DataType::Int),
+        ]);
+        let mut agg = AggregateOp::new(Some(0), AggFunc::Count, 0, 100, schema, true);
+        let mut out = Vec::new();
+        agg.process_batch(
+            0,
+            qbatch(vec![quote(10, "A", 1.0), quote(110, "A", 1.0)]),
+            &mut out,
+        );
+        agg.advance_watermark(100, &mut out);
+        let window = |end: i64, n: i64| {
+            Tuple::new(
+                end as u64,
+                vec![Value::Int(end), Value::str("A"), Value::Int(n)],
+            )
+        };
+        assert_eq!(rows_of(&out), vec![window(100, 1)]);
+        // A row older than the watermark re-opens window [0, 100) ahead of
+        // the open [100, 200); the next drain pops exactly that window.
+        out.clear();
+        agg.process_batch(
+            0,
+            qbatch(vec![quote(20, "A", 1.0), quote(30, "A", 1.0)]),
+            &mut out,
+        );
+        assert_eq!(agg.state_size(), 2);
+        agg.advance_watermark(100, &mut out);
+        assert_eq!(rows_of(&out), vec![window(100, 2)]);
+        assert_eq!(agg.state_size(), 1);
+        // Nothing closes: the front window is still open.
+        out.clear();
+        agg.advance_watermark(199, &mut out);
+        assert!(out.is_empty());
+        agg.finish(&mut out);
+        assert_eq!(rows_of(&out), vec![window(200, 1)]);
     }
 
     #[test]

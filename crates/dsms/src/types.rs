@@ -241,6 +241,9 @@ pub enum Column {
     /// refcounts. Built by [`Column::dict_encode`] when the distinct
     /// count stays within [`Column::DICT_MAX_CARDINALITY`]; columns that
     /// outgrow the dictionary fall back to [`Column::Str`] transparently.
+    /// The engine seals every ingested batch ([`TupleBatch::seal`]) before
+    /// an operator sees it, so a low-cardinality string column arrives in
+    /// this layout whichever `push*` entry point ingested its rows.
     ///
     /// Invariants: every code indexes into `dict`, and `dict` entries are
     /// distinct (so equal codes ⇔ equal strings).
@@ -730,8 +733,10 @@ impl TupleBatch {
         Arc::make_mut(&mut self.columns)
     }
 
-    /// A batch from row-oriented tuples (the ingestion boundary): each
-    /// row's values are scattered into the typed columns.
+    /// A batch from row-oriented tuples: each row's values are scattered
+    /// into the typed columns and the batch is [sealed](TupleBatch::seal),
+    /// so a batch built here already has the shape the engine's operators
+    /// see.
     ///
     /// In debug builds every row is checked against the schema; release
     /// builds trust the caller up to the per-cell type check (a mistyped
@@ -745,16 +750,29 @@ impl TupleBatch {
         for t in rows {
             batch.push(t);
         }
-        // Ingestion boundary: dictionary-encode low-cardinality string
-        // columns once, so every downstream predicate compares u32 codes
-        // and every key extraction hashes each distinct payload once.
-        for col in batch.columns_mut() {
+        batch.seal();
+        batch
+    }
+
+    /// Seals the batch at the ingestion boundary: dictionary-encodes every
+    /// plain [`Column::Str`] column ([`Column::dict_encode`]) once, so every
+    /// downstream predicate compares `u32` codes and every key extraction
+    /// hashes each distinct payload once. [`TupleBatch::from_rows`] seals
+    /// what it builds, and the engine seals every batch it hands from its
+    /// ingestion buffer to a flush — whichever `push*` call buffered the
+    /// rows, operators see [`Column::Dict`] for low-cardinality strings.
+    /// A batch with no plain string column is left untouched; a column past
+    /// [`Column::DICT_MAX_CARDINALITY`] stays plain.
+    pub fn seal(&mut self) {
+        if !self.columns.iter().any(|c| matches!(c, Column::Str(_))) {
+            return;
+        }
+        for col in self.columns_mut() {
             if matches!(col, Column::Str(_)) {
                 let plain = std::mem::replace(col, Column::Str(Vec::new()));
                 *col = plain.dict_encode();
             }
         }
-        batch
     }
 
     /// A batch directly from columnar parts (the kernel-output path).
@@ -1276,6 +1294,12 @@ impl MergeTags {
 /// engine folds each worker's [`work::snapshot`] back into the control
 /// thread via [`work::absorb`] when the shards join, so totals stay deterministic regardless
 /// of shard count.
+///
+/// Two grains: `rows_materialized`, `row_evals`, `dict_code_cmps`,
+/// `str_cmps` and every `*_rows` counter are **per-row totals** — exactly
+/// one unit per row touched (`dict_code_cmps`: one code read per keyed or
+/// compared row), even where a kernel adds its batch's share in one step;
+/// every other counter counts events (a batch, a morsel, a flush).
 pub mod work {
     use std::cell::Cell;
 

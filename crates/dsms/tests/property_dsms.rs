@@ -798,6 +798,79 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// **One batch shape behind every entry point** — the same rows pushed
+    /// one at a time (`push`), as pairs (`push_batch`), as a column
+    /// (`push_rows`), or into a transition's held buffer are sealed where
+    /// the flush takes them, so every operator sees `Column::Dict` for the
+    /// symbol column whichever call ingested it: outputs are byte-identical,
+    /// every node consumed and produced the same row counts, no string
+    /// predicate or key ever fell back to byte compares, and the per-row
+    /// code work is the same to the unit.
+    #[test]
+    fn ingestion_entry_points_reach_operators_in_one_shape(
+        stream in quote_stream(120),
+        thresh in 1u32..30_000,
+        window in 1u64..100,
+        cap in 1usize..40,
+    ) {
+        let quotes = || LogicalPlan::source("quotes");
+        let is_ibm = Expr::col(0).eq(Expr::lit(Value::str("IBM")));
+        let pricey = Expr::col(1).gt(Expr::lit(Value::Float(f64::from(thresh) / 100.0)));
+        let plans = [
+            quotes().filter(is_ibm.clone()),
+            quotes().filter(pricey).aggregate(Some(0), AggFunc::Avg, 1, window),
+            quotes().filter(is_ibm).sliding_aggregate(Some(0), AggFunc::Count, 0, window, window.div_ceil(3)),
+        ];
+        let run = |entry: usize| {
+            let mut e = engine();
+            e.set_max_batch_size(cap);
+            let cqs: Vec<_> = plans.iter().map(|p| e.add_query(p.clone()).unwrap()).collect();
+            work::reset();
+            match entry {
+                0 => {
+                    for t in &stream {
+                        e.push("quotes", t.clone());
+                    }
+                    e.run_until_quiescent();
+                }
+                1 => e.push_batch(stream.iter().cloned().map(|t| ("quotes".to_string(), t))),
+                2 => e.push_rows("quotes", stream.clone()),
+                _ => {
+                    e.begin_transition();
+                    for t in &stream {
+                        e.push("quotes", t.clone());
+                    }
+                    prop_assert_eq!(e.held_tuples(), stream.len());
+                    e.end_transition();
+                }
+            }
+            e.finish();
+            let counters = work::snapshot();
+            let nodes: Vec<(u64, u64)> = e
+                .network()
+                .node_ids()
+                .into_iter()
+                .map(|id| {
+                    let n = e.network().node(id).unwrap();
+                    (n.in_count, n.out_count)
+                })
+                .collect();
+            let outputs: Vec<String> =
+                cqs.iter().map(|&cq| format!("{:?}", e.take_outputs(cq))).collect();
+            Ok((outputs, nodes, counters.dict_code_cmps, counters.str_cmps))
+        };
+        let reference = run(2)?;
+        prop_assert_eq!(reference.3, 0, "push_rows ran a string byte compare");
+        prop_assert!(reference.2 > 0, "the dictionary paths ran");
+        for entry in [0, 1, 3] {
+            prop_assert_eq!(&run(entry)?, &reference, "entry point {} diverged", entry);
+        }
+    }
+}
+
 /// Shard counts exercised by the shard-invariance suites. `CQAC_SHARDS`
 /// (a comma-separated list, e.g. `1,4`) overrides the default `1,2,4,8`
 /// so CI can matrix over shard sets without recompiling.
