@@ -2,17 +2,21 @@
 //!
 //! The morsel scheduler's correctness argument (see `cqac-dsms`'s module
 //! docs) rests on a classification the network computes physically, by
-//! asking each operator for its `keyed_out` / `keyed_commutative` /
-//! `keyed_partial` properties: which nodes may run *inside* the worker
-//! shards against partitioned state, which must stay behind the
-//! deterministic merge barrier, and which stateful members are order-free
-//! (commutative absorption) versus order-sensitive (chain morsels).
+//! asking each operator for its `class` / `keyed_out` /
+//! `keyed_commutative` / `keyed_partial` properties: which nodes may run
+//! *inside* the worker shards against partitioned state, which must stay
+//! behind the deterministic merge barrier, and which stateful members are
+//! order-free (commutative absorption) versus order-sensitive (chain
+//! morsels).
 //!
 //! This pass **re-derives the same classification from the logical
-//! plans** — partition-key flow through filters, projections, and fused
-//! chains; join-key and group-key compatibility; exact-combine
-//! eligibility of partial aggregates (ungrouped, or grouped at a
-//! shard-incompatible group key) — and cross-checks the physical
+//! plans** — every registered stream is a root of the plan, covered with
+//! its shard key or with none; partition-key flow through filters,
+//! projections, and fused chains; join-key and group-key compatibility
+//! (which take a known key, so never hold behind a keyless root);
+//! exact-combine eligibility of partial aggregates (ungrouped, or grouped
+//! at a shard-incompatible group key, or behind a keyless root) — and
+//! cross-checks the physical
 //! [`KeyedPlan`] node by node. A divergence means one side's reasoning
 //! is wrong, and the sharded run could silently reorder state mutations:
 //! diagnostic NL020 ([`Code::KeyedClassificationDivergence`]). A
@@ -29,6 +33,7 @@
 
 use cqac_dsms::diag::{check_shard_key, Code, Diagnostic, Report, Span};
 use cqac_dsms::network::{KeyedPlan, NodeId, QueryNetwork};
+use cqac_dsms::ops::OpClass;
 use cqac_dsms::plan::{AggFunc, LogicalPlan, StreamCatalog};
 use cqac_dsms::types::{DataType, Schema};
 use std::collections::HashMap;
@@ -65,7 +70,8 @@ struct Derived {
     /// (so a downstream member may consume it shard-locally).
     covered: bool,
     /// The partition key's column position in the output, when covered
-    /// and the key survived.
+    /// and a key is known there: the stream has a shard key and it
+    /// survived this far.
     key: Option<usize>,
 }
 
@@ -238,7 +244,7 @@ fn verify_barrier_coverage(network: &QueryNetwork, keyed: &KeyedPlan, report: &m
                 continue;
             };
             let is_stateful_member = consumer.stateful;
-            let claims_stateless = node.op.shard_kernel().is_some();
+            let claims_stateless = node.op.class() == OpClass::Stateless;
             if !is_stateful_member && !claims_stateless {
                 report.push(Diagnostic::new(
                     Code::StatefulOrderUnsafe,
@@ -280,9 +286,10 @@ fn derive(
         out.insert(plan.signature(), e);
     };
     match plan {
+        // Every registered stream is a root: covered, key known or not.
         LogicalPlan::Source { stream } => Derived {
             schema: catalog.stream_schema(stream).cloned(),
-            covered: shard_keys.contains_key(stream) && catalog.stream_schema(stream).is_some(),
+            covered: catalog.stream_schema(stream).is_some(),
             key: shard_keys.get(stream).copied(),
         },
         LogicalPlan::Filter { input, .. } => {

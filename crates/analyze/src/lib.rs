@@ -20,11 +20,12 @@
 //!    [`Report::first_error`] still maps onto the exact
 //!    `PlanError` the first-error API produces.
 //! 2. **Determinism audit** ([`determinism::audit`]) — independently
-//!    re-derives the keyed-plan classification from the *logical* plans
-//!    (partition-key flow through filters/projects/fused chains,
-//!    join/group key compatibility, commutativity of stateful members,
-//!    partial-aggregate eligibility) and cross-checks the network's
-//!    physical [`cqac_dsms::network::KeyedPlan`], so the morsel
+//!    re-derives the parallel plan's classification from the *logical*
+//!    plans (every stream a root, keyed or keyless; partition-key flow
+//!    through filters/projects/fused chains, join/group key
+//!    compatibility, commutativity of stateful members, partial-aggregate
+//!    eligibility) and cross-checks the network's one physical plan,
+//!    [`cqac_dsms::network::KeyedPlan`], so the morsel
 //!    scheduler's preconditions are *verified*, not assumed: every
 //!    stateful node is either behind the deterministic merge barrier or
 //!    proven order-free.

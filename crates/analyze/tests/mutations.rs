@@ -234,6 +234,55 @@ proptest! {
         serve(&mut e);
     }
 
+    /// NL020/NL021 behind a **keyless** root — no shard key at all, so
+    /// every stream deals whole batches and the plan holds stateless
+    /// members and partial aggregates only. Swapping the signatures of an
+    /// exact `Count` (a partial member) and a float `Avg` (an exit) makes
+    /// the physical plan do both things the audit exists to catch: it
+    /// *admits* an order-sensitive aggregate behind the keyless root
+    /// (NL021 on top of NL020), and it *drops* from the root's plan a node
+    /// the logical derivation places there (NL020).
+    #[test]
+    fn keyless_root_misclassifications_are_flagged(base in valid_plan(), w in 1u64..1_000) {
+        use cqac_dsms::network::QueryNetwork;
+        use std::collections::HashMap;
+        let mut n = QueryNetwork::new();
+        n.register_stream("quotes", quote_schema());
+        let exact = LogicalPlan::source("quotes").aggregate(Some(0), AggFunc::Count, 0, w);
+        let inexact = LogicalPlan::source("quotes").aggregate(Some(0), AggFunc::Avg, 1, w);
+        n.add_query(exact.clone()).unwrap();
+        n.add_query(inexact.clone()).unwrap();
+        let keyless: HashMap<String, usize> = HashMap::new();
+        prop_assert!(cqac_analyze::determinism::audit(&n, &keyless).is_clean());
+        let physical = n.keyed_plan(&keyless);
+        prop_assert_eq!(physical.nodes.len(), 1, "the Count is in, the Avg is out");
+        prop_assert!(physical.nodes[0].partial);
+
+        let node_of = |n: &QueryNetwork, plan: &LogicalPlan| {
+            n.node_ids()
+                .into_iter()
+                .find(|&id| n.node(id).unwrap().signature == plan.signature())
+                .expect("the aggregate has a physical node")
+        };
+        let (member, exit) = (node_of(&n, &exact), node_of(&n, &inexact));
+        n.node_mut(member).unwrap().signature = inexact.signature();
+        n.node_mut(exit).unwrap().signature = exact.signature();
+        let report = cqac_analyze::determinism::audit(&n, &keyless);
+        let flagged = |code: Code, node: u32| {
+            report
+                .diagnostics
+                .iter()
+                .any(|d| d.code == code && d.span == cqac_analyze::Span::Node(node))
+        };
+        prop_assert!(flagged(Code::StatefulOrderUnsafe, member.0), "admitted: {report}");
+        prop_assert!(flagged(Code::KeyedClassificationDivergence, member.0), "{report}");
+        prop_assert!(flagged(Code::KeyedClassificationDivergence, exit.0), "dropped: {report}");
+
+        let mut e = engine();
+        e.add_query(base).ok();
+        serve(&mut e);
+    }
+
     /// Accumulation: a plan with several independent corruptions reports
     /// them all in one pass.
     #[test]

@@ -3,8 +3,8 @@
 //!
 //! One grouped tumbling aggregate (1 s windows over a 1 row/ms feed, 64
 //! distinct keys, Zipf-free so every window holds every key) driven
-//! directly through `Operator::process_batch` / `process_selected`, with
-//! the watermark advanced after every batch:
+//! directly through `Operator::process` — the control thread's view,
+//! `partition: None` — with the watermark advanced after every batch:
 //!
 //! * function: `Count` (never reads the column), `Max`, float `Avg`
 //!   (order-sensitive accumulation);
@@ -97,19 +97,15 @@ fn operator(func: AggFunc, key: KeyKind) -> AggregateOp {
 /// Absorbs the whole feed, closing windows as the watermark passes them;
 /// returns the emitted row count.
 fn run(func: AggFunc, key: KeyKind, feed: &[TupleBatch], selected: bool) -> usize {
-    let mut op = operator(func, key);
-    let mut out = Vec::new();
+    let op = operator(func, key);
+    let mut emitted = 0;
     for batch in feed {
-        if selected {
-            let sel: Vec<u32> = (0..batch.len() as u32).step_by(2).collect();
-            op.process_selected(0, batch, &sel, &mut out);
-        } else {
-            op.process_batch(0, batch.clone(), &mut out);
-        }
-        op.advance_watermark(batch.max_ts().unwrap_or(0), &mut out);
+        let sel: Option<Vec<u32>> = selected.then(|| (0..batch.len() as u32).step_by(2).collect());
+        op.process(None, 0, batch, sel.as_deref(), false);
+        let closed = op.advance(None, batch.max_ts().unwrap_or(0));
+        emitted += closed.map_or(0, |(closed, _)| closed.len());
     }
-    op.finish(&mut out);
-    out.iter().map(TupleBatch::len).sum()
+    emitted + op.finish().map_or(0, |closed| closed.len())
 }
 
 fn bench_agg_absorb(c: &mut Criterion) {

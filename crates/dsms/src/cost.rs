@@ -16,8 +16,8 @@
 //!
 //! * the operator's **analytic** unit cost (joins > aggregates > filters) —
 //!   deterministic, the default, and what all experiment seeds use;
-//! * the **measured** per-tuple cost — the engine times every
-//!   `process_batch` call and the estimator normalizes the node's
+//! * the **measured** per-tuple cost — the engine times every operator
+//!   invocation and the estimator normalizes the node's
 //!   cumulative busy time by its tuple count. Batched execution is what
 //!   makes this measurement usable: one clock read per *batch* (not per
 //!   tuple) keeps probe overhead out of the measured quantity, so the
@@ -113,8 +113,9 @@ pub struct NodeLoadEstimate {
 /// **Keyed stateful sharding** makes this honest for stateful-heavy
 /// workloads too: when a stream carries a shard key, every join keyed on
 /// it and every aggregate grouping by it executes *inside* the worker
-/// shards with per-shard state (see
-/// [`crate::network::QueryNetwork::keyed_plan`]), so their measured loads
+/// shards with per-shard state, and exact aggregates do so with or without
+/// a key (see [`crate::network::QueryNetwork::keyed_plan`], the one
+/// parallel plan), so their measured loads
 /// — which aggregate across shards exactly like stateless loads — really
 /// are served by `shards` cores, and the auction admits more stateful
 /// bidders at higher shard counts (pinned by the center's
@@ -127,8 +128,9 @@ pub struct NodeLoadEstimate {
 /// what the control thread alone can serve. The serial fraction has been
 /// shrinking release over release — keyed stateful sharding moved
 /// compatible joins/aggregates onto the workers, partial aggregation
-/// moved exact *ungrouped* aggregates there too (only the per-window
-/// partial-combine fold stays on the control thread), and morsel-level
+/// moved exact aggregates at any other key — or behind no key — there too
+/// (only the per-window partial-combine fold stays on the control
+/// thread), and morsel-level
 /// work stealing keeps the workers busy under key skew that would
 /// otherwise serialize on the hot shard — but pricing the remaining
 /// residue against per-core capacity is still a ROADMAP follow-on.

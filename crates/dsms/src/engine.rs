@@ -20,7 +20,7 @@
 //!   multisets for multi-port operators — the tested scalar-vs-batched
 //!   property; see the crate docs for why the weaker multi-port guarantee
 //!   is inherent).
-//! * **Node queues** hold `(port, batch)` pairs; one `process_batch` call
+//! * **Node queues** hold `(port, batch)` pairs; one operator invocation
 //!   amortizes queue traffic, downstream fan-out, watermark checks, and the
 //!   per-node timing probe over the whole batch.
 //! * **Fan-out is `Arc`-shared and copy-on-write**: a produced batch is
@@ -44,8 +44,8 @@
 
 use crate::diag::{Code, Diagnostic, Report, Span};
 use crate::fault::{FaultPlan, WorkerDeath};
-use crate::network::{CqId, KeyedPlan, NodeId, QueryInfo, QueryNetwork, StreamPrefix, Target};
-use crate::ops::{KeyedKernel, ShardKernel};
+use crate::network::{CqId, KeyedNode, KeyedPlan, NodeId, QueryInfo, QueryNetwork, Target};
+use crate::ops::{OpClass, Operator, RowTrace};
 use crate::plan::StreamCatalog;
 use crate::plan::{LogicalPlan, PlanError};
 use crate::types::{work, MergeTags, Schema, Tuple, TupleBatch};
@@ -163,11 +163,11 @@ pub struct StreamStats {
 /// the engine runs single-threaded).
 #[derive(Clone, Debug, Default)]
 pub struct ShardStats {
-    /// Rows this shard's workers fed into prefix operators.
+    /// Rows this shard's workers fed into plan operators.
     pub rows: u64,
     /// Sub-batches this shard processed.
     pub batches: u64,
-    /// Wall-clock time this shard spent inside prefix operator calls (sums
+    /// Wall-clock time this shard spent inside plan operator calls (sums
     /// across shards into the same per-node `busy` totals the measured
     /// cost model reads).
     pub busy: Duration,
@@ -232,11 +232,9 @@ pub struct DsmsEngine {
     shard_rr: HashMap<String, usize>,
     /// Per-shard execution statistics (length = shard count).
     shard_stats: Vec<ShardStats>,
-    /// Cached stateless-prefix topologies, invalidated whenever the
-    /// network changes shape.
-    prefix_cache: HashMap<String, Arc<StreamPrefix>>,
-    /// Cached keyed plan (all hash-partitioned streams at once),
-    /// invalidated whenever the network or the shard keys change.
+    /// The cached parallel plan (every stream at once), dropped whenever
+    /// the network or the shard keys change (see
+    /// [`DsmsEngine::keyed_plan`]).
     keyed_cache: Option<Arc<KeyedPlan>>,
     /// Merged shard outputs awaiting dispatch: `(producer node id,
     /// targets, batch)` in ascending `(node, entry)` order. The control
@@ -296,7 +294,6 @@ impl DsmsEngine {
             shard_keys: HashMap::new(),
             shard_rr: HashMap::new(),
             shard_stats: vec![ShardStats::default()],
-            prefix_cache: HashMap::new(),
             keyed_cache: None,
             merged_pending: VecDeque::new(),
             pool: WorkerPool::default(),
@@ -361,21 +358,21 @@ impl DsmsEngine {
 
     /// Sets the worker-shard count — the knob next to the batch-size and
     /// fusion knobs. `1` (the default) compiles down to the single-threaded
-    /// path; `n > 1` runs every flush as morsels on `n` pooled workers:
-    /// keyless streams' stateless prefixes (filters, projections, fused
-    /// chains) round-robin, and hash-partitioned streams' keyed plan —
-    /// stateless prefixes *plus* every compatibly keyed join and aggregate,
-    /// absorbing into per-shard state partitions inside the workers. Shard
-    /// outputs merge deterministically before the operators outside those
-    /// plans (see [`QueryNetwork::keyed_plan`] for the membership rule)
-    /// and the sinks, which run on the control thread, so outputs are
-    /// bit-identical to the single-threaded engine regardless of shard
-    /// count.
+    /// path; `n > 1` runs every flush's share of the one parallel plan
+    /// ([`QueryNetwork::keyed_plan`]) as morsels on `n` pooled workers:
+    /// every stream's stateless operators, every join and aggregate keyed
+    /// compatibly with a shard key (absorbing into per-shard state
+    /// partitions inside the workers), and exact aggregates elsewhere as
+    /// per-worker partials. Shard outputs merge deterministically before
+    /// the operators outside the plan and the sinks, which run on the
+    /// control thread, so outputs are bit-identical to the single-threaded
+    /// engine regardless of shard count.
     ///
-    /// Changing the count resets the per-shard statistics
-    /// ([`DsmsEngine::shard_stats`], [`StreamStats::shard_rows`]) and the
-    /// round-robin cursors — shard ids mean nothing across different
-    /// shard counts.
+    /// Changing the count re-homes live operator state onto the new
+    /// partitions ([`Operator::set_partitions`]) and resets the
+    /// per-shard statistics ([`DsmsEngine::shard_stats`],
+    /// [`StreamStats::shard_rows`]) and the round-robin cursors — shard
+    /// ids mean nothing across different shard counts.
     ///
     /// # Panics
     /// Panics when `n == 0`.
@@ -414,6 +411,13 @@ impl DsmsEngine {
     /// distribute whole ingestion batches round-robin instead. Either way
     /// the deterministic merge keeps outputs identical to the
     /// single-threaded run.
+    ///
+    /// Safe on a live engine, mid-window: a re-key can turn a partial
+    /// aggregate (per-worker partials of each group) into a full member
+    /// (one key-homed partition per group) or back, so the next parallel
+    /// flush re-derives the plan and first re-homes every operator's
+    /// state ([`Operator::set_partitions`]) — open windows keep their
+    /// rows and still close exactly once.
     ///
     /// May be called before the stream is registered (so the builder forms
     /// chain in any order); validation then happens at
@@ -483,7 +487,6 @@ impl DsmsEngine {
             validate_shard_key(&schema, &name, column)?;
         }
         self.network.register_stream(name, schema);
-        self.prefix_cache.clear();
         self.keyed_cache = None;
         Ok(())
     }
@@ -509,7 +512,6 @@ impl DsmsEngine {
             self.begin_transition();
         }
         let result = self.network.add_query(plan);
-        self.prefix_cache.clear();
         self.keyed_cache = None;
         if let Ok(cq) = result {
             self.outputs.entry(cq).or_default();
@@ -529,7 +531,6 @@ impl DsmsEngine {
             self.begin_transition();
         }
         let info = self.network.remove_query(cq);
-        self.prefix_cache.clear();
         self.keyed_cache = None;
         self.outputs.remove(&cq);
         if auto {
@@ -833,21 +834,20 @@ impl DsmsEngine {
         self.route(last, shared);
     }
 
-    /// The cached stateless-prefix topology of a stream.
-    fn stream_prefix(&mut self, stream: &str) -> Arc<StreamPrefix> {
-        if let Some(p) = self.prefix_cache.get(stream) {
-            return p.clone();
-        }
-        let p = Arc::new(self.network.stateless_prefix(stream));
-        self.prefix_cache.insert(stream.to_string(), p.clone());
-        p
-    }
-
-    /// The cached keyed plan over every hash-partitioned stream.
+    /// The cached parallel plan. Everything that can move plan membership
+    /// (shard keys, streams, queries) drops the cache, and this — the one
+    /// place the plan is re-derived — first re-homes operator state
+    /// (`QueryNetwork::rehome_state`), so a node that changed from
+    /// partial to full member never closes one group's window from two
+    /// partitions. Re-homing here rather than at each invalidation keeps a
+    /// day's worth of `add_query` calls from re-partitioning the whole
+    /// network once per query, and costs nothing at shards = 1, where no
+    /// plan is ever derived.
     fn keyed_plan(&mut self) -> Arc<KeyedPlan> {
         if let Some(p) = &self.keyed_cache {
             return p.clone();
         }
+        self.network.rehome_state();
         let p = Arc::new(self.network.keyed_plan(&self.shard_keys));
         self.keyed_cache = Some(p.clone());
         p
@@ -855,36 +855,34 @@ impl DsmsEngine {
 
     /// The shard-parallel twin of [`DsmsEngine::flush_ingest`]:
     ///
-    /// 1. **Partition.** Streams with a shard key hash-partition row by
-    ///    row (same key, same shard; rows carry their pre-partition index
-    ///    as a sequence tag) into the multi-stream **keyed plan** —
-    ///    stateless prefixes *plus* every compatibly keyed join and
-    ///    aggregate (see [`QueryNetwork::keyed_plan`]). Keyless streams
-    ///    distribute whole batches round-robin into their stateless
-    ///    prefixes. Subscribers outside both plans (shard-incompatible
-    ///    operators, sinks) receive the raw batch at flush time, exactly
-    ///    like the single-threaded path.
+    /// 1. **Partition.** Every stream is a root of the one parallel plan
+    ///    ([`QueryNetwork::keyed_plan`]). A root with a shard key
+    ///    hash-partitions its batches row by row (same key, same shard;
+    ///    rows carry their pre-partition index as a sequence tag); a root
+    ///    without one deals whole batches round-robin. Subscribers outside
+    ///    the plan (shard-incompatible operators, sinks) receive the raw
+    ///    batch at flush time, exactly like the single-threaded path.
     /// 2. **Morsel-driven execution on the pool.** The flush's units are
     ///    cut into [`Morsel`]s on per-worker deques and one job per worker
     ///    runs on the persistent [`WorkerPool`] (threads spawn once, then
     ///    park between flushes): each worker drains its own deque head
     ///    first, then steals from the other deques' tails
     ///    ([`MorselScheduler`]), so skewed key distributions rebalance.
-    ///    Round-robin morsels walk their stateless prefix per unit; keyed
-    ///    morsels run a **mini node loop** — per-node FIFO queues drained
-    ///    in ascending node order, stateful operators absorbing into
-    ///    their home shard's state partition (ungrouped exact aggregates:
-    ///    the executing worker's partial), selection vectors pushed down
-    ///    into joins/aggregates instead of densifying. Windows close
-    ///    against the flush's merged watermark inside the chain morsel
-    ///    (order-sensitive plans) or in a dedicated advance phase behind
-    ///    an all-absorbed barrier (commutative plans).
+    ///    Every morsel runs the same **mini node loop** ([`run_morsel`]) —
+    ///    per-node FIFO queues drained in ascending node order, stateful
+    ///    operators absorbing into their home shard's state partition
+    ///    (partial aggregates: the executing worker's partial), selection
+    ///    vectors pushed down into joins/aggregates instead of densifying.
+    ///    Windows close against the flush's merged watermark inside the
+    ///    chain morsel (order-sensitive plans) or in a dedicated advance
+    ///    phase behind an all-absorbed barrier (commutative plans).
     /// 3. **Deterministic merge.** Exit outputs are merged per
     ///    `(producing node, entry path)` — interleaved by sequence tag
     ///    (join fan-out repeats its probe row's tag, preserving shard
     ///    order) or by window-close [`crate::types::EmitKey`]s, trivially
-    ///    for round-robin — and queued on [`DsmsEngine::merged_pending`]
-    ///    in ascending order; the control loop dispatches each producer's
+    ///    for whole-batch units — and queued on
+    ///    [`DsmsEngine::merged_pending`] in ascending order; the control
+    ///    loop dispatches each producer's
     ///    batches exactly when its node-loop pass reaches that producer,
     ///    so out-of-plan consumers observe the single-threaded arrival
     ///    order. Everything downstream of the merge is byte-identical to
@@ -903,215 +901,134 @@ impl DsmsEngine {
         let keyed = self.keyed_plan();
 
         // -- 1. Partition ------------------------------------------------
-        let mut plan_of_stream: HashMap<String, usize> = HashMap::new();
-        let mut rr_plans: Vec<Arc<StreamPrefix>> = Vec::new();
-        let mut rr_units: Vec<Vec<ShardUnit>> = (0..shards).map(|_| Vec::new()).collect();
-        let mut keyed_units: Vec<Vec<KeyedUnit>> = (0..shards).map(|_| Vec::new()).collect();
+        let mut units: Vec<Vec<KeyedUnit>> = (0..shards).map(|_| Vec::new()).collect();
         for (batch_idx, (stream, batch)) in ingested.into_iter().enumerate() {
             if let Some(ts) = batch.max_ts() {
                 self.advance_watermark_to(ts);
             }
-            if let Some(root_idx) = keyed.root_of(&stream) {
-                // Hash partition into the keyed plan.
-                let root = &keyed.roots[root_idx];
-                if root.targets.is_empty() {
-                    self.route_shared(&root.direct, batch);
-                    continue;
-                }
-                let batch = if root.direct.is_empty() {
-                    batch
-                } else {
-                    // Non-plan subscribers share the batch (COW columns);
-                    // the shard path keeps its own handle.
-                    let copy = batch.clone();
-                    self.route_shared(&root.direct, batch);
-                    copy
-                };
-                let mut idxs: Vec<Vec<u32>> = vec![Vec::new(); shards];
-                // `KeyReader` memoizes the FNV hash per dictionary code, so
-                // a dictionary-encoded key column hashes bytes once per
-                // distinct string, not once per row.
-                let mut reader = crate::ops::KeyReader::new(batch.column(root.key));
-                for i in 0..batch.len() {
-                    idxs[reader.shard(i, shards)].push(i as u32);
-                }
-                for (s, rows) in idxs.into_iter().enumerate() {
-                    if rows.is_empty() {
-                        continue;
-                    }
-                    self.note_shard_rows(&stream, s, rows.len() as u64, shards);
-                    keyed_units[s].push(KeyedUnit {
-                        batch_idx,
-                        root: root_idx,
-                        batch: batch.take(&rows),
-                        seqs: rows,
-                    });
-                }
+            let root_idx = keyed
+                .root_of(&stream)
+                .expect("registering a stream re-derives the plan");
+            let root = &keyed.roots[root_idx];
+            if root.targets.is_empty() {
+                self.route_shared(&root.direct, batch);
                 continue;
             }
-            // Keyless stream: round-robin whole batches through the
-            // stateless prefix.
-            let plan_idx = match plan_of_stream.get(&stream) {
-                Some(&i) => i,
-                None => {
-                    let prefix = self.stream_prefix(&stream);
-                    rr_plans.push(prefix);
-                    plan_of_stream.insert(stream.clone(), rr_plans.len() - 1);
-                    rr_plans.len() - 1
-                }
-            };
-            let prefix = rr_plans[plan_idx].clone();
-            if prefix.nodes.is_empty() {
-                // No stateless prefix: route whole, like the
-                // single-threaded flush (`direct` is the full subscriber
-                // list here).
-                self.route_shared(&prefix.direct, batch);
-                continue;
-            }
-            let batch = if prefix.direct.is_empty() {
+            let batch = if root.direct.is_empty() {
                 batch
             } else {
-                // Non-prefix subscribers share the batch (COW columns).
+                // Non-plan subscribers share the batch (COW columns);
+                // the shard path keeps its own handle.
                 let copy = batch.clone();
-                self.route_shared(&prefix.direct, batch);
+                self.route_shared(&root.direct, batch);
                 copy
             };
-            let cursor = self.shard_rr.entry(stream.clone()).or_insert(0);
-            let s = *cursor % shards;
-            *cursor = (*cursor + 1) % shards;
-            self.note_shard_rows(&stream, s, batch.len() as u64, shards);
-            rr_units[s].push(ShardUnit {
-                batch_idx,
-                plan: plan_idx,
-                batch,
-            });
-        }
-        // Per-node watermark-advance flags for the keyed plan: a stateful
-        // member closes windows on every shard whenever the merged
-        // watermark moved past what the node has seen (mirrors the control
-        // loop's `last_watermark < watermark` check). Partial-aggregation
-        // members never advance in-shard: their per-worker partials are
-        // combined by the control loop's own watermark pass (see
-        // `KeyedNode::partial`).
-        let watermark = self.watermark;
-        let advance: Vec<bool> = keyed
-            .nodes
-            .iter()
-            .map(|kn| {
-                kn.stateful
-                    && !kn.partial
-                    && self
-                        .network
-                        .node(kn.id)
-                        .is_some_and(|n| n.last_watermark < watermark)
-            })
-            .collect();
-        let run_advance = advance.iter().any(|&a| a);
-        let have_units =
-            rr_units.iter().any(|u| !u.is_empty()) || keyed_units.iter().any(|u| !u.is_empty());
-        if !have_units && !run_advance {
-            return;
+            let Some(key) = root.key else {
+                // Keyless root: the whole batch goes to the next shard.
+                let cursor = self.shard_rr.entry(stream.clone()).or_insert(0);
+                let s = *cursor % shards;
+                *cursor = (*cursor + 1) % shards;
+                self.note_shard_rows(&stream, s, batch.len() as u64, shards);
+                units[s].push(KeyedUnit {
+                    batch_idx,
+                    root: root_idx,
+                    batch,
+                    seqs: None,
+                });
+                continue;
+            };
+            let mut idxs: Vec<Vec<u32>> = vec![Vec::new(); shards];
+            // `KeyReader` memoizes the FNV hash per dictionary code, so
+            // a dictionary-encoded key column hashes bytes once per
+            // distinct string, not once per row.
+            let mut reader = crate::ops::KeyReader::new(batch.column(key));
+            for i in 0..batch.len() {
+                idxs[reader.shard(i, shards)].push(i as u32);
+            }
+            for (s, rows) in idxs.into_iter().enumerate() {
+                if rows.is_empty() {
+                    continue;
+                }
+                self.note_shard_rows(&stream, s, rows.len() as u64, shards);
+                units[s].push(KeyedUnit {
+                    batch_idx,
+                    root: root_idx,
+                    batch: batch.take(&rows),
+                    seqs: Some(rows),
+                });
+            }
         }
 
         // -- 2. Parallel execution on the persistent pool ----------------
-        let timing = self.timing;
-        let columnar = crate::ops::columnar_kernels_enabled();
-        let mut exits: HashMap<u32, Vec<Target>> = HashMap::new();
-        for plan in &rr_plans {
-            for node in &plan.nodes {
-                exits.insert(node.id.0, node.exits.clone());
-            }
-        }
-        for node in &keyed.nodes {
-            exits.insert(node.id.0, node.exits.clone());
-        }
-        let fault = self.fault.as_deref();
+        let watermark = self.watermark;
         let network = &self.network;
-        let rr_resolved: Vec<ResolvedPrefix<'_>> = rr_plans
-            .iter()
-            .map(|p| ResolvedPrefix {
-                roots: p.roots.clone(),
-                nodes: p
-                    .nodes
-                    .iter()
-                    .map(|pn| {
-                        let node = network.node(pn.id).expect("live prefix node");
-                        ResolvedNode {
-                            id: pn.id.0,
-                            kind: node.kind,
-                            op: node.op.shard_kernel().expect("prefix nodes are shardable"),
-                            internal: pn.internal.clone(),
-                            record: !pn.exits.is_empty(),
-                        }
-                    })
-                    .collect(),
-            })
-            .collect();
-        let keyed_resolved: Vec<ResolvedKeyedNode<'_>> = keyed
+        let nodes: Vec<ResolvedKeyedNode<'_>> = keyed
             .nodes
             .iter()
-            .zip(&advance)
-            .map(|(kn, &adv)| {
-                let node = network.node(kn.id).expect("live keyed node");
-                let op = &node.op;
+            .map(|kn| {
+                let node = network.node(kn.id).expect("live plan node");
                 ResolvedKeyedNode {
-                    id: kn.id.0,
+                    plan: kn,
                     kind: node.kind,
-                    kernel: if kn.stateful {
-                        ResolvedKeyedKernel::Stateful(
-                            op.keyed_kernel().expect("stateful plan members are keyed"),
-                        )
-                    } else {
-                        ResolvedKeyedKernel::Stateless(
-                            op.shard_kernel().expect("stateless plan members shard"),
-                        )
-                    },
-                    internal: kn.internal.clone(),
-                    record: !kn.exits.is_empty(),
-                    advance: adv,
-                    partial: kn.partial,
-                    grouped: kn.partial && op.keyed_partial_grouped(),
+                    op: &*node.op,
+                    // A stateful member closes windows on every shard
+                    // whenever the merged watermark moved past what the
+                    // node has seen (mirrors the control loop's
+                    // `last_watermark < watermark` check). Partial members
+                    // never advance in-shard: their per-worker partials
+                    // are combined by the control loop's own watermark
+                    // pass (see `KeyedNode::partial`).
+                    advance: kn.stateful && !kn.partial && node.last_watermark < watermark,
+                    grouped: kn.partial && node.op.keyed_partial_grouped(),
                 }
             })
             .collect();
-        let keyed_roots: Vec<Vec<(usize, usize)>> =
-            keyed.roots.iter().map(|r| r.targets.clone()).collect();
+        let run_advance = nodes.iter().any(|n| n.advance);
+        if units.iter().all(Vec::is_empty) && !run_advance {
+            return;
+        }
+        let columnar = crate::ops::columnar_kernels_enabled();
+        let ctx = FlushCtx {
+            nodes: &nodes,
+            plan: &keyed,
+            watermark,
+            timing: self.timing,
+            fault: self.fault.as_deref(),
+        };
 
         // -- 2a. Cut morsels ---------------------------------------------
-        // Round-robin units are always independent (stateless, whole
-        // batches, path-keyed merge). Keyed units are independent exactly
-        // when every stateful plan member's absorption commutes
-        // ([`crate::ops::Operator::keyed_commutative`]): joins and inexact
+        // One unit per morsel — the finest stealable grain — when units
+        // are independent, which they are exactly when every stateful
+        // plan member's absorption commutes
+        // ([`crate::ops::Operator::keyed_commutative`]). Joins and inexact
         // (float) aggregates are order-sensitive, so each home shard's
-        // keyed units then run as one sequential **chain** morsel —
-        // stealable whole, so a hot shard can still migrate to an idle
-        // worker.
-        let ordered = keyed.nodes.iter().any(|kn| {
-            kn.stateful
-                && network
-                    .node(kn.id)
-                    .is_some_and(|n| !n.op.keyed_commutative())
-        });
-        // One unit per morsel: the finest stealable grain.
+        // hash-partitioned units then run as one sequential **chain**
+        // morsel with the watermark pass inside — stealable whole, so a
+        // hot shard can still migrate to an idle worker. Whole-batch
+        // units stay independent either way: an order-sensitive member
+        // needs a tracked key, so none sits behind a keyless root.
+        let ordered = nodes
+            .iter()
+            .any(|n| n.plan.stateful && !n.op.keyed_commutative());
         let mut deques: Vec<VecDeque<Morsel>> = (0..shards).map(|_| VecDeque::new()).collect();
-        for (s, units) in rr_units.into_iter().enumerate() {
-            deques[s].extend(units.into_iter().map(Morsel::Rr));
-        }
-        for (s, units) in keyed_units.into_iter().enumerate() {
-            if ordered {
-                if !units.is_empty() || run_advance {
-                    // Chain fallbacks are the cost of order sensitivity:
-                    // the counter lets benches assert commutative grouped
-                    // plans stopped paying it.
-                    work::count_chain_morsel();
-                    deques[s].push_back(Morsel::Chain { home: s, units });
-                }
-            } else {
-                deques[s].extend(
-                    units
-                        .into_iter()
-                        .map(|unit| Morsel::Keyed { home: s, unit }),
-                );
+        for (home, units) in units.into_iter().enumerate() {
+            let (chain, free): (Vec<_>, Vec<_>) =
+                units.into_iter().partition(|u| ordered && u.seqs.is_some());
+            deques[home].extend(free.into_iter().map(|unit| Morsel {
+                home,
+                units: vec![unit],
+                advance: false,
+            }));
+            if ordered && (!chain.is_empty() || run_advance) {
+                // Chain fallbacks are the cost of order sensitivity:
+                // the counter lets benches assert commutative grouped
+                // plans stopped paying it.
+                work::count_chain_morsel();
+                deques[home].push_back(Morsel {
+                    home,
+                    units: chain,
+                    advance: true,
+                });
             }
         }
         let sched = MorselScheduler {
@@ -1130,10 +1047,7 @@ impl DsmsEngine {
         // -- 2b. Morsel-driven execution on the persistent pool ----------
         let jobs: Vec<ShardJob<'_>> = (0..shards)
             .map(|worker| {
-                let rr_resolved = &rr_resolved;
-                let keyed_resolved = &keyed_resolved;
-                let keyed_roots = &keyed_roots;
-                let sched = &sched;
+                let (ctx, sched) = (&ctx, &sched);
                 let job: ShardJob<'_> = Box::new(move || {
                     // Injected worker death fires at job start, before any
                     // morsel runs — a dying worker never leaves a morsel
@@ -1142,7 +1056,7 @@ impl DsmsEngine {
                     // raised *before* the panic so no survivor can hang on
                     // the advance barrier waiting for the dead worker's
                     // share of `pending`.
-                    if let Some(fault) = fault {
+                    if let Some(fault) = ctx.fault {
                         if fault.claims_worker_death(worker) {
                             sched.deserted.store(true, Ordering::Release);
                             std::panic::panic_any(WorkerDeath);
@@ -1163,37 +1077,11 @@ impl DsmsEngine {
                             work::count_morsel_stolen();
                         }
                         // Kernel panics are caught per invocation *inside*
-                        // the worker bodies (recover-and-continue); this
+                        // the morsel body (recover-and-continue); this
                         // outer net only catches genuine executor bugs,
                         // which still abort the flush.
-                        let done = std::panic::catch_unwind(AssertUnwindSafe(|| match morsel {
-                            Morsel::Rr(unit) => {
-                                shard_worker(rr_resolved, unit, timing, fault, &mut report);
-                            }
-                            Morsel::Keyed { home, unit } => keyed_worker(
-                                home,
-                                worker,
-                                keyed_resolved,
-                                keyed_roots,
-                                [unit],
-                                watermark,
-                                timing,
-                                false,
-                                fault,
-                                &mut report,
-                            ),
-                            Morsel::Chain { home, units } => keyed_worker(
-                                home,
-                                worker,
-                                keyed_resolved,
-                                keyed_roots,
-                                units,
-                                watermark,
-                                timing,
-                                true,
-                                fault,
-                                &mut report,
-                            ),
+                        let done = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                            run_morsel(ctx, worker, morsel, &mut report);
                         }));
                         sched.pending.fetch_sub(1, Ordering::AcqRel);
                         if let Err(payload) = done {
@@ -1225,18 +1113,7 @@ impl DsmsEngine {
                         if sched.pending.load(Ordering::Acquire) == 0
                             && !sched.aborted.load(Ordering::Acquire)
                         {
-                            keyed_worker(
-                                worker,
-                                worker,
-                                keyed_resolved,
-                                keyed_roots,
-                                [],
-                                watermark,
-                                timing,
-                                true,
-                                fault,
-                                &mut report,
-                            );
+                            run_morsel(ctx, worker, Morsel::advance_only(worker), &mut report);
                             report.advanced = true;
                         }
                     } else {
@@ -1271,10 +1148,11 @@ impl DsmsEngine {
             }
         }
         // Recover a deserted flush on the control thread, while the
-        // flush's resolved plans are still in scope: (a) replay every
-        // morsel left on the deques — death fires at job start, so
-        // leftover morsels (including chains, whose watermark pass rides
-        // inside) are whole; (b) run the advance-phase duty of every
+        // flush's resolved plan is still in scope: (a) replay every
+        // morsel left on the deques, as its home shard's worker — death
+        // fires at job start, so leftover morsels (including chains, whose
+        // watermark pass rides inside) are whole; (b) run the
+        // advance-phase duty of every
         // partition whose worker skipped it (per-partition, so each
         // partition's windows close exactly once — either on its worker or
         // here). Recovery outputs join the same deterministic merge as the
@@ -1287,52 +1165,13 @@ impl DsmsEngine {
                         break;
                     };
                     work::count_morsel_executed();
-                    match morsel {
-                        Morsel::Rr(unit) => {
-                            shard_worker(&rr_resolved, unit, timing, fault, &mut recovery);
-                        }
-                        Morsel::Keyed { home, unit } => keyed_worker(
-                            home,
-                            home,
-                            &keyed_resolved,
-                            &keyed_roots,
-                            [unit],
-                            watermark,
-                            timing,
-                            false,
-                            fault,
-                            &mut recovery,
-                        ),
-                        Morsel::Chain { home, units } => keyed_worker(
-                            home,
-                            home,
-                            &keyed_resolved,
-                            &keyed_roots,
-                            units,
-                            watermark,
-                            timing,
-                            true,
-                            fault,
-                            &mut recovery,
-                        ),
-                    }
+                    run_morsel(&ctx, morsel.home, morsel, &mut recovery);
                 }
             }
             if advance_phase {
                 for (w, report) in &reports {
                     if !report.advanced {
-                        keyed_worker(
-                            *w,
-                            *w,
-                            &keyed_resolved,
-                            &keyed_roots,
-                            [],
-                            watermark,
-                            timing,
-                            true,
-                            fault,
-                            &mut recovery,
-                        );
+                        run_morsel(&ctx, *w, Morsel::advance_only(*w), &mut recovery);
                     }
                 }
             }
@@ -1349,8 +1188,8 @@ impl DsmsEngine {
             reports.push((deaths[0], recovery));
         }
 
-        // The keyed plan's watermark handling happened inside the shards:
-        // mark every member so the control loop does not re-advance (and
+        // The plan's watermark handling happened inside the shards: mark
+        // every member so the control loop does not re-advance (and
         // re-emit from) partitioned state. Partial-aggregation members are
         // the exception — their per-worker partials close on the control
         // loop's own watermark pass, which stays pending.
@@ -1415,9 +1254,12 @@ impl DsmsEngine {
                 )
                 .expect("merged parts are non-empty")
             };
-            let targets = exits.get(&node_id).expect("exit map covers producers");
+            let producer = keyed
+                .nodes
+                .binary_search_by_key(&NodeId(node_id), |kn| kn.id)
+                .expect("merge outputs come from plan members");
             self.merged_pending
-                .push_back((node_id, targets.clone(), batch));
+                .push_back((node_id, keyed.nodes[producer].exits.clone(), batch));
         }
     }
 
@@ -1490,161 +1332,121 @@ impl DsmsEngine {
     }
 
     /// Processes every queued batch and propagates the watermark until the
-    /// network is quiescent. With a shard count above 1 the flush's
-    /// stateless prefixes and keyed stateful plan members run on the worker
-    /// pool first (see [`DsmsEngine::set_shards`]); the deterministic merge
-    /// and every operator outside those plans run on this thread exactly
-    /// like the single-threaded engine.
+    /// network is quiescent. With a shard count above 1 the flush's share
+    /// of the parallel plan runs on the worker pool first (see
+    /// [`DsmsEngine::set_shards`]); the deterministic merge and every
+    /// operator outside the plan run on this thread exactly like the
+    /// single-threaded engine.
     pub fn run_until_quiescent(&mut self) {
         if self.shards() > 1 {
             self.flush_ingest_sharded();
         } else {
             self.flush_ingest();
         }
-        let mut out_bufs: Vec<TupleBatch> = Vec::new();
-        loop {
-            let mut any = false;
-            for id in self.network.node_ids() {
-                // Drain the node's input queue, batch by batch.
-                while let Some((port, shared, sel)) =
-                    self.queues.get_mut(&id).and_then(VecDeque::pop_front)
-                {
-                    any = true;
-                    let in_rows = sel.as_ref().map_or(shared.len(), |s| s.len()) as u64;
-                    self.processed += in_rows;
-                    self.batches += 1;
-                    out_bufs.clear();
-                    let fault = self.fault.as_deref();
-                    let node = self.network.node_mut(id).expect("live node");
-                    node.in_count += in_rows;
-                    node.in_batches += 1;
-                    // A pure filter's survivors stay a deferred selection
-                    // (forwarded undensified by `dispatch_selected`);
-                    // everything else produces dense output batches. A
-                    // panicking kernel loses only this invocation's outputs
-                    // and resolves into a quarantine at quiescence — per
-                    // query, never per process.
-                    let (produced, elapsed) = run_kernel(
-                        id.0,
-                        node.kind,
-                        fault,
-                        self.timing,
-                        &mut self.pending_panics,
-                        |inject| {
-                            inject(shared.ts());
-                            let refine = node.op.shard_kernel().and_then(|k| {
-                                k.refine_selection(&shared, sel.as_ref().map(|s| s.as_slice()))
-                            });
-                            match (refine, sel) {
-                                (Some(out_sel), _) => {
-                                    node.out_count += out_sel.len() as u64;
-                                    (!out_sel.is_empty()).then_some((shared, out_sel))
-                                }
-                                (None, Some(sel)) => {
-                                    // Absorb through the deferred selection
-                                    // (stateful consumers push it down; the
-                                    // default gathers once on entry).
-                                    node.op.process_selected(
-                                        port,
-                                        &shared,
-                                        sel.as_slice(),
-                                        &mut out_bufs,
-                                    );
-                                    None
-                                }
-                                (None, None) => {
-                                    // Take ownership when this is the last
-                                    // reference (the common single-consumer
-                                    // hop). When another consumer — a node
-                                    // queue or a sink buffer — still holds the
-                                    // batch, the clone is a COW pointer clone:
-                                    // column data stays shared and is only
-                                    // copied if someone mutates it (counted in
-                                    // `TupleBatch::columns_mut`).
-                                    let batch = Arc::try_unwrap(shared)
-                                        .unwrap_or_else(|still_shared| (*still_shared).clone());
-                                    node.op.process_batch(port, batch, &mut out_bufs);
-                                    None
-                                }
-                            }
-                        },
-                    );
-                    node.busy += elapsed;
-                    node.out_count += out_bufs.iter().map(|b| b.len() as u64).sum::<u64>();
-                    if produced.is_none() {
-                        out_bufs.clear();
+        // Edges only ascend, so one ascending pass reaches quiescence:
+        // whatever a node emits lands in a higher-numbered node's queue,
+        // which the pass has yet to visit.
+        for id in self.network.node_ids() {
+            // Drain the node's input queue, batch by batch.
+            while let Some((port, shared, sel)) =
+                self.queues.get_mut(&id).and_then(VecDeque::pop_front)
+            {
+                let in_rows = sel.as_ref().map_or(shared.len(), |s| s.len()) as u64;
+                self.processed += in_rows;
+                self.batches += 1;
+                let fault = self.fault.as_deref();
+                let node = self.network.node_mut(id).expect("live node");
+                node.in_count += in_rows;
+                node.in_batches += 1;
+                // A panicking kernel loses only this invocation's outputs
+                // and resolves into a quarantine at quiescence — per
+                // query, never per process.
+                let (produced, elapsed) = run_kernel(
+                    id.0,
+                    node.kind,
+                    fault,
+                    self.timing,
+                    &mut self.pending_panics,
+                    |inject| {
+                        inject(shared.ts());
+                        let sel = sel.as_ref().map(|s| s.as_slice());
+                        invoke(&*node.op, None, port, &shared, sel, false)
+                    },
+                );
+                node.busy += elapsed;
+                match produced.flatten() {
+                    // A pure filter's survivors stay a deferred selection,
+                    // forwarded undensified.
+                    Some(Produced::Selection(out_sel)) => {
+                        node.out_count += out_sel.len() as u64;
+                        self.dispatch_selected(id, shared, out_sel);
                     }
-                    match produced.flatten() {
-                        Some((batch, out_sel)) => self.dispatch_selected(id, batch, out_sel),
-                        None => self.dispatch(id, &mut out_bufs),
+                    Some(Produced::Batch(batch, _)) => {
+                        node.out_count += batch.len() as u64;
+                        self.dispatch(id, batch);
                     }
-                }
-                // Dispatch merged shard outputs *produced by* this node at
-                // exactly the point the single-threaded pass would have —
-                // after the node's (empty, it ran in-shard) queue, before
-                // later nodes — so out-of-plan consumers see the same
-                // arrival interleaving either way.
-                while self
-                    .merged_pending
-                    .front()
-                    .is_some_and(|(n, _, _)| *n == id.0)
-                {
-                    let (_, targets, batch) =
-                        self.merged_pending.pop_front().expect("checked front");
-                    any = true;
-                    self.route_shared(&targets, batch);
-                }
-                // Propagate the watermark once per value per node.
-                let needs_watermark = self.network.node(id).is_some_and(|n| {
-                    // The watermark-advancement invariant the parallel
-                    // merge relies on: a node can never have been told a
-                    // watermark the engine has since moved below.
-                    debug_assert!(
-                        n.last_watermark <= self.watermark,
-                        "node {id} watermark {} is ahead of the engine watermark {}",
-                        n.last_watermark,
-                        self.watermark
-                    );
-                    n.last_watermark < self.watermark
-                });
-                if needs_watermark {
-                    out_bufs.clear();
-                    let fault = self.fault.as_deref();
-                    let watermark = self.watermark;
-                    let node = self.network.node_mut(id).expect("live node");
-                    // Timed too: window-close work (eviction, emission)
-                    // happens here, and the measured cost model must not
-                    // undercount stateful operators.
-                    let (done, elapsed) = run_kernel(
-                        id.0,
-                        node.kind,
-                        fault,
-                        self.timing,
-                        &mut self.pending_panics,
-                        |inject| {
-                            inject(&[]);
-                            node.op.advance_watermark(watermark, &mut out_bufs);
-                        },
-                    );
-                    node.busy += elapsed;
-                    // Marked even when the pass panicked: the node is about
-                    // to be quarantined, and re-running a panicking advance
-                    // on every pass would never reach quiescence.
-                    node.last_watermark = watermark;
-                    node.out_count += out_bufs.iter().map(|b| b.len() as u64).sum::<u64>();
-                    if done.is_none() {
-                        out_bufs.clear();
-                    }
-                    if !out_bufs.is_empty() {
-                        any = true;
-                    }
-                    self.dispatch(id, &mut out_bufs);
+                    None => {}
                 }
             }
-            if !any {
-                break;
+            // Dispatch merged shard outputs *produced by* this node at
+            // exactly the point the single-threaded pass would have —
+            // after the node's (empty, it ran in-shard) queue, before
+            // later nodes — so out-of-plan consumers see the same
+            // arrival interleaving either way.
+            while self
+                .merged_pending
+                .front()
+                .is_some_and(|(n, _, _)| *n == id.0)
+            {
+                let (_, targets, batch) = self.merged_pending.pop_front().expect("checked front");
+                self.route_shared(&targets, batch);
+            }
+            // Propagate the watermark once per value per node.
+            let needs_watermark = self.network.node(id).is_some_and(|n| {
+                // The watermark-advancement invariant the parallel
+                // merge relies on: a node can never have been told a
+                // watermark the engine has since moved below.
+                debug_assert!(
+                    n.last_watermark <= self.watermark,
+                    "node {id} watermark {} is ahead of the engine watermark {}",
+                    n.last_watermark,
+                    self.watermark
+                );
+                n.last_watermark < self.watermark
+            });
+            if needs_watermark {
+                let fault = self.fault.as_deref();
+                let watermark = self.watermark;
+                let node = self.network.node_mut(id).expect("live node");
+                // Timed too: window-close work (eviction, emission)
+                // happens here, and the measured cost model must not
+                // undercount stateful operators.
+                let (closed, elapsed) = run_kernel(
+                    id.0,
+                    node.kind,
+                    fault,
+                    self.timing,
+                    &mut self.pending_panics,
+                    |inject| {
+                        inject(&[]);
+                        node.op.advance(None, watermark)
+                    },
+                );
+                node.busy += elapsed;
+                // Marked even when the pass panicked: the node is about
+                // to be quarantined, and a panicking advance must not be
+                // offered the same watermark again.
+                node.last_watermark = watermark;
+                if let Some((batch, _)) = closed.flatten() {
+                    node.out_count += batch.len() as u64;
+                    self.dispatch(id, batch);
+                }
             }
         }
+        debug_assert!(
+            self.queues.values().all(VecDeque::is_empty) && self.merged_pending.is_empty(),
+            "one ascending pass drains every queue and every merged output"
+        );
         self.resolve_panics();
     }
 
@@ -1707,36 +1509,18 @@ impl DsmsEngine {
         self.quarantining = false;
     }
 
-    fn dispatch(&mut self, from: NodeId, out_bufs: &mut Vec<TupleBatch>) {
-        if out_bufs.is_empty() {
-            return;
-        }
+    /// Routes one produced batch to its producer's consumers: one `Arc`,
+    /// every target gets a pointer clone. Sinks never copy; a node
+    /// consumer only ever reads the shared columns — zero data copies
+    /// either way.
+    fn dispatch(&mut self, from: NodeId, batch: TupleBatch) {
         let targets: Vec<Target> = self
             .network
             .node(from)
             .expect("live node")
             .downstream
             .clone();
-        let Some((&last, rest)) = targets.split_last() else {
-            out_bufs.clear();
-            return;
-        };
-        for batch in out_bufs.drain(..) {
-            if batch.is_empty() {
-                continue;
-            }
-            // One Arc per produced batch; every target gets a pointer
-            // clone. Sinks never copy; a node consumer that ends up
-            // holding the final reference takes ownership without a copy
-            // (the last-target-takes-ownership fast path), and any other
-            // node consumer's clone is itself a COW pointer clone of the
-            // batch's shared columns — zero data copies either way.
-            let shared = Arc::new(batch);
-            for &target in rest {
-                self.route(target, shared.clone());
-            }
-            self.route(last, shared);
-        }
+        self.route_shared(&targets, batch);
     }
 
     /// Force-closes all windowed state (the end of the *final* day) and
@@ -1751,14 +1535,12 @@ impl DsmsEngine {
     /// the depth of the operator DAG.
     pub fn finish(&mut self) {
         self.run_until_quiescent();
-        let mut out_bufs: Vec<TupleBatch> = Vec::new();
         loop {
             let mut any = false;
             for id in self.network.node_ids() {
-                out_bufs.clear();
                 let fault = self.fault.as_deref();
                 let node = self.network.node_mut(id).expect("live node");
-                let (done, _) = run_kernel(
+                let (closed, _) = run_kernel(
                     id.0,
                     node.kind,
                     fault,
@@ -1766,17 +1548,14 @@ impl DsmsEngine {
                     &mut self.pending_panics,
                     |inject| {
                         inject(&[]);
-                        node.op.finish(&mut out_bufs);
+                        node.op.finish()
                     },
                 );
-                node.out_count += out_bufs.iter().map(|b| b.len() as u64).sum::<u64>();
-                if done.is_none() {
-                    out_bufs.clear();
-                }
-                if !out_bufs.is_empty() {
+                if let Some(batch) = closed.flatten() {
+                    node.out_count += batch.len() as u64;
                     any = true;
+                    self.dispatch(id, batch);
                 }
-                self.dispatch(id, &mut out_bufs);
             }
             self.run_until_quiescent();
             if !any {
@@ -1838,7 +1617,7 @@ impl DsmsEngine {
         self.processed
     }
 
-    /// Total operator `process_batch` invocations so far.
+    /// Total operator invocations on input batches so far.
     /// `tuples_processed / batches_processed` is the realized mean batch
     /// size across the network.
     pub fn batches_processed(&self) -> u64 {
@@ -1931,41 +1710,49 @@ impl DsmsEngine {
     }
 }
 
-/// One unit of round-robin shard work: a whole source batch of a keyless
-/// stream headed into that stream's stateless prefix.
-struct ShardUnit {
-    /// Index of the source batch within the flush (the merge order key).
-    batch_idx: usize,
-    /// Index into the flush's prefix table.
-    plan: usize,
-    batch: TupleBatch,
-}
-
-/// One unit of keyed shard work: the hash-partitioned slice of one source
-/// batch headed into the keyed plan.
+/// One unit of shard work: the share of one source batch dealt to one home
+/// shard, headed into the parallel plan.
 struct KeyedUnit {
     /// Index of the source batch within the flush (the merge order key).
     batch_idx: usize,
     /// Index into [`KeyedPlan::roots`].
     root: usize,
     batch: TupleBatch,
-    /// Pre-partition row indices, aligned with the slice's rows.
-    seqs: Vec<u32>,
+    /// Pre-partition row indices of a hash-partitioned slice, aligned with
+    /// its rows — the merge tags. `None` for a whole batch dealt
+    /// round-robin: it lives on one shard, so its outputs merge without
+    /// tags and its kernels run untraced.
+    seqs: Option<Vec<u32>>,
 }
 
-/// One batch-sized work item of the morsel scheduler. Every morsel is
-/// tagged with the sequence metadata its units already carry (source batch
+/// One work item of the morsel scheduler: `home`'s state partitions, the
+/// units to walk through the plan, and whether the watermark pass rides
+/// inside the walk. Units carry their own sequence metadata (source batch
 /// indices, row tags), so the deterministic merge is independent of which
-/// worker executes it and in what order.
-enum Morsel {
-    /// One round-robin unit headed into its stateless prefix.
-    Rr(ShardUnit),
-    /// One independent keyed unit of its `home` shard — stealable alone
-    /// because every stateful plan member combines commutatively.
-    Keyed { home: usize, unit: KeyedUnit },
-    /// One `home` shard's entire keyed workload plus its watermark pass,
-    /// run sequentially (order-sensitive plans: joins, float aggregates).
-    Chain { home: usize, units: Vec<KeyedUnit> },
+/// worker executes a morsel and in what order.
+///
+/// Three uses of the one shape: a single independent unit (stealable
+/// alone: whatever it reaches combines commutatively); a **chain** — one
+/// home shard's entire hash-partitioned workload plus its watermark pass,
+/// run sequentially (order-sensitive plans: joins, float aggregates); and
+/// the commutative plans' advance-only morsel ([`Morsel::advance_only`]).
+struct Morsel {
+    home: usize,
+    units: Vec<KeyedUnit>,
+    advance: bool,
+}
+
+impl Morsel {
+    /// The watermark pass over state partition `home`, on its own — what
+    /// each worker runs for its own partition once every morsel of a
+    /// commutative flush is absorbed.
+    fn advance_only(home: usize) -> Morsel {
+        Morsel {
+            home,
+            units: Vec::new(),
+            advance: true,
+        }
+    }
 }
 
 /// The flush-scoped morsel scheduler: one deque per worker, seeded with
@@ -2034,9 +1821,9 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// The one guard around every operator-kernel invocation — worker
-/// morsels, keyed watermark passes, the control loop's queue walk and
-/// watermark pass, and `finish`: a panic net, the fault harness's hook and
+/// The one guard around every operator-kernel invocation — the morsel
+/// body's and the control loop's queue walks and watermark passes, and
+/// `finish`: a panic net, the fault harness's hook and
 /// the `busy` timer in one place. `f` receives `inject` and calls it with
 /// its input's timestamps before touching the kernel; the hook lives
 /// *inside* the net, so an injected panic is indistinguishable from a
@@ -2080,23 +1867,39 @@ fn lock_deque(m: &Mutex<VecDeque<Morsel>>) -> std::sync::MutexGuard<'_, VecDeque
     ride_poison(m.lock())
 }
 
-/// A stream's prefix with operator references resolved for the workers.
-struct ResolvedPrefix<'a> {
-    roots: Vec<usize>,
-    nodes: Vec<ResolvedNode<'a>>,
+/// What one operator invocation handed on.
+enum Produced {
+    /// A pure filter's survivors, still deferred: row indices into the
+    /// *input* batch, which travels on with them.
+    Selection(Vec<u32>),
+    /// A materialized output batch and, for a traced call, its
+    /// [`RowTrace`].
+    Batch(TupleBatch, RowTrace),
 }
 
-struct ResolvedNode<'a> {
-    id: u32,
-    /// The node's operator kind (for fault attribution and the harness's
-    /// per-kind triggers).
-    kind: &'static str,
-    op: &'a dyn ShardKernel,
-    /// Downstream consumers inside the prefix (indices into the plan).
-    internal: Vec<usize>,
-    /// Whether the node has exits (its outputs must be reported back for
-    /// the merge).
-    record: bool,
+/// Invokes an operator on one queued input — the one way in for the
+/// control loop's queue walk (`partition: None`) and the morsel body
+/// (`Some(p)`) alike: a filter that can stay selection-deferred refines,
+/// everything else processes, and a keyed operator handed a deferred
+/// selection counts the rows it absorbs through it
+/// ([`work::WorkSnapshot::selection_pushdown_rows`]). `None` when nothing
+/// came out.
+fn invoke(
+    op: &dyn Operator,
+    partition: Option<usize>,
+    port: usize,
+    batch: &TupleBatch,
+    sel: Option<&[u32]>,
+    traced: bool,
+) -> Option<Produced> {
+    if let Some(refined) = op.refine_selection(batch, sel) {
+        return (!refined.is_empty()).then_some(Produced::Selection(refined));
+    }
+    if let (Some(sel), OpClass::Keyed) = (sel, op.class()) {
+        work::count_pushdown_rows(sel.len() as u64);
+    }
+    let (out, trace) = op.process(partition, port, batch, sel, traced);
+    out.map(|batch| Produced::Batch(batch, trace))
 }
 
 /// Per-node statistic deltas accumulated by one worker.
@@ -2135,120 +1938,39 @@ struct ShardReport {
     advanced: bool,
 }
 
-/// A stateless-or-keyed kernel reference resolved for the workers.
-enum ResolvedKeyedKernel<'a> {
-    Stateless(&'a dyn ShardKernel),
-    Stateful(&'a dyn KeyedKernel),
-}
-
-/// One keyed-plan node resolved for the workers.
+/// One plan node resolved for the workers.
 struct ResolvedKeyedNode<'a> {
-    id: u32,
+    /// The node's place in the plan: id, membership flags, in-plan
+    /// consumers, and exits (a node with exits reports its outputs back
+    /// for the merge).
+    plan: &'a KeyedNode,
     /// The node's operator kind (for fault attribution and the harness's
     /// per-kind triggers).
     kind: &'static str,
-    kernel: ResolvedKeyedKernel<'a>,
-    /// Downstream consumers inside the plan: (plan index, port).
-    internal: Vec<(usize, usize)>,
-    /// Whether the node has exits (its outputs must be reported back for
-    /// the merge).
-    record: bool,
+    op: &'a dyn Operator,
     /// Whether this flush advances the node's watermark on every shard
     /// (always `false` for partial members — the control loop combines
     /// and emits their partials).
     advance: bool,
-    /// Whether the node is a partial-aggregation member: absorbs into the
-    /// **executing worker's** partition instead of the home shard's (see
-    /// [`crate::network::KeyedNode::partial`]).
-    partial: bool,
     /// Whether the node is a *grouped* partial member (per-worker hash
     /// partials over a shard-incompatible group key); counts
-    /// [`work::WorkSnapshot::grouped_partial_rows`]. Implies `partial` —
-    /// key-compatible grouped aggregates are full members, not partials.
+    /// [`work::WorkSnapshot::grouped_partial_rows`]. Implies
+    /// `plan.partial` — key-compatible grouped aggregates are full
+    /// members, not partials.
     grouped: bool,
 }
 
-/// The body of a round-robin morsel: runs one whole source batch of a
-/// keyless stream through its stateless prefix. Outputs merge trivially
-/// (a source batch lives whole on one shard), so no survivor tracing is
-/// needed.
-fn shard_worker(
-    plans: &[ResolvedPrefix<'_>],
-    unit: ShardUnit,
+/// What every morsel of one flush runs against.
+struct FlushCtx<'a> {
+    nodes: &'a [ResolvedKeyedNode<'a>],
+    plan: &'a KeyedPlan,
+    /// The flush's merged watermark.
+    watermark: u64,
     timing: bool,
-    fault: Option<&FaultPlan>,
-    report: &mut ShardReport,
-) {
-    let plan = &plans[unit.plan];
-    if let Some(ts) = unit.batch.max_ts() {
-        report.max_ts = report.max_ts.max(ts);
-    }
-    let mut slots: Vec<Option<TupleBatch>> = (0..plan.nodes.len()).map(|_| None).collect();
-    // Seed the roots (COW column sharing makes extra roots cheap).
-    let Some((&last_root, other_roots)) = plan.roots.split_last() else {
-        return;
-    };
-    for &r in other_roots {
-        slots[r] = Some(unit.batch.clone());
-    }
-    slots[last_root] = Some(unit.batch);
-    // Ascending position is a topological order (node ids ascend along
-    // edges), so one pass drains the whole prefix.
-    for pos in 0..plan.nodes.len() {
-        let Some(batch) = slots[pos].take() else {
-            continue;
-        };
-        let node = &plan.nodes[pos];
-        let in_rows = batch.len() as u64;
-        report.rows += in_rows;
-        report.batches += 1;
-        work::count_shard_batches(1);
-        let (produced, elapsed) = run_kernel(
-            node.id,
-            node.kind,
-            fault,
-            timing,
-            &mut report.panics,
-            |inject| {
-                inject(batch.ts());
-                node.op.process_traced(batch, false)
-            },
-        );
-        report.busy += elapsed;
-        let delta = report.node_stats.entry(node.id).or_default();
-        delta.in_rows += in_rows;
-        delta.in_batches += 1;
-        delta.busy += elapsed;
-        // A caught panic drops this invocation's outputs and moves on:
-        // downstream nodes simply see nothing from it, and the node's
-        // owners are quarantined at quiescence.
-        let Some((out, _)) = produced else {
-            continue;
-        };
-        delta.out_rows += out.len() as u64;
-        if out.is_empty() {
-            continue;
-        }
-        if node.record {
-            for &c in &node.internal {
-                slots[c] = Some(out.clone());
-            }
-            report
-                .outputs
-                .push((node.id, vec![unit.batch_idx as u32], out, None));
-        } else {
-            let Some((&last_c, rest_c)) = node.internal.split_last() else {
-                continue;
-            };
-            for &c in rest_c {
-                slots[c] = Some(out.clone());
-            }
-            slots[last_c] = Some(out);
-        }
-    }
+    fault: Option<&'a FaultPlan>,
 }
 
-/// One pending input of a keyed-plan node inside a shard's mini node loop.
+/// One pending input of a plan node inside a morsel's mini node loop.
 struct KeyedEntry {
     /// The entry path (see [`entry_child`]); orders a node's queue the way
     /// the single-threaded node loop fills it.
@@ -2260,8 +1982,9 @@ struct KeyedEntry {
     /// without gathering; stateful consumers absorb straight through it
     /// (selection pushdown); anything else densifies on entry.
     sel: Option<Vec<u32>>,
-    /// Merge tags aligned with `batch`'s rows.
-    tags: MergeTags,
+    /// Merge tags aligned with `batch`'s rows; `None` downstream of a
+    /// whole-batch unit, whose kernels therefore run untraced.
+    tags: Option<MergeTags>,
 }
 
 /// The child entry path for outputs of node `id` processing an entry with
@@ -2278,68 +2001,53 @@ fn entry_child(id: u32, parent: &[u32]) -> Vec<u32> {
     key
 }
 
-/// The keyed body of one morsel: a **mini node loop** over the keyed
-/// plan, mirroring the single-threaded engine's pass — per-node FIFO
-/// queues drained in ascending node order and (when `advance` is set)
-/// each stateful node closing `state_shard`'s windows against the flush's
-/// merged watermark right after its queue drains. Because every pair of
-/// rows a stateful member must combine shares the unit's home shard (hash
-/// partitioning on the tracked key), the walk observes exactly the
-/// single-threaded state restricted to that shard's keys, and the
-/// reported outputs carry entry paths + row tags that let the control
-/// thread reassemble bit-identical batches.
+/// The body of every morsel: a **mini node loop** over the parallel plan,
+/// mirroring the single-threaded engine's pass — per-node FIFO queues
+/// drained in ascending node order and (when the morsel's `advance` is
+/// set) each stateful node closing its `home` partition's windows against
+/// the flush's merged watermark right after its queue drains. Because
+/// every pair of rows a stateful full member must combine shares the
+/// unit's home shard (hash partitioning on the tracked key), the walk
+/// observes exactly the single-threaded state restricted to that shard's
+/// keys, and the reported outputs carry entry paths + row tags that let
+/// the control thread reassemble bit-identical batches.
 ///
 /// Partial-aggregation members are the exception to key homing: they
-/// absorb into `partial_shard` — the **executing worker's** partition —
-/// which is exact because only commutative aggregates qualify; the
-/// control loop's watermark pass later combines the per-worker partials
-/// in partition order.
-///
-/// `advance` is set for chain morsels (order-sensitive plans run their
-/// shard's units and watermark pass as one sequential walk) and for the
-/// commutative scheduler's dedicated advance phase (empty `units`,
-/// `state_shard == partial_shard ==` the worker's own partition, entered
-/// only after every morsel of the flush is absorbed).
-#[allow(clippy::too_many_arguments)]
-fn keyed_worker(
-    state_shard: usize,
-    partial_shard: usize,
-    nodes: &[ResolvedKeyedNode<'_>],
-    roots: &[Vec<(usize, usize)>],
-    units: impl IntoIterator<Item = KeyedUnit>,
-    watermark: u64,
-    timing: bool,
-    advance: bool,
-    fault: Option<&FaultPlan>,
-    report: &mut ShardReport,
-) {
+/// absorb into partition `worker` — the **executing worker's** — which is
+/// exact because only commutative aggregates qualify; the control loop's
+/// watermark pass later combines the per-worker partials in partition
+/// order. (The control thread replaying a dead worker's morsels passes the
+/// morsel's home as `worker`.)
+fn run_morsel(ctx: &FlushCtx<'_>, worker: usize, morsel: Morsel, report: &mut ShardReport) {
+    let nodes = ctx.nodes;
     let mut queues: Vec<VecDeque<KeyedEntry>> = (0..nodes.len()).map(|_| VecDeque::new()).collect();
     // Seed root targets in source-batch order (= ingestion order), exactly
     // like the single-threaded flush routes raw stream batches.
-    for unit in units {
+    for unit in morsel.units {
         if let Some(ts) = unit.batch.max_ts() {
             report.max_ts = report.max_ts.max(ts);
         }
-        let targets = &roots[unit.root];
-        let Some(((last_n, last_p), rest)) = targets.split_last() else {
+        let Some((&(last, last_port), rest)) = ctx.plan.roots[unit.root].targets.split_last()
+        else {
             continue;
         };
         let key = vec![0u32, unit.batch_idx as u32];
-        for &(n, p) in rest {
+        let tags = unit.seqs.map(MergeTags::Rows);
+        for &(n, port) in rest {
             queues[n].push_back(KeyedEntry {
                 key: key.clone(),
-                port: p,
+                port,
                 batch: unit.batch.clone(),
                 sel: None,
-                tags: MergeTags::Rows(unit.seqs.clone()),
+                tags: tags.clone(),
             });
         }
-        queues[*last_n].push_back(KeyedEntry {
+        queues[last].push_back(KeyedEntry {
             key,
-            port: *last_p,
+            port: last_port,
             batch: unit.batch,
             sel: None,
-            tags: MergeTags::Rows(unit.seqs),
+            tags,
         });
     }
     // Ascending plan position is a topological order, so one pass drains
@@ -2347,198 +2055,150 @@ fn keyed_worker(
     // higher-numbered nodes.
     for pos in 0..nodes.len() {
         let node = &nodes[pos];
+        let id = node.plan.id.0;
+        let partition = if node.plan.partial {
+            worker
+        } else {
+            morsel.home
+        };
         while let Some(entry) = queues[pos].pop_front() {
             let in_rows = entry.sel.as_ref().map_or(entry.batch.len(), Vec::len) as u64;
             report.rows += in_rows;
             report.batches += 1;
             work::count_shard_batches(1);
-            // Produce: either a refined deferred selection (filters), or a
-            // materialized output batch with composed tags. The whole
-            // production — one logical kernel invocation — runs under its
-            // own panic net: a caught panic drops only this entry's
-            // outputs, and the node's owners are quarantined at
-            // quiescence.
+            // One logical kernel invocation under its own panic net: a
+            // caught panic drops only this entry's outputs, and the
+            // node's owners are quarantined at quiescence.
             let (produced, elapsed) = run_kernel(
-                node.id,
+                id,
                 node.kind,
-                fault,
-                timing,
+                ctx.fault,
+                ctx.timing,
                 &mut report.panics,
                 |inject| {
                     inject(entry.batch.ts());
-                    match &node.kernel {
-                        ResolvedKeyedKernel::Stateless(k) => {
-                            match k.refine_selection(&entry.batch, entry.sel.as_deref()) {
-                                Some(sel) => (!sel.is_empty()).then(|| KeyedEntry {
-                                    key: entry.key.clone(),
-                                    port: 0,
-                                    batch: entry.batch,
-                                    sel: Some(sel),
-                                    tags: entry.tags,
-                                }),
-                                None => {
-                                    let (batch, tags) =
-                                        materialize(entry.batch, entry.sel, entry.tags);
-                                    let (out, trace) = k.process_traced(batch, true);
-                                    (!out.is_empty()).then(|| {
-                                        let tags = match trace {
-                                            None => tags,
-                                            Some(t) => tags.take(&t),
-                                        };
-                                        KeyedEntry {
-                                            key: entry.key.clone(),
-                                            port: 0,
-                                            batch: out,
-                                            sel: None,
-                                            tags,
-                                        }
-                                    })
-                                }
-                            }
-                        }
-                        ResolvedKeyedKernel::Stateful(k) => {
-                            work::count_keyed_shard_rows(in_rows);
-                            if entry.sel.is_some() {
-                                // Absorbed through the deferred selection: these
-                                // rows were never gathered into a dense batch.
-                                work::count_pushdown_rows(in_rows);
-                            }
-                            if node.grouped {
-                                // Grouped rows absorbed past the merge barrier
-                                // into per-worker hash partials.
-                                work::count_grouped_partial_rows(in_rows);
-                            }
-                            let shard = if node.partial {
-                                partial_shard
-                            } else {
-                                state_shard
-                            };
-                            let (out, trace) = k.process_keyed(
-                                shard,
-                                entry.port,
-                                &entry.batch,
-                                entry.sel.as_deref(),
-                            );
-                            (!out.is_empty()).then(|| KeyedEntry {
-                                key: entry.key.clone(),
-                                port: 0,
-                                batch: out,
-                                sel: None,
-                                tags: entry.tags.take(&trace),
-                            })
-                        }
+                    if node.plan.stateful {
+                        work::count_keyed_shard_rows(in_rows);
                     }
+                    if node.grouped {
+                        // Grouped rows absorbed past the merge barrier
+                        // into per-worker hash partials.
+                        work::count_grouped_partial_rows(in_rows);
+                    }
+                    invoke(
+                        node.op,
+                        Some(partition),
+                        entry.port,
+                        &entry.batch,
+                        entry.sel.as_deref(),
+                        entry.tags.is_some(),
+                    )
                 },
             );
             report.busy += elapsed;
-            let delta = report.node_stats.entry(node.id).or_default();
+            let delta = report.node_stats.entry(id).or_default();
             delta.in_rows += in_rows;
             delta.in_batches += 1;
             delta.busy += elapsed;
-            if let Some(out) = produced.flatten() {
-                delta.out_rows += out.sel.as_ref().map_or(out.batch.len(), Vec::len) as u64;
-                dispatch_keyed(node, out, &mut queues, report);
-            }
+            // Either the input batch under a refined selection, or a
+            // materialized output with its tags composed through the trace.
+            let (batch, sel, tags) = match produced.flatten() {
+                None => continue,
+                Some(Produced::Selection(sel)) => (entry.batch, Some(sel), entry.tags),
+                Some(Produced::Batch(out, trace)) => {
+                    let tags = match (entry.tags, trace) {
+                        (Some(tags), Some(trace)) => Some(tags.take(&trace)),
+                        (tags, _) => tags,
+                    };
+                    (out, None, tags)
+                }
+            };
+            delta.out_rows += sel.as_ref().map_or(batch.len(), Vec::len) as u64;
+            let out = KeyedEntry {
+                key: entry.key,
+                port: 0,
+                batch,
+                sel,
+                tags,
+            };
+            dispatch_keyed(node.plan, out, &mut queues, report);
         }
         // Watermark pass: close this shard's windows right after the
         // node's queue — the position the single-threaded loop advances
-        // the node at. Suppressed while `advance` is off (commutative
-        // morsels — their flush runs a dedicated advance phase instead).
-        if advance && node.advance {
-            if let ResolvedKeyedKernel::Stateful(k) = &node.kernel {
-                let (emitted, elapsed) = run_kernel(
-                    node.id,
-                    node.kind,
-                    fault,
-                    timing,
-                    &mut report.panics,
-                    |inject| {
-                        inject(&[]);
-                        k.advance_keyed(state_shard, watermark)
-                    },
-                );
-                report.busy += elapsed;
-                let delta = report.node_stats.entry(node.id).or_default();
-                delta.busy += elapsed;
-                if let Some((batch, keys)) = emitted.flatten() {
-                    delta.out_rows += batch.len() as u64;
-                    dispatch_keyed(
-                        node,
-                        KeyedEntry {
-                            key: vec![u32::MAX],
-                            port: 0,
-                            batch,
-                            sel: None,
-                            tags: MergeTags::Emits(keys),
-                        },
-                        &mut queues,
-                        report,
-                    );
-                }
+        // the node at. Not part of a commutative flush's unit morsels —
+        // that flush runs advance-only morsels behind its barrier instead.
+        if morsel.advance && node.advance {
+            let (emitted, elapsed) = run_kernel(
+                id,
+                node.kind,
+                ctx.fault,
+                ctx.timing,
+                &mut report.panics,
+                |inject| {
+                    inject(&[]);
+                    node.op.advance(Some(morsel.home), ctx.watermark)
+                },
+            );
+            report.busy += elapsed;
+            let delta = report.node_stats.entry(id).or_default();
+            delta.busy += elapsed;
+            if let Some((batch, keys)) = emitted.flatten() {
+                delta.out_rows += batch.len() as u64;
+                let out = KeyedEntry {
+                    key: vec![u32::MAX],
+                    port: 0,
+                    batch,
+                    sel: None,
+                    tags: Some(MergeTags::Emits(keys)),
+                };
+                dispatch_keyed(node.plan, out, &mut queues, report);
             }
         }
     }
 }
 
-/// Densifies a deferred selection: gathers the selected rows (and their
-/// tags) into a dense batch. All-row selections pass through untouched.
-fn materialize(
-    batch: TupleBatch,
-    sel: Option<Vec<u32>>,
-    tags: MergeTags,
-) -> (TupleBatch, MergeTags) {
-    match sel {
-        None => (batch, tags),
-        Some(sel) if sel.len() == batch.len() => (batch, tags),
-        Some(sel) => {
-            let tags = tags.take(&sel);
-            (batch.take(&sel), tags)
-        }
-    }
-}
-
-/// Routes one produced output of keyed-plan node `node` (still possibly
-/// selection-deferred) to its in-plan consumers, and records it — densified
-/// — for the merge when the node has exits.
+/// Routes one produced output of plan node `node` (still possibly
+/// selection-deferred) to its in-plan consumers, and records it —
+/// densified, an all-row selection passing through untouched — for the
+/// merge when the node has exits.
 fn dispatch_keyed(
-    node: &ResolvedKeyedNode<'_>,
+    node: &KeyedNode,
     out: KeyedEntry,
     queues: &mut [VecDeque<KeyedEntry>],
     report: &mut ShardReport,
 ) {
-    let child_key = entry_child(node.id, &out.key);
-    if node.record {
-        for &(c, p) in &node.internal {
+    // Consumers share the output (COW columns); the original moves on to
+    // the merge record or, without exits, to the last consumer.
+    let record = !node.exits.is_empty();
+    if let Some((&(last, last_port), rest)) = node.internal.split_last() {
+        let child_key = entry_child(node.id.0, &out.key);
+        let sharers = if record { &node.internal[..] } else { rest };
+        for &(c, port) in sharers {
             queues[c].push_back(KeyedEntry {
                 key: child_key.clone(),
-                port: p,
+                port,
                 batch: out.batch.clone(),
                 sel: out.sel.clone(),
                 tags: out.tags.clone(),
             });
         }
-        let (batch, tags) = materialize(out.batch, out.sel, out.tags);
-        report.outputs.push((node.id, out.key, batch, Some(tags)));
-    } else {
-        let Some((&(last_c, last_p), rest)) = node.internal.split_last() else {
+        if !record {
+            queues[last].push_back(KeyedEntry {
+                key: child_key,
+                port: last_port,
+                ..out
+            });
             return;
-        };
-        for &(c, p) in rest {
-            queues[c].push_back(KeyedEntry {
-                key: child_key.clone(),
-                port: p,
-                batch: out.batch.clone(),
-                sel: out.sel.clone(),
-                tags: out.tags.clone(),
-            });
         }
-        queues[last_c].push_back(KeyedEntry {
-            key: child_key,
-            port: last_p,
-            batch: out.batch,
-            sel: out.sel,
-            tags: out.tags,
-        });
+    }
+    if record {
+        let (batch, tags) = match out.sel {
+            Some(sel) if sel.len() < out.batch.len() => {
+                (out.batch.take(&sel), out.tags.map(|t| t.take(&sel)))
+            }
+            _ => (out.batch, out.tags),
+        };
+        report.outputs.push((node.id.0, out.key, batch, tags));
     }
 }
 

@@ -199,14 +199,24 @@
 //! filters' selection vectors through its per-node queues instead of
 //! densifying at every hop); `n > 1` runs each flush in three phases:
 //!
-//! 1. **Partition.** Streams with a configured **shard key**
-//!    ([`engine::DsmsEngine::set_shard_key`]) hash-partition row by row
-//!    (deterministic FNV-1a, so equal keys always land on the same shard;
-//!    rows carry their pre-partition index as a sequence tag) into the
-//!    **keyed plan**; keyless streams distribute whole batches
-//!    round-robin into their stateless prefixes. Subscribers outside both
-//!    plans — shard-incompatible operators and sinks — receive raw
-//!    batches at flush time, exactly like the single-threaded engine.
+//! 1. **Partition.** There is **one parallel plan**
+//!    ([`network::QueryNetwork::keyed_plan`]) and every registered stream
+//!    is one of its roots. A root with a configured **shard key**
+//!    ([`engine::DsmsEngine::set_shard_key`]) hash-partitions its batches
+//!    row by row (deterministic FNV-1a, so equal keys always land on the
+//!    same shard; rows carry their pre-partition index as a sequence
+//!    tag); a root without one deals whole batches round-robin. That is
+//!    the only thing a shard key changes — one membership rule decides
+//!    what runs behind either kind of root: stateless single-input
+//!    operators (filters, projections, fused chains) always; joins and
+//!    aggregates **keyed compatibly with a tracked partition key** as
+//!    *full* members — joins whose both sides are partitioned by their
+//!    join keys, aggregates grouping by the key, with the key's column
+//!    position tracked through filters, projections, and fused chains,
+//!    so never behind a keyless root; and **exact** aggregates anywhere
+//!    else behind members as *partial* members (below). Subscribers
+//!    outside the plan — shard-incompatible operators and sinks — receive
+//!    raw batches at flush time, exactly like the single-threaded engine.
 //! 2. **Morsel-driven execution on the pool.** Each of the flush's work
 //!    units becomes one **morsel** — a batch-sized, sequence-tagged work
 //!    item — dealt onto **per-worker deques**: worker `w`'s deque holds the
@@ -223,26 +233,23 @@
 //!    [`types::work::WorkSnapshot::morsels_stolen`] /
 //!    [`types::work::WorkSnapshot::steal_misses`]); a worker sweeps the
 //!    victim deques at most once per grab, so the counters also pin that
-//!    nobody spins. Round-robin morsels walk the stream's **stateless
-//!    prefix** ([`network::QueryNetwork::stateless_prefix`]). Keyed
-//!    morsels run the **keyed plan**
-//!    ([`network::QueryNetwork::keyed_plan`]): the stateless prefix *plus
-//!    every downstream stateful operator keyed compatibly with the
-//!    partition key* — joins whose both sides are partitioned by their
-//!    join keys, aggregates grouping by the key, with the key's column
-//!    position tracked through filters, projections, and fused chains.
-//!    Stateful members execute through a `&self` kernel
-//!    ([`ops::KeyedKernel`]) against **state partitions** addressed by
-//!    the morsel's *home* shard (equal keys share a home, so a stolen
-//!    morsel mutates exactly the partition it would have at home), close
-//!    windows per-partition against the flush's merged watermark, and
-//!    absorb filtered input **through the selection vector** (no densify;
-//!    counted by
-//!    [`types::work::WorkSnapshot::selection_pushdown_rows`]).
+//!    nobody spins. Every morsel has **one shape** — a home shard, its
+//!    units, and whether the watermark pass rides inside — and one body:
+//!    a mini node loop over the plan that invokes each member through the
+//!    same [`ops::Operator::process`] / [`ops::Operator::advance`] the
+//!    control thread uses, only with `partition: Some(..)`. Stateful
+//!    members address the **state partition** of the morsel's *home*
+//!    shard (equal keys share a home, so a stolen morsel mutates exactly
+//!    the partition it would have at home), close windows per-partition
+//!    against the flush's merged watermark, and absorb filtered input
+//!    **through the selection vector** (no densify; counted by
+//!    [`types::work::WorkSnapshot::selection_pushdown_rows`]). A
+//!    whole-batch unit lives on one shard, so everything downstream of it
+//!    runs untraced and merges without tags.
 //! 3. **Deterministic merge — past the stateful operators.** The merge
-//!    barrier sits at the keyed plan's *exits* (the first
-//!    shard-incompatible node or sink), not in front of every join and
-//!    aggregate. Exit outputs merge per `(producing node, entry path)`:
+//!    barrier sits at the plan's *exits* (the first shard-incompatible
+//!    node or sink), not in front of every join and aggregate. Exit
+//!    outputs merge per `(producing node, entry path)`:
 //!    row outputs interleave by sequence tag
 //!    ([`types::TupleBatch::interleave_tagged`] — join fan-out repeats
 //!    its probe row's tag, preserving shard-local partner order), and
@@ -252,26 +259,29 @@
 //!    each producer, reproducing the single-threaded arrival interleaving
 //!    at every out-of-plan queue.
 //!
-//! **Two keyed execution modes.** Stealing must not reorder state
-//! mutations that produce inline outputs, so the scheduler classifies
-//! each keyed plan: when every stateful member **commutes** (exact
-//! aggregates — absorption order cannot change the combined state, and
-//! aggregates emit only at window closes), a home shard's units are
-//! independent morsels and the watermark pass runs as a **second
-//! phase** behind an all-absorbed barrier (worker `w` closes partition
-//! `w`'s windows — per-partition, so the pass needs no locks). Plans with
-//! order-sensitive members (joins, float Sum/Avg aggregates) fall back to
-//! one **chain morsel** per home shard — the original one-pass walk with
-//! in-line advances, still stealable as a whole, so skew still rebalances
-//! at shard granularity.
+//! **Two execution modes.** Stealing must not reorder state mutations
+//! that produce inline outputs, so the scheduler classifies the plan:
+//! when every stateful member **commutes** (exact aggregates — absorption
+//! order cannot change the combined state, and aggregates emit only at
+//! window closes), every unit is an independent morsel and the watermark
+//! pass runs as a **second phase** behind an all-absorbed barrier (worker
+//! `w` runs an advance-only morsel over partition `w` — per-partition, so
+//! the pass needs no locks). Plans with order-sensitive members (joins,
+//! float Sum/Avg aggregates) fall back to one **chain morsel** per home
+//! shard for the hash-partitioned units — the one-pass walk with in-line
+//! advances, still stealable as a whole, so skew still rebalances at
+//! shard granularity. Whole-batch units stay independent either way: an
+//! order-sensitive member needs a tracked key, so none sits behind a
+//! keyless root.
 //!
-//! **Partial aggregation.** An ungrouped aggregate normally blocks
-//! sharding (its single group spans every shard), and so does a grouped
+//! **Partial aggregation.** An ungrouped aggregate cannot be homed by key
+//! (its single group spans every shard), and neither can a grouped
 //! aggregate whose group key is *shard-incompatible* (grouping by a
-//! column other than the partition key, so one group's rows land on many
-//! shards) — but when the combine is **exact** (integer inputs via the
+//! column other than the partition key — or behind a keyless root, where
+//! there is no partition key — so one group's rows land on many shards) —
+//! but when the combine is **exact** (integer inputs via the
 //! i128 accumulator; Count/Min/Max over anything —
-//! [`ops::AggregateOp`]'s `combine_exact`), either shape joins the keyed
+//! [`ops::AggregateOp`]'s `combine_exact`), either shape joins the
 //! plan as a **partial member**: each worker absorbs its morsels' rows
 //! into its *own* partial accumulator — grouped members hash-accumulate
 //! per group key within the worker's partition (counted by
@@ -286,12 +296,17 @@
 //! `hot_key_skew` bench's `grouped_partials` cell pins that a
 //! commutative grouped workload cuts **zero chain morsels**
 //! ([`types::work::WorkSnapshot::chain_morsels`]); the
-//! grouped/ungrouped equivalence properties pin both halves.
+//! grouped/ungrouped equivalence properties pin both halves. A live
+//! re-key ([`engine::DsmsEngine::set_shard_key`]) can move an aggregate
+//! between partial and full membership in mid-window; the engine re-homes
+//! operator state whenever it re-derives the plan
+//! ([`ops::Operator::set_partitions`]), so each group's partials
+//! meet in one partition before any per-partition close.
 //!
 //! **One schedule.** Nothing about the schedule is configurable: a
-//! round-robin or commutative keyed morsel carries exactly one unit (the
-//! finest stealable grain; only a chain morsel carries a home shard's
-//! whole unit list), idle workers always steal, sweeping the other deques
+//! morsel carries exactly one unit (the finest stealable grain) unless it
+//! is a chain, which carries a home shard's whole hash-partitioned unit
+//! list; idle workers always steal, sweeping the other deques
 //! in ascending seat offset, the lane loops always run, and worker
 //! threads are never pinned to cores. The engine's callers set what they
 //! genuinely differ in — shard count, shard keys, batch cap — and the
@@ -315,8 +330,8 @@
 //! `ungrouped_aggregate_partials_match_single_threaded`, and
 //! `grouped_partials_match_single_threaded` properties (stateless,
 //! keyed-stateful, and grouped/ungrouped partial-aggregate plan shapes ×
-//! batch caps 1/7/64/1024 × shard counts 1/2/4/8 × both partition modes,
-//! strict sequence equality), a 100-seed concurrency soak, and a skewed-key
+//! batch caps 1/7/64/1024 × shard counts 1/2/4/8 × keyed, round-robin and
+//! mixed partitioning, strict sequence equality), a 100-seed concurrency soak, and a skewed-key
 //! soak in `tests/shard_exec.rs`.
 //!
 //! Per-worker load is observable ([`engine::DsmsEngine::shard_stats`] —

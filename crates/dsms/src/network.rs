@@ -27,7 +27,7 @@
 //! for the pinned behavior.
 
 use crate::ops::{
-    AggregateOp, FilterOp, FusedOp, FusedStage, JoinOp, Operator, ProjectOp, UnionOp,
+    AggregateOp, FilterOp, FusedOp, FusedStage, JoinOp, OpClass, Operator, ProjectOp, UnionOp,
 };
 use crate::plan::{AggFunc, LogicalPlan, PlanError, StreamCatalog};
 use crate::types::{DataType, Schema};
@@ -101,9 +101,8 @@ pub struct Node {
     pub in_batches: u64,
     /// Tuples produced.
     pub out_count: u64,
-    /// Cumulative wall-clock time spent inside `process_batch` — the
-    /// measured per-batch timing the cost model normalizes to per-tuple
-    /// load.
+    /// Cumulative wall-clock time spent inside the operator — the measured
+    /// per-batch timing the cost model normalizes to per-tuple load.
     pub busy: Duration,
     /// Watermark already propagated to this node.
     pub last_watermark: u64,
@@ -133,46 +132,15 @@ pub struct QueryInfo {
     pub schema: Schema,
 }
 
-/// One node of a stream's stateless prefix (see
-/// [`QueryNetwork::stateless_prefix`]).
-#[derive(Clone, Debug)]
-pub struct PrefixNode {
-    /// The physical node.
-    pub id: NodeId,
-    /// Downstream consumers *inside* the prefix, as indices into
-    /// [`StreamPrefix::nodes`].
-    pub internal: Vec<usize>,
-    /// Downstream consumers *outside* the prefix — sinks and stateful
-    /// nodes, in the node's `downstream` order. These are the merge points
-    /// of the sharded executor.
-    pub exits: Vec<Target>,
-}
-
-/// The maximal subgraph of stateless single-input operators reachable from
-/// one stream — the part of the network the shard-per-stream executor can
-/// replicate across worker threads. Stateful operators (joins, aggregates,
-/// unions) and sinks sit at the prefix's exits, where shard outputs are
-/// deterministically merged back into single-threaded row order.
-#[derive(Clone, Debug, Default)]
-pub struct StreamPrefix {
-    /// Prefix nodes in ascending id order (a topological order).
-    pub nodes: Vec<PrefixNode>,
-    /// Indices into `nodes` of the operators fed directly by the stream.
-    pub roots: Vec<usize>,
-    /// Stream subscribers outside the prefix (stateful nodes, sinks):
-    /// routed whole at flush time, exactly like the single-threaded path.
-    pub direct: Vec<Target>,
-}
-
-/// One node of the multi-stream **keyed plan** (see
+/// One node of the **parallel plan** (see
 /// [`QueryNetwork::keyed_plan`]).
 #[derive(Clone, Debug)]
 pub struct KeyedNode {
     /// The physical node.
     pub id: NodeId,
     /// Whether the node is a keyed *stateful* operator (join, aggregate)
-    /// running with per-shard state partitions; stateless plan members run
-    /// their ordinary shard kernels.
+    /// running against per-shard state partitions; stateless plan members
+    /// are pure functions of their input batch.
     pub stateful: bool,
     /// Whether the node is a **partial-aggregation** member (an exact
     /// aggregate whose single group — or shard-incompatible group key —
@@ -195,13 +163,19 @@ pub struct KeyedNode {
     pub exits: Vec<Target>,
 }
 
-/// One hash-partitioned source stream of a keyed plan.
+/// One source stream of the parallel plan — every registered stream has
+/// one. The root decides how a flush deals the stream's batches to the
+/// shards, and that is the only thing a shard key changes.
 #[derive(Clone, Debug)]
 pub struct KeyedRoot {
     /// The stream name.
     pub stream: String,
-    /// The stream's shard-key column.
-    pub key: usize,
+    /// The stream's shard-key column: rows hash-partition on it (equal
+    /// keys share a shard, so stateful members keyed compatibly run
+    /// in-plan). `None` = no shard key: whole batches are dealt
+    /// round-robin, and only stateless members and partial aggregates sit
+    /// behind the root.
+    pub key: Option<usize>,
     /// Plan members fed directly by the stream, as
     /// `(index into [`KeyedPlan::nodes`], input port)` pairs.
     pub targets: Vec<(usize, usize)>,
@@ -212,13 +186,14 @@ pub struct KeyedRoot {
 }
 
 /// The maximal subgraph the shard executor can run *inside* the worker
-/// shards when streams are hash-partitioned on shard keys: every stateless
-/// single-input operator reachable from a keyed stream, **plus every
-/// downstream stateful operator keyed compatibly with the partition key**
-/// — joins whose both sides are partitioned by their join keys, aggregates
-/// whose group-by column is the partition key (equal keys already share a
-/// shard, so per-shard operator state is exact). Computed across *all*
-/// keyed streams at once, because a join couples two streams' prefixes.
+/// shards: every stateless single-input operator reachable from a stream
+/// through other members, **plus every downstream stateful operator keyed
+/// compatibly with a tracked partition key** — joins whose both sides are
+/// partitioned by their join keys, aggregates whose group-by column is
+/// the partition key (equal keys already share a shard, so per-shard
+/// operator state is exact) — plus exact aggregates anywhere else behind
+/// members, as partial members. Computed across *all* streams at once,
+/// because a join couples two streams' prefixes.
 ///
 /// The deterministic merge happens at the plan's exits — the first
 /// shard-incompatible node or sink past each member — instead of in front
@@ -228,7 +203,7 @@ pub struct KeyedPlan {
     /// Plan members in ascending id order (a topological order: edges
     /// ascend, and a member's producers are members or roots).
     pub nodes: Vec<KeyedNode>,
-    /// One entry per keyed stream, sorted by stream name.
+    /// One entry per registered stream, sorted by stream name.
     pub roots: Vec<KeyedRoot>,
     /// Whether any member is stateful — if so, every flush that advances
     /// the watermark must run a window-close pass on every shard.
@@ -236,7 +211,7 @@ pub struct KeyedPlan {
 }
 
 impl KeyedPlan {
-    /// The root feeding `stream`, if the plan covers it.
+    /// The root of `stream`, if it is registered.
     pub fn root_of(&self, stream: &str) -> Option<usize> {
         self.roots.iter().position(|r| r.stream == stream)
     }
@@ -317,26 +292,33 @@ impl QueryNetwork {
     }
 
     /// Sets the worker-shard count. Shard count 1 compiles down to the
-    /// single-threaded engine path; higher counts run each stream's
-    /// shardable prefix on that many worker threads with a deterministic
-    /// merge at the exits (see [`QueryNetwork::stateless_prefix`] and
-    /// [`QueryNetwork::keyed_plan`]).
+    /// single-threaded engine path; higher counts run the parallel plan
+    /// ([`QueryNetwork::keyed_plan`]) on that many worker threads with a
+    /// deterministic merge at its exits.
     ///
-    /// Live stateful operators re-partition their keyed state to match
-    /// ([`crate::ops::Operator::set_partitions`]): a key's tuples move
-    /// whole, in order, to the partition the key hashes to, so the change
-    /// is invisible in the outputs.
+    /// Live stateful operators re-home their keyed state to match
+    /// ([`crate::ops::Operator::set_partitions`]), so the change is
+    /// invisible in the outputs.
     ///
     /// # Panics
     /// Panics when `n == 0`.
     pub fn set_shards(&mut self, n: usize) {
         assert!(n > 0, "shard count must be positive");
-        if n == self.shards {
-            return;
-        }
         self.shards = n;
+        self.rehome_state();
+    }
+
+    /// Re-homes every live operator's partitioned state onto the current
+    /// shard count ([`crate::ops::Operator::set_partitions`]): a key's
+    /// tuples move whole, in order, to the partition the key hashes to,
+    /// and per-worker partials of one group combine there. Afterwards the
+    /// state sits where *any* plan membership expects it — a full member
+    /// closes windows per partition, which is only right once no group
+    /// spans two — so the engine runs this whenever it re-derives the
+    /// plan.
+    pub(crate) fn rehome_state(&mut self) {
         for node in self.nodes.iter_mut().flatten() {
-            node.op.set_partitions(n);
+            node.op.set_partitions(self.shards);
         }
     }
 
@@ -757,103 +739,22 @@ impl QueryNetwork {
         Ok(id)
     }
 
-    /// Computes the stream's **stateless prefix**: the maximal set of
-    /// shardable nodes (filter / project / fused — single input, no state,
-    /// see [`crate::ops::ShardKernel`]) fed by the stream directly or
-    /// through other prefix nodes. Every stateless node has exactly one
-    /// producer, so prefixes of different streams are disjoint and the
-    /// prefix is closed under "reachable through stateless nodes only".
+    /// Computes the [`KeyedPlan`] — the one plan of the parallel executor —
+    /// over every registered stream, for the given per-stream shard keys.
     ///
-    /// Nodes are listed in ascending id order — edges always ascend, so
-    /// that is a topological order the shard workers can evaluate in one
-    /// pass.
-    pub fn stateless_prefix(&self, stream: &str) -> StreamPrefix {
-        let subs = self.stream_subscribers(stream);
-        let shardable = |id: NodeId| self.node(id).is_some_and(|n| n.op.shard_kernel().is_some());
-        // Membership first: roots are shardable stream subscribers, then
-        // close over shardable downstream nodes in ascending id order
-        // (a node's producer always has a smaller id, so one pass
-        // suffices).
-        let mut members: Vec<NodeId> = Vec::new();
-        for t in subs {
-            if let Target::Node(id, _) = t {
-                if shardable(*id) && !members.contains(id) {
-                    members.push(*id);
-                }
-            }
-        }
-        members.sort_unstable();
-        let mut i = 0;
-        while i < members.len() {
-            let id = members[i];
-            let downstream = &self.node(id).expect("prefix node is live").downstream;
-            for t in downstream {
-                if let Target::Node(d, _) = t {
-                    if shardable(*d) && !members.contains(d) {
-                        let pos = members.partition_point(|m| m < d);
-                        members.insert(pos, *d);
-                    }
-                }
-            }
-            i += 1;
-        }
-        // Second pass: split each member's downstream into internal edges
-        // and exits.
-        let index_of = |id: NodeId| members.binary_search(&id).ok();
-        let nodes: Vec<PrefixNode> = members
-            .iter()
-            .map(|&id| {
-                let node = self.node(id).expect("prefix node is live");
-                let mut internal = Vec::new();
-                let mut exits = Vec::new();
-                for &t in &node.downstream {
-                    match t {
-                        Target::Node(d, _) if index_of(d).is_some() => {
-                            internal.push(index_of(d).expect("member"));
-                        }
-                        other => exits.push(other),
-                    }
-                }
-                PrefixNode {
-                    id,
-                    internal,
-                    exits,
-                }
-            })
-            .collect();
-        let roots: Vec<usize> = subs
-            .iter()
-            .filter_map(|t| match t {
-                Target::Node(id, _) => index_of(*id),
-                Target::Sink(_) => None,
-            })
-            .collect();
-        let direct: Vec<Target> = subs
-            .iter()
-            .copied()
-            .filter(|t| match t {
-                Target::Node(id, _) => index_of(*id).is_none(),
-                Target::Sink(_) => true,
-            })
-            .collect();
-        StreamPrefix {
-            nodes,
-            roots,
-            direct,
-        }
-    }
-
-    /// Computes the multi-stream [`KeyedPlan`] for the given per-stream
-    /// shard keys (see the type docs for the membership rule).
-    ///
-    /// Key positions are tracked through the plan: filters pass the key
-    /// through, projections keep it only where an output column is exactly
-    /// the key column, fused chains thread it stage by stage, joins carry
-    /// it at the left key's position, aggregates at the group column. A
-    /// node joins the plan only when **every** producer is a keyed stream
-    /// or an in-plan node, and — for stateful nodes — when
+    /// Every stream is a root, with or without a shard key (see
+    /// [`KeyedRoot::key`]), and one membership rule applies behind all of
+    /// them. A node joins the plan only when **every** producer is a
+    /// stream or a (full) member, and then: stateless operators always;
+    /// keyed stateful operators as *full* members when
     /// [`crate::ops::Operator::keyed_out`] accepts the producers' key
-    /// positions.
+    /// positions — which takes a tracked key, so never behind a keyless
+    /// root; exact aggregates otherwise as *partial* members
+    /// ([`crate::ops::Operator::keyed_partial`]). Key positions are
+    /// tracked through the plan: filters pass the key through, projections
+    /// keep it only where an output column is exactly the key column,
+    /// fused chains thread it stage by stage, joins carry it at the left
+    /// key's position, aggregates at the group column.
     pub fn keyed_plan(&self, shard_keys: &HashMap<String, usize>) -> KeyedPlan {
         // Upstream view: producers per node, per port. (The network stores
         // downstream edges; invert them once.)
@@ -897,13 +798,8 @@ impl QueryNetwork {
             let mut all_covered = true;
             for (port, src) in edges {
                 let key = match src {
-                    Src::Stream(s) => match shard_keys.get(s) {
-                        Some(&k) => Some(k),
-                        None => {
-                            all_covered = false;
-                            break;
-                        }
-                    },
+                    // Every stream is a root; only its key may be unknown.
+                    Src::Stream(s) => shard_keys.get(s).copied(),
                     Src::Node(p) => match members.get(p) {
                         Some(&k) => k,
                         None => {
@@ -918,12 +814,11 @@ impl QueryNetwork {
                 continue;
             }
             let key_out = node.op.keyed_out(&in_keys);
-            let stateless = node.op.shard_kernel().is_some();
-            let keyed_stateful = !stateless && node.op.keyed_kernel().is_some();
-            if stateless || (keyed_stateful && key_out.is_some()) {
+            let class = node.op.class();
+            if class == OpClass::Stateless || (class == OpClass::Keyed && key_out.is_some()) {
                 members.insert(id, key_out);
                 order.push(id);
-            } else if keyed_stateful && node.op.keyed_partial() {
+            } else if class == OpClass::Keyed && node.op.keyed_partial() {
                 // Partial-aggregation member: absorbs rows inside the
                 // shards (per-worker partials, no key needed — every row
                 // folds into whichever worker ran its morsel, legal
@@ -961,18 +856,17 @@ impl QueryNetwork {
                 );
                 KeyedNode {
                     id,
-                    stateful: node.op.shard_kernel().is_none(),
+                    stateful: node.op.class() == OpClass::Keyed,
                     partial: partials.contains(&id),
                     internal,
                     exits,
                 }
             })
             .collect();
-        let mut streams: Vec<&String> = shard_keys.keys().collect();
+        let mut streams: Vec<&String> = self.streams.keys().collect();
         streams.sort();
         let roots: Vec<KeyedRoot> = streams
             .into_iter()
-            .filter(|s| self.streams.contains_key(*s))
             .map(|stream| {
                 let subs = self.stream_subscribers(stream);
                 let mut targets = Vec::new();
@@ -987,7 +881,7 @@ impl QueryNetwork {
                 }
                 KeyedRoot {
                     stream: stream.clone(),
-                    key: shard_keys[stream],
+                    key: shard_keys.get(stream).copied(),
                     targets,
                     direct,
                 }
@@ -1297,31 +1191,52 @@ mod tests {
         assert!(n.stream_subscribers("quotes").is_empty());
     }
 
+    fn register_news(n: &mut QueryNetwork) {
+        n.register_stream(
+            "news",
+            Schema::new(vec![
+                Field::new("symbol", DataType::Str),
+                Field::new("headline", DataType::Str),
+            ]),
+        );
+    }
+
     #[test]
-    fn stateless_prefix_covers_chains_and_stops_at_stateful() {
+    fn keyless_root_covers_chains_and_stops_at_inexact_stateful() {
         let mut n = network_with_quotes();
         // Shared filter with its own sink, a fused suffix hanging off it,
-        // an aggregate on the filter, and a source-only query.
+        // an inexact aggregate on the filter, and a source-only query.
         let q_filter = n.add_query(high_price_filter()).unwrap();
         let chain = high_price_filter()
             .filter(Expr::col(0).eq(Expr::lit(Value::str("IBM"))))
             .project(vec![("price".to_string(), Expr::col(1))]);
         let q_chain = n.add_query(chain).unwrap();
         let q_agg = n
-            .add_query(high_price_filter().aggregate(None, AggFunc::Count, 0, 100))
+            .add_query(high_price_filter().aggregate(None, AggFunc::Avg, 1, 100))
             .unwrap();
         let q_raw = n.add_query(LogicalPlan::source("quotes")).unwrap();
 
-        let prefix = n.stateless_prefix("quotes");
-        assert_eq!(prefix.nodes.len(), 2, "shared filter + fused suffix");
-        assert_eq!(prefix.roots, vec![0], "only the filter reads the stream");
+        let plan = n.keyed_plan(&HashMap::new());
+        assert_eq!(plan.nodes.len(), 2, "shared filter + fused suffix");
+        assert!(!plan.has_stateful);
+        let root = &plan.roots[plan.root_of("quotes").unwrap()];
+        assert_eq!(root.key, None, "whole batches, dealt round-robin");
         assert_eq!(
-            prefix.direct,
+            root.targets,
+            vec![(0, 0)],
+            "only the filter reads the stream"
+        );
+        assert_eq!(
+            root.direct,
             vec![Target::Sink(q_raw)],
             "the source-only sink routes raw"
         );
-        let filter = &prefix.nodes[0];
-        assert_eq!(filter.internal, vec![1], "filter feeds the fused suffix");
+        let filter = &plan.nodes[0];
+        assert_eq!(
+            filter.internal,
+            vec![(1, 0)],
+            "filter feeds the fused suffix"
+        );
         let agg_node = *n
             .query(q_agg)
             .unwrap()
@@ -1334,26 +1249,24 @@ mod tests {
             vec![Target::Sink(q_filter), Target::Node(agg_node, 0)],
             "exits keep the node's downstream order"
         );
-        let fused = &prefix.nodes[1];
+        let fused = &plan.nodes[1];
         assert!(fused.internal.is_empty());
         assert_eq!(fused.exits, vec![Target::Sink(q_chain)]);
     }
 
     #[test]
-    fn stateless_prefix_is_empty_for_stateful_subscribers() {
+    fn keyless_roots_keep_joins_behind_the_merge() {
         let mut n = network_with_quotes();
-        n.register_stream(
-            "news",
-            Schema::new(vec![
-                Field::new("symbol", DataType::Str),
-                Field::new("headline", DataType::Str),
-            ]),
-        );
+        register_news(&mut n);
         n.add_query(LogicalPlan::source("quotes").join(LogicalPlan::source("news"), 0, 0, 100))
             .unwrap();
-        let prefix = n.stateless_prefix("quotes");
-        assert!(prefix.nodes.is_empty(), "a join is a merge barrier");
-        assert_eq!(prefix.direct.len(), 1, "the join subscribes raw");
+        let plan = n.keyed_plan(&HashMap::new());
+        assert!(plan.nodes.is_empty(), "a join is a merge barrier");
+        assert_eq!(plan.roots.len(), 2, "every registered stream is a root");
+        for root in &plan.roots {
+            assert!(root.targets.is_empty());
+            assert_eq!(root.direct.len(), 1, "the join subscribes raw");
+        }
     }
 
     fn keys(pairs: &[(&str, usize)]) -> HashMap<String, usize> {
@@ -1391,7 +1304,7 @@ mod tests {
             "the sink is the merge point"
         );
         assert_eq!(plan.roots.len(), 1);
-        assert_eq!(plan.roots[0].key, 0);
+        assert_eq!(plan.roots[0].key, Some(0));
     }
 
     #[test]
@@ -1436,13 +1349,7 @@ mod tests {
     #[test]
     fn keyed_plan_includes_joins_keyed_on_both_shard_keys() {
         let mut n = network_with_quotes();
-        n.register_stream(
-            "news",
-            Schema::new(vec![
-                Field::new("symbol", DataType::Str),
-                Field::new("headline", DataType::Str),
-            ]),
-        );
+        register_news(&mut n);
         let join = high_price_filter().join(LogicalPlan::source("news"), 0, 0, 100);
         let q = n.add_query(join).unwrap();
         // Both streams keyed on the join keys: the join runs in-shard.
@@ -1452,7 +1359,8 @@ mod tests {
         let join_node = plan.nodes.last().unwrap();
         assert!(join_node.stateful);
         assert_eq!(join_node.exits, vec![Target::Sink(q)]);
-        assert_eq!(plan.roots.len(), 2, "both streams are keyed roots");
+        assert_eq!(plan.roots.len(), 2);
+        assert!(plan.roots.iter().all(|r| r.key == Some(0)));
         // The news root feeds the join's port 1 directly.
         let news_root = &plan.roots[plan.root_of("news").unwrap()];
         assert_eq!(news_root.targets.len(), 1);
@@ -1543,14 +1451,58 @@ mod tests {
     }
 
     #[test]
-    fn keyed_plan_is_empty_without_shard_keys() {
+    fn keyed_plan_without_shard_keys_admits_exact_aggregates_as_partials() {
         let mut n = network_with_quotes();
-        n.add_query(high_price_filter().aggregate(Some(0), AggFunc::Count, 0, 100))
+        let q = n
+            .add_query(high_price_filter().aggregate(Some(0), AggFunc::Count, 0, 100))
             .unwrap();
+        // No key to home the groups by: the exact Count absorbs as
+        // per-worker partials behind the keyless root, where with
+        // `quotes` keyed on the symbol it would be a full member.
         let plan = n.keyed_plan(&HashMap::new());
-        assert!(plan.nodes.is_empty());
-        assert!(plan.roots.is_empty());
-        assert!(!plan.has_stateful);
+        assert_eq!(plan.roots.len(), 1);
+        assert_eq!(plan.roots[0].key, None);
+        assert_eq!(plan.nodes.len(), 2, "filter + partial aggregate");
+        assert!(plan.has_stateful);
+        let agg = plan.nodes.last().unwrap();
+        assert!(agg.stateful && agg.partial);
+        assert!(agg.internal.is_empty());
+        assert_eq!(agg.exits, vec![Target::Sink(q)]);
+        let full = n.keyed_plan(&keys(&[("quotes", 0)]));
+        assert!(!full.nodes.last().unwrap().partial);
+    }
+
+    #[test]
+    fn one_plan_mixes_keyed_and_keyless_roots() {
+        let mut n = network_with_quotes();
+        register_news(&mut n);
+        // quotes is keyed on the symbol, news is not: the symbol-grouped
+        // aggregate runs as a full member, the news filter as a stateless
+        // member, and the join across the two roots stays an exit — its
+        // right side has no key to meet the left side's shard by.
+        n.add_query(high_price_filter().aggregate(Some(0), AggFunc::Max, 1, 100))
+            .unwrap();
+        let tagged =
+            LogicalPlan::source("news").filter(Expr::col(1).eq(Expr::lit(Value::str("up"))));
+        let q_join = n
+            .add_query(high_price_filter().join(tagged, 0, 0, 100))
+            .unwrap();
+        let plan = n.keyed_plan(&keys(&[("quotes", 0)]));
+        let kinds: Vec<&str> = plan
+            .nodes
+            .iter()
+            .map(|kn| n.node(kn.id).unwrap().kind)
+            .collect();
+        assert_eq!(kinds, vec!["filter", "aggregate", "filter"]);
+        assert!(plan.nodes[1].stateful && !plan.nodes[1].partial);
+        let root = |stream| &plan.roots[plan.root_of(stream).unwrap()];
+        assert_eq!((root("quotes").key, root("news").key), (Some(0), None));
+        assert_eq!(root("quotes").targets, vec![(0, 0)]);
+        assert_eq!(root("news").targets, vec![(2, 0)]);
+        let join = *n.query(q_join).unwrap().nodes.last().unwrap();
+        assert_eq!(n.node(join).unwrap().kind, "join");
+        assert!(plan.nodes[0].exits.contains(&Target::Node(join, 0)));
+        assert_eq!(plan.nodes[2].exits, vec![Target::Node(join, 1)]);
     }
 
     #[test]

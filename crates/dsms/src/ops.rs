@@ -2,9 +2,9 @@
 //! network.
 //!
 //! Every operator consumes a [`TupleBatch`] on a numbered input port and
-//! appends zero or more output batches — one `process_batch` call amortizes
-//! queueing, fan-out, and timing over the whole batch, which is what makes
-//! per-operator cost measurement (`cost.rs`) stable. With the columnar
+//! hands back at most one output batch — one [`Operator::process`] call
+//! amortizes queueing, fan-out, and timing over the whole batch, which is
+//! what makes per-operator cost measurement (`cost.rs`) stable. With the columnar
 //! batch layout the stateless operators run **typed column kernels**:
 //! filter computes a selection vector over a typed column and gathers (or
 //! passes the batch through untouched when everything matches), project
@@ -26,7 +26,7 @@ use std::cell::Cell;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Lane width of the SIMD-shaped aggregate-absorb fast path (matches the
 /// compare/arith kernels in [`crate::expr`]).
@@ -253,25 +253,102 @@ impl<'a> KeyReader<'a> {
     }
 }
 
-/// A physical streaming operator over tuple batches.
-pub trait Operator: std::fmt::Debug + Send {
-    /// Processes one input batch arriving on `port`, appending output
-    /// batches. The batch is owned: pass-through operators forward columns
-    /// without copying, and stateful operators move rows into their state.
-    /// Semantics must equal processing the batch's rows one at a time in
-    /// order (the scalar-vs-batched equivalence property).
-    fn process_batch(&mut self, port: usize, batch: TupleBatch, out: &mut Vec<TupleBatch>);
+/// How an operator relates to the partitioning of a parallel flush — what
+/// the planner ([`crate::network::QueryNetwork::keyed_plan`]) and the
+/// engine's accounting ask of it before anything else.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum OpClass {
+    /// No state and one input (filter, project, fused chain): a pure
+    /// function of the batch, so it runs on any worker for any partition
+    /// and is always a plan member.
+    Stateless,
+    /// State hash-partitioned by key behind per-partition locks (join,
+    /// aggregate): the `partition` argument addresses it, deferred
+    /// selections are absorbed rather than gathered, and plan membership
+    /// is decided by [`Operator::keyed_out`] / [`Operator::keyed_partial`].
+    Keyed,
+    /// Neither (union: no state, but its output order is the interleaving
+    /// of two inputs' arrival orders): always behind the merge.
+    Barrier,
+}
 
-    /// Emits whatever windowed state is ready to close given the current
-    /// watermark (the maximum event time seen network-wide). Stateless
-    /// operators do nothing.
-    fn advance_watermark(&mut self, watermark: u64, out: &mut Vec<TupleBatch>) {
-        let _ = (watermark, out);
+/// For each output row of a traced [`Operator::process`] call, the index
+/// its input row had in the input batch — non-decreasing (operators never
+/// reorder), repeating for join fan-out. `None` means the output *is* the
+/// input batch row for row (the identity trace), and is all an untraced
+/// call ever returns.
+pub type RowTrace = Option<Vec<u32>>;
+
+/// A physical streaming operator over tuple batches.
+///
+/// There is **one invocation**, through `&self`, for every way the engine
+/// runs an operator: `partition` is `Some(p)` when a pool worker addresses
+/// state partition `p` of the operator (the rows it brings were routed
+/// there — or, for a partial-aggregation member, `p` is the worker's own
+/// partial), and `None` on the control thread, which sees the operator
+/// whole: every row routes to the partition its key hashes to
+/// ([`Key::shard_of`]) and window closes combine across partitions in
+/// [`EmitKey`] order. Either view over the same rows leaves the same state
+/// and emits the same rows, so results do not depend on which path (or mix
+/// of paths) processed the stream. Stateless operators ignore `partition`;
+/// their statistics are atomic, which is what lets the whole trait be
+/// `Sync`.
+pub trait Operator: std::fmt::Debug + Send + Sync {
+    /// Processes the rows of `batch` arriving on `port` — all of them, or
+    /// the `sel`-selected ones (batch-row indices, ascending) when an
+    /// upstream filter deferred its selection — and returns the output
+    /// batch, `None` when the invocation produced no row inline (nothing
+    /// survived, nothing matched, or the operator only absorbs). Keyed
+    /// operators absorb straight through `sel`, never materializing the
+    /// dropped rows; the others gather it once on entry. When `traced`,
+    /// the second element is the output's [`RowTrace`], from which the
+    /// caller composes merge tags. Semantics must equal processing the
+    /// rows one at a time in order (the scalar-vs-batched equivalence
+    /// property), honoring the calling thread's columnar-kernel switch
+    /// ([`set_columnar_kernels`]).
+    fn process(
+        &self,
+        partition: Option<usize>,
+        port: usize,
+        batch: &TupleBatch,
+        sel: Option<&[u32]>,
+        traced: bool,
+    ) -> (Option<TupleBatch>, RowTrace);
+
+    /// Selection-vector pushdown: refines `sel` (batch-row indices; `None`
+    /// = all rows) over `batch` **without materializing survivors**, for
+    /// consumers that can take a deferred selection (keyed joins and
+    /// aggregates, further filters). `None` — the default — means the
+    /// operator cannot run selection-deferred (projections rewrite
+    /// columns) and the caller falls back to [`Operator::process`]. Only
+    /// pure-filter kernels running columnar implement this — the row
+    /// fallback keeps its per-row reference semantics.
+    fn refine_selection(&self, batch: &TupleBatch, sel: Option<&[u32]>) -> Option<Vec<u32>> {
+        let _ = (batch, sel);
+        None
     }
 
-    /// Force-emits all remaining state (end of the final subscription day).
-    fn finish(&mut self, out: &mut Vec<TupleBatch>) {
-        let _ = out;
+    /// Tells the addressed state (see the trait docs for `partition`) that
+    /// event time reached `watermark`: expired state is evicted and closed
+    /// windows are emitted as one batch sorted by [`EmitKey`] — the
+    /// emission order of the unpartitioned operator — with the key of
+    /// every row, which tags a worker's emissions for the deterministic
+    /// cross-partition merge. `None` when nothing closes; stateless
+    /// operators do nothing.
+    fn advance(
+        &self,
+        partition: Option<usize>,
+        watermark: u64,
+    ) -> Option<(TupleBatch, Vec<EmitKey>)> {
+        let _ = (partition, watermark);
+        None
+    }
+
+    /// Force-emits all remaining windowed state (end of the final
+    /// subscription day). Not `advance(None, u64::MAX)`: a join keeps its
+    /// state, because upstream force-closed rows may still probe it.
+    fn finish(&self) -> Option<TupleBatch> {
+        None
     }
 
     /// The operator's output schema (shared; output batches clone the Arc).
@@ -285,23 +362,8 @@ pub trait Operator: std::fmt::Debug + Send {
         0
     }
 
-    /// The operator's shard-parallel kernel, when it has one. Stateless
-    /// single-input operators (filter, project, fused chains) return
-    /// `Some`; stateful and multi-input operators return `None` and act as
-    /// merge barriers for the shard-per-stream executor — unless they are
-    /// keyed compatibly with the partition key (see
-    /// [`Operator::keyed_kernel`]).
-    fn shard_kernel(&self) -> Option<&dyn ShardKernel> {
-        None
-    }
-
-    /// The operator's **keyed** shard kernel — per-shard partitioned state
-    /// behind `&self` — when it has one (joins and aggregates). Whether it
-    /// may actually run inside the shards for a given plan is decided by
-    /// [`Operator::keyed_out`].
-    fn keyed_kernel(&self) -> Option<&dyn KeyedKernel> {
-        None
-    }
+    /// The operator's [`OpClass`].
+    fn class(&self) -> OpClass;
 
     /// Key propagation for keyed stateful sharding: given the column
     /// position of the partition key in each input port's rows (`None` =
@@ -337,17 +399,16 @@ pub trait Operator: std::fmt::Debug + Send {
     }
 
     /// Whether the operator can run as a **partial-aggregation** member
-    /// of the keyed parallel plan: workers fold rows into per-worker
-    /// partial accumulators ([`KeyedKernel::process_keyed`] with the
-    /// *worker* index as the partition) and a deterministic
-    /// partition-order combine merges the partials when windows close.
-    /// Exact combines qualify, grouped or not: ungrouped aggregates keep
-    /// one accumulator per worker, grouped aggregates at
-    /// **shard-incompatible** group keys keep a per-worker hash-partial
-    /// map (a group's rows may land on any worker; the exact combine
-    /// makes the split schedule-invariant). Inexact float sums would pick
-    /// up schedule-dependent rounding, so they never qualify. The keyed
-    /// planner consults this only when [`Operator::keyed_out`] already
+    /// of the parallel plan: workers fold rows into per-worker partial
+    /// accumulators ([`Operator::process`] with the *worker* index as the
+    /// partition) and a deterministic partition-order combine merges the
+    /// partials when windows close. Exact combines qualify, grouped or
+    /// not: ungrouped aggregates keep one accumulator per worker, grouped
+    /// aggregates at **shard-incompatible** group keys keep a per-worker
+    /// hash-partial map (a group's rows may land on any worker; the exact
+    /// combine makes the split schedule-invariant). Inexact float sums
+    /// would pick up schedule-dependent rounding, so they never qualify.
+    /// The planner consults this only when [`Operator::keyed_out`] already
     /// failed — a group key that *is* the partition key runs as a full
     /// member with sharded state instead.
     fn keyed_partial(&self) -> bool {
@@ -363,97 +424,59 @@ pub trait Operator: std::fmt::Debug + Send {
         false
     }
 
-    /// Processes the `sel`-selected rows of a shared batch arriving on
-    /// `port` — the single-threaded selection-pushdown hook. The default
-    /// gathers the selection into a dense batch and delegates to
-    /// [`Operator::process_batch`]; stateful operators override it to
-    /// absorb straight through the selection vector (counted by
-    /// [`crate::types::work::WorkSnapshot::selection_pushdown_rows`]),
-    /// never materializing the dropped rows.
-    fn process_selected(
-        &mut self,
-        port: usize,
-        batch: &TupleBatch,
-        sel: &[u32],
-        out: &mut Vec<TupleBatch>,
-    ) {
-        self.process_batch(port, batch.take(sel), out);
-    }
-
-    /// Re-partitions internal operator state across `n` shards (default:
+    /// Re-homes internal operator state across `n` partitions (default:
     /// stateless operators have nothing to do). Keyed state moves whole —
     /// a key's tuples stay in arrival order — into the partition its key
-    /// hashes to ([`Key::shard_of`]), so state location always matches row
-    /// routing regardless of when the shard count changed.
+    /// hashes to ([`Key::shard_of`]), and per-worker partials of one group
+    /// combine there, so state location matches row routing whatever the
+    /// shard count or plan membership was when the state was built.
     fn set_partitions(&mut self, n: usize) {
         let _ = n;
     }
 }
 
-/// The row-survivor trace of a traced stateless application: for each
-/// output row, the index it had in the input batch (strictly increasing —
-/// stateless operators never reorder). `None` means every input row
-/// survived in place (the identity trace).
-pub type RowTrace = Option<Vec<u32>>;
+/// The [`Operator::process`] body the stateless operators share: gathers a
+/// deferred selection once on entry (an all-row selection passes through),
+/// applies the operator's dense kernel, and re-bases the survivor trace
+/// onto the input batch's rows.
+fn process_dense(
+    batch: &TupleBatch,
+    sel: Option<&[u32]>,
+    traced: bool,
+    apply: impl FnOnce(&TupleBatch, bool) -> (TupleBatch, RowTrace),
+) -> (Option<TupleBatch>, RowTrace) {
+    let (out, trace) = match sel {
+        Some(sel) if sel.len() < batch.len() => {
+            let (out, kept) = apply(&batch.take(sel), traced);
+            let trace = traced.then(|| match kept {
+                None => sel.to_vec(),
+                Some(kept) => kept.iter().map(|&k| sel[k as usize]).collect(),
+            });
+            (out, trace)
+        }
+        _ => apply(batch, traced),
+    };
+    ((!out.is_empty()).then_some(out), trace)
+}
 
-/// A stateless operator the shard-per-stream executor can run on worker
-/// threads: application takes `&self` (internal statistics are atomic) and
-/// reports which input rows survived, so the engine can merge shard
-/// outputs back into the exact row order a single-threaded run produces.
-pub trait ShardKernel: Send + Sync {
-    /// Processes one owned batch, returning the output batch and — when
-    /// `traced` — its [`RowTrace`]. Untraced calls (round-robin shard
-    /// units, whose source batch lives whole on one shard and merges
-    /// without tags) skip the survivor bookkeeping and return `None`.
-    /// Semantics equal [`Operator::process_batch`] on the same batch,
-    /// including honoring the calling thread's columnar-kernel switch
-    /// ([`set_columnar_kernels`]).
-    fn process_traced(&self, batch: TupleBatch, traced: bool) -> (TupleBatch, RowTrace);
-
-    /// Selection-vector pushdown: refines `sel` (batch-row indices; `None`
-    /// = all rows) over `batch` **without materializing survivors**, for
-    /// consumers that can absorb a deferred selection (keyed joins and
-    /// aggregates, further filters). Returns `None` when the operator
-    /// cannot run selection-deferred (projections rewrite columns), in
-    /// which case the caller densifies as usual. Only pure-filter kernels
-    /// running columnar implement this — the row fallback keeps its
-    /// per-row reference semantics.
-    fn refine_selection(&self, batch: &TupleBatch, sel: Option<&[u32]>) -> Option<Vec<u32>> {
-        let _ = (batch, sel);
-        None
+/// Runs `f` over the state partitions an invocation addresses: the one
+/// partition `Some(p)` names, or — the control thread's view — all of
+/// them, in partition order. The locks are uncontended: during a flush a
+/// partition is only ever touched by the worker running its morsels, and
+/// the control thread only runs between flushes.
+fn with_parts<P, R>(
+    parts: &[Mutex<P>],
+    partition: Option<usize>,
+    f: impl FnOnce(&mut [MutexGuard<'_, P>]) -> R,
+) -> R {
+    match partition {
+        Some(p) => f(std::slice::from_mut(&mut lock_part(&parts[p]))),
+        None => f(&mut parts.iter().map(lock_part).collect::<Vec<_>>()),
     }
 }
 
-/// A keyed stateful operator the shard executor can run *inside* the
-/// shards: state is split into per-shard partitions behind `&self`
-/// (uncontended `Mutex`es — a partition is only ever touched by its own
-/// shard during a flush), so the merge barrier moves past the operator.
-///
-/// Correctness rests on the partition-key contract checked by
-/// [`Operator::keyed_out`]: every pair of rows the operator must combine
-/// (equal join keys, equal group keys) shares a shard under hash
-/// partitioning, so per-shard state observes exactly the single-threaded
-/// state restricted to its keys.
-pub trait KeyedKernel: Send + Sync {
-    /// Absorbs one input batch (restricted to `sel` when a deferred
-    /// selection is pushed down) into shard `shard`'s state partition,
-    /// returning the rows emitted inline (join matches; empty for
-    /// aggregates) plus, per output row, the *batch-row index* that
-    /// produced it — non-decreasing, repeating for join fan-out — so the
-    /// caller can compose merge tags.
-    fn process_keyed(
-        &self,
-        shard: usize,
-        port: usize,
-        batch: &TupleBatch,
-        sel: Option<&[u32]>,
-    ) -> (TupleBatch, Vec<u32>);
-
-    /// Advances shard `shard`'s watermark: evicts expired state and emits
-    /// closed windows as a batch sorted by [`EmitKey`] (the single-threaded
-    /// emission comparator), tagged for the deterministic cross-shard
-    /// merge. `None` when nothing closes.
-    fn advance_keyed(&self, shard: usize, watermark: u64) -> Option<(TupleBatch, Vec<EmitKey>)>;
+fn lock_part<P>(part: &Mutex<P>) -> MutexGuard<'_, P> {
+    part.lock().expect("operator state partition lock poisoned")
 }
 
 /// Columnar projection kernel plus survivor trace: evaluates `exprs` over
@@ -523,14 +546,14 @@ impl FilterOp {
 }
 
 impl FilterOp {
-    /// The shared batch/traced application (see [`ShardKernel`]).
-    fn apply(&self, batch: TupleBatch, traced: bool) -> (TupleBatch, RowTrace) {
+    /// The dense kernel (see [`process_dense`]).
+    fn apply(&self, batch: &TupleBatch, traced: bool) -> (TupleBatch, RowTrace) {
         if columnar_kernels_enabled() {
             // One selection pass over typed columns; an all-pass batch is
             // forwarded without touching any row data.
-            let sel = self.predicate.filter_indices(&batch, None);
+            let sel = self.predicate.filter_indices(batch, None);
             if sel.len() == batch.len() {
-                (batch.with_schema(self.schema.clone()), None)
+                (batch.clone().with_schema(self.schema.clone()), None)
             } else {
                 let kept = batch.take(&sel).with_schema(self.schema.clone());
                 (kept, traced.then_some(sel))
@@ -540,7 +563,7 @@ impl FilterOp {
             let n = batch.len();
             let mut kept = TupleBatch::with_capacity(self.schema.clone(), n);
             let mut trace: Vec<u32> = Vec::new();
-            for (i, tuple) in batch.into_rows().into_iter().enumerate() {
+            for (i, tuple) in batch.iter_rows().enumerate() {
                 if self.predicate.matches(&tuple) {
                     if traced {
                         trace.push(i as u32);
@@ -555,11 +578,19 @@ impl FilterOp {
 }
 
 impl Operator for FilterOp {
-    fn process_batch(&mut self, _port: usize, batch: TupleBatch, out: &mut Vec<TupleBatch>) {
-        let (kept, _) = self.apply(batch, false);
-        if !kept.is_empty() {
-            out.push(kept);
-        }
+    fn process(
+        &self,
+        _partition: Option<usize>,
+        _port: usize,
+        batch: &TupleBatch,
+        sel: Option<&[u32]>,
+        traced: bool,
+    ) -> (Option<TupleBatch>, RowTrace) {
+        process_dense(batch, sel, traced, |b, t| self.apply(b, t))
+    }
+
+    fn refine_selection(&self, batch: &TupleBatch, sel: Option<&[u32]>) -> Option<Vec<u32>> {
+        columnar_kernels_enabled().then(|| self.predicate.filter_indices(batch, sel))
     }
 
     fn output_schema(&self) -> &Arc<Schema> {
@@ -570,23 +601,13 @@ impl Operator for FilterOp {
         Self::UNIT_COST
     }
 
-    fn shard_kernel(&self) -> Option<&dyn ShardKernel> {
-        Some(self)
+    fn class(&self) -> OpClass {
+        OpClass::Stateless
     }
 
     fn keyed_out(&self, in_keys: &[Option<usize>]) -> Option<usize> {
         // Pass-through schema: the key column survives in place.
         in_keys.first().copied().flatten()
-    }
-}
-
-impl ShardKernel for FilterOp {
-    fn process_traced(&self, batch: TupleBatch, traced: bool) -> (TupleBatch, RowTrace) {
-        self.apply(batch, traced)
-    }
-
-    fn refine_selection(&self, batch: &TupleBatch, sel: Option<&[u32]>) -> Option<Vec<u32>> {
-        columnar_kernels_enabled().then(|| self.predicate.filter_indices(batch, sel))
     }
 }
 
@@ -612,10 +633,10 @@ impl ProjectOp {
 }
 
 impl ProjectOp {
-    /// The shared batch/traced application (see [`ShardKernel`]).
-    fn apply(&self, batch: TupleBatch, traced: bool) -> (TupleBatch, RowTrace) {
+    /// The dense kernel (see [`process_dense`]).
+    fn apply(&self, batch: &TupleBatch, traced: bool) -> (TupleBatch, RowTrace) {
         if columnar_kernels_enabled() {
-            return project_columnar_traced(&self.exprs, &batch, None, self.schema.clone(), traced);
+            return project_columnar_traced(&self.exprs, batch, None, self.schema.clone(), traced);
         }
         // Per-row fallback (reference implementation).
         let n = batch.len();
@@ -640,11 +661,15 @@ impl ProjectOp {
 }
 
 impl Operator for ProjectOp {
-    fn process_batch(&mut self, _port: usize, batch: TupleBatch, out: &mut Vec<TupleBatch>) {
-        let (mapped, _) = self.apply(batch, false);
-        if !mapped.is_empty() {
-            out.push(mapped);
-        }
+    fn process(
+        &self,
+        _partition: Option<usize>,
+        _port: usize,
+        batch: &TupleBatch,
+        sel: Option<&[u32]>,
+        traced: bool,
+    ) -> (Option<TupleBatch>, RowTrace) {
+        process_dense(batch, sel, traced, |b, t| self.apply(b, t))
     }
 
     fn output_schema(&self) -> &Arc<Schema> {
@@ -655,20 +680,14 @@ impl Operator for ProjectOp {
         Self::UNIT_COST
     }
 
-    fn shard_kernel(&self) -> Option<&dyn ShardKernel> {
-        Some(self)
+    fn class(&self) -> OpClass {
+        OpClass::Stateless
     }
 
     fn keyed_out(&self, in_keys: &[Option<usize>]) -> Option<usize> {
         // The key survives wherever an output column is exactly `Col(key)`.
         let key = in_keys.first().copied().flatten()?;
         self.exprs.iter().position(|e| e.as_col() == Some(key))
-    }
-}
-
-impl ShardKernel for ProjectOp {
-    fn process_traced(&self, batch: TupleBatch, traced: bool) -> (TupleBatch, RowTrace) {
-        self.apply(batch, traced)
     }
 }
 
@@ -763,8 +782,8 @@ impl FusedOp {
         self.stages.len()
     }
 
-    /// The shared batch/traced application (see [`ShardKernel`]).
-    fn apply(&self, batch: TupleBatch, traced: bool) -> (TupleBatch, RowTrace) {
+    /// The dense kernel (see [`process_dense`]).
+    fn apply(&self, batch: &TupleBatch, traced: bool) -> (TupleBatch, RowTrace) {
         if columnar_kernels_enabled() {
             self.apply_columnar(batch, traced)
         } else {
@@ -776,8 +795,9 @@ impl FusedOp {
     /// materializing columns only at projection stages and at the end.
     /// When `traced`, an original-row index vector rides along so the
     /// survivor trace composes across projection rematerializations.
-    fn apply_columnar(&self, batch: TupleBatch, traced: bool) -> (TupleBatch, RowTrace) {
-        let mut cur = batch;
+    fn apply_columnar(&self, batch: &TupleBatch, traced: bool) -> (TupleBatch, RowTrace) {
+        // A pointer clone: columns stay shared until a stage rewrites them.
+        let mut cur = batch.clone();
         // `None` = every row of `cur` is selected.
         let mut sel: Option<Vec<u32>> = None;
         // Original-input index of each row of `cur` (`None` = identity);
@@ -829,11 +849,11 @@ impl FusedOp {
     }
 
     /// Per-row fallback (reference implementation).
-    fn apply_rows(&self, batch: TupleBatch, traced: bool) -> (TupleBatch, RowTrace) {
+    fn apply_rows(&self, batch: &TupleBatch, traced: bool) -> (TupleBatch, RowTrace) {
         let n = batch.len();
         let mut output = TupleBatch::with_capacity(self.schema.clone(), n);
         let mut trace: Vec<u32> = Vec::new();
-        'rows: for (idx, mut tuple) in batch.into_rows().into_iter().enumerate() {
+        'rows: for (idx, mut tuple) in batch.iter_rows().enumerate() {
             for (stage, _, entered) in &self.stages {
                 entered.fetch_add(1, Ordering::Relaxed);
                 match stage {
@@ -891,11 +911,32 @@ fn compose_trace(
 }
 
 impl Operator for FusedOp {
-    fn process_batch(&mut self, _port: usize, batch: TupleBatch, out: &mut Vec<TupleBatch>) {
-        let (result, _) = self.apply(batch, false);
-        if !result.is_empty() {
-            out.push(result);
+    fn process(
+        &self,
+        _partition: Option<usize>,
+        _port: usize,
+        batch: &TupleBatch,
+        sel: Option<&[u32]>,
+        traced: bool,
+    ) -> (Option<TupleBatch>, RowTrace) {
+        process_dense(batch, sel, traced, |b, t| self.apply(b, t))
+    }
+
+    fn refine_selection(&self, batch: &TupleBatch, sel: Option<&[u32]>) -> Option<Vec<u32>> {
+        // Only a pure-filter chain can stay selection-deferred; stage
+        // composition folds adjacent filters, so that is exactly the
+        // single composed-Filter case.
+        if !columnar_kernels_enabled() || self.stages.len() != 1 {
+            return None;
         }
+        let (FusedStage::Filter(predicate), _, entered) = &self.stages[0] else {
+            return None;
+        };
+        entered.fetch_add(
+            sel.map_or(batch.len(), <[u32]>::len) as u64,
+            Ordering::Relaxed,
+        );
+        Some(predicate.filter_indices(batch, sel))
     }
 
     fn output_schema(&self) -> &Arc<Schema> {
@@ -923,8 +964,8 @@ impl Operator for FusedOp {
             .sum()
     }
 
-    fn shard_kernel(&self) -> Option<&dyn ShardKernel> {
-        Some(self)
+    fn class(&self) -> OpClass {
+        OpClass::Stateless
     }
 
     fn keyed_out(&self, in_keys: &[Option<usize>]) -> Option<usize> {
@@ -941,29 +982,6 @@ impl Operator for FusedOp {
             }
         }
         Some(key)
-    }
-}
-
-impl ShardKernel for FusedOp {
-    fn process_traced(&self, batch: TupleBatch, traced: bool) -> (TupleBatch, RowTrace) {
-        self.apply(batch, traced)
-    }
-
-    fn refine_selection(&self, batch: &TupleBatch, sel: Option<&[u32]>) -> Option<Vec<u32>> {
-        // Only a pure-filter chain can stay selection-deferred; stage
-        // composition folds adjacent filters, so that is exactly the
-        // single composed-Filter case.
-        if !columnar_kernels_enabled() || self.stages.len() != 1 {
-            return None;
-        }
-        let (FusedStage::Filter(predicate), _, entered) = &self.stages[0] else {
-            return None;
-        };
-        entered.fetch_add(
-            sel.map_or(batch.len(), <[u32]>::len) as u64,
-            Ordering::Relaxed,
-        );
-        Some(predicate.filter_indices(batch, sel))
     }
 }
 
@@ -1061,10 +1079,10 @@ impl JoinPart {
 /// State is **hash-partitioned by join key** into [`JoinOp::set_partitions`]
 /// shard slices behind uncontended `Mutex`es, so when both inputs are
 /// hash-sharded on their join keys the whole join runs inside the shard
-/// workers through the `&self` [`KeyedKernel`] — the control thread only
-/// merges. The single-threaded `&mut` path routes each row to the same
-/// partition its key hashes to, so results are identical no matter which
-/// path (or mix of paths) processed the stream.
+/// workers (`partition: Some(shard)`) — the control thread only merges.
+/// The control thread's view (`partition: None`) routes each row to the
+/// same partition its key hashes to, so results are identical no matter
+/// which path (or mix of paths) processed the stream.
 #[derive(Debug)]
 pub struct JoinOp {
     left_key: usize,
@@ -1092,112 +1110,64 @@ impl JoinOp {
         values.extend(right.values.iter().cloned());
         out.push(Tuple::new(left.ts.max(right.ts), values));
     }
-
-    /// Shared probe loop over `rows` (batch-row indices) of one batch:
-    /// appends matches (and, when `trace` is given, the producing batch-row
-    /// index per match) into one partition chosen per row.
-    #[allow(clippy::too_many_arguments)]
-    fn absorb_rows<'a>(
-        parts: &mut [&mut JoinPart],
-        key_col: &Column,
-        window_ms: u64,
-        port: usize,
-        batch: &TupleBatch,
-        rows: impl Iterator<Item = usize> + 'a,
-        matches: &mut TupleBatch,
-        mut trace: Option<&mut Vec<u32>>,
-    ) {
-        let n_parts = parts.len();
-        let mut reader = KeyReader::new(key_col);
-        for i in rows {
-            let Some((key, p)) = reader.key_and_shard(i, n_parts) else {
-                // Plan validation rejects float join keys before any
-                // operator is built (diagnostic NL005,
-                // `diag::Code::UnhashableJoinKey`); reaching this means the
-                // node was constructed around it. Dropping the row keeps
-                // release builds safe either way.
-                debug_assert!(false, "unhashable join key escaped plan validation");
-                continue;
-            };
-            let emitted = parts[p].probe_insert(port, key, batch.row(i), window_ms, matches);
-            if let Some(trace) = trace.as_deref_mut() {
-                trace.extend(std::iter::repeat_n(i as u32, emitted));
-            }
-        }
-    }
 }
 
 impl Operator for JoinOp {
-    fn process_batch(&mut self, port: usize, batch: TupleBatch, out: &mut Vec<TupleBatch>) {
-        let key_col = batch.column(if port == 0 {
-            self.left_key
-        } else {
-            self.right_key
-        });
-        let mut matches = TupleBatch::new(self.schema.clone());
-        let mut parts: Vec<&mut JoinPart> = self
-            .parts
-            .iter_mut()
-            .map(|m| m.get_mut().expect("join partition lock poisoned"))
-            .collect();
-        Self::absorb_rows(
-            &mut parts,
-            key_col,
-            self.window_ms,
-            port,
-            &batch,
-            0..batch.len(),
-            &mut matches,
-            None,
-        );
-        if !matches.is_empty() {
-            out.push(matches);
-        }
-    }
-
-    fn process_selected(
-        &mut self,
+    fn process(
+        &self,
+        partition: Option<usize>,
         port: usize,
         batch: &TupleBatch,
-        sel: &[u32],
-        out: &mut Vec<TupleBatch>,
-    ) {
-        // Absorb straight through the deferred selection: the dropped
-        // rows of the upstream filter are never gathered.
-        crate::types::work::count_pushdown_rows(sel.len() as u64);
+        sel: Option<&[u32]>,
+        traced: bool,
+    ) -> (Option<TupleBatch>, RowTrace) {
         let key_col = batch.column(if port == 0 {
             self.left_key
         } else {
             self.right_key
         });
         let mut matches = TupleBatch::new(self.schema.clone());
-        let mut parts: Vec<&mut JoinPart> = self
-            .parts
-            .iter_mut()
-            .map(|m| m.get_mut().expect("join partition lock poisoned"))
-            .collect();
-        Self::absorb_rows(
-            &mut parts,
-            key_col,
-            self.window_ms,
-            port,
-            batch,
-            sel.iter().map(|&i| i as usize),
-            &mut matches,
-            None,
-        );
-        if !matches.is_empty() {
-            out.push(matches);
-        }
+        let mut trace = traced.then(Vec::new);
+        // The one probe loop: over the selected rows (absorbed straight
+        // through a deferred selection — the rows the upstream filter
+        // dropped are never gathered), into the addressed partition or,
+        // seen whole, the partition each row's key hashes to.
+        with_parts(&self.parts, partition, |parts| {
+            let n_parts = parts.len();
+            let mut reader = KeyReader::new(key_col);
+            for k in 0..sel.map_or(batch.len(), <[u32]>::len) {
+                let i = sel.map_or(k, |s| s[k] as usize);
+                let Some((key, p)) = reader.key_and_shard(i, n_parts) else {
+                    // Plan validation rejects float join keys before any
+                    // operator is built (diagnostic NL005,
+                    // `diag::Code::UnhashableJoinKey`); reaching this means the
+                    // node was constructed around it. Dropping the row keeps
+                    // release builds safe either way.
+                    debug_assert!(false, "unhashable join key escaped plan validation");
+                    continue;
+                };
+                let emitted =
+                    parts[p].probe_insert(port, key, batch.row(i), self.window_ms, &mut matches);
+                if let Some(trace) = &mut trace {
+                    trace.extend(std::iter::repeat_n(i as u32, emitted));
+                }
+            }
+        });
+        ((!matches.is_empty()).then_some(matches), trace)
     }
 
-    fn advance_watermark(&mut self, watermark: u64, _out: &mut Vec<TupleBatch>) {
+    fn advance(
+        &self,
+        partition: Option<usize>,
+        watermark: u64,
+    ) -> Option<(TupleBatch, Vec<EmitKey>)> {
         let horizon = watermark.saturating_sub(self.window_ms);
-        for part in &mut self.parts {
-            part.get_mut()
-                .expect("join partition lock poisoned")
-                .evict(horizon);
-        }
+        with_parts(&self.parts, partition, |parts| {
+            for part in parts {
+                part.evict(horizon);
+            }
+        });
+        None
     }
 
     fn output_schema(&self) -> &Arc<Schema> {
@@ -1209,14 +1179,11 @@ impl Operator for JoinOp {
     }
 
     fn state_size(&self) -> usize {
-        self.parts
-            .iter()
-            .map(|p| p.lock().expect("join partition lock poisoned").len)
-            .sum()
+        self.parts.iter().map(|p| lock_part(p).len).sum()
     }
 
-    fn keyed_kernel(&self) -> Option<&dyn KeyedKernel> {
-        Some(self)
+    fn class(&self) -> OpClass {
+        OpClass::Keyed
     }
 
     fn keyed_out(&self, in_keys: &[Option<usize>]) -> Option<usize> {
@@ -1231,9 +1198,6 @@ impl Operator for JoinOp {
 
     fn set_partitions(&mut self, n: usize) {
         assert!(n > 0, "partition count must be positive");
-        if n == self.parts.len() {
-            return;
-        }
         let old: Vec<JoinPart> = std::mem::take(&mut self.parts)
             .into_iter()
             .map(|m| m.into_inner().expect("join partition lock poisoned"))
@@ -1255,59 +1219,6 @@ impl Operator for JoinOp {
             }
         }
         self.parts = parts.into_iter().map(Mutex::new).collect();
-    }
-}
-
-impl KeyedKernel for JoinOp {
-    fn process_keyed(
-        &self,
-        shard: usize,
-        port: usize,
-        batch: &TupleBatch,
-        sel: Option<&[u32]>,
-    ) -> (TupleBatch, Vec<u32>) {
-        let key_col = batch.column(if port == 0 {
-            self.left_key
-        } else {
-            self.right_key
-        });
-        let mut matches = TupleBatch::new(self.schema.clone());
-        let mut trace = Vec::new();
-        let mut part = self.parts[shard]
-            .lock()
-            .expect("join partition lock poisoned");
-        let mut parts: Vec<&mut JoinPart> = vec![&mut part];
-        match sel {
-            Some(sel) => Self::absorb_rows(
-                &mut parts,
-                key_col,
-                self.window_ms,
-                port,
-                batch,
-                sel.iter().map(|&i| i as usize),
-                &mut matches,
-                Some(&mut trace),
-            ),
-            None => Self::absorb_rows(
-                &mut parts,
-                key_col,
-                self.window_ms,
-                port,
-                batch,
-                0..batch.len(),
-                &mut matches,
-                Some(&mut trace),
-            ),
-        }
-        (matches, trace)
-    }
-
-    fn advance_keyed(&self, shard: usize, watermark: u64) -> Option<(TupleBatch, Vec<EmitKey>)> {
-        self.parts[shard]
-            .lock()
-            .expect("join partition lock poisoned")
-            .evict(watermark.saturating_sub(self.window_ms));
-        None
     }
 }
 
@@ -1592,7 +1503,7 @@ type AggPart = BTreeMap<u64, HashMap<Option<Key>, AggState>>;
 /// State is **hash-partitioned by group key** into per-shard `AggPart`
 /// slices, so a
 /// grouped aggregate whose group-by column is the stream's shard key runs
-/// entirely inside the shard workers through the `&self` [`KeyedKernel`]:
+/// entirely inside the shard workers (`partition: Some(shard)`):
 /// absorption and watermark-driven window closes happen per shard, and the
 /// per-shard emission runs (each sorted by the deterministic
 /// `(window start, group)` comparator) merge back into exactly the
@@ -1801,10 +1712,15 @@ impl AggregateOp {
 
     /// Absorbs the rows of one batch (`sel`'s rows when a deferred
     /// selection is pushed down — never gathered) into `parts`, routing
-    /// each group to the partition its key hashes to. A caller that has
-    /// already routed the rows (the keyed shard path) passes its one
+    /// each group to the partition its key hashes to. A worker, whose rows
+    /// are already routed (or fold into its own partial), passes its one
     /// partition.
-    fn absorb(&self, parts: &mut [&mut AggPart], batch: &TupleBatch, sel: Option<&[u32]>) {
+    fn absorb(
+        &self,
+        parts: &mut [MutexGuard<'_, AggPart>],
+        batch: &TupleBatch,
+        sel: Option<&[u32]>,
+    ) {
         // The aggregated column and the group-key column are resolved once
         // per batch; the loops read slices and never materialize a row or
         // widen a `Value`.
@@ -1817,7 +1733,7 @@ impl AggregateOp {
         let Some(col) = self.group_by.map(|c| batch.column(c)) else {
             // No group key to hash: every row routes to partition 0.
             if self.slide_ms == self.window_ms {
-                return Self::absorb_dense_runs(self.window_ms, parts[0], ts, &input, rows);
+                return Self::absorb_dense_runs(self.window_ms, &mut parts[0], ts, &input, rows);
             }
             let all: Vec<u32>;
             let rows = match sel {
@@ -1827,7 +1743,7 @@ impl AggregateOp {
                     &all
                 }
             };
-            return self.fold_group(parts[0], &None, &input, ts, rows);
+            return self.fold_group(&mut parts[0], &None, &input, ts, rows);
         };
         let n_parts = parts.len();
         if let Column::Dict { codes, dict, .. } = col {
@@ -1857,7 +1773,7 @@ impl AggregateOp {
                     } else {
                         key.shard_of(n_parts)
                     };
-                    self.fold_group(parts[p], &Some(key), &input, ts, &sorted[lo..hi]);
+                    self.fold_group(&mut parts[p], &Some(key), &input, ts, &sorted[lo..hi]);
                 }
                 lo = hi;
             }
@@ -1872,20 +1788,8 @@ impl AggregateOp {
                 debug_assert!(false, "unhashable group key escaped plan validation");
                 continue;
             };
-            self.fold_group(parts[p], &Some(key), &input, ts, &[i as u32]);
+            self.fold_group(&mut parts[p], &Some(key), &input, ts, &[i as u32]);
         }
-    }
-
-    /// The control thread's absorb over every partition (the shared body
-    /// of [`Operator::process_batch`] and [`Operator::process_selected`]).
-    fn absorb_routed(&self, batch: &TupleBatch, sel: Option<&[u32]>) {
-        let mut guards: Vec<_> = self
-            .parts
-            .iter()
-            .map(|m| m.lock().expect("aggregate partition lock poisoned"))
-            .collect();
-        let mut parts: Vec<&mut AggPart> = guards.iter_mut().map(|g| &mut **g).collect();
-        self.absorb(&mut parts, batch, sel);
     }
 
     /// Pops the windows of `part` closed by `watermark` off the front of
@@ -1912,8 +1816,8 @@ impl AggregateOp {
 
     /// Emits drained windows in ascending [`EmitKey`] order — one batch
     /// plus the key of every row, `None` when nothing closed. `ready` holds
-    /// the drains of one partition (`advance_keyed`) or of every partition
-    /// in partition order (the control thread), so the one sort is the
+    /// the drains of one partition (a worker's) or of every partition in
+    /// partition order (the control thread's), so the one sort is the
     /// unpartitioned operator's emission order whatever the partition
     /// count.
     fn emit_sorted(
@@ -1958,41 +1862,40 @@ impl AggregateOp {
         }
         (!closed.is_empty()).then_some((closed, keys))
     }
-
-    fn emit_closed(&mut self, watermark: u64, out: &mut Vec<TupleBatch>) {
-        let mut ready = Vec::new();
-        for part in &self.parts {
-            let mut part = part.lock().expect("aggregate partition lock poisoned");
-            self.drain_closed(&mut part, watermark, &mut ready);
-        }
-        out.extend(self.emit_sorted(ready).map(|(closed, _)| closed));
-    }
 }
 
 impl Operator for AggregateOp {
-    fn process_batch(&mut self, _port: usize, batch: TupleBatch, _out: &mut Vec<TupleBatch>) {
-        self.absorb_routed(&batch, None);
-    }
-
-    fn process_selected(
-        &mut self,
+    fn process(
+        &self,
+        partition: Option<usize>,
         _port: usize,
         batch: &TupleBatch,
-        sel: &[u32],
-        _out: &mut Vec<TupleBatch>,
-    ) {
-        // Absorb straight through the deferred selection: the dropped
-        // rows of the upstream filter are never gathered.
-        crate::types::work::count_pushdown_rows(sel.len() as u64);
-        self.absorb_routed(batch, Some(sel));
+        sel: Option<&[u32]>,
+        _traced: bool,
+    ) -> (Option<TupleBatch>, RowTrace) {
+        // Absorb only: rows leave on a window close, never inline.
+        with_parts(&self.parts, partition, |parts| {
+            self.absorb(parts, batch, sel);
+        });
+        (None, None)
     }
 
-    fn advance_watermark(&mut self, watermark: u64, out: &mut Vec<TupleBatch>) {
-        self.emit_closed(watermark, out);
+    fn advance(
+        &self,
+        partition: Option<usize>,
+        watermark: u64,
+    ) -> Option<(TupleBatch, Vec<EmitKey>)> {
+        let mut ready = Vec::new();
+        with_parts(&self.parts, partition, |parts| {
+            for part in parts {
+                self.drain_closed(part, watermark, &mut ready);
+            }
+        });
+        self.emit_sorted(ready)
     }
 
-    fn finish(&mut self, out: &mut Vec<TupleBatch>) {
-        self.emit_closed(u64::MAX, out);
+    fn finish(&self) -> Option<TupleBatch> {
+        self.advance(None, u64::MAX).map(|(closed, _)| closed)
     }
 
     fn output_schema(&self) -> &Arc<Schema> {
@@ -2006,15 +1909,12 @@ impl Operator for AggregateOp {
     fn state_size(&self) -> usize {
         self.parts
             .iter()
-            .map(|p| {
-                let part = p.lock().expect("aggregate partition lock poisoned");
-                part.values().map(HashMap::len).sum::<usize>()
-            })
+            .map(|p| lock_part(p).values().map(HashMap::len).sum::<usize>())
             .sum()
     }
 
-    fn keyed_kernel(&self) -> Option<&dyn KeyedKernel> {
-        Some(self)
+    fn class(&self) -> OpClass {
+        OpClass::Keyed
     }
 
     fn keyed_out(&self, in_keys: &[Option<usize>]) -> Option<usize> {
@@ -2039,9 +1939,6 @@ impl Operator for AggregateOp {
 
     fn set_partitions(&mut self, n: usize) {
         assert!(n > 0, "partition count must be positive");
-        if n == self.parts.len() {
-            return;
-        }
         let old: Vec<AggPart> = std::mem::take(&mut self.parts)
             .into_iter()
             .map(|m| m.into_inner().expect("aggregate partition lock poisoned"))
@@ -2057,14 +1954,16 @@ impl Operator for AggregateOp {
                     _ => 0,
                 };
                 match parts[p].entry(start).or_default().entry(group) {
-                    // Per-worker partials of one window merge when
-                    // partitions collapse — iterating `old` in partition
-                    // order keeps the combine deterministic. This covers
-                    // grouped keys too: under grouped partial aggregation
+                    // Per-worker partials of one window merge when they
+                    // meet — iterating `old` in partition order keeps the
+                    // combine deterministic. This covers grouped keys
+                    // too: under grouped partial aggregation
                     // (shard-incompatible group key, exact combine) one
                     // group's mid-window state legitimately spans
                     // partitions, and the exact combine re-homes it
-                    // without schedule-dependent drift.
+                    // without schedule-dependent drift — which is what
+                    // lets the node become a full member mid-window when
+                    // the stream is re-keyed onto its group column.
                     Entry::Occupied(mut e) => {
                         e.get_mut().combine(&state);
                     }
@@ -2075,32 +1974,6 @@ impl Operator for AggregateOp {
             }
         }
         self.parts = parts.into_iter().map(Mutex::new).collect();
-    }
-}
-
-impl KeyedKernel for AggregateOp {
-    fn process_keyed(
-        &self,
-        shard: usize,
-        _port: usize,
-        batch: &TupleBatch,
-        sel: Option<&[u32]>,
-    ) -> (TupleBatch, Vec<u32>) {
-        let mut part = self.parts[shard]
-            .lock()
-            .expect("aggregate partition lock poisoned");
-        self.absorb(&mut [&mut part], batch, sel);
-        (TupleBatch::new(self.schema.clone()), Vec::new())
-    }
-
-    fn advance_keyed(&self, shard: usize, watermark: u64) -> Option<(TupleBatch, Vec<EmitKey>)> {
-        let mut ready = Vec::new();
-        let mut part = self.parts[shard]
-            .lock()
-            .expect("aggregate partition lock poisoned");
-        self.drain_closed(&mut part, watermark, &mut ready);
-        drop(part);
-        self.emit_sorted(ready)
     }
 }
 
@@ -2120,12 +1993,19 @@ impl UnionOp {
 }
 
 impl Operator for UnionOp {
-    fn process_batch(&mut self, _port: usize, batch: TupleBatch, out: &mut Vec<TupleBatch>) {
-        if !batch.is_empty() {
-            // Re-own the columns under the union's schema handle: zero
-            // copies, only the schema Arc changes.
-            out.push(batch.with_schema(self.schema.clone()));
-        }
+    fn process(
+        &self,
+        _partition: Option<usize>,
+        _port: usize,
+        batch: &TupleBatch,
+        sel: Option<&[u32]>,
+        _traced: bool,
+    ) -> (Option<TupleBatch>, RowTrace) {
+        // Re-own the columns under the union's schema handle: zero
+        // copies, only the schema Arc changes.
+        process_dense(batch, sel, false, |b, _| {
+            (b.clone().with_schema(self.schema.clone()), None)
+        })
     }
 
     fn output_schema(&self) -> &Arc<Schema> {
@@ -2135,12 +2015,16 @@ impl Operator for UnionOp {
     fn unit_cost(&self) -> f64 {
         0.5
     }
+
+    fn class(&self) -> OpClass {
+        OpClass::Barrier
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::{DataType, Field};
+    use crate::types::{DataType, Field, MergeTags};
 
     fn quote_schema() -> Schema {
         Schema::new(vec![
@@ -2158,6 +2042,17 @@ mod tests {
         TupleBatch::from_rows(Arc::new(quote_schema()), rows)
     }
 
+    /// One control-thread invocation on a dense batch, collecting the
+    /// output the way the engine's queue walk does.
+    fn feed(op: &dyn Operator, port: usize, batch: TupleBatch, out: &mut Vec<TupleBatch>) {
+        out.extend(op.process(None, port, &batch, None, false).0);
+    }
+
+    /// The control thread's watermark pass.
+    fn close(op: &dyn Operator, watermark: u64, out: &mut Vec<TupleBatch>) {
+        out.extend(op.advance(None, watermark).map(|(closed, _)| closed));
+    }
+
     /// Flattens the emitted batches into rows, for assertions.
     fn rows_of(out: &[TupleBatch]) -> Vec<Tuple> {
         out.iter()
@@ -2169,12 +2064,13 @@ mod tests {
     fn filter_selects() {
         for columnar in [true, false] {
             with_columnar_kernels(columnar, || {
-                let mut f = FilterOp::new(
+                let f = FilterOp::new(
                     Expr::col(1).gt(Expr::lit(Value::Float(100.0))),
                     quote_schema(),
                 );
                 let mut out = Vec::new();
-                f.process_batch(
+                feed(
+                    &f,
                     0,
                     qbatch(vec![quote(1, "IBM", 120.0), quote(2, "IBM", 80.0)]),
                     &mut out,
@@ -2184,7 +2080,7 @@ mod tests {
                 assert_eq!(rows[0].ts, 1);
                 // An all-rejected batch emits nothing at all.
                 out.clear();
-                f.process_batch(0, qbatch(vec![quote(3, "IBM", 10.0)]), &mut out);
+                feed(&f, 0, qbatch(vec![quote(3, "IBM", 10.0)]), &mut out);
                 assert!(out.is_empty());
             });
         }
@@ -2192,13 +2088,14 @@ mod tests {
 
     #[test]
     fn filter_all_pass_forwards_batch_without_gather() {
-        let mut f = FilterOp::new(
+        let f = FilterOp::new(
             Expr::col(1).gt(Expr::lit(Value::Float(0.0))),
             quote_schema(),
         );
         let mut out = Vec::new();
         crate::types::work::reset();
-        f.process_batch(
+        feed(
+            &f,
             0,
             qbatch(vec![quote(1, "IBM", 120.0), quote(2, "IBM", 80.0)]),
             &mut out,
@@ -2215,12 +2112,12 @@ mod tests {
     fn project_maps() {
         for columnar in [true, false] {
             with_columnar_kernels(columnar, || {
-                let mut p = ProjectOp::new(
+                let p = ProjectOp::new(
                     vec![Expr::col(0)],
                     Schema::new(vec![Field::new("symbol", DataType::Str)]),
                 );
                 let mut out = Vec::new();
-                p.process_batch(0, qbatch(vec![quote(5, "IBM", 1.0)]), &mut out);
+                feed(&p, 0, qbatch(vec![quote(5, "IBM", 1.0)]), &mut out);
                 assert_eq!(rows_of(&out), vec![Tuple::new(5, vec![Value::str("IBM")])]);
             });
         }
@@ -2248,13 +2145,13 @@ mod tests {
         ];
         let mut reference = Vec::new();
         with_columnar_kernels(false, || {
-            let mut p = ProjectOp::new(vec![div.clone()], schema.clone());
-            p.process_batch(0, qbatch(rows.clone()), &mut reference);
+            let p = ProjectOp::new(vec![div.clone()], schema.clone());
+            feed(&p, 0, qbatch(rows.clone()), &mut reference);
         });
         let mut columnar = Vec::new();
         with_columnar_kernels(true, || {
-            let mut p = ProjectOp::new(vec![div], schema);
-            p.process_batch(0, qbatch(rows), &mut columnar);
+            let p = ProjectOp::new(vec![div], schema);
+            feed(&p, 0, qbatch(rows), &mut columnar);
         });
         assert_eq!(rows_of(&columnar), rows_of(&reference));
         assert_eq!(rows_of(&columnar).len(), 2);
@@ -2269,12 +2166,12 @@ mod tests {
         ]);
         let nbatch = |rows: Vec<Tuple>| TupleBatch::from_rows(Arc::new(news_schema.clone()), rows);
         let schema = quote_schema().join(&news_schema);
-        let mut j = JoinOp::new(0, 0, 10, schema);
+        let j = JoinOp::new(0, 0, 10, schema);
         let mut out = Vec::new();
-        j.process_batch(0, qbatch(vec![quote(100, "IBM", 120.0)]), &mut out);
+        feed(&j, 0, qbatch(vec![quote(100, "IBM", 120.0)]), &mut out);
         assert!(out.is_empty());
         let news = Tuple::new(105, vec![Value::str("IBM"), Value::str("up")]);
-        j.process_batch(1, nbatch(vec![news]), &mut out);
+        feed(&j, 1, nbatch(vec![news]), &mut out);
         let rows = rows_of(&out);
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].values.len(), 4);
@@ -2282,12 +2179,12 @@ mod tests {
         // Outside the window: no match.
         let stale = Tuple::new(200, vec![Value::str("IBM"), Value::str("old")]);
         out.clear();
-        j.process_batch(1, nbatch(vec![stale]), &mut out);
+        feed(&j, 1, nbatch(vec![stale]), &mut out);
         assert!(out.is_empty());
         // Different key: no match.
         let other = Tuple::new(101, vec![Value::str("AAPL"), Value::str("x")]);
         out.clear();
-        j.process_batch(1, nbatch(vec![other]), &mut out);
+        feed(&j, 1, nbatch(vec![other]), &mut out);
         assert!(out.is_empty());
         assert_eq!(j.state_size(), 4);
     }
@@ -2297,15 +2194,17 @@ mod tests {
         // Both sides of a match arriving in the same batch must still join
         // (batched processing ≡ row-at-a-time processing).
         let schema = quote_schema().join(&quote_schema());
-        let mut j = JoinOp::new(0, 0, 50, schema);
+        let j = JoinOp::new(0, 0, 50, schema);
         let mut out = Vec::new();
-        j.process_batch(
+        feed(
+            &j,
             0,
             qbatch(vec![quote(1, "A", 1.0), quote(2, "A", 2.0)]),
             &mut out,
         );
         assert!(out.is_empty(), "left rows alone cannot match");
-        j.process_batch(
+        feed(
+            &j,
             1,
             qbatch(vec![quote(3, "A", 3.0), quote(4, "B", 4.0)]),
             &mut out,
@@ -2317,33 +2216,34 @@ mod tests {
     #[test]
     fn join_eviction_respects_watermark() {
         let schema = quote_schema().join(&quote_schema());
-        let mut j = JoinOp::new(0, 0, 10, schema);
+        let j = JoinOp::new(0, 0, 10, schema);
         let mut out = Vec::new();
-        j.process_batch(
+        feed(
+            &j,
             0,
             qbatch(vec![quote(100, "IBM", 1.0), quote(200, "IBM", 2.0)]),
             &mut out,
         );
         assert_eq!(j.state_size(), 2);
-        j.advance_watermark(150, &mut out);
+        close(&j, 150, &mut out);
         assert_eq!(j.state_size(), 1, "the ts=100 tuple must be evicted");
         // The surviving tuple still joins.
-        j.process_batch(1, qbatch(vec![quote(205, "IBM", 3.0)]), &mut out);
+        feed(&j, 1, qbatch(vec![quote(205, "IBM", 3.0)]), &mut out);
         assert_eq!(rows_of(&out).len(), 1);
     }
 
     #[test]
     fn join_symmetry() {
         let schema = quote_schema().join(&quote_schema());
-        let mut j = JoinOp::new(0, 0, 50, schema.clone());
+        let j = JoinOp::new(0, 0, 50, schema.clone());
         let mut out_lr = Vec::new();
-        j.process_batch(0, qbatch(vec![quote(1, "A", 1.0)]), &mut out_lr);
-        j.process_batch(1, qbatch(vec![quote(2, "A", 2.0)]), &mut out_lr);
+        feed(&j, 0, qbatch(vec![quote(1, "A", 1.0)]), &mut out_lr);
+        feed(&j, 1, qbatch(vec![quote(2, "A", 2.0)]), &mut out_lr);
 
-        let mut j2 = JoinOp::new(0, 0, 50, schema);
+        let j2 = JoinOp::new(0, 0, 50, schema);
         let mut out_rl = Vec::new();
-        j2.process_batch(1, qbatch(vec![quote(2, "A", 2.0)]), &mut out_rl);
-        j2.process_batch(0, qbatch(vec![quote(1, "A", 1.0)]), &mut out_rl);
+        feed(&j2, 1, qbatch(vec![quote(2, "A", 2.0)]), &mut out_rl);
+        feed(&j2, 0, qbatch(vec![quote(1, "A", 1.0)]), &mut out_rl);
 
         let (lr, rl) = (rows_of(&out_lr), rows_of(&out_rl));
         assert_eq!(lr, rl, "arrival order must not change results");
@@ -2359,9 +2259,10 @@ mod tests {
             Field::new("symbol", DataType::Str),
             Field::new("count", DataType::Int),
         ]);
-        let mut a = AggregateOp::new(Some(0), AggFunc::Count, 0, 100, schema, true);
+        let a = AggregateOp::new(Some(0), AggFunc::Count, 0, 100, schema, true);
         let mut out = Vec::new();
-        a.process_batch(
+        feed(
+            &a,
             0,
             qbatch(vec![
                 quote(10, "IBM", 1.0),
@@ -2372,13 +2273,13 @@ mod tests {
             &mut out,
         );
         assert!(out.is_empty(), "nothing closes before the watermark");
-        a.advance_watermark(100, &mut out);
+        close(&a, 100, &mut out);
         let rows = rows_of(&out);
         assert_eq!(rows.len(), 2); // IBM=2, AAPL=1 for window [0,100)
         let counts: Vec<i64> = rows.iter().map(|t| t.values[2].as_int().unwrap()).collect();
         assert_eq!(counts.iter().sum::<i64>(), 3);
         out.clear();
-        a.finish(&mut out);
+        out.extend(a.finish());
         let rows = rows_of(&out);
         assert_eq!(rows.len(), 1); // the [100,200) window force-closed
         assert_eq!(rows[0].values[2], Value::Int(1));
@@ -2390,24 +2291,26 @@ mod tests {
             Field::new("window_end", DataType::Int),
             Field::new("avg", DataType::Float),
         ]);
-        let mut a = AggregateOp::new(None, AggFunc::Avg, 1, 100, schema.clone(), false);
+        let a = AggregateOp::new(None, AggFunc::Avg, 1, 100, schema.clone(), false);
         let mut out = Vec::new();
-        a.process_batch(
+        feed(
+            &a,
             0,
             qbatch(vec![quote(10, "X", 10.0), quote(20, "X", 20.0)]),
             &mut out,
         );
-        a.advance_watermark(100, &mut out);
+        close(&a, 100, &mut out);
         assert_eq!(rows_of(&out)[0].values[1], Value::Float(15.0));
 
-        let mut mx = AggregateOp::new(None, AggFunc::Max, 1, 100, schema, false);
+        let mx = AggregateOp::new(None, AggFunc::Max, 1, 100, schema, false);
         out.clear();
-        mx.process_batch(
+        feed(
+            &mx,
             0,
             qbatch(vec![quote(10, "X", 10.0), quote(20, "X", 20.0)]),
             &mut out,
         );
-        mx.finish(&mut out);
+        out.extend(mx.finish());
         assert_eq!(rows_of(&out)[0].values[1], Value::Float(20.0));
     }
 
@@ -2417,11 +2320,11 @@ mod tests {
             Field::new("window_end", DataType::Int),
             Field::new("avg", DataType::Float),
         ]);
-        let mut a = AggregateOp::new(Some(0), AggFunc::Avg, 1, 100, schema, false);
+        let a = AggregateOp::new(Some(0), AggFunc::Avg, 1, 100, schema, false);
         let batch = qbatch((0..50).map(|i| quote(i, "X", i as f64)).collect());
         crate::types::work::reset();
         let mut out = Vec::new();
-        a.process_batch(0, batch, &mut out);
+        feed(&a, 0, batch, &mut out);
         let snap = crate::types::work::snapshot();
         assert_eq!(snap.rows_materialized, 0, "absorb never builds a row");
         assert_eq!(snap.row_evals, 0);
@@ -2429,10 +2332,10 @@ mod tests {
 
     #[test]
     fn union_passes_everything() {
-        let mut u = UnionOp::new(quote_schema());
+        let u = UnionOp::new(quote_schema());
         let mut out = Vec::new();
-        u.process_batch(0, qbatch(vec![quote(1, "A", 1.0)]), &mut out);
-        u.process_batch(1, qbatch(vec![quote(2, "B", 2.0)]), &mut out);
+        feed(&u, 0, qbatch(vec![quote(1, "A", 1.0)]), &mut out);
+        feed(&u, 1, qbatch(vec![quote(2, "B", 2.0)]), &mut out);
         assert_eq!(rows_of(&out).len(), 2);
     }
 
@@ -2451,20 +2354,20 @@ mod tests {
         ];
 
         let mut staged_out = Vec::new();
-        let mut f1 = FilterOp::new(pred_price.clone(), quote_schema());
-        let mut p = ProjectOp::new(proj.clone(), quote_schema());
-        let mut f2 = FilterOp::new(pred_sym.clone(), quote_schema());
+        let f1 = FilterOp::new(pred_price.clone(), quote_schema());
+        let p = ProjectOp::new(proj.clone(), quote_schema());
+        let f2 = FilterOp::new(pred_sym.clone(), quote_schema());
         let mut mid1 = Vec::new();
-        f1.process_batch(0, qbatch(rows.clone()), &mut mid1);
+        feed(&f1, 0, qbatch(rows.clone()), &mut mid1);
         let mut mid2 = Vec::new();
         for b in mid1 {
-            p.process_batch(0, b, &mut mid2);
+            feed(&p, 0, b, &mut mid2);
         }
         for b in mid2 {
-            f2.process_batch(0, b, &mut staged_out);
+            feed(&f2, 0, b, &mut staged_out);
         }
 
-        let mut fused = FusedOp::new(
+        let fused = FusedOp::new(
             vec![
                 (FusedStage::Filter(pred_price), FilterOp::UNIT_COST),
                 (
@@ -2481,7 +2384,7 @@ mod tests {
             FilterOp::UNIT_COST * 2.0 + ProjectOp::UNIT_COST
         );
         let mut fused_out = Vec::new();
-        fused.process_batch(0, qbatch(rows), &mut fused_out);
+        feed(&fused, 0, qbatch(rows), &mut fused_out);
 
         assert_eq!(rows_of(&fused_out), rows_of(&staged_out));
         // After processing, the cost is selectivity-weighted: 4 rows enter
@@ -2515,14 +2418,14 @@ mod tests {
         };
         let mut col_out = Vec::new();
         let col_cost = with_columnar_kernels(true, || {
-            let mut f = build();
-            f.process_batch(0, qbatch(rows.clone()), &mut col_out);
+            let f = build();
+            feed(&f, 0, qbatch(rows.clone()), &mut col_out);
             f.unit_cost()
         });
         let mut row_out = Vec::new();
         let row_cost = with_columnar_kernels(false, || {
-            let mut f = build();
-            f.process_batch(0, qbatch(rows), &mut row_out);
+            let f = build();
+            feed(&f, 0, qbatch(rows), &mut row_out);
             f.unit_cost()
         });
         assert_eq!(rows_of(&col_out), rows_of(&row_out));
@@ -2568,7 +2471,7 @@ mod tests {
             Field::new("price", DataType::Float),
             Field::new("symbol", DataType::Str),
         ]));
-        let mut f = FusedOp::new(
+        let f = FusedOp::new(
             vec![
                 (
                     FusedStage::Project(swap.clone(), swapped_schema),
@@ -2584,7 +2487,7 @@ mod tests {
         assert_eq!(f.num_stages(), 1, "leaf projections substitute");
         // Swapping twice is the identity.
         let mut out = Vec::new();
-        f.process_batch(0, qbatch(vec![quote(1, "IBM", 2.0)]), &mut out);
+        feed(&f, 0, qbatch(vec![quote(1, "IBM", 2.0)]), &mut out);
         assert_eq!(rows_of(&out), vec![quote(1, "IBM", 2.0)]);
     }
 
@@ -2636,13 +2539,13 @@ mod tests {
             Field::new("sum", DataType::Int),
         ]);
         let volume_schema = Arc::new(Schema::new(vec![Field::new("volume", DataType::Int)]));
-        let mut a = AggregateOp::new(None, AggFunc::Sum, 0, 100, schema, true);
+        let a = AggregateOp::new(None, AggFunc::Sum, 0, 100, schema, true);
         let rows = (0..3)
             .map(|i| Tuple::new(i, vec![Value::Int(big)]))
             .collect();
         let mut out = Vec::new();
-        a.process_batch(0, TupleBatch::from_rows(volume_schema, rows), &mut out);
-        a.finish(&mut out);
+        feed(&a, 0, TupleBatch::from_rows(volume_schema, rows), &mut out);
+        out.extend(a.finish());
         assert_eq!(rows_of(&out)[0].values[1], Value::Int(3 * big));
     }
 
@@ -2654,15 +2557,15 @@ mod tests {
             Field::new("max", DataType::Int),
         ]);
         let volume_schema = Arc::new(Schema::new(vec![Field::new("volume", DataType::Int)]));
-        let mut mx = AggregateOp::new(None, AggFunc::Max, 0, 100, schema, true);
+        let mx = AggregateOp::new(None, AggFunc::Max, 0, 100, schema, true);
         let rows: Vec<Tuple> = [big, big - 1]
             .iter()
             .enumerate()
             .map(|(i, v)| Tuple::new(i as u64, vec![Value::Int(*v)]))
             .collect();
         let mut out = Vec::new();
-        mx.process_batch(0, TupleBatch::from_rows(volume_schema, rows), &mut out);
-        mx.finish(&mut out);
+        feed(&mx, 0, TupleBatch::from_rows(volume_schema, rows), &mut out);
+        out.extend(mx.finish());
         // f64 cannot distinguish big from big - 1 at this magnitude.
         assert_eq!(rows_of(&out)[0].values[1], Value::Int(big));
     }
@@ -2691,14 +2594,14 @@ mod tests {
     #[test]
     fn join_eviction_survives_repeated_watermarks() {
         let schema = quote_schema().join(&quote_schema());
-        let mut j = JoinOp::new(0, 0, 10, schema);
+        let j = JoinOp::new(0, 0, 10, schema);
         let mut out = Vec::new();
-        j.process_batch(0, qbatch(vec![quote(100, "IBM", 1.0)]), &mut out);
+        feed(&j, 0, qbatch(vec![quote(100, "IBM", 1.0)]), &mut out);
         assert_eq!(j.state_size(), 1);
         // Re-advancing past everything must not underflow the tracked size.
-        j.advance_watermark(500, &mut out);
-        j.advance_watermark(500, &mut out);
-        j.advance_watermark(900, &mut out);
+        close(&j, 500, &mut out);
+        close(&j, 500, &mut out);
+        close(&j, 900, &mut out);
         assert_eq!(j.state_size(), 0);
     }
 
@@ -2790,32 +2693,6 @@ mod tests {
     }
 
     #[test]
-    fn join_repartition_preserves_results() {
-        // Build state at 1 partition, repartition to 4, keep probing: the
-        // outputs must be exactly what an unpartitioned join produces.
-        let schema = quote_schema().join(&quote_schema());
-        let mut reference = JoinOp::new(0, 0, 50, schema.clone());
-        let mut repartitioned = JoinOp::new(0, 0, 50, schema);
-        let left = vec![quote(1, "A", 1.0), quote(2, "B", 2.0), quote(3, "A", 3.0)];
-        let right = vec![quote(4, "A", 4.0), quote(5, "B", 5.0)];
-        let mut ref_out = Vec::new();
-        let mut rep_out = Vec::new();
-        reference.process_batch(0, qbatch(left.clone()), &mut ref_out);
-        repartitioned.process_batch(0, qbatch(left), &mut rep_out);
-        repartitioned.set_partitions(4);
-        assert_eq!(repartitioned.state_size(), 3, "state survives repartition");
-        reference.process_batch(1, qbatch(right.clone()), &mut ref_out);
-        repartitioned.process_batch(1, qbatch(right), &mut rep_out);
-        assert_eq!(rows_of(&rep_out), rows_of(&ref_out));
-        // Keyed eviction through the kernel mirrors &mut eviction.
-        reference.advance_watermark(100, &mut ref_out);
-        for shard in 0..4 {
-            assert!(repartitioned.advance_keyed(shard, 100).is_none());
-        }
-        assert_eq!(repartitioned.state_size(), reference.state_size());
-    }
-
-    #[test]
     fn keyed_join_kernel_traces_probe_rows() {
         let schema = quote_schema().join(&quote_schema());
         let mut j = JoinOp::new(0, 0, 50, schema);
@@ -2824,12 +2701,21 @@ mod tests {
         // Store two A rows on A's shard, then probe with one A row: two
         // matches, both traced to probe row 0.
         let stored = qbatch(vec![quote(1, "A", 1.0), quote(2, "A", 2.0)]);
-        let (out, trace) = j.process_keyed(shard_a, 0, &stored, None);
-        assert!(out.is_empty() && trace.is_empty());
+        let (out, trace) = j.process(Some(shard_a), 0, &stored, None, true);
+        assert!(out.is_none() && trace.unwrap().is_empty());
         let probe = qbatch(vec![quote(3, "A", 3.0)]);
-        let (out, trace) = j.process_keyed(shard_a, 1, &probe, None);
-        assert_eq!(out.len(), 2, "probe matches both stored rows");
-        assert_eq!(trace, vec![0, 0], "join fan-out repeats the probe row");
+        let (out, trace) = j.process(Some(shard_a), 1, &probe, None, true);
+        assert_eq!(out.unwrap().len(), 2, "probe matches both stored rows");
+        assert_eq!(
+            trace,
+            Some(vec![0, 0]),
+            "join fan-out repeats the probe row"
+        );
+        // Through a deferred selection the trace still names batch rows.
+        let probes = qbatch(vec![quote(4, "B", 4.0), quote(5, "A", 5.0)]);
+        let (out, trace) = j.process(Some(shard_a), 1, &probes, Some(&[1]), true);
+        assert_eq!(out.unwrap().len(), 2);
+        assert_eq!(trace, Some(vec![1, 1]));
     }
 
     #[test]
@@ -2843,46 +2729,129 @@ mod tests {
         a.set_partitions(2);
         let shard_of = |s: &str| Key::Str(Arc::from(s)).shard_of(2);
         let rows = vec![quote(10, "IBM", 1.0), quote(20, "IBM", 1.0)];
-        let (out, trace) = a.process_keyed(shard_of("IBM"), 0, &qbatch(rows), None);
-        assert!(
-            out.is_empty() && trace.is_empty(),
-            "aggregates emit on close"
-        );
-        let (batch, keys) = a.advance_keyed(shard_of("IBM"), 100).unwrap();
+        let (out, trace) = a.process(Some(shard_of("IBM")), 0, &qbatch(rows), None, true);
+        assert!(out.is_none() && trace.is_none(), "aggregates emit on close");
+        let (batch, keys) = a.advance(Some(shard_of("IBM")), 100).unwrap();
         assert_eq!(batch.len(), 1);
         assert_eq!(keys.len(), 1);
         assert_eq!(keys[0].0, 0, "window start rides in the emit key");
         assert!(keys[0].1.contains("IBM"));
         // The other shard has nothing.
         let other = 1 - shard_of("IBM");
-        assert!(a.advance_keyed(other, 100).is_none());
+        assert!(a.advance(Some(other), 100).is_none());
     }
 
+    /// The rows of `batch` split by the partition their key (column 0)
+    /// hashes to among `n` — what the engine's partitioner does per flush.
+    fn route(batch: &TupleBatch, n: usize) -> Vec<(usize, TupleBatch)> {
+        let mut idxs: Vec<Vec<u32>> = vec![Vec::new(); n];
+        for i in 0..batch.len() {
+            let key = Key::from_column(batch.column(0), i).unwrap();
+            idxs[key.shard_of(n)].push(i as u32);
+        }
+        let slices = idxs.iter().enumerate().filter(|(_, rows)| !rows.is_empty());
+        slices.map(|(p, rows)| (p, batch.take(rows))).collect()
+    }
+
+    fn sorted_rows(out: &[TupleBatch]) -> Vec<String> {
+        let mut rows: Vec<String> = rows_of(out).iter().map(|t| format!("{t:?}")).collect();
+        rows.sort();
+        rows
+    }
+
+    /// One operator, two views: the control thread's (`partition: None`,
+    /// every row routed to the partition its key hashes to) and the
+    /// workers' (`Some(p)`, rows routed by hand) leave identical state and
+    /// identical `advance` emissions — also against one partition, and
+    /// across a re-home in mid-stream.
     #[test]
-    fn aggregate_partitioned_control_path_equals_unpartitioned() {
-        let schema = Schema::new(vec![
-            Field::new("window_end", DataType::Int),
-            Field::new("symbol", DataType::Str),
-            Field::new("count", DataType::Int),
-        ]);
-        let rows: Vec<Tuple> = (0..40)
-            .map(|i| quote(i, ["A", "B", "C"][i as usize % 3], 1.0))
-            .collect();
-        let mut single = AggregateOp::new(Some(0), AggFunc::Count, 0, 10, schema.clone(), true);
-        let mut parted = AggregateOp::new(Some(0), AggFunc::Count, 0, 10, schema, true);
-        parted.set_partitions(4);
-        let (mut out_s, mut out_p) = (Vec::new(), Vec::new());
-        single.process_batch(0, qbatch(rows.clone()), &mut out_s);
-        parted.process_batch(0, qbatch(rows), &mut out_p);
-        single.advance_watermark(25, &mut out_s);
-        parted.advance_watermark(25, &mut out_p);
-        single.finish(&mut out_s);
-        parted.finish(&mut out_p);
-        assert_eq!(
-            rows_of(&out_p),
-            rows_of(&out_s),
-            "partition count must not change emission content or order"
-        );
+    fn control_view_equals_hand_routed_partitions() {
+        let syms = ["A", "B", "C", "D", "E"];
+        let batch_at = |base: u64| {
+            qbatch(
+                (0..40)
+                    .map(|i| quote(base + i, syms[(i * 7 % 5) as usize], i as f64))
+                    .collect(),
+            )
+        };
+        for n in [2usize, 4] {
+            // Join: `whole` sees every batch through `None`, `routed`
+            // through hand-routed `Some(p)` slices, `rehomed` starts on one
+            // partition and moves to `n` after the first batch.
+            let schema = quote_schema().join(&quote_schema());
+            let mut whole = JoinOp::new(0, 0, 30, schema.clone());
+            let mut routed = JoinOp::new(0, 0, 30, schema.clone());
+            let mut rehomed = JoinOp::new(0, 0, 30, schema);
+            whole.set_partitions(n);
+            routed.set_partitions(n);
+            for (step, port) in [(0u64, 0usize), (1, 1), (2, 0), (3, 1)] {
+                let batch = batch_at(step * 20);
+                let (mut out_w, mut out_r, mut out_h) = (Vec::new(), Vec::new(), Vec::new());
+                feed(&whole, port, batch.clone(), &mut out_w);
+                feed(&rehomed, port, batch.clone(), &mut out_h);
+                for (p, slice) in route(&batch, n) {
+                    out_r.extend(routed.process(Some(p), port, &slice, None, false).0);
+                }
+                // Routing changes which rows share an output batch, never
+                // which matches exist.
+                assert_eq!(sorted_rows(&out_r), sorted_rows(&out_w), "join step {step}");
+                assert_eq!(
+                    rows_of(&out_h),
+                    rows_of(&out_w),
+                    "re-homed join step {step}"
+                );
+                if step == 0 {
+                    rehomed.set_partitions(n);
+                    assert_eq!(rehomed.state_size(), 40, "state survives the re-home");
+                }
+                let watermark = step * 20 + 25;
+                assert!(whole.advance(None, watermark).is_none());
+                assert!(rehomed.advance(None, watermark).is_none());
+                for p in 0..n {
+                    assert!(routed.advance(Some(p), watermark).is_none());
+                }
+                assert_eq!(routed.state_size(), whole.state_size(), "join step {step}");
+                assert_eq!(rehomed.state_size(), whole.state_size(), "join step {step}");
+            }
+
+            // Aggregate: per-partition closes merge by emit key into the
+            // control view's emission, which is the unpartitioned one.
+            let schema = Schema::new(vec![
+                Field::new("window_end", DataType::Int),
+                Field::new("symbol", DataType::Str),
+                Field::new("count", DataType::Int),
+            ]);
+            let new_op = || AggregateOp::new(Some(0), AggFunc::Count, 0, 10, schema.clone(), true);
+            let (single, mut whole, mut routed) = (new_op(), new_op(), new_op());
+            whole.set_partitions(n);
+            routed.set_partitions(n);
+            for step in 0..3u64 {
+                let batch = batch_at(step * 20);
+                feed(&single, 0, batch.clone(), &mut Vec::new());
+                feed(&whole, 0, batch.clone(), &mut Vec::new());
+                for (p, slice) in route(&batch, n) {
+                    assert!(routed.process(Some(p), 0, &slice, None, true).0.is_none());
+                }
+                assert_eq!(routed.state_size(), whole.state_size());
+                let watermark = step * 20 + 25;
+                let expected = single.advance(None, watermark).map(|(closed, _)| closed);
+                let closed = whole.advance(None, watermark).map(|(closed, _)| closed);
+                assert_eq!(closed, expected, "partition count never shows");
+                let parts: Vec<(TupleBatch, MergeTags)> = (0..n)
+                    .filter_map(|p| routed.advance(Some(p), watermark))
+                    .map(|(closed, keys)| (closed, MergeTags::Emits(keys)))
+                    .collect();
+                let merged = TupleBatch::interleave_tagged(parts);
+                assert_eq!(
+                    merged.map(|b| rows_of(&[b])),
+                    expected.map(|b| rows_of(&[b])),
+                    "aggregate step {step}"
+                );
+            }
+            let expected = single.finish().map(|b| rows_of(&[b]));
+            assert_eq!(whole.finish().map(|b| rows_of(&[b])), expected);
+            assert_eq!(routed.finish().map(|b| rows_of(&[b])), expected);
+        }
     }
 
     #[test]
@@ -2901,17 +2870,14 @@ mod tests {
         ]);
         crate::types::work::reset();
         let sel: Vec<u32> = vec![0, 2];
-        a.process_keyed(0, 0, &batch, Some(&sel));
+        a.process(Some(0), 0, &batch, Some(&sel), false);
         assert_eq!(
             crate::types::work::snapshot().rows_materialized,
             0,
             "pushdown absorb never gathers"
         );
-        let mut parts_out = Vec::new();
-        let mut a = a;
-        a.finish(&mut parts_out);
         assert_eq!(
-            rows_of(&parts_out)[0].values[1],
+            rows_of(&[a.finish().unwrap()])[0].values[1],
             Value::Int(2),
             "only the selected rows were absorbed"
         );
@@ -3019,7 +2985,7 @@ mod tests {
                     int_input,
                 )
             };
-            let (mut coded, mut scalar, mut naive) = (new_op(), new_op(), NaiveWindows::default());
+            let (mut coded, scalar, mut naive) = (new_op(), new_op(), NaiveWindows::default());
             coded.set_partitions([1, 2, 4][rng.random_range(0..3usize)]);
             let (mut base, mut watermark) = (0u64, 0u64);
             for _ in 0..rng.random_range(1..6usize) {
@@ -3049,10 +3015,7 @@ mod tests {
                 let batch = TupleBatch::from_rows(input.clone(), rows.clone());
                 shapes.insert((group_by, batch.column(0).as_dict().is_some()));
                 let (mut out_c, mut out_s) = (Vec::new(), Vec::new());
-                match &sel {
-                    Some(sel) => coded.process_selected(0, &batch, sel, &mut out_c),
-                    None => coded.process_batch(0, batch, &mut out_c),
-                }
+                out_c.extend(coded.process(None, 0, &batch, sel.as_deref(), false).0);
                 for i in sel.unwrap_or_else(|| (0..n as u32).collect()) {
                     // The scalar row path: one plain-column row per call.
                     let row = rows[i as usize].clone();
@@ -3061,19 +3024,19 @@ mod tests {
                     let mut one = TupleBatch::with_capacity(input.clone(), 1);
                     one.push(row);
                     assert!(one.column(0).as_dict().is_none());
-                    scalar.process_batch(0, one, &mut out_s);
+                    feed(&scalar, 0, one, &mut out_s);
                 }
                 watermark = watermark.max((base + rng.random_range(0..100u64)).saturating_sub(150));
-                coded.advance_watermark(watermark, &mut out_c);
-                scalar.advance_watermark(watermark, &mut out_s);
+                close(&coded, watermark, &mut out_c);
+                close(&scalar, watermark, &mut out_s);
                 // `{:?}` of an f64 round-trips, so equal text is equal bits.
                 let expected = format!("{:?}", naive.drain(func, window, watermark));
                 assert_eq!(format!("{:?}", rows_of(&out_c)), expected, "case {case}");
                 assert_eq!(format!("{:?}", rows_of(&out_s)), expected, "case {case}");
             }
             let (mut out_c, mut out_s) = (Vec::new(), Vec::new());
-            coded.finish(&mut out_c);
-            scalar.finish(&mut out_s);
+            out_c.extend(coded.finish());
+            out_s.extend(scalar.finish());
             let expected = format!("{:?}", naive.drain(func, window, u64::MAX));
             assert_eq!(
                 format!("{:?}", rows_of(&out_c)),
@@ -3106,14 +3069,15 @@ mod tests {
             Field::new("symbol", DataType::Str),
             Field::new("count", DataType::Int),
         ]);
-        let mut agg = AggregateOp::new(Some(0), AggFunc::Count, 0, 100, schema, true);
+        let agg = AggregateOp::new(Some(0), AggFunc::Count, 0, 100, schema, true);
         let mut out = Vec::new();
-        agg.process_batch(
+        feed(
+            &agg,
             0,
             qbatch(vec![quote(10, "A", 1.0), quote(110, "A", 1.0)]),
             &mut out,
         );
-        agg.advance_watermark(100, &mut out);
+        close(&agg, 100, &mut out);
         let window = |end: i64, n: i64| {
             Tuple::new(
                 end as u64,
@@ -3124,20 +3088,21 @@ mod tests {
         // A row older than the watermark re-opens window [0, 100) ahead of
         // the open [100, 200); the next drain pops exactly that window.
         out.clear();
-        agg.process_batch(
+        feed(
+            &agg,
             0,
             qbatch(vec![quote(20, "A", 1.0), quote(30, "A", 1.0)]),
             &mut out,
         );
         assert_eq!(agg.state_size(), 2);
-        agg.advance_watermark(100, &mut out);
+        close(&agg, 100, &mut out);
         assert_eq!(rows_of(&out), vec![window(100, 2)]);
         assert_eq!(agg.state_size(), 1);
         // Nothing closes: the front window is still open.
         out.clear();
-        agg.advance_watermark(199, &mut out);
+        close(&agg, 199, &mut out);
         assert!(out.is_empty());
-        agg.finish(&mut out);
+        out.extend(agg.finish());
         assert_eq!(rows_of(&out), vec![window(200, 1)]);
     }
 
@@ -3152,14 +3117,14 @@ mod tests {
             quote(2, "B", 2.0),
             quote(3, "C", 3.0),
         ]);
-        let sel = ShardKernel::refine_selection(&f, &batch, None).unwrap();
+        let sel = f.refine_selection(&batch, None).unwrap();
         assert_eq!(sel, vec![1, 2]);
         // Refining an existing selection returns batch-level indices.
-        let narrowed = ShardKernel::refine_selection(&f, &batch, Some(&[0, 2])).unwrap();
+        let narrowed = f.refine_selection(&batch, Some(&[0, 2])).unwrap();
         assert_eq!(narrowed, vec![2]);
         // The row fallback keeps reference semantics: no deferral.
         with_columnar_kernels(false, || {
-            assert!(ShardKernel::refine_selection(&f, &batch, None).is_none());
+            assert!(f.refine_selection(&batch, None).is_none());
         });
     }
 

@@ -174,13 +174,25 @@ struct RunOutcome {
 }
 
 fn run_kind(kind: &str, shards: usize, fault: Option<Arc<FaultPlan>>) -> RunOutcome {
+    run_kind_keyed(kind, shards, &["quotes", "news"], fault)
+}
+
+/// [`run_kind`] with only the `keyed` streams hash-partitioned on the
+/// symbol; the others deal whole batches round-robin.
+fn run_kind_keyed(
+    kind: &str,
+    shards: usize,
+    keyed: &[&str],
+    fault: Option<Arc<FaultPlan>>,
+) -> RunOutcome {
     work::reset();
     let mut e = DsmsEngine::new();
     e.set_fusion(kind == "fused");
     e.set_shards(shards);
     e.set_max_batch_size(16);
-    e.set_shard_key("quotes", 0).unwrap();
-    e.set_shard_key("news", 0).unwrap();
+    for stream in keyed {
+        e.set_shard_key(stream, 0).unwrap();
+    }
     e.register_stream("quotes", quote_schema());
     e.register_stream("news", news_schema());
     let victim = e.add_query(victim_plan(kind)).unwrap();
@@ -387,6 +399,57 @@ fn worker_death_recovers_inline_and_respawns_the_seat() {
         hurt.runtime_report.has_code(Code::WorkerDeath),
         "missing NL062"
     );
+}
+
+/// Keyless roots ride the same recovery machinery as keyed ones. With no
+/// stream keyed, or only `quotes`, a dead worker's whole-batch morsels
+/// replay inline next to its chain morsels, and a panic or a poison row
+/// quarantines by the faulted node's kind wherever the node ran — inside a
+/// whole-batch morsel, a hash-partitioned one, or on the control thread.
+#[test]
+fn keyless_roots_recover_and_quarantine_like_keyed_ones() {
+    for keyed in [&[][..], &["quotes"][..]] {
+        let ctx = format!("keyed={keyed:?}");
+        if fault_modes().contains(&"death") {
+            for kind in ["fused", "aggregate", "join"] {
+                let clean = run_kind_keyed(kind, 4, keyed, None);
+                let death = Arc::new(FaultPlan::new().with_worker_death(1, 1));
+                let hurt = run_kind_keyed(kind, 4, keyed, Some(death));
+                assert!(hurt.quarantined.is_empty(), "{kind} {ctx}");
+                assert_eq!(hurt.victim_out, clean.victim_out, "{kind} {ctx}");
+                assert_eq!(hurt.survivor_out, clean.survivor_out, "{kind} {ctx}");
+                assert_eq!(hurt.pool_spawns, clean.pool_spawns + 1, "{kind} {ctx}");
+                assert!(hurt.runtime_report.has_code(Code::WorkerDeath), "{ctx}");
+            }
+        }
+        for kind in OPERATOR_KINDS {
+            let clean = run_kind_keyed(kind, 4, keyed, None);
+            let mut faults = Vec::new();
+            if fault_modes().contains(&"panic") {
+                faults.push(FaultPlan::new().panic_on(kind, 1));
+            }
+            if fault_modes().contains(&"poison") && kind == "aggregate" {
+                // Content-triggered: fires in every kernel that sees the
+                // timestamp, the aggregate reading `quotes` among them.
+                let feed = mixed_feed(240, 7);
+                let (_, row) = feed.iter().find(|(s, _)| s == "quotes").unwrap();
+                faults.push(FaultPlan::new().with_poison_ts(row.ts));
+            }
+            for fault in faults {
+                let hurt = run_kind_keyed(kind, 4, keyed, Some(Arc::new(fault)));
+                assert!(!hurt.events.is_empty(), "fault did not land ({kind} {ctx})");
+                assert!(
+                    hurt.events.iter().any(|ev| ev.kind == kind),
+                    "quarantine names the faulted kind ({kind} {ctx})"
+                );
+                assert_eq!(hurt.pool_spawns, clean.pool_spawns, "{kind} {ctx}");
+                if hurt.events.len() == 1 {
+                    assert_eq!(hurt.quarantined.len(), 1, "{kind} {ctx}");
+                    assert_eq!(hurt.survivor_out, clean.survivor_out, "{kind} {ctx}");
+                }
+            }
+        }
+    }
 }
 
 /// A seat respawned after a worker death re-seeds the control thread's

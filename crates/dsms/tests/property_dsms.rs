@@ -780,7 +780,7 @@ proptest! {
         // Shard invariance at a mid-size cap: hash partitioning hashes
         // the decoded bytes whatever the representation, so placement
         // (and therefore outputs) cannot depend on the encoding.
-        let (reference, ref_work) = run_sharded(&plan, &feed, 7, 1, false);
+        let (reference, ref_work) = run_sharded(&plan, &feed, 7, 1, Partition::RoundRobin);
         for &shards in &shard_counts() {
             if shards == 1 {
                 continue;
@@ -889,36 +889,48 @@ fn shard_counts() -> Vec<usize> {
     }
 }
 
-/// Partition modes exercised by the shard-invariance suites (the
-/// `hash_key` flag of [`run_sharded`]). `CQAC_PARTITION` — `keyed`,
-/// `round_robin`, or `both` (default) — selects the axis so CI can matrix
-/// stateful keyed runs separately from round-robin runs without
-/// recompiling.
-fn partition_modes() -> Vec<bool> {
-    match std::env::var("CQAC_PARTITION").as_deref() {
-        Ok("keyed") => vec![true],
-        Ok("round_robin") => vec![false],
-        Ok("both") | Err(_) => vec![false, true],
-        Ok(other) => panic!("CQAC_PARTITION must be keyed|round_robin|both, got '{other}'"),
+/// How [`run_sharded`] deals the two streams to the shards.
+#[derive(Clone, Copy, Debug)]
+enum Partition {
+    /// No shard keys: whole batches, round-robin.
+    RoundRobin,
+    /// Both streams hash-partitioned on the symbol column.
+    Keyed,
+    /// `quotes` hash-partitioned on the symbol, `news` keyless — both root
+    /// kinds inside one plan, so hash-partitioned chain morsels and
+    /// whole-batch morsels share a flush.
+    Mixed,
+}
+
+impl std::fmt::Display for Partition {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{self:?}")
     }
 }
 
+/// Partition modes exercised by the shard-invariance suites (the
+/// `hash_key` argument of [`run_sharded`]): always all three.
+fn partition_modes() -> [Partition; 3] {
+    [Partition::RoundRobin, Partition::Keyed, Partition::Mixed]
+}
+
 /// Runs `plan` (registered twice, so sharing is exercised) over `feed` on
-/// an engine with the given shard count, optionally hash-partitioning both
-/// streams on the symbol column. Returns the outputs and the
-/// machine-independent work measure.
+/// an engine with the given shard count and partition mode. Returns the
+/// outputs and the machine-independent work measure.
 fn run_sharded(
     plan: &LogicalPlan,
     feed: &[(String, Tuple)],
     max_batch: usize,
     shards: usize,
-    hash_key: bool,
+    hash_key: Partition,
 ) -> (Vec<Tuple>, u64) {
     let mut e = engine();
     e.set_max_batch_size(max_batch);
     e.set_shards(shards);
-    if hash_key {
+    if matches!(hash_key, Partition::Keyed | Partition::Mixed) {
         e.set_shard_key("quotes", 0).unwrap();
+    }
+    if matches!(hash_key, Partition::Keyed) {
         e.set_shard_key("news", 0).unwrap();
     }
     let q1 = e.add_query(plan.clone()).unwrap();
@@ -939,8 +951,8 @@ proptest! {
     /// stateless chains), the parallel engine produces output sequences
     /// **strictly equal** to the single-threaded engine (shards = 1)
     /// across shard counts (default 1/2/4/8, see [`shard_counts`]) crossed
-    /// with batch caps 1/7/64/1024, under both round-robin batch
-    /// distribution and hash partitioning on the symbol column — and with
+    /// with batch caps 1/7/64/1024, under round-robin batch distribution,
+    /// hash partitioning on the symbol column, and the two mixed — and with
     /// identical `tuples_processed`, so parallelism never duplicates or
     /// loses per-row work. Both runs chunk the feed identically, so even
     /// multi-port operators (join, union) must agree row for row.
@@ -966,7 +978,7 @@ proptest! {
         feed.sort_by_key(|(_, t)| t.ts);
 
         for &cap in &[1usize, 7, 64, 1024] {
-            let (reference, ref_work) = run_sharded(&plan, &feed, cap, 1, false);
+            let (reference, ref_work) = run_sharded(&plan, &feed, cap, 1, Partition::RoundRobin);
             for &shards in &shard_counts() {
                 if shards == 1 {
                     continue;
@@ -1033,7 +1045,7 @@ proptest! {
     /// the stateful operators (they run inside the shards with per-shard
     /// state and per-shard window closes), and the outputs remain
     /// **strictly sequence-equal** to the single-threaded engine across
-    /// shard counts × batch caps × both partition modes, with identical
+    /// shard counts × batch caps × every partition mode, with identical
     /// `tuples_processed`.
     #[test]
     fn keyed_stateful_shard_invariance(
@@ -1057,7 +1069,7 @@ proptest! {
         feed.sort_by_key(|(_, t)| t.ts);
 
         for &cap in &[1usize, 7, 64] {
-            let (reference, ref_work) = run_sharded(&plan, &feed, cap, 1, false);
+            let (reference, ref_work) = run_sharded(&plan, &feed, cap, 1, Partition::RoundRobin);
             for &shards in &shard_counts() {
                 if shards == 1 {
                     continue;
@@ -1097,12 +1109,12 @@ proptest! {
             .map(|t| ("quotes".to_string(), t))
             .collect();
         for &cap in &[1usize, 7, 64] {
-            let (reference, ref_work) = run_sharded(&plan, &feed, cap, 1, false);
+            let (reference, ref_work) = run_sharded(&plan, &feed, cap, 1, Partition::RoundRobin);
             for &shards in &shard_counts() {
                 if shards == 1 {
                     continue;
                 }
-                let (got, work) = run_sharded(&plan, &feed, cap, shards, true);
+                let (got, work) = run_sharded(&plan, &feed, cap, shards, Partition::Keyed);
                 prop_assert_eq!(
                     &got, &reference,
                     "fused chain diverged at shards {} cap {}", shards, cap

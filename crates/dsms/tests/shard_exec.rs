@@ -595,3 +595,172 @@ fn finish_flushes_per_shard_window_state() {
     assert!(!reference.is_empty(), "finish must flush open windows");
     assert_eq!(run(1), run(4));
 }
+
+fn order_schema() -> Schema {
+    Schema::new(vec![
+        Field::new("symbol", DataType::Str),
+        Field::new("venue", DataType::Int),
+    ])
+}
+
+/// 320 order rows inside `[base, base + 40)`: forty symbols (so every
+/// shard sees rows whichever column keys the stream) over three venues,
+/// with venue 7 taking half the rows.
+fn orders(base: u64) -> Vec<Tuple> {
+    (0..320u64)
+        .map(|i| {
+            let venue = [7, 3, 7, 5][i as usize % 4];
+            Tuple::new(
+                base + i / 8,
+                vec![Value::str(format!("S{}", i % 40)), Value::Int(venue)],
+            )
+        })
+        .collect()
+}
+
+/// Serves `orders`/`fills` rows into `plan` with the streams sharded on
+/// `before`, re-keys both streams to `after` in the middle of window
+/// `[0, 100)` — on the live engine, state and all — serves as many rows
+/// again, and closes the window.
+fn rekeyed_mid_window(
+    shards: usize,
+    plan: &LogicalPlan,
+    before: usize,
+    after: usize,
+) -> Vec<Tuple> {
+    let mut e = DsmsEngine::new()
+        .with_max_batch_size(16)
+        .with_shards(shards);
+    e.register_stream("orders", order_schema());
+    e.register_stream("fills", order_schema());
+    let cq = e.add_query(plan.clone()).unwrap();
+    for (column, base) in [(before, 0), (after, 40)] {
+        e.set_shard_key("orders", column).unwrap();
+        e.set_shard_key("fills", column).unwrap();
+        e.push_rows("orders", orders(base));
+        e.push_rows("fills", orders(base + 5));
+    }
+    e.push_rows(
+        "orders",
+        vec![Tuple::new(250, vec![Value::str("S0"), Value::Int(3)])],
+    );
+    e.take_outputs(cq)
+}
+
+/// `set_shard_key` on a live engine re-homes partitioned state. Keyed on
+/// the symbol, a venue-grouped exact aggregate is a *partial* member (a
+/// venue's rows fold into per-worker partials); re-keyed onto the venue it
+/// becomes a *full* member, which closes windows per partition — so each
+/// group's partials have to meet in the partition its key hashes to
+/// first, or the window emits once per worker that held a share. The
+/// reverse move and a join whose two sides are re-keyed onto (and off) its
+/// join key ride the same re-home.
+#[test]
+fn rekeying_a_live_stream_keeps_each_group_whole() {
+    const SYMBOL: usize = 0;
+    const VENUE: usize = 1;
+    let by_venue = LogicalPlan::source("orders").aggregate(Some(VENUE), AggFunc::Count, 0, 100);
+    let joined = LogicalPlan::source("orders").join(LogicalPlan::source("fills"), 0, 0, 10);
+    for (plan, before, after) in [
+        (&by_venue, SYMBOL, VENUE),
+        (&by_venue, VENUE, SYMBOL),
+        (&joined, VENUE, SYMBOL),
+        (&joined, SYMBOL, VENUE),
+    ] {
+        let reference = rekeyed_mid_window(1, plan, before, after);
+        assert!(!reference.is_empty());
+        for shards in [2, 4] {
+            assert_eq!(
+                rekeyed_mid_window(shards, plan, before, after),
+                reference,
+                "shards {shards}, re-keyed {before} -> {after}"
+            );
+        }
+    }
+    // The scenario spelled out: venue 7 saw 320 orders in window [0, 100),
+    // and says so once.
+    for shards in [1, 2, 4] {
+        let closed = rekeyed_mid_window(shards, &by_venue, SYMBOL, VENUE);
+        let venue_7: Vec<&Tuple> = closed
+            .iter()
+            .filter(|t| t.values[1] == Value::Int(7))
+            .collect();
+        assert_eq!(
+            venue_7,
+            vec![&Tuple::new(
+                100,
+                vec![Value::Int(100), Value::Int(7), Value::Int(320)]
+            )],
+            "shards {shards}"
+        );
+    }
+}
+
+/// A three-column keyless stream for the exact-aggregate-behind-a-keyless-
+/// root runs: a group key, an Int payload and a Float payload.
+fn tick_rows(n: u64) -> Vec<Tuple> {
+    let mut rng = Lcg(77);
+    (0..n)
+        .map(|i| {
+            Tuple::new(
+                i,
+                vec![
+                    Value::str(SYMS[rng.below(4) as usize]),
+                    Value::Int(rng.below(1000) as i64 - 500),
+                    Value::Float(rng.below(10_000) as f64 / 7.0),
+                ],
+            )
+        })
+        .collect()
+}
+
+/// No stream needs a shard key for its exact aggregates to leave the
+/// control thread: behind a keyless root an ungrouped `Count` and a
+/// grouped `Max` absorb as per-worker partials — byte-identical to one
+/// shard, with every unit its own morsel — while a float `Avg`, whose
+/// partials would round by schedule, stays behind the merge.
+#[test]
+fn exact_aggregates_over_a_keyless_stream_run_as_partials() {
+    let ticks = || LogicalPlan::source("ticks");
+    let run = |plan: &LogicalPlan, shards: usize| {
+        let mut e = DsmsEngine::new()
+            .with_max_batch_size(16)
+            .with_shards(shards);
+        e.register_stream(
+            "ticks",
+            Schema::new(vec![
+                Field::new("sym", DataType::Str),
+                Field::new("qty", DataType::Int),
+                Field::new("price", DataType::Float),
+            ]),
+        );
+        let cq = e.add_query(plan.clone()).unwrap();
+        work::reset();
+        for chunk in tick_rows(600).chunks(50) {
+            e.push_rows("ticks", chunk.to_vec());
+        }
+        e.finish();
+        (e.take_outputs(cq), e.tuples_processed(), work::snapshot())
+    };
+    let count = ticks().aggregate(None, AggFunc::Count, 0, 64);
+    let max = ticks().aggregate(Some(0), AggFunc::Max, 2, 64);
+    let avg = ticks().aggregate(Some(0), AggFunc::Avg, 2, 64);
+    for plan in [&count, &max, &avg] {
+        let (reference, ref_rows, _) = run(plan, 1);
+        assert!(!reference.is_empty());
+        for shards in [2, 4, 8] {
+            let (got, rows, snap) = run(plan, shards);
+            assert_eq!(got, reference, "shards {shards}");
+            assert_eq!(rows, ref_rows, "shards {shards}");
+            assert_eq!(snap.chain_morsels, 0, "shards {shards}: {snap:?}");
+            assert_eq!(snap.shard_merge_rows, 0, "whole batches never interleave");
+            let absorbed_in_plan = snap.keyed_shard_rows > 0;
+            let as_grouped_partials = snap.grouped_partial_rows > 0;
+            assert_eq!(
+                (absorbed_in_plan, as_grouped_partials),
+                (!std::ptr::eq(plan, &avg), std::ptr::eq(plan, &max)),
+                "shards {shards}: {snap:?}"
+            );
+        }
+    }
+}
