@@ -169,10 +169,10 @@ fn conservation_holds_on_a_live_calibrated_engine() {
 #[test]
 fn dict_encoded_columns_are_invisible_to_schema_inference() {
     use cqac_dsms::types::{Column, DataType};
+    use std::sync::Arc;
     let dict = Column::Dict {
         codes: vec![0, 1, 0],
-        dict: vec!["IBM".into(), "AAPL".into()],
-        extremes: (1, 0),
+        dict: Arc::new(["IBM", "AAPL"].into_iter().map(Arc::from).collect()),
     };
     assert_eq!(dict.data_type(), DataType::Str);
 

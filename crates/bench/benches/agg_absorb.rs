@@ -13,16 +13,27 @@
 //!   `Str` column and an `Int` column (the per-row path);
 //! * batch size 16 and 1024; dense, or through a 50 % selection vector.
 //!
+//! A second, **close-heavy** group runs the same feed through 64 ms windows
+//! (every window holds every key once: one emitted row per absorbed row)
+//! and reports the time spent inside `Operator::advance` per emitted row.
+//!
+//! A third, **fresh-keys** group gives every row a key of its own (an order
+//! id: 100 ms windows, 1000-row batches) and reports the whole run per row
+//! at 50 k and 400 k rows — equal when state is bounded by the live groups,
+//! not by the groups ever seen.
+//!
 //! Wall clock is noisy on the build container; the deterministic gate is
 //! the counters: a `Dict` key costs exactly one code read per absorbed row
 //! and no absorb materializes a row.
 
+use cqac_bench::{report_per_unit, timed};
 use cqac_dsms::ops::{AggregateOp, Operator};
 use cqac_dsms::plan::AggFunc;
 use cqac_dsms::types::{work, DataType, Field, Schema, Tuple, TupleBatch, Value};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::sync::Arc;
+use std::time::Duration;
 
 const ROWS: usize = 16_384;
 const KEYS: usize = 64;
@@ -45,9 +56,14 @@ fn input_schema() -> Arc<Schema> {
 
 /// The feed cut into `size`-row batches: sealed (`Dict` symbols) or plain.
 fn batches(size: usize, sealed: bool) -> Vec<TupleBatch> {
-    let rows: Vec<Tuple> = (0..ROWS)
+    feed(ROWS, KEYS, size, sealed)
+}
+
+/// `rows` rows, one per ms, over `keys` distinct keys.
+fn feed(rows: usize, keys: usize, size: usize, sealed: bool) -> Vec<TupleBatch> {
+    let rows: Vec<Tuple> = (0..rows)
         .map(|i| {
-            let key = (i * 7) % KEYS;
+            let key = (i * 7) % keys;
             Tuple::new(
                 i as u64,
                 vec![
@@ -70,7 +86,7 @@ fn batches(size: usize, sealed: bool) -> Vec<TupleBatch> {
         .collect()
 }
 
-fn operator(func: AggFunc, key: KeyKind) -> AggregateOp {
+fn operator(func: AggFunc, key: KeyKind, window_ms: u64) -> AggregateOp {
     let (group_by, key_type) = match key {
         KeyKind::Dict | KeyKind::Str => (0, DataType::Str),
         KeyKind::Int => (2, DataType::Int),
@@ -88,24 +104,38 @@ fn operator(func: AggFunc, key: KeyKind) -> AggregateOp {
         Some(group_by),
         func,
         column,
-        WINDOW_MS,
+        window_ms,
         schema,
         func == AggFunc::Count,
     )
 }
 
 /// Absorbs the whole feed, closing windows as the watermark passes them;
-/// returns the emitted row count.
-fn run(func: AggFunc, key: KeyKind, feed: &[TupleBatch], selected: bool) -> usize {
-    let op = operator(func, key);
-    let mut emitted = 0;
+/// returns the emitted row count and the time spent closing.
+fn run_timed(
+    func: AggFunc,
+    key: KeyKind,
+    window_ms: u64,
+    feed: &[TupleBatch],
+    selected: bool,
+) -> (usize, Duration) {
+    let op = operator(func, key, window_ms);
+    let (mut emitted, mut closing) = (0, Duration::ZERO);
     for batch in feed {
         let sel: Option<Vec<u32>> = selected.then(|| (0..batch.len() as u32).step_by(2).collect());
         op.process(None, 0, batch, sel.as_deref(), false);
-        let closed = op.advance(None, batch.max_ts().unwrap_or(0));
-        emitted += closed.map_or(0, |(closed, _)| closed.len());
+        let (closed, spent) = timed(|| op.advance(None, batch.max_ts().unwrap_or(0)));
+        emitted += closed.map_or(0, |(closed, _)| black_box(closed).len());
+        closing += spent;
     }
-    emitted + op.finish().map_or(0, |closed| closed.len())
+    (
+        emitted + op.finish().map_or(0, |closed| closed.len()),
+        closing,
+    )
+}
+
+fn run(func: AggFunc, key: KeyKind, feed: &[TupleBatch], selected: bool) -> usize {
+    run_timed(func, key, WINDOW_MS, feed, selected).0
 }
 
 fn bench_agg_absorb(c: &mut Criterion) {
@@ -150,6 +180,33 @@ fn bench_agg_absorb(c: &mut Criterion) {
         }
     }
     group.finish();
+
+    println!("\n== agg_close ==");
+    for size in [16usize, 1_024] {
+        for key in [KeyKind::Dict, KeyKind::Str, KeyKind::Int] {
+            let feed = batches(size, matches!(key, KeyKind::Dict));
+            let label = format!("agg_close/avg_{key:?}/{size}");
+            report_per_unit(&label, "emitted row", || {
+                let (emitted, closing) = run_timed(AggFunc::Avg, key, KEYS as u64, &feed, false);
+                assert_eq!(emitted, ROWS, "every window holds every key once");
+                (emitted, closing)
+            });
+        }
+    }
+
+    println!("\n== agg_fresh_keys ==");
+    for rows in [50_000usize, 400_000] {
+        for key in [KeyKind::Str, KeyKind::Int] {
+            let feed = feed(rows, usize::MAX, 1_000, false);
+            let label = format!("agg_fresh_keys/count_{key:?}/{rows}");
+            report_per_unit(&label, "row", || {
+                let ((emitted, _), spent) =
+                    timed(|| run_timed(AggFunc::Count, key, 100, &feed, false));
+                assert_eq!(emitted, rows, "every row is a group of its own");
+                (rows, spent)
+            });
+        }
+    }
 }
 
 criterion_group!(benches, bench_agg_absorb);

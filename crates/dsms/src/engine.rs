@@ -48,7 +48,7 @@ use crate::network::{CqId, KeyedNode, KeyedPlan, NodeId, QueryInfo, QueryNetwork
 use crate::ops::{OpClass, Operator, RowTrace};
 use crate::plan::StreamCatalog;
 use crate::plan::{LogicalPlan, PlanError};
-use crate::types::{work, MergeTags, Schema, Tuple, TupleBatch};
+use crate::types::{work, DictInterner, MergeTags, Schema, Tuple, TupleBatch};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -214,6 +214,12 @@ pub struct DsmsEngine {
     holding: bool,
     /// Batches held during a transition, in arrival order.
     held: VecDeque<(String, TupleBatch)>,
+    /// The stream-lifetime dictionaries: per registered stream, one
+    /// append-only interner per column (only those of string columns are
+    /// ever used). Every batch of the stream is sealed against them
+    /// ([`DsmsEngine::next_ingest`]), so a dictionary code means the same
+    /// string for the life of the stream.
+    dicts: HashMap<String, Vec<DictInterner>>,
     /// Per-stream ingestion stats.
     stream_stats: HashMap<String, StreamStats>,
     /// Total tuples processed by operators (work measure).
@@ -286,6 +292,7 @@ impl DsmsEngine {
             watermark: 0,
             holding: false,
             held: VecDeque::new(),
+            dicts: HashMap::new(),
             stream_stats: HashMap::new(),
             processed: 0,
             batches: 0,
@@ -486,6 +493,8 @@ impl DsmsEngine {
         if let Some(&column) = self.shard_keys.get(&name) {
             validate_shard_key(&schema, &name, column)?;
         }
+        let dicts = schema.fields.iter().map(|_| DictInterner::default());
+        self.dicts.entry(name.clone()).or_insert(dicts.collect());
         self.network.register_stream(name, schema);
         self.keyed_cache = None;
         Ok(())
@@ -574,9 +583,10 @@ impl DsmsEngine {
     /// buffered and no statistics move.
     ///
     /// Rows buffer into plain columns; the batch is sealed
-    /// ([`TupleBatch::seal`]: low-cardinality string columns become
-    /// `Column::Dict`) when a flush takes it from the ingestion buffer —
-    /// the one place every `push*` call's batches are sealed.
+    /// ([`TupleBatch::seal_into`]: low-cardinality string columns become
+    /// `Column::Dict` over the stream's dictionary) when a flush takes it
+    /// from the ingestion buffer — the one place every `push*` call's
+    /// batches are sealed.
     pub fn try_push(&mut self, stream: &str, tuple: Tuple) -> Result<(), IngestError> {
         let Some(schema) = self.network.stream_schema(stream) else {
             return Err(IngestError::UnknownStream {
@@ -742,15 +752,18 @@ impl DsmsEngine {
     }
 
     /// Hands the oldest pending ingestion batch to a flush, **sealed**
-    /// ([`TupleBatch::seal`]). Both flush paths take their batches here, and
-    /// a transition's held batches re-enter `ingest` before they flush, so
-    /// this is the one point where row-pushed (`push`/`push_batch`) and
-    /// column-pushed (`push_rows`) batches take the same shape: operators
-    /// see `Column::Dict` for low-cardinality strings whatever the entry
-    /// point. Runs after shedding — shed batches are never encoded.
+    /// against its stream's dictionaries ([`TupleBatch::seal_into`]). Both
+    /// flush paths take their batches here, and a transition's held batches
+    /// re-enter `ingest` before they flush, so this is the one point where
+    /// row-pushed (`push`/`push_batch`) and column-pushed (`push_rows`)
+    /// batches take the same shape: operators see `Column::Dict` for
+    /// low-cardinality strings whatever the entry point, every batch of a
+    /// stream sharing one dictionary. Runs after shedding — shed batches
+    /// are never encoded.
     fn next_ingest(&mut self) -> Option<(String, TupleBatch)> {
         let (stream, mut batch) = self.ingest.pop_front()?;
-        batch.seal();
+        let dicts = self.dicts.get_mut(&stream);
+        batch.seal_into(dicts.expect("only registered streams buffer batches"));
         Some((stream, batch))
     }
 
@@ -938,9 +951,8 @@ impl DsmsEngine {
                 continue;
             };
             let mut idxs: Vec<Vec<u32>> = vec![Vec::new(); shards];
-            // `KeyReader` memoizes the FNV hash per dictionary code, so
-            // a dictionary-encoded key column hashes bytes once per
-            // distinct string, not once per row.
+            // A dictionary-encoded key column reads each row's hash off
+            // the stream's dictionary: no string is hashed here.
             let mut reader = crate::ops::KeyReader::new(batch.column(key));
             for i in 0..batch.len() {
                 idxs[reader.shard(i, shards)].push(i as u32);

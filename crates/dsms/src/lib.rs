@@ -99,24 +99,29 @@
 //! established for `Sum`'s i128 accumulator.
 //!
 //! **Dictionary-encoded strings.** String columns are interned at the
-//! ingestion and merge boundaries ([`types::TupleBatch::seal`]: the engine
-//! seals every batch a flush takes from its ingestion buffer, so `push`,
+//! ingestion boundary ([`types::TupleBatch::seal_into`]: the engine seals
+//! every batch a flush takes from its ingestion buffer, so `push`,
 //! `push_batch` and `push_rows` reach the operators in one shape) into
 //! [`types::Column::Dict`] — `u32` codes plus a first-appearance
-//! dictionary of distinct `Arc<str>` values — whenever a batch stays
-//! within [`types::Column::DICT_MAX_CARDINALITY`] distinct strings; wider columns
-//! (and any append/merge that would overflow the cap) decay transparently
-//! to plain `Column::Str`. The representation is invisible to semantics:
+//! dictionary of distinct `Arc<str>` values, shared by `Arc`. The engine
+//! owns one append-only dictionary per `(stream, string column)` for the
+//! life of the stream, so a code means the same string in every batch and
+//! steady-state batches carry the same dictionary pointer. **Decay rule:**
+//! the batch that brings a column's 257th distinct string
+//! ([`types::Column::DICT_MAX_CARDINALITY`] + 1) and every later batch of
+//! that column arrive as plain `Column::Str`; batches sealed earlier keep
+//! the dictionary snapshot they hold and stay valid wherever they wait.
+//! The representation is invisible to semantics:
 //! `value_at`/`gather`/`split_off`/`append`/`interleave_tagged` and
 //! column equality are bit-identical across encodings, schema inference
 //! still sees [`types::DataType::Str`], and hash partitioning hashes the
-//! decoded bytes. What changes is the work: equality and ordering
+//! decoded bytes (once per dictionary entry: the dictionary keeps each
+//! entry's hash). What changes is the work: equality and ordering
 //! predicates against a constant byte-compare **once per dictionary
 //! entry** and then look up one `u32` verdict per row, dict×dict equality
 //! remaps the right dictionary into the left code space once, and joins
-//! and group-bys resolve each distinct code's key once per batch
-//! ([`ops`]' internal `KeyReader` memo; [`ops::AggregateOp`] sorts rows by
-//! code and probes its state once per code and window). Per-row code
+//! and group-bys translate codes to interned key ids through a
+//! per-dictionary table (below). Per-row code
 //! comparisons are counted by
 //! [`types::work::WorkSnapshot::dict_code_cmps`]; residual per-row byte
 //! compares (plain columns, dict-vs-column ordering) by
@@ -125,6 +130,34 @@
 //! `str_cmps == 0`. Broadcast string constants
 //! ([`types::Column::from_value`]) are a single dictionary entry with
 //! zeroed codes — O(1) in the row count, not one `Arc` clone per row.
+//!
+//! **State layout.** Stateful operators never hash a string they have seen
+//! and never build a row. Stream dictionary → interned id → id-keyed
+//! state: each state partition of a join or aggregate interns its keys
+//! (`Key → u32`; an id counts the accumulators or buffered rows that hold
+//! it, and once unheld ids are the bulk of the interner they are freed
+//! for reuse, so state over an unbounded key domain — a group-by or join
+//! on an order id — is bounded by the keys in the open windows, not by
+//! the keys ever seen) and remembers, for the dictionary it last read
+//! keys from, the `code → id` table; a dictionary it has seen costs one
+//! pointer compare per batch and one table load per key cell, while
+//! `Int`/`Bool`/decayed-`Str` cells intern through one hash probe per
+//! row. [`ops::AggregateOp`] keeps, per open window in start order, the
+//! accumulators of the window's own groups by id (an integer-hashed map:
+//! a window is as large as its groups, however many the partition has
+//! interned), and closes windows **columnar** (window-end column, group
+//! column from the interner, typed result column). [`ops::JoinOp`] keeps per-id FIFOs
+//! of `(ts, batch, row)` references into the `Arc`-shared input batches, a
+//! min-heap of queue fronts so eviction visits only keys whose front can
+//! expire, and gathers matched pairs column by column. The decay rule
+//! needs nothing from either: ids outlive the dictionary that introduced
+//! them, so interned state carries over untouched when a column turns
+//! plain. **Emission order is unchanged** — `(window start, group debug
+//! text)`, the [`types::EmitKey`] — because it never depended on the state
+//! layout: each group's text is rendered once when the group is interned,
+//! a partition ranks its ids by that text once its groups stop changing
+//! (and compares the texts themselves while they do), a closing window
+//! sorts its ids by rank, and per-partition runs merge by the same key.
 //!
 //! **Zero-copy fan-out, copy-on-write columns.** A produced batch is
 //! wrapped in one `Arc` and every downstream target receives a pointer

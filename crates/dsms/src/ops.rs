@@ -21,10 +21,10 @@
 
 use crate::expr::{Expr, Validity};
 use crate::plan::AggFunc;
-use crate::types::{Column, EmitKey, Schema, Tuple, TupleBatch, Value};
+use crate::types::{fnv1a, Column, EmitKey, Schema, StrDict, Tuple, TupleBatch, Value};
 use std::cell::Cell;
-use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -71,19 +71,6 @@ pub fn with_columnar_kernels<R>(enabled: bool, f: impl FnOnce() -> R) -> R {
 /// kind-keyed reports.
 pub const OPERATOR_KINDS: [&str; 6] = ["filter", "project", "fused", "join", "aggregate", "union"];
 
-/// The deterministic (FNV-1a) hash the shard partitioner and the
-/// partitioned operator state share — stable across runs and platforms,
-/// unlike the std hasher, so shard assignment is replayable and a key's
-/// state partition always matches the shard its rows hash to.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
 /// The shard of one key cell read straight off a typed column (the
 /// ingestion partitioner's hot path; byte-encoding identical to
 /// [`Key::shard_of`]).
@@ -92,11 +79,10 @@ pub(crate) fn shard_of_cell(col: &Column, i: usize, shards: usize) -> usize {
         Column::Bool(v) => fnv1a(&[u8::from(v[i])]),
         Column::Int(v) => fnv1a(&v[i].to_le_bytes()),
         Column::Str(v) => fnv1a(v[i].as_bytes()),
-        // Hash the decoded dictionary entry's bytes so dictionary-encoded
-        // and plain string columns shard identically (the encoding is a
-        // layout choice, never a semantic one). Loops over key cells
-        // should prefer [`KeyReader`], which memoizes this per code.
-        Column::Dict { codes, dict, .. } => fnv1a(dict[codes[i] as usize].as_bytes()),
+        // The dictionary keeps the hash of each entry's bytes, so
+        // dictionary-encoded and plain string columns shard identically
+        // (the encoding is a layout choice, never a semantic one).
+        Column::Dict { codes, dict } => dict.hash(codes[i] as usize),
         Column::Float(_) => {
             // `set_shard_key` rejects float columns before any run
             // (diagnostic NL014, `diag::Code::BadShardKey`), so this arm
@@ -166,22 +152,16 @@ impl Key {
     }
 }
 
-/// A per-batch key-cell reader that hashes dictionary codes, not bytes.
-///
-/// `Key::from_column` / `shard_of_cell` decode and FNV-hash string bytes
-/// per row; over a dictionary-encoded column every row carrying the same
-/// code yields the same key and the same shard. `KeyReader` resolves the
-/// `(Key, hash)` pair once per distinct code and serves subsequent rows
-/// from a u32-indexed memo — byte hashing happens at dictionary
-/// granularity, the per-row work is one code lookup (counted by
+/// A key-cell reader over one key column that never hashes a dictionary
+/// string: over a [`Column::Dict`] column the FNV hash of each entry lives
+/// in the shared dictionary ([`StrDict`] — computed once per entry for the
+/// life of the stream), so the per-row work is one code lookup (counted by
 /// [`crate::types::work::WorkSnapshot::dict_code_cmps`]: one per row read,
-/// added in one step when the reader drops). Non-dictionary
-/// columns pass straight through to the per-row paths, so the reader is
-/// always safe to use in key loops.
+/// added in one step when the reader drops). Non-dictionary columns pass
+/// straight through to the per-row paths, so the reader is always safe to
+/// use in key loops.
 pub(crate) struct KeyReader<'a> {
     col: &'a Column,
-    /// Lazily-filled per-code memo for `Column::Dict`: `(key, FNV hash)`.
-    memo: Vec<Option<(Key, u64)>>,
     /// Code lookups served so far (the reader's `dict_code_cmps` share).
     lookups: u64,
 }
@@ -196,60 +176,27 @@ impl Drop for KeyReader<'_> {
 
 impl<'a> KeyReader<'a> {
     pub(crate) fn new(col: &'a Column) -> KeyReader<'a> {
-        let codes = match col {
-            Column::Dict { dict, .. } => dict.len(),
-            _ => 0,
-        };
-        KeyReader {
-            col,
-            memo: vec![None; codes],
-            lookups: 0,
-        }
-    }
-
-    /// The memo slot for row `i` of a dictionary column (`None` when the
-    /// column isn't dictionary-encoded).
-    fn dict_entry(&mut self, i: usize) -> Option<&(Key, u64)> {
-        let Column::Dict { codes, dict, .. } = self.col else {
-            return None;
-        };
-        self.lookups += 1;
-        let c = codes[i] as usize;
-        if self.memo[c].is_none() {
-            let s = &dict[c];
-            self.memo[c] = Some((Key::Str(s.clone()), fnv1a(s.as_bytes())));
-        }
-        self.memo[c].as_ref()
+        KeyReader { col, lookups: 0 }
     }
 
     /// The key at row `i` together with its partition among `parts` — one
-    /// memo lookup for dictionary columns, so the counted per-row work is
+    /// code lookup for dictionary columns, so the counted per-row work is
     /// the same whatever the partition count. `None` for unhashable
     /// (float) columns.
     pub(crate) fn key_and_shard(&mut self, i: usize, parts: usize) -> Option<(Key, usize)> {
-        if matches!(self.col, Column::Dict { .. }) {
-            let &(ref k, h) = self.dict_entry(i)?;
-            let key = k.clone();
-            let p = if parts == 1 {
-                0
-            } else {
-                (h % parts as u64) as usize
-            };
-            return Some((key, p));
-        }
         let key = Key::from_column(self.col, i)?;
-        let p = if parts == 1 { 0 } else { key.shard_of(parts) };
-        Some((key, p))
+        Some((key, self.shard(i, parts)))
     }
 
     /// The shard of row `i` under hash partitioning (byte-encoding
     /// identical to [`shard_of_cell`] / [`Key::shard_of`]).
     pub(crate) fn shard(&mut self, i: usize, shards: usize) -> usize {
-        if matches!(self.col, Column::Dict { .. }) {
-            let &(_, h) = self.dict_entry(i).expect("dict column rows are hashable");
-            return (h % shards as u64) as usize;
+        self.lookups += u64::from(matches!(self.col, Column::Dict { .. }));
+        if shards == 1 {
+            0
+        } else {
+            shard_of_cell(self.col, i, shards)
         }
-        shard_of_cell(self.col, i, shards)
     }
 }
 
@@ -985,96 +932,228 @@ impl Operator for FusedOp {
     }
 }
 
-/// One shard partition of a [`JoinOp`]'s state: a per-key FIFO of recent
-/// tuples on each side. Equal keys always live in one partition
-/// ([`Key::shard_of`]), so a partition is the full single-threaded state
-/// restricted to its keys.
+/// A partition's key interner: `Option<Key> → u32 id` (`None` is the one
+/// group of an ungrouped aggregate). Stateful operators address their state
+/// by id, so a key is hashed when it is first seen (or, for a key read off a
+/// plain column, once per row) and never formatted, cloned or compared
+/// again. An id counts the state entries (accumulators, buffered rows) that
+/// hold it; once the interned keys outnumber four times the most that were
+/// held at once, [`KeyIds::sweep`] frees the unheld ids for reuse, so the
+/// interner — and everything indexed by id — is bounded by the live keys,
+/// not by the keys ever seen.
+#[derive(Debug, Default)]
+struct KeyIds {
+    ids: HashMap<Option<Key>, u32>,
+    /// By id; a freed id keeps its last key until it is reused.
+    keys: Vec<Option<Key>>,
+    refs: Vec<u32>,
+    free: Vec<u32>,
+    /// Ids with `refs > 0` now, and the most there were since the last sweep.
+    held: usize,
+    peak: usize,
+    /// Sweeps so far: a `code → id` table of an earlier epoch is stale.
+    epoch: u32,
+}
+
+impl KeyIds {
+    /// The id of `key`, and whether this call interned it.
+    fn intern(&mut self, key: Option<Key>) -> (u32, bool) {
+        if let Some(&id) = self.ids.get(&key) {
+            return (id, false);
+        }
+        let id = self.free.pop().unwrap_or(self.keys.len() as u32);
+        if id as usize == self.keys.len() {
+            self.keys.push(key.clone());
+            self.refs.push(0);
+        } else {
+            self.keys[id as usize] = key.clone();
+        }
+        self.ids.insert(key, id);
+        (id, true)
+    }
+
+    /// One more state entry holds `id`.
+    fn hold(&mut self, id: u32) {
+        self.refs[id as usize] += 1;
+        if self.refs[id as usize] == 1 {
+            self.held += 1;
+            self.peak = self.peak.max(self.held);
+        }
+    }
+
+    /// One state entry of `id` is gone.
+    fn release(&mut self, id: u32) {
+        self.refs[id as usize] -= 1;
+        self.held -= usize::from(self.refs[id as usize] == 0);
+    }
+
+    /// Frees every unheld id once they are the bulk of the interner (small
+    /// interners are left alone: a steady key set never re-interns).
+    fn sweep(&mut self) {
+        if self.ids.len() > 4 * self.peak.max(256) {
+            let (refs, free) = (&self.refs, &mut self.free);
+            self.ids.retain(|_, id| {
+                refs[*id as usize] > 0 || {
+                    free.push(*id);
+                    false
+                }
+            });
+            self.peak = self.held;
+            self.epoch += 1;
+        }
+    }
+}
+
+/// The `code → id` table of the dictionary a partition last read keys
+/// from: batches of one stream share their dictionary by `Arc`, so in
+/// steady state a key cell resolves with one pointer compare and one table
+/// load — no string is hashed. A different dictionary (the stream's grew,
+/// or another producer's) or a sweep of the interner starts a fresh table,
+/// filled lazily.
+#[derive(Debug, Default)]
+struct CodeIds {
+    dict: Option<Arc<StrDict>>,
+    epoch: u32,
+    ids: Vec<u32>,
+}
+
+impl CodeIds {
+    /// Marks a code not yet translated.
+    const UNSEEN: u32 = u32::MAX;
+
+    /// The id of dictionary entry `code`, and whether this call interned it.
+    fn id(&mut self, dict: &Arc<StrDict>, code: usize, keys: &mut KeyIds) -> (u32, bool) {
+        let current = self.dict.as_ref().is_some_and(|d| Arc::ptr_eq(d, dict));
+        if !current || self.epoch != keys.epoch {
+            self.dict = Some(dict.clone());
+            self.epoch = keys.epoch;
+            self.ids.clear();
+            self.ids.resize(dict.len(), Self::UNSEEN);
+        }
+        if self.ids[code] != Self::UNSEEN {
+            return (self.ids[code], false);
+        }
+        let (id, fresh) = keys.intern(Some(Key::Str(dict[code].clone())));
+        self.ids[code] = id;
+        (id, fresh)
+    }
+}
+
+/// The partition of dictionary entry `code` among `parts` (what
+/// [`Key::shard_of`] gives the decoded key, read off the dictionary's stored
+/// hash).
+fn part_of_code(dict: &StrDict, code: usize, parts: usize) -> usize {
+    if parts == 1 {
+        0
+    } else {
+        (dict.hash(code) % parts as u64) as usize
+    }
+}
+
+/// One buffered join row: a row of an input batch, held by reference — the
+/// batch's columns are `Arc`-shared, so buffering copies nothing and the
+/// batch lives until its last buffered row is evicted.
+#[derive(Debug)]
+struct Buffered {
+    ts: u64,
+    rows: Arc<TupleBatch>,
+    row: u32,
+}
+
+/// One side of a join partition: a FIFO of buffered rows per key id.
+#[derive(Debug, Default)]
+struct JoinSide {
+    queues: Vec<VecDeque<Buffered>>,
+    /// `(front ts, id)` of every non-empty queue, smallest first: eviction
+    /// only ever pops fronts, so it visits exactly the keys whose front can
+    /// expire.
+    fronts: BinaryHeap<Reverse<(u64, u32)>>,
+    codes: CodeIds,
+}
+
+/// One shard partition of a [`JoinOp`]'s state. Equal keys always live in
+/// one partition ([`Key::shard_of`]), so a partition is the full
+/// single-threaded state restricted to its keys.
 #[derive(Debug, Default)]
 struct JoinPart {
-    left: HashMap<Key, VecDeque<Tuple>>,
-    right: HashMap<Key, VecDeque<Tuple>>,
+    keys: KeyIds,
+    /// Left, right.
+    sides: [JoinSide; 2],
     len: usize,
-    /// Per side (left, right), a lower bound on the `ts` at the front of
-    /// every queue: eviction only ever pops fronts, so a horizon at or
-    /// below the bound expires nothing and [`JoinPart::evict`] skips that
-    /// side's scan. Lowered on insert, made exact by every scan; the
-    /// default 0 forces the first scan.
-    oldest: [u64; 2],
+}
+
+impl JoinSide {
+    /// Buffers `row` at the back of key `id`'s queue.
+    fn insert(&mut self, id: u32, row: Buffered) {
+        if self.queues.len() <= id as usize {
+            self.queues.resize_with(id as usize + 1, VecDeque::new);
+        }
+        let queue = &mut self.queues[id as usize];
+        if queue.is_empty() {
+            self.fronts.push(Reverse((row.ts, id)));
+        }
+        queue.push_back(row);
+    }
 }
 
 impl JoinPart {
-    /// Probes the opposite side for one arriving tuple, appends its
-    /// matches, and inserts the tuple into its own side's state.
-    fn probe_insert(
-        &mut self,
-        port: usize,
-        key: Key,
-        tuple: Tuple,
-        window_ms: u64,
-        matches: &mut TupleBatch,
-    ) -> usize {
-        let (own_state, other_state, is_left) = match port {
-            0 => (&mut self.left, &self.right, true),
-            _ => (&mut self.right, &self.left, false),
+    /// The partition as an invocation on `port` uses it: the interner, the
+    /// side the arriving rows buffer into, the side they probe — which the
+    /// invocation never changes, so its matches may point into it until the
+    /// output is gathered — and the buffered-row count.
+    fn split(&mut self, port: usize) -> (&mut KeyIds, &mut JoinSide, &JoinSide, &mut usize) {
+        let (left, right) = self.sides.split_at_mut(1);
+        let (own, other) = match port {
+            0 => (&mut left[0], &right[0]),
+            _ => (&mut right[0], &left[0]),
         };
-        let oldest = &mut self.oldest[usize::from(!is_left)];
-        *oldest = (*oldest).min(tuple.ts);
-        let before = matches.len();
-        if let Some(partners) = other_state.get(&key) {
-            for partner in partners {
-                if tuple.ts.abs_diff(partner.ts) <= window_ms {
-                    if is_left {
-                        JoinOp::emit_match(&tuple, partner, matches);
-                    } else {
-                        JoinOp::emit_match(partner, &tuple, matches);
-                    }
-                }
-            }
-        }
-        own_state.entry(key).or_default().push_back(tuple);
-        self.len += 1;
-        matches.len() - before
+        (&mut self.keys, own, other, &mut self.len)
     }
 
-    /// Evicts state older than the watermark horizon.
+    /// Evicts state older than the watermark horizon: per key, fronts pop
+    /// while they are older (a younger front shields what is behind it).
+    /// Keys left without a buffered row on either side give their ids back
+    /// ([`KeyIds::sweep`]).
     fn evict(&mut self, horizon: u64) {
-        let mut evicted = 0usize;
-        for (state, oldest) in [&mut self.left, &mut self.right]
-            .into_iter()
-            .zip(&mut self.oldest)
-        {
-            if *oldest >= horizon {
-                continue;
+        for side in &mut self.sides {
+            while let Some(&Reverse((front, id))) = side.fronts.peek() {
+                if front >= horizon {
+                    break;
+                }
+                side.fronts.pop();
+                let queue = &mut side.queues[id as usize];
+                while queue.front().is_some_and(|b| b.ts < horizon) {
+                    queue.pop_front();
+                    self.keys.release(id);
+                    self.len -= 1;
+                }
+                if let Some(b) = queue.front() {
+                    side.fronts.push(Reverse((b.ts, id)));
+                }
             }
-            *oldest = u64::MAX;
-            state.retain(|_, q| {
-                while q.front().is_some_and(|t| t.ts < horizon) {
-                    q.pop_front();
-                    evicted += 1;
-                }
-                if let Some(front) = q.front() {
-                    *oldest = (*oldest).min(front.ts);
-                }
-                !q.is_empty()
-            });
         }
-        debug_assert!(
-            evicted <= self.len,
-            "join evicted {evicted} tuples but tracked only {}",
-            self.len
-        );
-        self.len = self.len.saturating_sub(evicted);
+        self.keys.sweep();
     }
 }
 
 /// Windowed symmetric hash equi-join.
 ///
-/// Keeps a per-key FIFO of recent tuples on each side; each tuple of an
+/// Keeps a per-key FIFO of recent rows on each side; each row of an
 /// arriving batch probes the opposite side for partners within `window_ms`
 /// of event time and appends `left ++ right` outputs (one output batch per
-/// input batch). Keys are read straight from the typed key column; rows are
-/// gathered (materialized) only when they enter the join state. State is
-/// evicted lazily as the watermark advances past `ts + window_ms`.
+/// input batch, `ts` the later of the pair's). State is evicted lazily as
+/// the watermark advances past `ts + window_ms`; both differences saturate
+/// (`abs_diff`, `saturating_sub`), so timestamps at either end of `u64`
+/// neither panic nor wrap.
+///
+/// **Nothing is materialized.** A key cell becomes a partition-local
+/// interned id ([`Column::Dict`] cells through the per-dictionary
+/// `code → id` table, other layouts through one hash probe per row), both
+/// sides' FIFOs are indexed by that id (given back once neither side
+/// buffers a row of the key), a buffered row is a reference into its
+/// `Arc`-shared input batch, and the matched pairs are gathered column
+/// by column from the source batches' typed columns into the output
+/// columns (plain layouts, like every operator-built batch).
 ///
 /// State is **hash-partitioned by join key** into [`JoinOp::set_partitions`]
 /// shard slices behind uncontended `Mutex`es, so when both inputs are
@@ -1104,12 +1183,6 @@ impl JoinOp {
             parts: vec![Mutex::new(JoinPart::default())],
         }
     }
-
-    fn emit_match(left: &Tuple, right: &Tuple, out: &mut TupleBatch) {
-        let mut values = left.values.clone();
-        values.extend(right.values.iter().cloned());
-        out.push(Tuple::new(left.ts.max(right.ts), values));
-    }
 }
 
 impl Operator for JoinOp {
@@ -1121,23 +1194,35 @@ impl Operator for JoinOp {
         sel: Option<&[u32]>,
         traced: bool,
     ) -> (Option<TupleBatch>, RowTrace) {
-        let key_col = batch.column(if port == 0 {
-            self.left_key
-        } else {
-            self.right_key
-        });
-        let mut matches = TupleBatch::new(self.schema.clone());
-        let mut trace = traced.then(Vec::new);
+        let port = port.min(1);
+        let key_col = batch.column([self.left_key, self.right_key][port]);
+        let n = sel.map_or(batch.len(), <[u32]>::len);
+        let coded = key_col.as_shared_dict();
+        if coded.is_some() {
+            crate::types::work::count_dict_code_cmps(n as u64);
+        }
+        // One handle on the batch for every row it buffers.
+        let mut rows: Option<Arc<TupleBatch>> = None;
         // The one probe loop: over the selected rows (absorbed straight
         // through a deferred selection — the rows the upstream filter
-        // dropped are never gathered), into the addressed partition or,
+        // dropped are never touched), into the addressed partition or,
         // seen whole, the partition each row's key hashes to.
         with_parts(&self.parts, partition, |parts| {
+            let mut parts: Vec<_> = parts.iter_mut().map(|part| part.split(port)).collect();
             let n_parts = parts.len();
             let mut reader = KeyReader::new(key_col);
-            for k in 0..sel.map_or(batch.len(), <[u32]>::len) {
+            // (probe row, partner) of every match, in emission order.
+            let mut matches: Vec<(u32, &Buffered)> = Vec::new();
+            for k in 0..n {
                 let i = sel.map_or(k, |s| s[k] as usize);
-                let Some((key, p)) = reader.key_and_shard(i, n_parts) else {
+                let (p, id) = if let Some((codes, dict)) = coded {
+                    let code = codes[i] as usize;
+                    let p = part_of_code(dict, code, n_parts);
+                    let (keys, own, ..) = &mut parts[p];
+                    (p, own.codes.id(dict, code, keys).0)
+                } else if let Some((key, p)) = reader.key_and_shard(i, n_parts) {
+                    (p, parts[p].0.intern(Some(key)).0)
+                } else {
                     // Plan validation rejects float join keys before any
                     // operator is built (diagnostic NL005,
                     // `diag::Code::UnhashableJoinKey`); reaching this means the
@@ -1146,14 +1231,44 @@ impl Operator for JoinOp {
                     debug_assert!(false, "unhashable join key escaped plan validation");
                     continue;
                 };
-                let emitted =
-                    parts[p].probe_insert(port, key, batch.row(i), self.window_ms, &mut matches);
-                if let Some(trace) = &mut trace {
-                    trace.extend(std::iter::repeat_n(i as u32, emitted));
-                }
+                let (keys, own, other, len) = &mut parts[p];
+                let ts = batch.ts()[i];
+                let partners = other.queues.get(id as usize).into_iter().flatten();
+                let within = partners.filter(|b| ts.abs_diff(b.ts) <= self.window_ms);
+                matches.extend(within.map(|b| (i as u32, b)));
+                let rows = rows.get_or_insert_with(|| Arc::new(batch.clone())).clone();
+                let row = i as u32;
+                own.insert(id, Buffered { ts, rows, row });
+                keys.hold(id);
+                **len += 1;
             }
-        });
-        ((!matches.is_empty()).then_some(matches), trace)
+            if matches.is_empty() {
+                return (None, traced.then(Vec::new));
+            }
+            // `left ++ right`: the arriving side's cells come from `batch`,
+            // the partner side's from wherever each partner is buffered.
+            let arriving = batch.columns().iter().map(|col| {
+                let cells = matches.iter().map(|&(i, _)| (col, i as usize));
+                Column::gather(col.data_type(), cells)
+            });
+            let partner_columns = matches[0].1.rows.columns();
+            let partners = partner_columns.iter().enumerate().map(|(c, col)| {
+                let cells = matches
+                    .iter()
+                    .map(|&(_, b)| (b.rows.column(c), b.row as usize));
+                Column::gather(col.data_type(), cells)
+            });
+            let columns = match port {
+                0 => arriving.chain(partners).collect(),
+                _ => partners.chain(arriving).collect(),
+            };
+            let ts = matches
+                .iter()
+                .map(|&(i, b)| batch.ts()[i as usize].max(b.ts));
+            let out = TupleBatch::from_columns(self.schema.clone(), ts.collect(), columns);
+            let trace = traced.then(|| matches.iter().map(|&(i, _)| i).collect());
+            (Some(out), trace)
+        })
     }
 
     fn advance(
@@ -1204,17 +1319,18 @@ impl Operator for JoinOp {
             .collect();
         let mut parts: Vec<JoinPart> = (0..n).map(|_| JoinPart::default()).collect();
         for part in old {
-            for (side, state) in [(0usize, part.left), (1, part.right)] {
-                for (key, queue) in state {
-                    let p = if n == 1 { 0 } else { key.shard_of(n) };
-                    let target = &mut parts[p];
+            for (side, state) in part.sides.into_iter().enumerate() {
+                for (key, queue) in part.keys.keys.iter().zip(state.queues) {
+                    if queue.is_empty() {
+                        continue;
+                    }
+                    let target = &mut parts[key.as_ref().map_or(0, |k| k.shard_of(n))];
+                    let id = target.keys.intern(key.clone()).0;
                     target.len += queue.len();
-                    let slot = match side {
-                        0 => target.left.entry(key).or_default(),
-                        _ => target.right.entry(key).or_default(),
-                    };
-                    debug_assert!(slot.is_empty(), "key may live in only one partition");
-                    *slot = queue;
+                    for row in queue {
+                        target.sides[side].insert(id, row);
+                        target.keys.hold(id);
+                    }
                 }
             }
         }
@@ -1264,7 +1380,7 @@ impl AggColumn<'_> {
 /// stay in `i64`. The previous always-`f64` accumulator silently lost
 /// precision once an integer sum passed 2^53. Float inputs keep the `f64`
 /// path.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 enum AggState {
     /// Exact integer accumulation.
     Int {
@@ -1309,18 +1425,15 @@ impl AggState {
         }
     }
 
-    /// An accumulator with no absorbed tuples. `absorb` never produces one
-    /// (it seeds with the first value); this exists so the empty-state
-    /// contract of [`AggState::result`] is constructible and tested.
-    #[cfg(test)]
-    fn empty() -> AggState {
-        AggState::Int {
-            count: 0,
-            sum: 0,
-            min: 0,
-            max: 0,
-        }
-    }
+    /// An accumulator with no absorbed tuples: the slot of a group a window
+    /// has not seen. The first row folded into one seeds it, and
+    /// [`AggState::result`] gives it no value.
+    const EMPTY: AggState = AggState::Int {
+        count: 0,
+        sum: 0,
+        min: 0,
+        max: 0,
+    };
 
     /// Folds integer inputs, in iteration order, into an `Int` accumulator.
     fn fold_ints(&mut self, values: impl Iterator<Item = i64>) {
@@ -1395,7 +1508,7 @@ impl AggState {
             return;
         }
         if self.count() == 0 {
-            *self = other.clone();
+            *self = *other;
             return;
         }
         match (self, other) {
@@ -1466,17 +1579,122 @@ impl AggState {
     }
 }
 
-/// One shard partition of an [`AggregateOp`]'s windowed state, ordered by
-/// window: `window start → group → running accumulator` (ungrouped
-/// aggregates keep the single group `None`). Windows close in start order,
-/// so the closed ones pop off the front of the tree and a watermark that
-/// closes nothing costs one look at the first key. When the aggregate runs
-/// as a **full** keyed member, a group's windows live in exactly one
-/// partition ([`Key::shard_of`]); as a **partial** member (ungrouped, or
-/// grouped at a shard-incompatible key) each worker owns one partition of
-/// per-worker partials and a window's state spans however many workers
-/// absorbed its rows until the watermark combine folds them.
-type AggPart = BTreeMap<u64, HashMap<Option<Key>, AggState>>;
+/// Hashes a group id: ids are small dense integers, one multiply spreads
+/// them over the table.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl std::hash::Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("group ids hash as u32");
+    }
+    fn write_u32(&mut self, id: u32) {
+        self.0 = u64::from(id).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
+/// One open window of a partition: the accumulator of every group with a
+/// row in it, by group id — as large as the window's own groups, however
+/// many the partition has interned.
+type AggWindow = HashMap<u32, AggState, std::hash::BuildHasherDefault<IdHasher>>;
+
+/// One shard partition of an [`AggregateOp`]'s windowed state: the
+/// partition's interned groups and its open windows ordered by start.
+/// Windows close in start order, so the closed ones pop off the front of the
+/// tree and a watermark that closes nothing costs one look at the first key.
+/// When the aggregate runs as a **full** keyed member, a group's windows
+/// live in exactly one partition ([`Key::shard_of`]); as a **partial** member
+/// (ungrouped, or grouped at a shard-incompatible key) each worker owns one
+/// partition of per-worker partials and a window's state spans however
+/// many workers absorbed its rows until the watermark combine folds them.
+#[derive(Debug, Default)]
+struct AggPart {
+    keys: KeyIds,
+    codes: CodeIds,
+    /// Per group id, its emission-order text: `format!("{group:?}")`,
+    /// rendered when the group is interned.
+    labels: Vec<Arc<str>>,
+    /// The interned ids in label order, and per id its place there — what
+    /// a closing window sorts its ids by. Valid while `unranked` is 0.
+    order: Vec<u32>,
+    rank: Vec<u32>,
+    /// 2 while a group has been interned since the last close, 1 from that
+    /// close until the ranks are recomputed.
+    unranked: u8,
+    windows: BTreeMap<u64, AggWindow>,
+    /// Non-empty accumulators across all windows.
+    live: usize,
+    /// The counting sort's cursors and output, kept across batches.
+    scratch: (Vec<usize>, Vec<u32>),
+}
+
+impl AggPart {
+    /// Completes the interning of a group: a fresh id gets its label.
+    fn labelled(&mut self, (id, fresh): (u32, bool)) -> u32 {
+        if fresh {
+            let label = format!("{:?}", self.keys.keys[id as usize]).into();
+            match self.labels.get_mut(id as usize) {
+                Some(reused) => *reused = label,
+                None => self.labels.push(label),
+            }
+            self.unranked = 2;
+        }
+        id
+    }
+
+    /// The group id of `key`: one hash probe.
+    fn key_id(&mut self, key: Option<Key>) -> u32 {
+        let id = self.keys.intern(key);
+        self.labelled(id)
+    }
+
+    /// The group id of dictionary entry `code`: one table load once the
+    /// partition has seen the dictionary.
+    fn code_id(&mut self, dict: &Arc<StrDict>, code: usize) -> u32 {
+        let id = self.codes.id(dict, code, &mut self.keys);
+        self.labelled(id)
+    }
+
+    /// Window `start`'s accumulator of group `id`, entered into the window
+    /// [`AggState::EMPTY`] (and counted) when the pair is new — the caller
+    /// fills it.
+    fn slot(&mut self, start: u64, id: u32) -> &mut AggState {
+        let window = self.windows.entry(start).or_default();
+        window.entry(id).or_insert_with(|| {
+            self.keys.hold(id);
+            self.live += 1;
+            AggState::EMPTY
+        })
+    }
+
+    /// Puts a closing window's group ids in label order. Ranks make that an
+    /// integer sort; they are (re)computed at the first close that finds the
+    /// groups as the close before it left them. Until then — always, for
+    /// groups that keep arriving — the labels themselves are compared, each
+    /// window paying its own `n log n` and nothing for the other groups.
+    fn sort_ids(&mut self, ids: &mut [u32]) {
+        let labels = &self.labels;
+        if self.unranked == 1 {
+            self.order.clear();
+            self.order.extend(self.keys.ids.values());
+            self.order.sort_unstable_by_key(|&g| &labels[g as usize]);
+            self.rank.resize(labels.len(), 0);
+            for (rank, &g) in self.order.iter().enumerate() {
+                self.rank[g as usize] = rank as u32;
+            }
+            self.unranked = 0;
+        }
+        if self.unranked > 0 {
+            return ids.sort_unstable_by_key(|&g| &labels[g as usize]);
+        }
+        ids.iter_mut().for_each(|g| *g = self.rank[*g as usize]);
+        ids.sort_unstable();
+        ids.iter_mut().for_each(|r| *r = self.order[*r as usize]);
+    }
+}
 
 /// Windowed aggregate, optionally grouped by one column.
 ///
@@ -1486,28 +1704,44 @@ type AggPart = BTreeMap<u64, HashMap<Option<Key>, AggState>>;
 /// `slide == window`). A window closes — and emits one tuple per group —
 /// when the watermark reaches its end. Output: `(window_end, [group], agg)`.
 ///
-/// **Absorb costs one state probe per (batch, window, distinct key), not
-/// per row.** State is window-ordered (`window start → group →
-/// accumulator`, closed windows pop off the front). A batch keyed by a
+/// **Timestamp extremes.** A window end saturates: a window whose
+/// `start + window_ms` exceeds `u64::MAX` has no end a watermark can reach,
+/// so it closes only on [`Operator::finish`], with `ts = u64::MAX`; the
+/// `window_end` column saturates at `i64::MAX` for every end above it.
+///
+/// **State is addressed by interned group id.** Each partition interns its
+/// groups (`Key → u32`; the group's `Value` and emission-order text are
+/// resolved then, once; ids no open window holds are given back, so state
+/// follows the groups in the open windows, not the groups ever seen) and
+/// keeps, per open window in start order, the accumulators of the window's
+/// own groups by id. A batch keyed by a
 /// [`Column::Dict`] column — every low-cardinality string key, whichever
 /// `push*` call ingested it — is absorbed by a stable counting sort of its
-/// (possibly selected) rows on their codes: `Key` and partition resolve
-/// once per distinct code, consecutive rows of a code covered by the same
-/// windows form a run, and each run probes each covering window once and
-/// folds in row order. Every `(window, group)` accumulator therefore sees
-/// its rows in exactly the order the row-at-a-time loop would feed them —
-/// float `Sum`/`Avg`, overlapping windows and late rows are bit-identical.
-/// `Int`/`Bool`/over-cardinality `Str` keys take the same run fold one row
-/// at a time; ungrouped tumbling aggregates fold dense row ranges.
+/// (possibly selected) rows on their codes: the code translates to its id
+/// through the per-dictionary table (no string is hashed once the
+/// partition has seen the stream's dictionary), consecutive rows of a code
+/// covered by the same windows form a run, and each run probes each
+/// covering window once (an integer hash) and folds in row order. Every
+/// `(window, group)` accumulator therefore sees its rows in exactly the
+/// order the row-at-a-time loop would feed them — float `Sum`/`Avg`,
+/// overlapping windows and late rows are bit-identical.
+/// `Int`/`Bool`/decayed-`Str` keys intern through one hash probe per row
+/// and take the same run fold one row at a time; ungrouped tumbling
+/// aggregates fold dense row ranges.
+///
+/// **Windows close columnar**: a closed window sorts its own groups'
+/// ids into label order (by rank, an integer sort, once the partition's
+/// groups have stopped changing) and the rows go straight into the output
+/// columns — in ascending [`EmitKey`] `(window start, group debug text)`
+/// order, the emission order of the unpartitioned operator.
 ///
 /// State is **hash-partitioned by group key** into per-shard `AggPart`
 /// slices, so a
 /// grouped aggregate whose group-by column is the stream's shard key runs
 /// entirely inside the shard workers (`partition: Some(shard)`):
 /// absorption and watermark-driven window closes happen per shard, and the
-/// per-shard emission runs (each sorted by the deterministic
-/// `(window start, group)` comparator) merge back into exactly the
-/// single-threaded emission order via their [`EmitKey`] tags.
+/// per-shard emission runs merge back into exactly the single-threaded
+/// emission order via their [`EmitKey`] tags.
 #[derive(Debug)]
 pub struct AggregateOp {
     group_by: Option<usize>,
@@ -1559,7 +1793,7 @@ impl AggregateOp {
             slide_ms,
             schema: Arc::new(schema),
             int_input,
-            parts: vec![Mutex::new(AggPart::new())],
+            parts: vec![Mutex::new(AggPart::default())],
         }
     }
 
@@ -1610,12 +1844,13 @@ impl AggregateOp {
     fn absorb_dense_runs(
         window_ms: u64,
         part: &mut AggPart,
+        id: u32,
         ts: &[u64],
         input: &AggColumn<'_>,
         rows: impl Iterator<Item = usize>,
     ) {
         let mut fold_segment = |(lo, hi, start): (usize, usize, u64)| {
-            let folded = Self::fold_run(part, start, &None, input, lo..hi);
+            let folded = Self::fold_run(part, start, id, input, lo..hi);
             if !matches!(input, AggColumn::CountOnly) {
                 crate::types::work::count_simd_lanes((folded / LANES) as u64);
             }
@@ -1639,40 +1874,35 @@ impl AggregateOp {
     }
 
     /// The one state probe of a run: folds `rows` of the aggregated column,
-    /// in order, into the `(start, group)` accumulator — seeded from the
-    /// first row when the pair is new. Returns the rows folded after
-    /// seeding.
+    /// in order, into window `start`'s accumulator of group `id` — seeded
+    /// from the first row when the pair is new. Returns the rows folded
+    /// after seeding.
     fn fold_run(
         part: &mut AggPart,
         start: u64,
-        group: &Option<Key>,
+        id: u32,
         input: &AggColumn<'_>,
         mut rows: impl ExactSizeIterator<Item = usize>,
     ) -> usize {
-        let groups = part.entry(start).or_default();
-        let state = match groups.get_mut(group) {
-            Some(state) => state,
-            None => {
-                let Some(first) = rows.next() else { return 0 };
-                groups
-                    .entry(group.clone())
-                    .or_insert(AggState::seeded(input.get(first)))
-            }
-        };
+        let state = part.slot(start, id);
+        if state.count() == 0 {
+            let first = rows.next().expect("a run has a row");
+            *state = AggState::seeded(input.get(first));
+        }
         let folded = rows.len();
         state.fold(input, rows);
         folded
     }
 
-    /// Folds one group's `rows` (batch-row indices, in row order) into
-    /// `part`. Every window `[start, start + window)` with `start ≤ ts <
+    /// Folds the `rows` of group `id` (batch-row indices, in row order)
+    /// into `part`. Every window `[start, start + window)` with `start ≤ ts <
     /// start + window` and `start ≡ 0 (mod slide)` contains a row at `ts`;
     /// consecutive rows covered by the same windows form a run, and a run
     /// costs one [`AggregateOp::fold_run`] probe per covering window.
     fn fold_group(
         &self,
         part: &mut AggPart,
-        group: &Option<Key>,
+        id: u32,
         input: &AggColumn<'_>,
         ts: &[u64],
         rows: &[u32],
@@ -1700,7 +1930,7 @@ impl AggregateOp {
             let mut start = last;
             loop {
                 let run = rows[a..b].iter().map(|&i| i as usize);
-                Self::fold_run(part, start, group, input, run);
+                Self::fold_run(part, start, id, input, run);
                 if start == first {
                     break;
                 }
@@ -1731,9 +1961,12 @@ impl AggregateOp {
         let n = sel.map_or(batch.len(), <[u32]>::len);
         let rows = (0..n).map(|k| sel.map_or(k, |s| s[k] as usize));
         let Some(col) = self.group_by.map(|c| batch.column(c)) else {
-            // No group key to hash: every row routes to partition 0.
+            // No group key to hash: the one group `None` lives in
+            // partition 0.
+            let part = &mut *parts[0];
+            let id = part.key_id(None);
             if self.slide_ms == self.window_ms {
-                return Self::absorb_dense_runs(self.window_ms, &mut parts[0], ts, &input, rows);
+                return Self::absorb_dense_runs(self.window_ms, part, id, ts, &input, rows);
             }
             let all: Vec<u32>;
             let rows = match sel {
@@ -1743,14 +1976,16 @@ impl AggregateOp {
                     &all
                 }
             };
-            return self.fold_group(&mut parts[0], &None, &input, ts, rows);
+            return self.fold_group(part, id, &input, ts, rows);
         };
         let n_parts = parts.len();
-        if let Column::Dict { codes, dict, .. } = col {
+        if let Some((codes, dict)) = col.as_shared_dict() {
             // Stable counting sort of the rows on their codes: `bounds[c]`
             // is code `c`'s cursor into `sorted` and ends as its end.
             crate::types::work::count_dict_code_cmps(n as u64);
-            let mut bounds = vec![0usize; dict.len()];
+            let (mut bounds, mut sorted) = std::mem::take(&mut parts[0].scratch);
+            bounds.clear();
+            bounds.resize(dict.len(), 0);
             for i in rows.clone() {
                 bounds[codes[i] as usize] += 1;
             }
@@ -1758,25 +1993,23 @@ impl AggregateOp {
             for bound in &mut bounds {
                 at += std::mem::replace(bound, at);
             }
-            let mut sorted = vec![0u32; n];
+            sorted.clear();
+            sorted.resize(n, 0);
             for i in rows {
                 let cursor = &mut bounds[codes[i] as usize];
                 sorted[*cursor] = i as u32;
                 *cursor += 1;
             }
             let mut lo = 0;
-            for (c, &hi) in bounds.iter().enumerate() {
+            for (code, &hi) in bounds.iter().enumerate() {
                 if hi > lo {
-                    let key = Key::Str(dict[c].clone());
-                    let p = if n_parts == 1 {
-                        0
-                    } else {
-                        key.shard_of(n_parts)
-                    };
-                    self.fold_group(&mut parts[p], &Some(key), &input, ts, &sorted[lo..hi]);
+                    let part = &mut *parts[part_of_code(dict, code, n_parts)];
+                    let id = part.code_id(dict, code);
+                    self.fold_group(part, id, &input, ts, &sorted[lo..hi]);
                 }
                 lo = hi;
             }
+            parts[0].scratch = (bounds, sorted);
             return;
         }
         let mut reader = KeyReader::new(col);
@@ -1788,51 +2021,71 @@ impl AggregateOp {
                 debug_assert!(false, "unhashable group key escaped plan validation");
                 continue;
             };
-            self.fold_group(&mut parts[p], &Some(key), &input, ts, &[i as u32]);
+            let part = &mut *parts[p];
+            let id = part.key_id(Some(key));
+            self.fold_group(part, id, &input, ts, &[i as u32]);
         }
     }
 
-    /// Pops the windows of `part` closed by `watermark` off the front of
-    /// the window order into `ready`, each tagged with its [`EmitKey`] —
-    /// the deterministic emission comparator `(window start, group debug)`.
-    fn drain_closed(
-        &self,
-        part: &mut AggPart,
-        watermark: u64,
-        ready: &mut Vec<(EmitKey, Option<Key>, AggState)>,
-    ) {
-        while let Some(first) = part.first_entry() {
-            if *first.key() + self.window_ms > watermark {
-                break;
-            }
-            let (start, groups) = first.remove_entry();
-            ready.extend(
-                groups
-                    .into_iter()
-                    .map(|(g, state)| ((start, format!("{g:?}")), g, state)),
-            );
-        }
-    }
-
-    /// Emits drained windows in ascending [`EmitKey`] order — one batch
-    /// plus the key of every row, `None` when nothing closed. `ready` holds
-    /// the drains of one partition (a worker's) or of every partition in
-    /// partition order (the control thread's), so the one sort is the
-    /// unpartitioned operator's emission order whatever the partition
+    /// Closes the addressed partitions' windows the watermark has reached
+    /// (every open window when `watermark` is `None`) and emits them,
+    /// columnar, in ascending [`EmitKey`] order — one batch plus the key of
+    /// every row, `None` when nothing closed. A partition's closed windows
+    /// pop off the front of its window order and visit their own groups in
+    /// label order, so one partition's drain is already sorted; the
+    /// control thread's view sorts the partitions' runs together, which is
+    /// the unpartitioned operator's emission order whatever the partition
     /// count.
-    fn emit_sorted(
+    fn close(
         &self,
-        mut ready: Vec<(EmitKey, Option<Key>, AggState)>,
+        parts: &mut [MutexGuard<'_, AggPart>],
+        watermark: Option<u64>,
     ) -> Option<(TupleBatch, Vec<EmitKey>)> {
+        // (window start, partition, group id, accumulator).
+        let mut ready: Vec<(u64, usize, u32, AggState)> = Vec::new();
+        for (p, part) in parts.iter_mut().enumerate() {
+            let part = &mut **part;
+            let drained = ready.len();
+            while let Some(first) = part.windows.first_entry() {
+                // An end past `u64::MAX` is one no watermark reaches.
+                let end = first.key().checked_add(self.window_ms);
+                if watermark.is_some_and(|w| end.is_none_or(|end| end > w)) {
+                    break;
+                }
+                let (start, window) = first.remove_entry();
+                let mut ids: Vec<u32> = window.keys().copied().collect();
+                part.sort_ids(&mut ids);
+                for g in ids {
+                    ready.push((start, p, g, window[&g]));
+                    part.keys.release(g);
+                }
+            }
+            if ready.len() > drained {
+                part.live -= ready.len() - drained;
+                part.unranked = part.unranked.min(1);
+                // Freed ids keep their key and label until an absorb reuses
+                // them.
+                part.keys.sweep();
+            }
+        }
         if ready.is_empty() {
             return None;
         }
-        ready.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut closed = TupleBatch::with_capacity(self.schema.clone(), ready.len());
+        let label = |p: usize, g: u32| &parts[p].labels[g as usize];
+        if parts.len() > 1 {
+            // Stable: equal keys stay in partition order.
+            ready.sort_by(|a, b| (a.0, label(a.1, a.2)).cmp(&(b.0, label(b.1, b.2))));
+        }
+        let column =
+            |field: usize| Column::with_capacity(self.schema.data_type(field), ready.len());
+        let mut ts: Vec<u64> = Vec::with_capacity(ready.len());
+        let mut ends: Vec<i64> = Vec::with_capacity(ready.len());
+        let mut groups = self.group_by.map(|_| column(1));
+        let mut aggs = column(self.schema.len() - 1);
         let mut keys: Vec<EmitKey> = Vec::with_capacity(ready.len());
         let mut grouped_combines = 0u64;
         let mut ready = ready.into_iter().peekable();
-        while let Some((emit_key, group, mut state)) = ready.next() {
+        while let Some((start, p, g, mut state)) = ready.next() {
             // Combine runs of equal keys: a window absorbed as per-worker
             // partials — ungrouped, or grouped at a shard-incompatible group
             // key — lives in several partitions at once. The stable sort
@@ -1842,24 +2095,32 @@ impl AggregateOp {
             // value anyway). Grouped combines are counted
             // ([`work::WorkSnapshot::partial_groups_combined`]): each one is
             // a group that crossed the merge barrier as partials.
-            while let Some((_, _, partial)) = ready.next_if(|next| next.0 == emit_key) {
-                grouped_combines += u64::from(group.is_some());
+            while let Some((.., partial)) =
+                ready.next_if(|&(s, q, h, _)| s == start && label(q, h) == label(p, g))
+            {
+                grouped_combines += u64::from(self.group_by.is_some());
                 state.combine(&partial);
             }
             let Some(agg) = state.result(self.func) else {
                 debug_assert!(false, "empty window state scheduled for emission");
                 continue;
             };
-            let end = emit_key.0 + self.window_ms;
-            let mut values = vec![Value::Int(end as i64)];
-            values.extend(group.map(|k| k.to_value()));
-            values.push(agg);
-            closed.push(Tuple::new(end, values));
-            keys.push(emit_key);
+            let end = start.saturating_add(self.window_ms);
+            ts.push(end);
+            ends.push(i64::try_from(end).unwrap_or(i64::MAX));
+            if let Some(groups) = &mut groups {
+                let key = parts[p].keys.keys[g as usize].as_ref();
+                groups.push(key.expect("a grouped aggregate interns keys").to_value());
+            }
+            aggs.push(agg);
+            keys.push((start, label(p, g).clone()));
         }
         if grouped_combines > 0 {
             crate::types::work::count_partial_groups_combined(grouped_combines);
         }
+        let columns = [Some(Column::Int(ends)), groups, Some(aggs)];
+        let columns = columns.into_iter().flatten().collect();
+        let closed = TupleBatch::from_columns(self.schema.clone(), ts, columns);
         (!closed.is_empty()).then_some((closed, keys))
     }
 }
@@ -1885,17 +2146,13 @@ impl Operator for AggregateOp {
         partition: Option<usize>,
         watermark: u64,
     ) -> Option<(TupleBatch, Vec<EmitKey>)> {
-        let mut ready = Vec::new();
         with_parts(&self.parts, partition, |parts| {
-            for part in parts {
-                self.drain_closed(part, watermark, &mut ready);
-            }
-        });
-        self.emit_sorted(ready)
+            self.close(parts, Some(watermark))
+        })
     }
 
     fn finish(&self) -> Option<TupleBatch> {
-        self.advance(None, u64::MAX).map(|(closed, _)| closed)
+        with_parts(&self.parts, None, |parts| self.close(parts, None)).map(|(closed, _)| closed)
     }
 
     fn output_schema(&self) -> &Arc<Schema> {
@@ -1907,10 +2164,7 @@ impl Operator for AggregateOp {
     }
 
     fn state_size(&self) -> usize {
-        self.parts
-            .iter()
-            .map(|p| lock_part(p).values().map(HashMap::len).sum::<usize>())
-            .sum()
+        self.parts.iter().map(|p| lock_part(p).live).sum()
     }
 
     fn class(&self) -> OpClass {
@@ -1943,17 +2197,16 @@ impl Operator for AggregateOp {
             .into_iter()
             .map(|m| m.into_inner().expect("aggregate partition lock poisoned"))
             .collect();
-        let mut parts: Vec<AggPart> = (0..n).map(|_| AggPart::new()).collect();
-        for (start, groups) in old.into_iter().flatten() {
-            for (group, state) in groups {
-                // Ungrouped state re-homes to partition 0 (its partials
-                // spread across workers only during a flush); grouped
-                // state moves to the partition its key hashes to.
-                let p = match &group {
-                    Some(k) if n > 1 => k.shard_of(n),
-                    _ => 0,
-                };
-                match parts[p].entry(start).or_default().entry(group) {
+        let mut parts: Vec<AggPart> = (0..n).map(|_| AggPart::default()).collect();
+        for part in &old {
+            for (&start, window) in &part.windows {
+                for (&id, state) in window {
+                    // Ungrouped state re-homes to partition 0 (its partials
+                    // spread across workers only during a flush); grouped
+                    // state moves to the partition its key hashes to.
+                    let key = &part.keys.keys[id as usize];
+                    let target = &mut parts[key.as_ref().map_or(0, |k| k.shard_of(n))];
+                    let to = target.key_id(key.clone());
                     // Per-worker partials of one window merge when they
                     // meet — iterating `old` in partition order keeps the
                     // combine deterministic. This covers grouped keys
@@ -1964,12 +2217,7 @@ impl Operator for AggregateOp {
                     // without schedule-dependent drift — which is what
                     // lets the node become a full member mid-window when
                     // the stream is re-keyed onto its group column.
-                    Entry::Occupied(mut e) => {
-                        e.get_mut().combine(&state);
-                    }
-                    Entry::Vacant(e) => {
-                        e.insert(state);
-                    }
+                    target.slot(start, to).combine(state);
                 }
             }
         }
@@ -2572,7 +2820,7 @@ mod tests {
 
     #[test]
     fn empty_agg_state_yields_no_value() {
-        let s = AggState::empty();
+        let s = AggState::EMPTY;
         for func in [
             AggFunc::Count,
             AggFunc::Sum,
@@ -2987,12 +3235,21 @@ mod tests {
             };
             let (mut coded, scalar, mut naive) = (new_op(), new_op(), NaiveWindows::default());
             coded.set_partitions([1, 2, 4][rng.random_range(0..3usize)]);
+            // One dictionary per string column for the whole case, as the
+            // engine keeps per stream: the 300-symbol pool decays mid-stream
+            // and stays plain.
+            let mut dicts: Vec<crate::types::DictInterner> =
+                input.fields.iter().map(|_| Default::default()).collect();
+            // Close-heavy cases: every batch is non-empty, on time, and
+            // followed by a watermark past all of its windows.
+            let close_heavy = case % 2 == 1;
             let (mut base, mut watermark) = (0u64, 0u64);
             for _ in 0..rng.random_range(1..6usize) {
                 // Out-of-order inside the batch, and late against earlier
                 // batches (and against the watermark).
-                let n = [0, 1, 17, 40, 600][rng.random_range(0..5usize)];
-                base += rng.random_range(0..250u64);
+                let sizes = [0, 1, 17, 40, 600];
+                let n = sizes[rng.random_range(usize::from(close_heavy)..5)];
+                base += rng.random_range(0..250u64) + if close_heavy { 320 } else { 0 };
                 let rows: Vec<Tuple> = (0..n)
                     .map(|_| {
                         let ts = (base + rng.random_range(0..200u64)).saturating_sub(120);
@@ -3012,8 +3269,11 @@ mod tests {
                 let sel: Option<Vec<u32>> = rng
                     .random_bool(0.5)
                     .then(|| (0..n as u32).filter(|_| rng.random_bool(0.5)).collect());
-                let batch = TupleBatch::from_rows(input.clone(), rows.clone());
+                let mut batch = TupleBatch::with_capacity(input.clone(), n);
+                batch.extend(rows.clone());
+                batch.seal_into(&mut dicts);
                 shapes.insert((group_by, batch.column(0).as_dict().is_some()));
+                let absorbed = sel.as_ref().map_or(n, Vec::len);
                 let (mut out_c, mut out_s) = (Vec::new(), Vec::new());
                 out_c.extend(coded.process(None, 0, &batch, sel.as_deref(), false).0);
                 for i in sel.unwrap_or_else(|| (0..n as u32).collect()) {
@@ -3026,8 +3286,24 @@ mod tests {
                     assert!(one.column(0).as_dict().is_none());
                     feed(&scalar, 0, one, &mut out_s);
                 }
-                watermark = watermark.max((base + rng.random_range(0..100u64)).saturating_sub(150));
-                close(&coded, watermark, &mut out_c);
+                let slack = if close_heavy { 200 + window } else { 0 };
+                watermark =
+                    watermark.max((base + slack + rng.random_range(0..100u64)).saturating_sub(150));
+                // Every emitted row carries its `(window start, group debug
+                // text)` key, and the keys ascend.
+                if let Some((closed, keys)) = coded.advance(None, watermark) {
+                    let expected: Vec<EmitKey> = closed
+                        .iter_rows()
+                        .map(|row| {
+                            let group = group_by.map(|_| Key::from_value(row.value(1)).unwrap());
+                            (row.ts - window, format!("{group:?}").into())
+                        })
+                        .collect();
+                    assert_eq!(keys, expected, "case {case}");
+                    assert!(keys.windows(2).all(|w| w[0] < w[1]), "case {case}");
+                    out_c.push(closed);
+                }
+                assert!(!close_heavy || absorbed == 0 || !out_c.is_empty());
                 close(&scalar, watermark, &mut out_s);
                 // `{:?}` of an f64 round-trips, so equal text is equal bits.
                 let expected = format!("{:?}", naive.drain(func, window, watermark));
@@ -3104,6 +3380,312 @@ mod tests {
         assert!(out.is_empty());
         out.extend(agg.finish());
         assert_eq!(rows_of(&out), vec![window(200, 1)]);
+    }
+
+    /// The join's meaning, spelled naively: each side keeps its rows in one
+    /// arrival-ordered list, a probe scans the whole opposite list, and a
+    /// watermark drops, per key, the rows older than the horizon up to that
+    /// key's first younger row. Shares no code with `JoinOp`.
+    #[derive(Default)]
+    struct NestedLoopJoin {
+        sides: [Vec<(Key, Tuple)>; 2],
+    }
+
+    impl NestedLoopJoin {
+        fn probe_insert(&mut self, port: usize, key: Key, row: Tuple, window: u64) -> Vec<Tuple> {
+            let partners = self.sides[1 - port].iter();
+            let matches = partners
+                .filter(|(k, partner)| *k == key && row.ts.abs_diff(partner.ts) <= window)
+                .map(|(_, partner)| {
+                    let (left, right) = if port == 0 {
+                        (&row, partner)
+                    } else {
+                        (partner, &row)
+                    };
+                    let values = left.values.iter().chain(&right.values).cloned().collect();
+                    Tuple::new(left.ts.max(right.ts), values)
+                })
+                .collect();
+            self.sides[port].push((key, row));
+            matches
+        }
+
+        fn evict(&mut self, horizon: u64) {
+            for side in &mut self.sides {
+                let mut shielded = std::collections::HashSet::new();
+                side.retain(|(key, row)| {
+                    shielded.contains(key) || row.ts >= horizon && shielded.insert(key.clone())
+                });
+            }
+        }
+    }
+
+    #[test]
+    fn interned_join_equals_nested_loop_model() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let input = Arc::new(Schema::new(vec![
+            Field::new("symbol", DataType::Str),
+            Field::new("price", DataType::Float),
+            Field::new("account", DataType::Int),
+        ]));
+        let mut rng = StdRng::seed_from_u64(0x101);
+        let mut shapes = std::collections::HashSet::new();
+        // What the join itself counted, net of this test's own row reads.
+        let mut counted = crate::types::work::WorkSnapshot::default();
+        for case in 0..160 {
+            // A 5-symbol pool stays `Dict`, a 300-symbol one decays; or an
+            // `Int` key.
+            let (key_col, pool) = [(0, 5), (0, 300), (2, 7)][case % 3];
+            let window = [10, 50, 400][rng.random_range(0..3usize)];
+            let mut join = JoinOp::new(key_col, key_col, window, input.join(&input));
+            join.set_partitions([1, 2, 4][rng.random_range(0..3usize)]);
+            let mut model = NestedLoopJoin::default();
+            // The two sides' stream dictionaries.
+            let mut dicts: [Vec<crate::types::DictInterner>; 2] =
+                [0, 1].map(|_| input.fields.iter().map(|_| Default::default()).collect());
+            let steps = rng.random_range(2..9usize);
+            let rehome_at = rng.random_range(0..steps);
+            let (mut base, mut watermark) = (0u64, 0u64);
+            for step in 0..steps {
+                if step == rehome_at {
+                    join.set_partitions([1, 2, 4][rng.random_range(0..3usize)]);
+                }
+                let port = rng.random_range(0..2usize);
+                let n = [0, 1, 16, 90][rng.random_range(0..4usize)];
+                base += rng.random_range(0..120u64);
+                // Out-of-order inside the batch, and late against the
+                // watermark.
+                let rows: Vec<Tuple> = (0..n)
+                    .map(|_| {
+                        let key = rng.random_range(0..pool as i64);
+                        Tuple::new(
+                            (base + rng.random_range(0..150u64)).saturating_sub(100),
+                            vec![
+                                Value::str(format!("S{key}")),
+                                Value::Float(rng.random_range(-50.0..50.0)),
+                                Value::Int(key),
+                            ],
+                        )
+                    })
+                    .collect();
+                let mut batch = TupleBatch::with_capacity(input.clone(), n);
+                batch.extend(rows.clone());
+                // The stream's dictionary, a dictionary of the batch's own
+                // (a second producer on this side), or no encoding at all.
+                match rng.random_range(0..4usize) {
+                    0 => batch.seal(),
+                    1 => {}
+                    _ => batch.seal_into(&mut dicts[port]),
+                }
+                shapes.insert((key_col, batch.column(0).as_dict().is_some()));
+                let sel: Option<Vec<u32>> = rng
+                    .random_bool(0.5)
+                    .then(|| (0..n as u32).filter(|_| rng.random_bool(0.5)).collect());
+                crate::types::work::reset();
+                let (out, trace) = join.process(None, port, &batch, sel.as_deref(), true);
+                let snap = crate::types::work::snapshot();
+                counted.rows_materialized += snap.rows_materialized;
+                counted.str_cmps += snap.str_cmps;
+                let mut expected = Vec::new();
+                let mut expected_trace = Vec::new();
+                for i in sel.unwrap_or_else(|| (0..n as u32).collect()) {
+                    let row = rows[i as usize].clone();
+                    let key = Key::from_value(row.value(key_col)).unwrap();
+                    let matches = model.probe_insert(port, key, row, window);
+                    expected_trace.extend(std::iter::repeat_n(i, matches.len()));
+                    expected.extend(matches);
+                }
+                assert_eq!(rows_of(&Vec::from_iter(out)), expected, "case {case}");
+                assert_eq!(trace, Some(expected_trace), "case {case}");
+                watermark = watermark.max((base + rng.random_range(0..100u64)).saturating_sub(80));
+                assert!(join.advance(None, watermark).is_none());
+                model.evict(watermark.saturating_sub(window));
+                let buffered = model.sides.iter().map(Vec::len).sum::<usize>();
+                assert_eq!(join.state_size(), buffered, "case {case}");
+            }
+        }
+        for shape in [(0, true), (0, false), (2, true)] {
+            assert!(shapes.contains(&shape), "{shape:?} never generated");
+        }
+        assert_eq!(counted.rows_materialized, 0, "the join never builds a row");
+        assert_eq!(counted.str_cmps, 0);
+    }
+
+    /// Keys that never come back — an order id, a fresh symbol per row —
+    /// must not grow the interned state: ids are given back behind the
+    /// closing windows and the evicted join rows, outputs stay the models',
+    /// and a stream dictionary's `code → id` table survives the sweeps (the
+    /// recurring symbols go unheld between their batches and are re-interned).
+    #[test]
+    fn ever_fresh_keys_give_their_ids_back() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let input = Arc::new(Schema::new(vec![
+            Field::new("symbol", DataType::Str),
+            Field::new("price", DataType::Float),
+            Field::new("account", DataType::Int),
+        ]));
+        let mut rng = StdRng::seed_from_u64(0xF2E5);
+        for (key_col, partitions, (window, slide)) in
+            [(0, 1, (100, 100)), (2, 2, (100, 50)), (0, 4, (90, 40))]
+        {
+            let out = Schema::new(vec![
+                Field::new("window_end", DataType::Int),
+                input.fields[key_col].clone(),
+                Field::new("sum", DataType::Int),
+            ]);
+            let mut agg =
+                AggregateOp::with_slide(Some(key_col), AggFunc::Sum, 2, window, slide, out, true);
+            let mut join = JoinOp::new(key_col, key_col, window, input.join(&input));
+            agg.set_partitions(partitions);
+            join.set_partitions(partitions);
+            let (mut windows, mut pairs) = (NaiveWindows::default(), NestedLoopJoin::default());
+            let mut dicts: Vec<crate::types::DictInterner> =
+                input.fields.iter().map(|_| Default::default()).collect();
+            let (mut seen, mut base) = (0i64, 0u64);
+            for step in 0..48 {
+                base += 300;
+                // 400 keys nobody has seen, plain; every third step 30 rows
+                // over five recurring symbols, on the stream's dictionary.
+                let recurring = step % 3 == 0;
+                let rows: Vec<Tuple> = (0..if recurring { 30 } else { 400 })
+                    .map(|i| {
+                        let key = if recurring { -(i % 5) } else { seen + i };
+                        let values = vec![
+                            Value::str(format!("K{key}")),
+                            Value::Float(rng.random_range(-50.0..50.0)),
+                            Value::Int(key),
+                        ];
+                        Tuple::new(base + rng.random_range(0..150u64), values)
+                    })
+                    .collect();
+                let mut batch = TupleBatch::with_capacity(input.clone(), rows.len());
+                batch.extend(rows.clone());
+                if recurring {
+                    batch.seal_into(&mut dicts);
+                } else {
+                    seen += 400;
+                }
+                assert_eq!(batch.column(0).as_dict().is_some(), recurring);
+                let port = step % 2;
+                assert!(agg.process(None, 0, &batch, None, false).0.is_none());
+                let joined = join.process(None, port, &batch, None, false).0;
+                let joined_again = join.process(None, 1 - port, &batch, None, false).0;
+                let mut expected: [Vec<Tuple>; 2] = Default::default();
+                for row in rows {
+                    let key = Key::from_value(row.value(key_col)).unwrap();
+                    windows.absorb(window, slide, row.ts, Some(key), row.value(2).clone());
+                }
+                for (side, port) in [(0, port), (1, 1 - port)] {
+                    for row in batch.iter_rows() {
+                        let key = Key::from_value(row.value(key_col)).unwrap();
+                        expected[side].extend(pairs.probe_insert(port, key, row, window));
+                    }
+                }
+                assert_eq!(rows_of(&Vec::from_iter(joined)), expected[0], "step {step}");
+                assert_eq!(rows_of(&Vec::from_iter(joined_again)), expected[1]);
+                let watermark = base - 50;
+                let closed = agg.advance(None, watermark).map(|(closed, _)| closed);
+                let expected = windows.drain(AggFunc::Sum, window, watermark);
+                assert_eq!(rows_of(&Vec::from_iter(closed)), expected, "step {step}");
+                assert!(join.advance(None, watermark).is_none());
+                pairs.evict(watermark - window);
+                let buffered = pairs.sides.iter().map(Vec::len).sum::<usize>();
+                assert_eq!(join.state_size(), buffered, "step {step}");
+                assert_eq!(agg.state_size(), windows.open.len(), "step {step}");
+            }
+            // 12 800 keys went by; what is interned (and every vector
+            // indexed by id) stayed within a few windows' worth.
+            let agg_ids = agg.parts.iter().map(|p| lock_part(p).keys.keys.len());
+            let join_ids = join.parts.iter().map(|p| lock_part(p).keys.keys.len());
+            let (agg_ids, join_ids) = (agg_ids.sum::<usize>(), join_ids.sum::<usize>());
+            assert!(agg_ids < 6_000 && join_ids < 6_000, "{agg_ids} {join_ids}");
+            assert!(agg.parts.iter().all(|p| lock_part(p).keys.epoch > 0));
+            assert!(join.parts.iter().all(|p| lock_part(p).keys.epoch > 0));
+        }
+    }
+
+    #[test]
+    fn window_ends_saturate_at_the_timestamp_extremes() {
+        let schema = Schema::new(vec![
+            Field::new("window_end", DataType::Int),
+            Field::new("symbol", DataType::Str),
+            Field::new("count", DataType::Int),
+        ]);
+        // `u64::MAX` ends in …615: the window of `MAX - 5` starts at …600 and
+        // would end past `u64::MAX`; the one of `2^63 + 50` ends inside
+        // `u64` but past `i64::MAX`.
+        let (late, mid) = (u64::MAX - 5, (1u64 << 63) + 50);
+        for slide in [100, 50] {
+            let agg = AggregateOp::with_slide(
+                Some(0),
+                AggFunc::Count,
+                0,
+                100,
+                slide,
+                schema.clone(),
+                true,
+            );
+            let mut out = Vec::new();
+            feed(
+                &agg,
+                0,
+                qbatch(vec![quote(late, "A", 1.0), quote(mid, "A", 1.0)]),
+                &mut out,
+            );
+            // The largest watermark there is closes every window with a
+            // reachable end — never one whose end overflowed.
+            close(&agg, u64::MAX, &mut out);
+            let rows = rows_of(&out);
+            assert_eq!(rows.len(), 100 / slide as usize, "slide {slide}");
+            for row in &rows {
+                assert!(
+                    row.ts > mid && row.ts <= mid + 100,
+                    "ts is the window's end"
+                );
+                assert_eq!(row.values[0], Value::Int(i64::MAX), "saturated window_end");
+            }
+            out.clear();
+            out.extend(agg.finish());
+            let rows = rows_of(&out);
+            assert!(!rows.is_empty(), "overflowing windows close on finish");
+            for row in &rows {
+                assert_eq!(row.ts, u64::MAX, "the end saturates");
+                assert_eq!(row.values[0], Value::Int(i64::MAX));
+                assert_eq!(row.values[2], Value::Int(1));
+            }
+            assert_eq!(agg.state_size(), 0);
+        }
+    }
+
+    #[test]
+    fn join_window_arithmetic_saturates_at_the_timestamp_extremes() {
+        let schema = quote_schema().join(&quote_schema());
+        let j = JoinOp::new(0, 0, 10, schema);
+        let mut out = Vec::new();
+        feed(
+            &j,
+            0,
+            qbatch(vec![quote(0, "A", 1.0), quote(u64::MAX, "A", 2.0)]),
+            &mut out,
+        );
+        // `abs_diff` spans the whole range without wrapping: each probe
+        // matches only its neighbour.
+        feed(
+            &j,
+            1,
+            qbatch(vec![quote(5, "A", 3.0), quote(u64::MAX - 5, "A", 4.0)]),
+            &mut out,
+        );
+        let ts: Vec<u64> = rows_of(&out).iter().map(|t| t.ts).collect();
+        assert_eq!(ts, vec![5, u64::MAX]);
+        // A watermark below the window saturates the horizon at 0 and
+        // evicts nothing; the largest one evicts all but the newest rows.
+        close(&j, 5, &mut out);
+        assert_eq!(j.state_size(), 4);
+        close(&j, u64::MAX, &mut out);
+        assert_eq!(j.state_size(), 2);
     }
 
     #[test]

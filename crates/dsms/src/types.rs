@@ -236,14 +236,21 @@ pub enum Column {
     Str(Vec<Arc<str>>),
     /// Dictionary-encoded string column: row `i` holds
     /// `dict[codes[i]]`. Equality predicates compare the `u32` codes,
-    /// joins and group-bys hash each distinct code once instead of
-    /// hashing bytes per row, and gathers move codes instead of `Arc`
-    /// refcounts. Built by [`Column::dict_encode`] when the distinct
-    /// count stays within [`Column::DICT_MAX_CARDINALITY`]; columns that
-    /// outgrow the dictionary fall back to [`Column::Str`] transparently.
-    /// The engine seals every ingested batch ([`TupleBatch::seal`]) before
-    /// an operator sees it, so a low-cardinality string column arrives in
-    /// this layout whichever `push*` entry point ingested its rows.
+    /// joins and group-bys translate each code to an interned key id
+    /// through a per-dictionary table instead of hashing bytes per row,
+    /// and gathers move codes and clone one `Arc`.
+    ///
+    /// The dictionary is **shared**: the engine keeps one append-only
+    /// [`DictInterner`] per `(stream, string column)` for the life of the
+    /// stream and seals every ingested batch against it
+    /// ([`TupleBatch::seal_into`]), so a code means the same string in every
+    /// batch of the stream and steady-state batches carry the *same* `Arc` —
+    /// `take`/`split_off` clone the pointer, `append` and the shard merge
+    /// compare it. A batch holds the snapshot that was current when it was
+    /// sealed; growing the dictionary never touches a snapshot already
+    /// handed out. A column that outgrows
+    /// [`Column::DICT_MAX_CARDINALITY`] decays to [`Column::Str`] — for the
+    /// rest of the stream's life (see [`DictInterner`]).
     ///
     /// Invariants: every code indexes into `dict`, and `dict` entries are
     /// distinct (so equal codes ⇔ equal strings).
@@ -251,31 +258,138 @@ pub enum Column {
         /// Per-row indexes into `dict`.
         codes: Vec<u32>,
         /// Distinct string payloads, in first-appearance order.
-        dict: Vec<Arc<str>>,
-        /// Codes of the lexicographically smallest and largest dictionary
-        /// entries — range-predicate pruning metadata maintained by every
-        /// dictionary builder (`(0, 0)` for an empty dictionary). A range
-        /// predicate that rejects both extremes rejects every row of the
-        /// batch without a per-row scan
-        /// ([`work::WorkSnapshot::dict_batches_pruned`] counts those
-        /// short-circuits).
-        extremes: (u32, u32),
+        dict: Arc<StrDict>,
     },
 }
 
-/// Codes of the lexicographically smallest and largest entries of a
-/// dictionary (`(0, 0)` when empty).
-fn dict_extremes(dict: &[Arc<str>]) -> (u32, u32) {
-    let (mut lo, mut hi) = (0u32, 0u32);
-    for (i, s) in dict.iter().enumerate() {
-        if **s < *dict[lo as usize] {
-            lo = i as u32;
+/// The FNV-1a hash the shard partitioner and the partitioned operator
+/// state share — stable across runs and platforms, unlike the std hasher,
+/// so shard assignment is replayable and a key's state partition always
+/// matches the shard its rows hash to.
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x100_0000_01b3);
+    }
+    h
+}
+
+/// The dictionary of a [`Column::Dict`]: distinct strings in
+/// first-appearance order (dereferences to the slice), plus what every
+/// reader would otherwise recompute per batch — each entry's partitioner
+/// hash and the codes of the lexicographic extremes.
+#[derive(Clone, Debug, Default)]
+pub struct StrDict {
+    entries: Vec<Arc<str>>,
+    /// `fnv1a` of each entry's bytes.
+    hashes: Vec<u64>,
+    /// Codes of the lexicographically smallest and largest entries
+    /// (`(0, 0)` when empty) — range-predicate pruning metadata: a range
+    /// predicate that rejects both extremes rejects every row of the batch
+    /// without a per-row scan
+    /// ([`work::WorkSnapshot::dict_batches_pruned`] counts those
+    /// short-circuits).
+    extremes: (u32, u32),
+}
+
+impl StrDict {
+    /// Appends `s` (which must not be present) and returns its code.
+    fn push(&mut self, s: Arc<str>) -> u32 {
+        let code = self.entries.len() as u32;
+        if code == 0 || *s < *self.entries[self.extremes.0 as usize] {
+            self.extremes.0 = code;
         }
-        if **s > *dict[hi as usize] {
-            hi = i as u32;
+        if code == 0 || *s > *self.entries[self.extremes.1 as usize] {
+            self.extremes.1 = code;
+        }
+        self.hashes.push(fnv1a(s.as_bytes()));
+        self.entries.push(s);
+        code
+    }
+
+    /// The partitioner hash of entry `code` (FNV-1a of its bytes, computed
+    /// once per entry, not once per row or batch).
+    pub(crate) fn hash(&self, code: usize) -> u64 {
+        self.hashes[code]
+    }
+}
+
+impl std::ops::Deref for StrDict {
+    type Target = [Arc<str>];
+    fn deref(&self) -> &[Arc<str>] {
+        &self.entries
+    }
+}
+
+impl FromIterator<Arc<str>> for StrDict {
+    /// A dictionary of the given entries, which must be distinct.
+    fn from_iter<I: IntoIterator<Item = Arc<str>>>(entries: I) -> Self {
+        let mut dict = StrDict::default();
+        for s in entries {
+            dict.push(s);
+        }
+        dict
+    }
+}
+
+/// Whether two dictionary handles hold the same entries (one pointer
+/// compare for batches of one stream).
+fn same_dict(a: &Arc<StrDict>, b: &Arc<StrDict>) -> bool {
+    Arc::ptr_eq(a, b) || a.entries == b.entries
+}
+
+/// The writer of one append-only dictionary: a persistent
+/// `string → code` index over the current [`StrDict`] snapshot. The engine
+/// owns one per `(stream, string column)` for the life of the stream;
+/// [`Column::dict_encode`] uses a throwaway one.
+///
+/// **Decay rule:** the batch that brings the
+/// [`Column::DICT_MAX_CARDINALITY`]` + 1`-th distinct string, and every
+/// later batch encoded here, stays [`Column::Str`]. Batches encoded earlier
+/// keep their snapshots and stay valid wherever they are held.
+#[derive(Debug, Default)]
+pub struct DictInterner {
+    codes: std::collections::HashMap<Arc<str>, u32>,
+    dict: Arc<StrDict>,
+    decayed: bool,
+}
+
+impl DictInterner {
+    /// Encodes a plain string column against the dictionary, appending the
+    /// strings it has not seen (first-appearance order, so the encoding is
+    /// deterministic); any other column — or any column once the
+    /// dictionary decayed — is returned unchanged. All per-row byte hashing
+    /// happens here, once, instead of inside every downstream predicate.
+    pub fn encode(&mut self, col: Column) -> Column {
+        let Column::Str(v) = col else { return col };
+        if self.decayed {
+            return Column::Str(v);
+        }
+        let mut codes: Vec<u32> = Vec::with_capacity(v.len());
+        for s in &v {
+            let code = match self.codes.get(s) {
+                Some(&code) => code,
+                None if self.dict.len() >= Column::DICT_MAX_CARDINALITY => {
+                    self.decayed = true;
+                    self.codes = Default::default();
+                    return Column::Str(v);
+                }
+                None => {
+                    // Copy-on-write: batches sealed earlier keep the
+                    // snapshot they were handed.
+                    let code = Arc::make_mut(&mut self.dict).push(s.clone());
+                    self.codes.insert(s.clone(), code);
+                    code
+                }
+            };
+            codes.push(code);
+        }
+        Column::Dict {
+            codes,
+            dict: self.dict.clone(),
         }
     }
-    (lo, hi)
 }
 
 impl Column {
@@ -305,8 +419,7 @@ impl Column {
             Value::Float(f) => Column::Float(vec![*f; n]),
             Value::Str(s) => Column::Dict {
                 codes: vec![0; n],
-                dict: vec![s.clone()],
-                extremes: (0, 0),
+                dict: Arc::new(std::iter::once(s.clone()).collect()),
             },
         }
     }
@@ -344,29 +457,17 @@ impl Column {
     /// store cannot hold a mistyped cell, so this is a hard error rather
     /// than the row layout's debug-only check.
     pub fn push(&mut self, v: Value) {
-        if let Column::Dict {
-            codes,
-            dict,
-            extremes,
-        } = self
-        {
+        if let Column::Dict { codes, dict } = self {
             if let Value::Str(s) = v {
                 // Intern: dictionaries stay small (bounded below), so a
-                // linear probe beats hashing. A value that would push the
-                // dictionary past its cardinality bound decodes the
-                // column back to the plain layout first.
+                // linear probe beats hashing. A new string extends a
+                // private copy of a shared dictionary; one that would push
+                // it past its cardinality bound decodes the column back to
+                // the plain layout first.
                 if let Some(code) = dict.iter().position(|d| **d == *s) {
                     codes.push(code as u32);
                 } else if dict.len() < Self::DICT_MAX_CARDINALITY {
-                    let code = dict.len() as u32;
-                    if dict.is_empty() || *s < *dict[extremes.0 as usize] {
-                        extremes.0 = code;
-                    }
-                    if dict.is_empty() || *s > *dict[extremes.1 as usize] {
-                        extremes.1 = code;
-                    }
-                    dict.push(s);
-                    codes.push(code);
+                    codes.push(Arc::make_mut(dict).push(s));
                 } else {
                     *self = self.decode_to_str();
                     self.push(Value::Str(s));
@@ -446,11 +547,21 @@ impl Column {
         }
     }
 
+    /// The codes and the shared dictionary handle, if this is a
+    /// dictionary-encoded column — for readers that cache per dictionary
+    /// (pointer identity) or want its per-entry partitioner hashes.
+    pub(crate) fn as_shared_dict(&self) -> Option<(&[u32], &Arc<StrDict>)> {
+        match self {
+            Column::Dict { codes, dict } => Some((codes, dict)),
+            _ => None,
+        }
+    }
+
     /// Codes of the lexicographically smallest and largest dictionary
     /// entries, if this is a (non-empty) dictionary-encoded column.
     pub fn dict_extreme_codes(&self) -> Option<(u32, u32)> {
         match self {
-            Column::Dict { dict, extremes, .. } if !dict.is_empty() => Some(*extremes),
+            Column::Dict { dict, .. } if !dict.is_empty() => Some(dict.extremes),
             _ => None,
         }
     }
@@ -465,38 +576,12 @@ impl Column {
         }
     }
 
-    /// Dictionary-encodes a string column when its distinct count fits
-    /// [`Column::DICT_MAX_CARDINALITY`]; any other column (or a
-    /// high-cardinality string column) is returned unchanged. Dictionary
-    /// order is first appearance, so the encoding is deterministic. This
-    /// is the ingestion-boundary builder — all per-row byte hashing
-    /// happens here, once, instead of inside every downstream predicate.
+    /// Dictionary-encodes a string column against a dictionary of its own
+    /// when its distinct count fits [`Column::DICT_MAX_CARDINALITY`]; any
+    /// other column (or a high-cardinality string column) is returned
+    /// unchanged. See [`DictInterner::encode`].
     pub fn dict_encode(self) -> Column {
-        let Column::Str(v) = self else { return self };
-        let mut by_payload: std::collections::HashMap<Arc<str>, u32> =
-            std::collections::HashMap::new();
-        let mut dict: Vec<Arc<str>> = Vec::new();
-        let mut codes: Vec<u32> = Vec::with_capacity(v.len());
-        for s in &v {
-            match by_payload.get(s) {
-                Some(&code) => codes.push(code),
-                None => {
-                    if dict.len() >= Self::DICT_MAX_CARDINALITY {
-                        return Column::Str(v); // too many distincts: stay plain
-                    }
-                    let code = dict.len() as u32;
-                    by_payload.insert(s.clone(), code);
-                    dict.push(s.clone());
-                    codes.push(code);
-                }
-            }
-        }
-        let extremes = dict_extremes(&dict);
-        Column::Dict {
-            codes,
-            dict,
-            extremes,
-        }
+        DictInterner::default().encode(self)
     }
 
     /// Decodes a dictionary column back to the plain layout (cells stay
@@ -513,22 +598,47 @@ impl Column {
 
     /// Gathers the rows at the given indices into a new column (the
     /// selection-vector materialization kernel). Dictionary columns
-    /// gather codes (4-byte moves) and share the dictionary.
+    /// gather codes (4-byte moves) and share the dictionary by pointer.
     pub fn take(&self, sel: &[u32]) -> Column {
         match self {
             Column::Bool(v) => Column::Bool(sel.iter().map(|&i| v[i as usize]).collect()),
             Column::Int(v) => Column::Int(sel.iter().map(|&i| v[i as usize]).collect()),
             Column::Float(v) => Column::Float(sel.iter().map(|&i| v[i as usize]).collect()),
             Column::Str(v) => Column::Str(sel.iter().map(|&i| v[i as usize].clone()).collect()),
-            Column::Dict {
-                codes,
-                dict,
-                extremes,
-            } => Column::Dict {
+            Column::Dict { codes, dict } => Column::Dict {
                 codes: sel.iter().map(|&i| codes[i as usize]).collect(),
                 dict: dict.clone(),
-                extremes: *extremes,
             },
+        }
+    }
+
+    /// Gathers one cell per `(column, row)` pair, from any number of
+    /// source columns of one logical type, into a new plain column — the
+    /// multi-source form of [`Column::take`] (the shard merge, the join's
+    /// match output).
+    ///
+    /// # Panics
+    /// Panics when a source column is not of type `data_type`.
+    pub(crate) fn gather<'a>(
+        data_type: DataType,
+        cells: impl Iterator<Item = (&'a Column, usize)>,
+    ) -> Column {
+        let typed = "gathered cells must have the column's type";
+        match data_type {
+            DataType::Bool => {
+                Column::Bool(cells.map(|(c, i)| c.as_bools().expect(typed)[i]).collect())
+            }
+            DataType::Int => {
+                Column::Int(cells.map(|(c, i)| c.as_ints().expect(typed)[i]).collect())
+            }
+            DataType::Float => {
+                Column::Float(cells.map(|(c, i)| c.as_floats().expect(typed)[i]).collect())
+            }
+            DataType::Str => Column::Str(
+                cells
+                    .map(|(c, i)| c.str_at(i).expect(typed).clone())
+                    .collect(),
+            ),
         }
     }
 
@@ -541,39 +651,30 @@ impl Column {
             Column::Int(v) => Column::Int(v.split_off(at)),
             Column::Float(v) => Column::Float(v.split_off(at)),
             Column::Str(v) => Column::Str(v.split_off(at)),
-            Column::Dict {
-                codes,
-                dict,
-                extremes,
-            } => Column::Dict {
+            Column::Dict { codes, dict } => Column::Dict {
                 codes: codes.split_off(at),
                 dict: dict.clone(),
-                extremes: *extremes,
             },
         }
     }
 
     /// Appends all rows of `other` (must have the same logical type).
-    /// String layouts mix freely: appending a dictionary column to
-    /// another remaps codes through a dictionary union (byte comparisons
-    /// at dictionary granularity only), and a union that outgrows the
+    /// String layouts mix freely: dictionary columns sharing one
+    /// dictionary (the batches of one stream) append codes; otherwise the
+    /// codes remap through a dictionary union (byte comparisons at
+    /// dictionary granularity only), and a union that outgrows the
     /// cardinality bound falls back to the plain layout.
     pub fn append(&mut self, mut other: Column) {
         // Mixed or dictionary string layouts first (logical type Str).
         match (&mut *self, &mut other) {
             (
-                Column::Dict {
-                    codes,
-                    dict,
-                    extremes,
-                },
+                Column::Dict { codes, dict },
                 Column::Dict {
                     codes: ocodes,
                     dict: odict,
-                    ..
                 },
             ) => {
-                if dict == odict {
+                if same_dict(dict, odict) {
                     codes.append(ocodes);
                     return;
                 }
@@ -590,15 +691,7 @@ impl Column {
                                 *self = plain;
                                 return;
                             }
-                            let code = dict.len() as u32;
-                            if dict.is_empty() || **s < *dict[extremes.0 as usize] {
-                                extremes.0 = code;
-                            }
-                            if dict.is_empty() || **s > *dict[extremes.1 as usize] {
-                                extremes.1 = code;
-                            }
-                            dict.push(s.clone());
-                            remap.push(code);
+                            remap.push(Arc::make_mut(dict).push(s.clone()));
                         }
                     }
                 }
@@ -650,7 +743,7 @@ impl PartialEq for Column {
                     dict: odict,
                     ..
                 },
-            ) if dict == odict => codes == ocodes,
+            ) if same_dict(dict, odict) => codes == ocodes,
             (
                 a @ (Column::Str(_) | Column::Dict { .. }),
                 b @ (Column::Str(_) | Column::Dict { .. }),
@@ -755,22 +848,39 @@ impl TupleBatch {
     }
 
     /// Seals the batch at the ingestion boundary: dictionary-encodes every
-    /// plain [`Column::Str`] column ([`Column::dict_encode`]) once, so every
-    /// downstream predicate compares `u32` codes and every key extraction
-    /// hashes each distinct payload once. [`TupleBatch::from_rows`] seals
-    /// what it builds, and the engine seals every batch it hands from its
-    /// ingestion buffer to a flush — whichever `push*` call buffered the
-    /// rows, operators see [`Column::Dict`] for low-cardinality strings.
-    /// A batch with no plain string column is left untouched; a column past
-    /// [`Column::DICT_MAX_CARDINALITY`] stays plain.
+    /// plain [`Column::Str`] column once, so every downstream predicate
+    /// compares `u32` codes and every key extraction resolves each distinct
+    /// payload once. This form gives every column a dictionary of its own
+    /// ([`TupleBatch::from_rows`] seals what it builds this way); the engine
+    /// seals against its stream-lifetime dictionaries instead
+    /// ([`TupleBatch::seal_into`]). A batch with no plain string column is
+    /// left untouched; a column past [`Column::DICT_MAX_CARDINALITY`] stays
+    /// plain.
     pub fn seal(&mut self) {
+        let mut fresh: Vec<_> = self
+            .columns
+            .iter()
+            .map(|_| DictInterner::default())
+            .collect();
+        self.seal_into(&mut fresh);
+    }
+
+    /// [`TupleBatch::seal`] against the caller's dictionaries, one per
+    /// column (those of non-string columns are never touched): a probe into
+    /// a persistent interner per row, and batches sealed against the same
+    /// dictionaries share them by `Arc`. The engine seals every batch it
+    /// hands from its ingestion buffer to a flush here — whichever `push*`
+    /// call buffered the rows, operators see [`Column::Dict`] for
+    /// low-cardinality strings, with codes that mean the same string for
+    /// the life of the stream.
+    pub fn seal_into(&mut self, dicts: &mut [DictInterner]) {
         if !self.columns.iter().any(|c| matches!(c, Column::Str(_))) {
             return;
         }
-        for col in self.columns_mut() {
+        for (col, dict) in self.columns_mut().iter_mut().zip(dicts) {
             if matches!(col, Column::Str(_)) {
                 let plain = std::mem::replace(col, Column::Str(Vec::new()));
-                *col = plain.dict_encode();
+                *col = dict.encode(plain);
             }
         }
     }
@@ -1164,28 +1274,14 @@ impl TupleBatch {
             .map(|&(p, i)| parts[p as usize].ts[i as usize])
             .collect();
         let columns: Vec<Column> = (0..schema.len())
-            .map(|c| {
-                let mut col = Column::with_capacity(schema.fields[c].data_type, total);
-                match &mut col {
-                    Column::Bool(v) => {
-                        for &(p, i) in order {
-                            v.push(parts[p as usize].columns[c].as_bools().unwrap()[i as usize]);
-                        }
-                    }
-                    Column::Int(v) => {
-                        for &(p, i) in order {
-                            v.push(parts[p as usize].columns[c].as_ints().unwrap()[i as usize]);
-                        }
-                    }
-                    Column::Float(v) => {
-                        for &(p, i) in order {
-                            v.push(parts[p as usize].columns[c].as_floats().unwrap()[i as usize]);
-                        }
-                    }
-                    Column::Str(_) => return Self::gather_str_parts(parts, order, c),
-                    Column::Dict { .. } => unreachable!("with_capacity builds plain layouts"),
+            .map(|c| match schema.fields[c].data_type {
+                DataType::Str => Self::gather_str_parts(parts, order, c),
+                data_type => {
+                    let cells = order
+                        .iter()
+                        .map(|&(p, i)| (&parts[p as usize].columns[c], i as usize));
+                    Column::gather(data_type, cells)
                 }
-                col
             })
             .collect();
         TupleBatch::from_columns(schema, ts, columns)
@@ -1193,18 +1289,21 @@ impl TupleBatch {
 
     /// Gathers one string column across parts (the merge boundary). When
     /// every part carries the same dictionary — the common case, since
-    /// shards split one ingestion batch — the merge moves codes and
-    /// shares the dictionary; any layout mix falls back to gathering
-    /// `Arc` payloads.
+    /// shards split one ingestion batch and a stream's batches share one
+    /// dictionary — the merge moves codes and shares the dictionary by
+    /// pointer; any layout mix falls back to gathering `Arc` payloads.
     fn gather_str_parts(parts: &[TupleBatch], order: &[(u32, u32)], c: usize) -> Column {
         let first_dict = parts
             .iter()
             .find(|b| !b.is_empty())
-            .and_then(|b| b.columns[c].as_dict().map(|(_, d)| d));
+            .and_then(|b| b.columns[c].as_shared_dict().map(|(_, d)| d));
         if let Some(dict) = first_dict {
-            let shared = parts
-                .iter()
-                .all(|b| b.is_empty() || b.columns[c].as_dict().is_some_and(|(_, d)| d == dict));
+            let shared = parts.iter().all(|b| {
+                b.is_empty()
+                    || b.columns[c]
+                        .as_shared_dict()
+                        .is_some_and(|(_, d)| same_dict(d, dict))
+            });
             if shared {
                 let codes: Vec<u32> = order
                     .iter()
@@ -1212,22 +1311,14 @@ impl TupleBatch {
                     .collect();
                 return Column::Dict {
                     codes,
-                    dict: dict.to_vec(),
-                    extremes: dict_extremes(dict),
+                    dict: dict.clone(),
                 };
             }
         }
-        Column::Str(
-            order
-                .iter()
-                .map(|&(p, i)| {
-                    parts[p as usize].columns[c]
-                        .str_at(i as usize)
-                        .expect("type-checked string column")
-                        .clone()
-                })
-                .collect(),
-        )
+        let cells = order
+            .iter()
+            .map(|&(p, i)| (&parts[p as usize].columns[c], i as usize));
+        Column::gather(DataType::Str, cells)
     }
 }
 
@@ -1235,8 +1326,10 @@ impl TupleBatch {
 /// `(window start, group-key debug rendering)` — exactly the comparator the
 /// single-threaded aggregate sorts its closed windows by, so merging
 /// per-shard sorted emission runs by `EmitKey` reproduces the global
-/// single-threaded emission order bit for bit.
-pub type EmitKey = (u64, String);
+/// single-threaded emission order bit for bit. The text is rendered once
+/// per interned group, not once per `(window, group)`: every emission of a
+/// group clones the one `Arc`.
+pub type EmitKey = (u64, Arc<str>);
 
 /// Per-row merge tags carried by shard outputs into the deterministic
 /// merge (see [`TupleBatch::interleave_tagged`]).
@@ -1421,7 +1514,7 @@ pub mod work {
         /// rows and gather-indexed rows run scalar and are not counted).
         simd_lanes => count_simd_lanes(n);
         /// Per-row `u32` dictionary-code comparisons (string equality over
-        /// [`super::Column::Dict`] columns) and per-row code-memo key
+        /// [`super::Column::Dict`] columns) and per-row code → key-id
         /// lookups (joins/group-bys keyed off a dictionary column) — the
         /// work that *replaces* per-row string byte comparisons.
         dict_code_cmps => count_dict_code_cmps(n);
@@ -1800,8 +1893,7 @@ mod tests {
         // Two dicts with different layouts but equal rows compare equal.
         let mut other = Column::Dict {
             codes: Vec::new(),
-            dict: Vec::new(),
-            extremes: (0, 0),
+            dict: Arc::default(),
         };
         for s in ["x", "y", "x"] {
             other.push(Value::str(s));

@@ -722,7 +722,7 @@ proptest! {
     /// **Dict-vs-Str equivalence** — string equality filters, symbol
     /// joins, and symbol group-bys over a narrow symbol universe
     /// (dictionary-encoded at ingestion: predicates compare u32 codes,
-    /// keys hash through the per-code memo) and a wide universe past
+    /// keys resolve through the per-dictionary id table) and a wide universe past
     /// `DICT_MAX_CARDINALITY` (decayed back to plain `Str` columns): the
     /// columnar and row kernels agree across batch caps, and the sharded
     /// engine replays the single-threaded run across shards × partition
@@ -1405,4 +1405,114 @@ fn late_join_probe_sees_surviving_state_only() {
         e.take_outputs(cq).is_empty(),
         "evicted state cannot produce late matches"
     );
+}
+
+/// **The 256/257 dictionary decay boundary, mid-stream.** A stream's
+/// dictionary lives as long as the stream: the batch that brings the 257th
+/// distinct symbol and every later batch of the column arrive plain, while
+/// everything sealed earlier — queued, held at a connection point, buffered
+/// in join state, interned in window state — stays valid. Here the 257th
+/// symbol arrives on the first row of a chunk, in the middle of an
+/// aggregate window and of the join window, with the news side still
+/// dictionary-encoded. Outputs, per-node row counts and the string byte
+/// compares all equal a one-row-per-push engine's, a run whose boundary
+/// chunks sat out a transition, and every shard count; the row-kernel
+/// oracle (which counts no columnar compares) agrees on outputs and row
+/// counts.
+#[test]
+fn dictionary_decay_mid_stream_is_invisible() {
+    const CHUNK: usize = 16;
+    // Quotes: one row per ms. Rows 0..512 cycle through 256 symbols; row
+    // 512 — the first of chunk 32 — brings the 257th, and every other row
+    // after it another of 44 new ones.
+    let quote_symbol = |r: usize| match r {
+        r if r >= 512 && r % 2 == 0 => 256 + (r / 2) % 44,
+        r => r % 256,
+    };
+    let chunks: Vec<(Vec<Tuple>, Vec<Tuple>)> = (0..48)
+        .map(|c| {
+            let quotes = (c * CHUNK..(c + 1) * CHUNK)
+                .map(|r| {
+                    let values = vec![
+                        Value::str(format!("s{:03}", quote_symbol(r))),
+                        Value::Float((r * 37 % 1000) as f64 / 4.0),
+                    ];
+                    Tuple::new(r as u64, values)
+                })
+                .collect();
+            let news = (0..4)
+                .map(|k| {
+                    let r = c * CHUNK + 4 * k;
+                    let values = vec![
+                        Value::str(format!("s{:03}", quote_symbol(r + 1))),
+                        Value::str(format!("h{}", r % 3)),
+                    ];
+                    Tuple::new(r as u64 + 2, values)
+                })
+                .collect();
+            (quotes, news)
+        })
+        .collect();
+    let quotes = || LogicalPlan::source("quotes");
+    let plans = [
+        quotes().filter(Expr::col(0).eq(Expr::lit(Value::str("s003")))),
+        quotes().aggregate(Some(0), AggFunc::Count, 0, 100),
+        quotes().sliding_aggregate(Some(0), AggFunc::Avg, 1, 100, 50),
+        quotes().join(LogicalPlan::source("news"), 0, 0, 50),
+    ];
+    let run = |cap: usize, shards: usize, held: bool| {
+        let mut e = engine();
+        e.set_max_batch_size(cap);
+        e.set_shards(shards);
+        e.set_shard_key("quotes", 0).unwrap();
+        e.set_shard_key("news", 0).unwrap();
+        let cqs: Vec<_> = plans
+            .iter()
+            .map(|p| e.add_query(p.clone()).unwrap())
+            .collect();
+        work::reset();
+        for (c, (quotes, news)) in chunks.iter().enumerate() {
+            // Chunks 30..34 straddle the boundary from inside a transition.
+            if held && c == 30 {
+                e.begin_transition();
+            }
+            e.push_rows("quotes", quotes.clone());
+            e.push_rows("news", news.clone());
+            if held && c == 33 {
+                e.end_transition();
+            }
+        }
+        e.finish();
+        let counters = work::snapshot();
+        let nodes: Vec<(u64, u64)> = e
+            .network()
+            .node_ids()
+            .into_iter()
+            .map(|id| {
+                let n = e.network().node(id).unwrap();
+                (n.in_count, n.out_count)
+            })
+            .collect();
+        let outputs: Vec<Vec<Tuple>> = cqs.iter().map(|&cq| e.take_outputs(cq)).collect();
+        // (Code compares are not chunking-invariant: min/max pruning skips
+        // whole batches, and which batches it can skip depends on the cut.)
+        assert!(counters.dict_code_cmps > 0, "the dictionary phase ran");
+        (outputs, nodes, counters.str_cmps)
+    };
+    let reference = run(CHUNK, 1, false);
+    assert!(reference.0.iter().all(|out| !out.is_empty()));
+    // After the decay the filter compares bytes: one per quote row.
+    assert_eq!(reference.2, (48 - 32) * CHUNK as u64);
+    assert_eq!(run(1, 1, false), reference, "one row per push");
+    assert_eq!(
+        run(CHUNK, 1, true).0,
+        reference.0,
+        "held across the boundary"
+    );
+    let oracle = cqac_dsms::ops::with_columnar_kernels(false, || run(CHUNK, 1, false));
+    assert_eq!((&oracle.0, &oracle.1), (&reference.0, &reference.1));
+    for shards in shard_counts() {
+        assert_eq!(run(CHUNK, shards, false), reference, "shards {shards}");
+        assert_eq!(run(1, shards, false), reference, "shards {shards}, cap 1");
+    }
 }
