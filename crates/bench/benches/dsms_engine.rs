@@ -23,7 +23,9 @@
 //! The `shard_count` group sweeps the worker-shard knob (1 vs 2 vs 4) over
 //! the 32-shared-filter workload at batch 64, asserting the deterministic
 //! work counters (`tuples_processed` is shard-count invariant — parallel
-//! execution partitions rows, never duplicates them). The
+//! execution partitions rows, never duplicates them); its `empty_flush`
+//! and `keyed_flush_100_rows` cells time one flush per sample at shards
+//! 1/2, the fixed per-flush cost of the handoff. The
 //! `shard_count_keyed_stateful` group runs a symbol-keyed aggregate+join
 //! workload with the merge barrier *past* the stateful operators,
 //! asserting stateful rows run on the shards with selection pushdown and
@@ -205,6 +207,38 @@ fn bench_shards(c: &mut Criterion) {
             },
         );
     }
+    // The fixed cost of one flush through the handoff, one flush per
+    // sample: an empty flush, and a 100-row keyed flush (the size of the
+    // `auction-day` news flushes) into a symbol-keyed aggregate + join.
+    group.sample_size(2_000);
+    for shards in [1usize, 2] {
+        let mut quotes_feed = StockStream::new(&SYMBOLS, 1, 42);
+        let mut e = DsmsEngine::new()
+            .with_shards(shards)
+            .with_shard_key("quotes", 0)
+            .with_shard_key("news", 0);
+        e.register_stream("quotes", quote_schema());
+        e.register_stream("news", news_schema());
+        let high =
+            LogicalPlan::source("quotes").filter(Expr::col(1).gt(Expr::lit(Value::Float(20.0))));
+        e.add_query(high.clone().aggregate(Some(0), AggFunc::Count, 0, 500))
+            .expect("valid plan");
+        e.add_query(high.join(LogicalPlan::source("news"), 0, 0, 100))
+            .expect("valid plan");
+        e.push_rows("quotes", quotes_feed.next_batch(1_000));
+        group.bench_with_input(BenchmarkId::new("empty_flush", shards), &shards, |b, _| {
+            b.iter(|| e.run_until_quiescent());
+        });
+        let chunks: Vec<Vec<Tuple>> = (0..=2_000).map(|_| quotes_feed.next_batch(100)).collect();
+        let mut chunks = chunks.into_iter();
+        group.bench_with_input(
+            BenchmarkId::new("keyed_flush_100_rows", shards),
+            &shards,
+            |b, _| {
+                b.iter(|| e.push_rows("quotes", chunks.next().expect("one chunk per sample")));
+            },
+        );
+    }
     group.finish();
 
     // Keyed stateful sharding: a symbol-grouped aggregate + symbol-keyed
@@ -242,7 +276,11 @@ fn bench_shards(c: &mut Criterion) {
                 e.push_rows("quotes", quotes_feed.next_batch(64));
                 let warm = cqac_dsms::types::work::snapshot();
                 if shards > 1 {
-                    assert_eq!(warm.pool_spawns as usize, shards, "warmup spawns the pool");
+                    assert_eq!(
+                        warm.pool_spawns as usize,
+                        shards - 1,
+                        "warmup spawns the pool"
+                    );
                 }
                 b.iter(|| {
                     e.push_rows("quotes", quotes_feed.next_batch(5_000));
@@ -331,11 +369,12 @@ fn bench_hot_key_skew(c: &mut Criterion) {
             let snap = cqac_dsms::types::work::snapshot();
             assert!(snap.morsels_executed > 0, "sharded flushes run as morsels");
             // Idle-free: every miss belongs to one bounded victim
-            // sweep (≤ shards-1 per `grab`), and a worker makes one
-            // grab per morsel it executes plus one parking sweep
-            // per wakeup — workers never spin on empty deques.
+            // sweep (≤ shards-1 per `grab`), and each of a pooled
+            // flush's 4 jobs — 3 woken seats and the control thread —
+            // makes one grab per morsel it executes plus one final
+            // sweep — workers never spin on empty deques.
             assert!(
-                snap.steal_misses <= (snap.morsels_executed + snap.pool_wakeups) * 3,
+                snap.steal_misses <= snap.morsels_executed * 3 + snap.pool_wakeups * 4,
                 "steal misses ({}) exceed the sweep bound of {} morsels + {} wakeups",
                 snap.steal_misses,
                 snap.morsels_executed,

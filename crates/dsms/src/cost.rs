@@ -134,6 +134,12 @@ pub struct NodeLoadEstimate {
 /// work stealing keeps the workers busy under key skew that would
 /// otherwise serialize on the hot shard — but pricing the remaining
 /// residue against per-core capacity is still a ROADMAP follow-on.
+///
+/// **Measured:** on the 2-vCPU reference box, `auction-day`'s
+/// `serve_keyed_stateful` serves 1.23 M rows/s at 2 shards against
+/// 1.39 M on one (`engine.s1_rows_per_s`) — a ratio of 0.88, where this
+/// function assumes 2. Taking a measured factor instead changes which
+/// bids win, and is left to a follow-on (ROADMAP direction 1(c)).
 pub fn effective_capacity(per_core: Load, shards: usize) -> Load {
     assert!(shards > 0, "shard count must be positive");
     Load::from_units(per_core.as_f64() * shards as f64)

@@ -107,8 +107,9 @@ pub enum Code {
     /// operators panicked — it stops serving and its bidder's payment is
     /// voided.
     QuarantinedQuery,
-    /// NL062: a pool worker thread died; its work was recovered on the
-    /// control thread and the worker was respawned on the next flush.
+    /// NL062: a worker died at the start of its job; its work was
+    /// recovered on the control thread, and a pool seat's thread was
+    /// respawned before the next flush.
     WorkerDeath,
     /// NL063: ingress exceeded the configured overload budget and whole
     /// ingestion batches were shed, lowest-priority stream first.

@@ -51,8 +51,9 @@ use crate::plan::{LogicalPlan, PlanError};
 use crate::types::{work, DictInterner, MergeTags, Schema, Tuple, TupleBatch};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
+use std::thread::Thread;
 use std::time::{Duration, Instant};
 
 /// Checks that `column` is a hashable (non-float) column of `schema` —
@@ -248,9 +249,13 @@ pub struct DsmsEngine {
     /// loop reaches that producer, reproducing the single-threaded
     /// dispatch interleaving with out-of-plan nodes.
     merged_pending: VecDeque<(u32, Vec<Target>, TupleBatch)>,
-    /// The persistent worker pool (threads spawn lazily on the first
-    /// parallel flush and park between flushes).
+    /// The persistent worker pool (threads spawn on the first parallel
+    /// flush and park between flushes).
     pool: WorkerPool,
+    /// The partitioner's reused buffers: the flush's row indices sorted
+    /// by home shard (units hold ranges of it) and one batch's per-row
+    /// home shards.
+    partition_buf: (Vec<u32>, Vec<u32>),
     /// The fault-injection plan driving soak tests and benches (`None` —
     /// inert — outside them).
     fault: Option<Arc<FaultPlan>>,
@@ -304,6 +309,7 @@ impl DsmsEngine {
             keyed_cache: None,
             merged_pending: VecDeque::new(),
             pool: WorkerPool::default(),
+            partition_buf: (Vec::new(), Vec::new()),
             fault: None,
             pending_panics: Vec::new(),
             quarantine_log: Vec::new(),
@@ -357,7 +363,9 @@ impl DsmsEngine {
     }
 
     /// Sets the worker-shard count (builder form; see
-    /// [`DsmsEngine::set_shards`]).
+    /// [`DsmsEngine::set_shards`]). Measured on the 2-vCPU reference box,
+    /// `auction-day`'s `serve_keyed_stateful` serves 0.88× at 2 shards
+    /// what it serves on one (1.23 M vs 1.39 M rows/s).
     pub fn with_shards(mut self, n: usize) -> Self {
         self.set_shards(n);
         self
@@ -366,7 +374,8 @@ impl DsmsEngine {
     /// Sets the worker-shard count — the knob next to the batch-size and
     /// fusion knobs. `1` (the default) compiles down to the single-threaded
     /// path; `n > 1` runs every flush's share of the one parallel plan
-    /// ([`QueryNetwork::keyed_plan`]) as morsels on `n` pooled workers:
+    /// ([`QueryNetwork::keyed_plan`]) as morsels on `n` workers (this
+    /// thread and `n − 1` pooled seats):
     /// every stream's stateless operators, every join and aggregate keyed
     /// compatibly with a shard key (absorbing into per-shard state
     /// partitions inside the workers), and exact aggregates elsewhere as
@@ -875,12 +884,14 @@ impl DsmsEngine {
     ///    without one deals whole batches round-robin. Subscribers outside
     ///    the plan (shard-incompatible operators, sinks) receive the raw
     ///    batch at flush time, exactly like the single-threaded path.
-    /// 2. **Morsel-driven execution on the pool.** The flush's units are
-    ///    cut into [`Morsel`]s on per-worker deques and one job per worker
-    ///    runs on the persistent [`WorkerPool`] (threads spawn once, then
-    ///    park between flushes): each worker drains its own deque head
-    ///    first, then steals from the other deques' tails
-    ///    ([`MorselScheduler`]), so skewed key distributions rebalance.
+    /// 2. **Morsel-driven execution.** The flush's units are cut into
+    ///    [`Morsel`]s on per-worker deques and one job per worker runs
+    ///    them: job 0 on this thread, the others on the persistent
+    ///    [`WorkerPool`]. Each job drains its own deque head first, then
+    ///    steals from the other deques' tails ([`MorselScheduler`]), so
+    ///    skewed key distributions rebalance. A flush of fewer than
+    ///    [`INLINE_FLUSH_ROWS`] rows runs every job here, one after
+    ///    another: job 0 drains every deque, the others find them empty.
     ///    Every morsel runs the same **mini node loop** ([`run_morsel`]) —
     ///    per-node FIFO queues drained in ascending node order, stateful
     ///    operators absorbing into their home shard's state partition
@@ -912,8 +923,19 @@ impl DsmsEngine {
             return;
         }
         let keyed = self.keyed_plan();
+        let inline = ingested.iter().map(|(_, b)| b.len()).sum::<usize>() < INLINE_FLUSH_ROWS;
+        // The first parallel flush spawns the pool, whatever its size, so
+        // no later flush ever spawns.
+        self.pool.ensure(shards - 1);
 
         // -- 1. Partition ------------------------------------------------
+        // One stable counting sort per keyed batch into the flush's index
+        // buffer `idx` (reused across flushes, like the per-row shard
+        // buffer `homes`): a unit holds its shard's range of it, and the
+        // morsel gathers the rows on whichever worker runs it.
+        let (mut idx, mut homes) = std::mem::take(&mut self.partition_buf);
+        idx.clear();
+        let mut ends: Vec<u32> = Vec::with_capacity(shards);
         let mut units: Vec<Vec<KeyedUnit>> = (0..shards).map(|_| Vec::new()).collect();
         for (batch_idx, (stream, batch)) in ingested.into_iter().enumerate() {
             if let Some(ts) = batch.max_ts() {
@@ -946,28 +968,43 @@ impl DsmsEngine {
                     batch_idx,
                     root: root_idx,
                     batch,
-                    seqs: None,
+                    rows: None,
                 });
                 continue;
             };
-            let mut idxs: Vec<Vec<u32>> = vec![Vec::new(); shards];
             // A dictionary-encoded key column reads each row's hash off
             // the stream's dictionary: no string is hashed here.
             let mut reader = crate::ops::KeyReader::new(batch.column(key));
-            for i in 0..batch.len() {
-                idxs[reader.shard(i, shards)].push(i as u32);
+            homes.clear();
+            homes.extend((0..batch.len()).map(|i| reader.shard(i, shards) as u32));
+            // `ends[s]` counts shard `s`'s rows, turns into its start in
+            // `idx`, and ends as its end.
+            ends.clear();
+            ends.resize(shards, 0);
+            for &s in &homes {
+                ends[s as usize] += 1;
             }
-            for (s, rows) in idxs.into_iter().enumerate() {
-                if rows.is_empty() {
-                    continue;
+            let mut at = idx.len() as u32;
+            for end in &mut ends {
+                at += std::mem::replace(end, at);
+            }
+            let mut lo = idx.len() as u32;
+            idx.resize(idx.len() + batch.len(), 0);
+            for (i, &s) in homes.iter().enumerate() {
+                idx[ends[s as usize] as usize] = i as u32;
+                ends[s as usize] += 1;
+            }
+            for (s, &hi) in ends.iter().enumerate() {
+                if hi > lo {
+                    self.note_shard_rows(&stream, s, u64::from(hi - lo), shards);
+                    units[s].push(KeyedUnit {
+                        batch_idx,
+                        root: root_idx,
+                        batch: batch.clone(),
+                        rows: Some(lo..hi),
+                    });
                 }
-                self.note_shard_rows(&stream, s, rows.len() as u64, shards);
-                units[s].push(KeyedUnit {
-                    batch_idx,
-                    root: root_idx,
-                    batch: batch.take(&rows),
-                    seqs: Some(rows),
-                });
+                lo = hi;
             }
         }
 
@@ -997,12 +1034,13 @@ impl DsmsEngine {
             .collect();
         let run_advance = nodes.iter().any(|n| n.advance);
         if units.iter().all(Vec::is_empty) && !run_advance {
+            self.partition_buf = (idx, homes);
             return;
         }
-        let columnar = crate::ops::columnar_kernels_enabled();
         let ctx = FlushCtx {
             nodes: &nodes,
             plan: &keyed,
+            rows: &idx,
             watermark,
             timing: self.timing,
             fault: self.fault.as_deref(),
@@ -1025,7 +1063,7 @@ impl DsmsEngine {
         let mut deques: Vec<VecDeque<Morsel>> = (0..shards).map(|_| VecDeque::new()).collect();
         for (home, units) in units.into_iter().enumerate() {
             let (chain, free): (Vec<_>, Vec<_>) =
-                units.into_iter().partition(|u| ordered && u.seqs.is_some());
+                units.into_iter().partition(|u| ordered && u.rows.is_some());
             deques[home].extend(free.into_iter().map(|unit| Morsel {
                 home,
                 units: vec![unit],
@@ -1056,97 +1094,91 @@ impl DsmsEngine {
         // emission order stays deterministic.
         let advance_phase = run_advance && !ordered;
 
-        // -- 2b. Morsel-driven execution on the persistent pool ----------
-        let jobs: Vec<ShardJob<'_>> = (0..shards)
-            .map(|worker| {
-                let (ctx, sched) = (&ctx, &sched);
-                let job: ShardJob<'_> = Box::new(move || {
-                    // Injected worker death fires at job start, before any
-                    // morsel runs — a dying worker never leaves a morsel
-                    // half-executed, so its whole deque can be replayed
-                    // inline by the control thread. The desertion flag is
-                    // raised *before* the panic so no survivor can hang on
-                    // the advance barrier waiting for the dead worker's
-                    // share of `pending`.
-                    if let Some(fault) = ctx.fault {
-                        if fault.claims_worker_death(worker) {
-                            sched.deserted.store(true, Ordering::Release);
-                            std::panic::panic_any(WorkerDeath);
-                        }
-                    }
-                    // Pooled workers persist across flushes: counters and
-                    // the columnar switch are re-seeded per job, and the
-                    // end-of-job snapshot is the job's delta. Re-seeding
-                    // (not spawn-time inheritance) is what makes a seat
-                    // respawned after a worker death pick the control
-                    // thread's current setting back up on its next job.
-                    work::reset();
-                    crate::ops::set_columnar_kernels(columnar);
-                    let mut report = ShardReport::default();
-                    while let Some((morsel, stolen)) = sched.grab(worker) {
-                        work::count_morsel_executed();
-                        if stolen {
-                            work::count_morsel_stolen();
-                        }
-                        // Kernel panics are caught per invocation *inside*
-                        // the morsel body (recover-and-continue); this
-                        // outer net only catches genuine executor bugs,
-                        // which still abort the flush.
-                        let done = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                            run_morsel(ctx, worker, morsel, &mut report);
-                        }));
-                        sched.pending.fetch_sub(1, Ordering::AcqRel);
-                        if let Err(payload) = done {
-                            // Unblock the other workers' barriers before
-                            // surfacing the panic through the pool.
-                            sched.aborted.store(true, Ordering::Release);
-                            std::panic::resume_unwind(payload);
-                        }
-                    }
-                    if advance_phase {
-                        // All-absorbed barrier: windows may close only
-                        // once every morsel's rows reached partitioned
-                        // state. The deques are already empty (`grab`
-                        // returned `None`), so this only waits out morsels
-                        // still executing elsewhere. A deserted flush
-                        // releases the barrier early: the dead worker's
-                        // `pending` share may never drain, and whether
-                        // absorption is complete is only known once the
-                        // control thread replays the leftovers — so the
-                        // advance is skipped (recorded via
-                        // `report.advanced`) unless absorption had already
-                        // finished.
-                        while sched.pending.load(Ordering::Acquire) != 0
-                            && !sched.aborted.load(Ordering::Acquire)
-                            && !sched.deserted.load(Ordering::Acquire)
-                        {
-                            std::thread::yield_now();
-                        }
-                        if sched.pending.load(Ordering::Acquire) == 0
-                            && !sched.aborted.load(Ordering::Acquire)
-                        {
-                            run_morsel(ctx, worker, Morsel::advance_only(worker), &mut report);
-                            report.advanced = true;
-                        }
-                    } else {
-                        // No second-phase duty to make up for.
-                        report.advanced = true;
-                    }
-                    report.work = work::snapshot();
-                    report
-                });
-                job
-            })
-            .collect();
-        let results = self.pool.run(jobs);
+        // -- 2b. Morsel-driven execution ---------------------------------
+        // Job `w`. An injected worker death fires at job start, before any
+        // morsel runs — so a dead job's whole deque can be replayed inline
+        // — and raises the desertion flag first, so no survivor hangs on
+        // the advance barrier waiting for the dead job's `pending` share.
+        let job = |worker: usize| -> Option<ShardReport> {
+            if ctx.fault.is_some_and(|f| f.claims_worker_death(worker)) {
+                sched.deserted.store(true, Ordering::Release);
+                return None;
+            }
+            let mut report = ShardReport::default();
+            while let Some((morsel, stolen)) = sched.grab(worker) {
+                work::count_morsel_executed();
+                if stolen {
+                    work::count_morsel_stolen();
+                }
+                // Kernel panics are caught per invocation *inside* the
+                // morsel body (recover-and-continue); this outer net only
+                // catches genuine executor bugs, which still abort the
+                // flush — after unblocking the other jobs' barriers.
+                let done = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                    run_morsel(&ctx, worker, morsel, &mut report);
+                }));
+                sched.pending.fetch_sub(1, Ordering::AcqRel);
+                if let Err(payload) = done {
+                    sched.aborted.store(true, Ordering::Release);
+                    std::panic::resume_unwind(payload);
+                }
+            }
+            // All-absorbed barrier: windows may close only once every
+            // morsel's rows reached partitioned state. The deques are
+            // already empty (`grab` returned `None`), so this only waits
+            // out morsels still executing elsewhere — never on an inline
+            // flush, whose first live job drains every deque. A deserted
+            // flush releases the barrier early: the dead job's `pending`
+            // share may never drain, and whether absorption is complete is
+            // only known once the control thread replays the leftovers —
+            // so the close is skipped (`advanced: false`) unless
+            // absorption had already finished.
+            while advance_phase
+                && sched.pending.load(Ordering::Acquire) != 0
+                && !sched.aborted.load(Ordering::Acquire)
+                && !sched.deserted.load(Ordering::Acquire)
+            {
+                std::thread::yield_now();
+            }
+            report.advanced = !advance_phase
+                || (sched.pending.load(Ordering::Acquire) == 0
+                    && !sched.aborted.load(Ordering::Acquire));
+            if advance_phase && report.advanced {
+                run_morsel(&ctx, worker, Morsel::advance_only(worker), &mut report);
+            }
+            Some(report)
+        };
+        let death = || -> Box<dyn std::any::Any + Send> { Box::new(WorkerDeath) };
+        let results: Vec<std::thread::Result<ShardReport>> = if inline {
+            (0..shards).map(|w| job(w).ok_or_else(death)).collect()
+        } else {
+            // Seats persist across flushes: counters and the columnar
+            // switch are re-seeded per job (so a respawned seat picks the
+            // control thread's setting back up), and the end-of-job
+            // snapshot is the job's delta. Job 0 counts in place.
+            let columnar = crate::ops::columnar_kernels_enabled();
+            let job = &job;
+            let jobs: Vec<ShardJob<'_>> = (1..shards)
+                .map(|worker| -> ShardJob<'_> {
+                    Box::new(move || {
+                        work::reset();
+                        crate::ops::set_columnar_kernels(columnar);
+                        let mut report =
+                            job(worker).unwrap_or_else(|| std::panic::panic_any(WorkerDeath));
+                        report.work = work::snapshot();
+                        report
+                    })
+                })
+                .collect();
+            self.pool.run(jobs, || job(0).ok_or_else(death))
+        };
 
-        // Surface worker deaths: a dying worker posts `Done(Err)` with the
-        // [`WorkerDeath`] marker before its thread exits, and the pool has
-        // already respawned the seat (counted by
-        // [`work::WorkSnapshot::pool_spawns`] — kernel-panic quarantine, by
-        // contrast, keeps workers alive and that counter flat). Its report
-        // defaults to empty; the leftovers are replayed below. Any other
-        // payload is a genuine executor bug and unwinds as before.
+        // Surface deaths: a dead pool seat was already respawned (counted
+        // by [`work::WorkSnapshot::pool_spawns`], which kernel-panic
+        // quarantine keeps flat); a job that died on this thread has no
+        // thread to replace. The report defaults to empty and the
+        // leftovers are replayed below. Any other payload is a genuine
+        // executor bug and unwinds as before.
         let mut deaths: Vec<usize> = Vec::new();
         let mut reports: Vec<(usize, ShardReport)> = Vec::with_capacity(results.len());
         for (w, result) in results.into_iter().enumerate() {
@@ -1164,11 +1196,11 @@ impl DsmsEngine {
         // morsel left on the deques, as its home shard's worker — death
         // fires at job start, so leftover morsels (including chains, whose
         // watermark pass rides inside) are whole; (b) run the
-        // advance-phase duty of every
-        // partition whose worker skipped it (per-partition, so each
-        // partition's windows close exactly once — either on its worker or
-        // here). Recovery outputs join the same deterministic merge as the
-        // pool reports, so the flush's output order is unchanged.
+        // advance-phase duty of every partition whose worker skipped it
+        // (per-partition, so each partition's windows close exactly once —
+        // either on its worker or here). Recovery outputs join the same
+        // deterministic merge as the job reports, so the flush's output
+        // order is unchanged.
         if !deaths.is_empty() {
             let mut recovery = ShardReport::default();
             for deque in &sched.deques {
@@ -1191,14 +1223,12 @@ impl DsmsEngine {
                 self.runtime_report.push(Diagnostic::new(
                     Code::WorkerDeath,
                     Span::Network,
-                    format!(
-                        "pool worker {w} died mid-flush; its morsels were replayed inline and \
-                         the seat respawned"
-                    ),
+                    format!("worker {w} died mid-flush; its morsels were replayed inline"),
                 ));
             }
             reports.push((deaths[0], recovery));
         }
+        self.partition_buf = (idx, homes);
 
         // The plan's watermark handling happened inside the shards: mark
         // every member so the control loop does not re-advance (and
@@ -1729,12 +1759,14 @@ struct KeyedUnit {
     batch_idx: usize,
     /// Index into [`KeyedPlan::roots`].
     root: usize,
+    /// The whole source batch (its columns are shared, not copied).
     batch: TupleBatch,
-    /// Pre-partition row indices of a hash-partitioned slice, aligned with
-    /// its rows — the merge tags. `None` for a whole batch dealt
-    /// round-robin: it lives on one shard, so its outputs merge without
-    /// tags and its kernels run untraced.
-    seqs: Option<Vec<u32>>,
+    /// A hash-partitioned share: its range of the flush's index buffer
+    /// ([`FlushCtx::rows`]) — the pre-partition indices of its rows, which
+    /// the morsel gathers and carries on as merge tags. `None` for a whole
+    /// batch dealt round-robin: it lives on one shard, so its outputs
+    /// merge without tags and its kernels run untraced.
+    rows: Option<std::ops::Range<u32>>,
 }
 
 /// One work item of the morsel scheduler: `home`'s state partitions, the
@@ -1976,6 +2008,9 @@ struct ResolvedKeyedNode<'a> {
 struct FlushCtx<'a> {
     nodes: &'a [ResolvedKeyedNode<'a>],
     plan: &'a KeyedPlan,
+    /// The flush's row indices, grouped by home shard per source
+    /// batch (see [`KeyedUnit::rows`]).
+    rows: &'a [u32],
     /// The flush's merged watermark.
     watermark: u64,
     timing: bool,
@@ -2036,7 +2071,14 @@ fn run_morsel(ctx: &FlushCtx<'_>, worker: usize, morsel: Morsel, report: &mut Sh
     // Seed root targets in source-batch order (= ingestion order), exactly
     // like the single-threaded flush routes raw stream batches.
     for unit in morsel.units {
-        if let Some(ts) = unit.batch.max_ts() {
+        let (batch, tags) = match unit.rows {
+            Some(rows) => {
+                let rows = &ctx.rows[rows.start as usize..rows.end as usize];
+                (unit.batch.take(rows), Some(MergeTags::Rows(rows.to_vec())))
+            }
+            None => (unit.batch, None),
+        };
+        if let Some(ts) = batch.max_ts() {
             report.max_ts = report.max_ts.max(ts);
         }
         let Some((&(last, last_port), rest)) = ctx.plan.roots[unit.root].targets.split_last()
@@ -2044,12 +2086,11 @@ fn run_morsel(ctx: &FlushCtx<'_>, worker: usize, morsel: Morsel, report: &mut Sh
             continue;
         };
         let key = vec![0u32, unit.batch_idx as u32];
-        let tags = unit.seqs.map(MergeTags::Rows);
         for &(n, port) in rest {
             queues[n].push_back(KeyedEntry {
                 key: key.clone(),
                 port,
-                batch: unit.batch.clone(),
+                batch: batch.clone(),
                 sel: None,
                 tags: tags.clone(),
             });
@@ -2057,7 +2098,7 @@ fn run_morsel(ctx: &FlushCtx<'_>, worker: usize, morsel: Morsel, report: &mut Sh
         queues[last].push_back(KeyedEntry {
             key,
             port: last_port,
-            batch: unit.batch,
+            batch,
             sel: None,
             tags,
         });
@@ -2214,18 +2255,45 @@ fn dispatch_keyed(
     }
 }
 
-/// One shard's job for a single flush, borrowing the flush's resolved
-/// plans for its lifetime. The pool blocks until every job of a flush has
-/// reported back before those borrows end.
+/// Rows below which a flush runs every job on the control thread instead
+/// of handing jobs 1.. to the pool (the crate docs' *The handoff*).
+/// A fixed rule on the flush's input, never a timing, so every [`work`]
+/// counter stays a pure function of the input.
+///
+/// Measured on the 2-vCPU reference box: a parked seat starts its job
+/// 40–50 µs after the post, and even with seats spinning a 100-row keyed
+/// flush costs 34 µs pooled against 24 µs inline at 2 shards (the
+/// `shard_count/keyed_flush_100_rows` bench cell). On `auction-day`'s
+/// `serve_keyed_stateful` plans inline beat pooled by 6–10 % at 128- and
+/// 256-row flushes and broke even at 512.
+pub const INLINE_FLUSH_ROWS: usize = 512;
+
+/// How long a waiting side of the pool handoff spins before it parks
+/// (see [`WorkerPool`]). On the reference box a spinning seat starts its
+/// job within ~2 µs of the post; `serve_keyed_stateful` throughput rose
+/// with this bound up to 1 ms — its gap between pooled flushes — and
+/// stayed flat up to 10 ms.
+const SPIN_BEFORE_PARK: Duration = Duration::from_millis(1);
+
+/// One pooled job of a flush, borrowing the flush's resolved plan for its
+/// lifetime. [`WorkerPool::run`] blocks until every job it handed out has
+/// reported back before those borrows end — which is what lets a seat hold
+/// it as `ShardJob<'static>`.
 type ShardJob<'a> = Box<dyn FnOnce() -> ShardReport + Send + 'a>;
 
-/// A parked worker's mailbox.
+/// A pool seat's mailbox. `tag` mirrors the variant `state` holds, so the
+/// side waiting on the mailbox can spin on it without taking the lock.
+struct WorkerSlot {
+    state: Mutex<SlotState>,
+    tag: AtomicU8,
+}
+
 enum SlotState {
-    /// Nothing to do; the worker is parked on the condvar.
+    /// Nothing posted.
     Idle,
-    /// A job to run ('static here; the pool guarantees the real borrows
-    /// outlive the run by blocking until `Done`).
-    Job(Box<dyn FnOnce() -> ShardReport + Send + 'static>),
+    /// A job, the thread to wake with its result, and whether the seat
+    /// may spin while it waits for its next job.
+    Job(ShardJob<'static>, Thread, bool),
     /// The job's result (or its panic payload), awaiting collection.
     /// Boxed: a `ShardReport` is large relative to the other variants.
     Done(Box<std::thread::Result<ShardReport>>),
@@ -2233,9 +2301,47 @@ enum SlotState {
     Exit,
 }
 
-struct WorkerSlot {
-    state: Mutex<SlotState>,
-    cv: Condvar,
+impl SlotState {
+    const JOB: u8 = 1;
+    const DONE: u8 = 2;
+    const EXIT: u8 = 3;
+
+    fn tag(&self) -> u8 {
+        match self {
+            SlotState::Idle => 0,
+            SlotState::Job(..) => Self::JOB,
+            SlotState::Done(_) => Self::DONE,
+            SlotState::Exit => Self::EXIT,
+        }
+    }
+}
+
+impl WorkerSlot {
+    /// Posts `state` into the (idle) mailbox and wakes `reader`.
+    fn post(&self, state: SlotState, reader: &Thread) {
+        let tag = state.tag();
+        *ride_poison(self.state.lock()) = state;
+        self.tag.store(tag, Ordering::Release);
+        reader.unpark();
+    }
+
+    /// Waits for a state whose tag `wanted` accepts and takes it, leaving
+    /// the mailbox idle: first spinning for up to [`SPIN_BEFORE_PARK`] when
+    /// `spin`, then parked until the poster's `unpark` (a spurious wake
+    /// re-checks the tag).
+    fn take(&self, wanted: impl Fn(u8) -> bool, spin: bool) -> SlotState {
+        let start = Instant::now();
+        while !wanted(self.tag.load(Ordering::Acquire)) {
+            if spin && start.elapsed() < SPIN_BEFORE_PARK {
+                std::hint::spin_loop();
+            } else {
+                std::thread::park();
+            }
+        }
+        let mut slot = ride_poison(self.state.lock());
+        self.tag.store(0, Ordering::Relaxed);
+        std::mem::replace(&mut *slot, SlotState::Idle)
+    }
 }
 
 struct PoolWorker {
@@ -2244,14 +2350,17 @@ struct PoolWorker {
 }
 
 /// The persistent worker pool of the parallel executor: one long-lived
-/// thread per shard, spawned lazily on the first parallel flush and
-/// **parked between flushes** (condvar wait — zero CPU). A flush hands
-/// each worker one job through its mailbox and blocks until every job
-/// reports back, so jobs may safely borrow the flush's plan resolution.
-/// Spawns and wakeups are counted
-/// ([`work::WorkSnapshot::pool_spawns`] / [`work::WorkSnapshot::pool_wakeups`]):
-/// after warmup a flush costs wakeups only — the `shard_count` bench pins
-/// zero spawns across its measured pushes.
+/// seat per job after the first (job 0 runs on the control thread),
+/// spawned on the first parallel flush and **parked between flushes**. A
+/// flush posts one job per seat and blocks until every job reports back,
+/// so jobs may safely borrow the flush's plan resolution. Both waiting
+/// sides — a seat for its next job, the control thread for a result —
+/// spin for up to [`SPIN_BEFORE_PARK`] before they park, but only when
+/// the flush's jobs do not outnumber the machine's cores ([`may_spin`]):
+/// oversubscribed by its own jobs, a spinner would take the core the
+/// thread it waits for needs. Spawns
+/// and wakeups are counted ([`work::WorkSnapshot::pool_spawns`] /
+/// [`work::WorkSnapshot::pool_wakeups`]).
 #[derive(Default)]
 pub(crate) struct WorkerPool {
     workers: Vec<PoolWorker>,
@@ -2265,145 +2374,128 @@ impl std::fmt::Debug for WorkerPool {
     }
 }
 
-/// Locks a slot, riding over poisoning (a poisoned slot only means a
-/// worker panicked mid-update; the payload is surfaced via `Done(Err)`).
-fn lock_slot(slot: &WorkerSlot) -> std::sync::MutexGuard<'_, SlotState> {
-    ride_poison(slot.state.lock())
+/// Whether a flush running `jobs` jobs (the control thread's included)
+/// may spin in its handoffs: only when `jobs` does not exceed
+/// `available_parallelism`. The guard is per flush, not per process: it
+/// does not see other threads — other engines' pools, a test harness's
+/// threads — so two 2-shard engines on two cores may each spin on a core
+/// the other needs. What that costs is bounded: each waiting side burns
+/// at most [`SPIN_BEFORE_PARK`] per handoff before it parks, so a thread
+/// a spinner crowds out waits at most that long for its core.
+fn may_spin(jobs: usize) -> bool {
+    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    jobs <= *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from))
+}
+
+fn is_death<T>(result: &std::thread::Result<T>) -> bool {
+    result
+        .as_ref()
+        .err()
+        .is_some_and(|payload| payload.is::<WorkerDeath>())
 }
 
 fn pool_worker_main(slot: Arc<WorkerSlot>) {
-    let mut state = lock_slot(&slot);
+    let mut spin = false;
     loop {
-        match std::mem::replace(&mut *state, SlotState::Idle) {
-            SlotState::Job(job) => {
-                drop(state);
-                let result = std::panic::catch_unwind(AssertUnwindSafe(job));
-                let died = result
-                    .as_ref()
-                    .err()
-                    .is_some_and(|payload| payload.is::<WorkerDeath>());
-                state = lock_slot(&slot);
-                *state = SlotState::Done(Box::new(result));
-                slot.cv.notify_all();
-                if died {
-                    // An injected worker death: the result is posted (so
-                    // the flush's collection loop is unaffected) and the
-                    // thread exits; `run` respawns the seat afterwards.
-                    return;
-                }
-            }
-            SlotState::Exit => return,
-            other => {
-                *state = other;
-                state = ride_poison(slot.cv.wait(state));
-            }
+        let next = slot.take(|t| t == SlotState::JOB || t == SlotState::EXIT, spin);
+        let SlotState::Job(job, control, may_spin) = next else {
+            return;
+        };
+        spin = may_spin;
+        let result = std::panic::catch_unwind(AssertUnwindSafe(job));
+        let died = is_death(&result);
+        slot.post(SlotState::Done(Box::new(result)), &control);
+        if died {
+            // An injected worker death: the result is posted (so the
+            // flush's collection is unaffected) and the thread exits;
+            // `run` respawns the seat afterwards.
+            return;
         }
     }
 }
 
+/// Spawns the thread of pool seat `seat` (job `seat + 1` of a flush).
+fn spawn_seat(seat: usize, slot: &Arc<WorkerSlot>) -> std::thread::JoinHandle<()> {
+    work::count_pool_spawn();
+    let slot = slot.clone();
+    std::thread::Builder::new()
+        .name(format!("cqac-shard-{}", seat + 1))
+        .spawn(move || pool_worker_main(slot))
+        .expect("spawn pool worker")
+}
+
 impl WorkerPool {
-    /// Ensures at least `n` workers exist (spawning is the counted warmup
-    /// cost; parked surplus workers from a larger previous shard count are
+    /// Ensures at least `n` seats exist (spawning is the counted warmup
+    /// cost; parked surplus seats from a larger previous shard count are
     /// kept — they cost no CPU).
     fn ensure(&mut self, n: usize) {
         while self.workers.len() < n {
-            work::count_pool_spawn();
             let slot = Arc::new(WorkerSlot {
                 state: Mutex::new(SlotState::Idle),
-                cv: Condvar::new(),
+                tag: AtomicU8::new(0),
             });
-            let seat = self.workers.len();
-            let thread_slot = slot.clone();
-            let handle = std::thread::Builder::new()
-                .name(format!("cqac-shard-{seat}"))
-                .spawn(move || pool_worker_main(thread_slot))
-                .expect("spawn pool worker");
-            self.workers.push(PoolWorker {
-                slot,
-                handle: Some(handle),
-            });
+            let handle = Some(spawn_seat(self.workers.len(), &slot));
+            self.workers.push(PoolWorker { slot, handle });
         }
     }
 
-    /// Runs one job per shard on the pooled workers and blocks until every
-    /// job reported back, then returns the per-shard results in shard
-    /// order. Panics are *returned*, not re-raised: an injected
-    /// [`WorkerDeath`] is recovered from by the caller (the dead seat is
-    /// respawned here so the next parallel flush finds a full pool), and
+    /// Runs `jobs` on the pool's first seats and `own` on this thread,
+    /// blocks until every seat reported back, and returns the results in
+    /// job order, `own`'s first. Panics are *returned*, not re-raised: an
+    /// injected [`WorkerDeath`] is recovered from by the caller (a dead
+    /// seat is respawned here so the next flush finds a full pool), and
     /// any other payload is re-raised by the caller — in both cases only
     /// after every job has reported back, so no borrow escapes.
-    fn run(&mut self, jobs: Vec<ShardJob<'_>>) -> Vec<std::thread::Result<ShardReport>> {
-        let n = jobs.len();
-        self.ensure(n);
-        for (i, job) in jobs.into_iter().enumerate() {
-            // SAFETY: the loop below blocks until every dispatched job is
-            // `Done` before this function returns, so the `'env` borrows
-            // captured by the job strictly outlive its execution.
-            let job: Box<dyn FnOnce() -> ShardReport + Send + 'static> =
-                unsafe { std::mem::transmute(job) };
-            let slot = &self.workers[i].slot;
-            let mut state = lock_slot(slot);
-            *state = SlotState::Job(job);
+    fn run(
+        &mut self,
+        jobs: Vec<ShardJob<'_>>,
+        own: impl FnOnce() -> std::thread::Result<ShardReport>,
+    ) -> Vec<std::thread::Result<ShardReport>> {
+        let seats = jobs.len();
+        let spin = may_spin(seats + 1);
+        let control = std::thread::current();
+        self.ensure(seats);
+        for (w, job) in self.workers.iter().zip(jobs) {
+            // SAFETY: every posted job is collected below before this
+            // function returns — a panic of `own` is caught first — so the
+            // `'env` borrows captured by the job strictly outlive it.
+            let job: ShardJob<'static> = unsafe { std::mem::transmute(job) };
             work::count_pool_wakeup();
-            slot.cv.notify_all();
+            let seat = w.handle.as_ref().expect("a live seat").thread();
+            w.slot
+                .post(SlotState::Job(job, control.clone(), spin), seat);
         }
-        let mut results: Vec<std::thread::Result<ShardReport>> = Vec::with_capacity(n);
-        for w in &self.workers[..n] {
-            let mut state = lock_slot(&w.slot);
-            loop {
-                match std::mem::replace(&mut *state, SlotState::Idle) {
-                    SlotState::Done(result) => {
-                        results.push(*result);
-                        break;
-                    }
-                    other => {
-                        *state = other;
-                        state = ride_poison(w.slot.cv.wait(state));
-                    }
+        let own = std::panic::catch_unwind(AssertUnwindSafe(own)).and_then(|r| r);
+        let mut results = vec![own];
+        for w in &self.workers[..seats] {
+            let SlotState::Done(result) = w.slot.take(|t| t == SlotState::DONE, spin) else {
+                unreachable!("a seat answers its job with the result");
+            };
+            results.push(*result);
+        }
+        // Every job has finished; the flush's borrows are released. A seat
+        // whose thread died to an injected WorkerDeath gets a fresh thread
+        // now (a counted spawn), so the pool is whole again.
+        for seat in 0..seats {
+            if is_death(&results[seat + 1]) {
+                let w = &mut self.workers[seat];
+                if let Some(handle) = w.handle.take() {
+                    // It posted `Done` before exiting: the join is immediate.
+                    let _ = handle.join();
                 }
-            }
-        }
-        // Every job has finished; the flush's borrows are released. Any
-        // seat whose thread died to an injected WorkerDeath gets a fresh
-        // thread now (a counted spawn), so the pool is whole again before
-        // the next flush.
-        for (i, result) in results.iter().enumerate() {
-            if result
-                .as_ref()
-                .err()
-                .is_some_and(|payload| payload.is::<WorkerDeath>())
-            {
-                self.respawn(i);
+                w.handle = Some(spawn_seat(seat, &w.slot));
             }
         }
         results
-    }
-
-    /// Replaces worker `i`'s exited thread with a fresh one on the same
-    /// slot (the mailbox is already back to `Idle` after collection).
-    fn respawn(&mut self, i: usize) {
-        let w = &mut self.workers[i];
-        if let Some(handle) = w.handle.take() {
-            // The thread posted `Done` before exiting, so this join is
-            // immediate; it also clears the exited thread's resources.
-            let _ = handle.join();
-        }
-        work::count_pool_spawn();
-        let thread_slot = w.slot.clone();
-        let handle = std::thread::Builder::new()
-            .name(format!("cqac-shard-{i}"))
-            .spawn(move || pool_worker_main(thread_slot))
-            .expect("spawn pool worker");
-        w.handle = Some(handle);
     }
 }
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
         for w in &self.workers {
-            let mut state = lock_slot(&w.slot);
-            *state = SlotState::Exit;
-            w.slot.cv.notify_all();
+            if let Some(handle) = &w.handle {
+                w.slot.post(SlotState::Exit, handle.thread());
+            }
         }
         for w in &mut self.workers {
             if let Some(handle) = w.handle.take() {

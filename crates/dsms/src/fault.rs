@@ -4,8 +4,8 @@
 //! ([`crate::engine::DsmsEngine::set_fault_plan`]) that makes failures
 //! *reproducible*: it can panic the Nth kernel invocation of a chosen
 //! operator kind, poison every kernel invocation whose input batch carries
-//! a chosen event timestamp, and kill a pool worker thread outright when it
-//! is woken for a chosen job. The engine's quarantine machinery
+//! a chosen event timestamp, and kill a worker outright when it starts a
+//! chosen job. The engine's quarantine machinery
 //! (`engine.rs`) is what recovers; this module only *triggers*.
 //!
 //! Triggers are counted with atomics so the plan can be `Arc`-shared
@@ -19,8 +19,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// The panic payload of an injected **worker death** — recognized by the
 /// worker pool, which lets the thread exit (instead of treating the panic
-/// as a kernel fault) and respawns a replacement on the next parallel
-/// flush (counted by [`crate::types::work::WorkSnapshot::pool_spawns`]).
+/// as a kernel fault) and respawns a replacement once the flush's jobs
+/// have reported back (counted by
+/// [`crate::types::work::WorkSnapshot::pool_spawns`]). A job that dies on
+/// the control thread deserts the same way but has no thread to replace.
 #[derive(Clone, Copy, Debug)]
 pub struct WorkerDeath;
 
@@ -49,7 +51,7 @@ pub struct FaultPlan {
     /// timestamp panics (a poison row: content-triggered, so the fault
     /// site is independent of shard count and morsel scheduling).
     poison_ts: Option<u64>,
-    /// Kill worker `w` when it is woken for its `n`-th (1-based) job.
+    /// Kill worker `w` when it starts its `n`-th (1-based) job.
     kill_worker: Option<(usize, u64)>,
     /// Per-worker job counters for the kill trigger (up to 64 workers;
     /// larger pools never trigger beyond this, which is fine for a test
@@ -105,9 +107,11 @@ impl FaultPlan {
         self
     }
 
-    /// Kills pool worker `worker` when it is woken for its `nth` (1-based)
-    /// job (builder form). The thread exits; the pool respawns a
-    /// replacement on the next parallel flush.
+    /// Kills worker `worker` when it starts its `nth` (1-based) job
+    /// (builder form). Job 0 of every flush, and every job of a flush
+    /// below [`crate::engine::INLINE_FLUSH_ROWS`], runs on the control
+    /// thread: its death deserts and replays like a pool seat's, but no
+    /// thread exits. A pool seat's thread exits and the pool respawns it.
     ///
     /// # Panics
     /// Panics when `nth == 0`.
@@ -166,11 +170,11 @@ impl FaultPlan {
         }
     }
 
-    /// The worker-wakeup hook: counts one job for `worker` and reports
+    /// The job-start hook: counts one job for `worker` and reports
     /// whether the worker should die *now* (one-shot). Called by the
-    /// engine at the start of each pooled job, before any morsel runs, so
-    /// an injected death never leaves a morsel half-executed — its whole
-    /// deque is recovered on the control thread.
+    /// engine at the start of each job of a parallel flush, before any
+    /// morsel runs, so an injected death never leaves a morsel
+    /// half-executed — its whole deque is recovered on the control thread.
     pub fn claims_worker_death(&self, worker: usize) -> bool {
         let Some((w, nth)) = self.kill_worker else {
             return false;

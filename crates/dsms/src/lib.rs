@@ -250,23 +250,21 @@
 //!    else behind members as *partial* members (below). Subscribers
 //!    outside the plan — shard-incompatible operators and sinks — receive
 //!    raw batches at flush time, exactly like the single-threaded engine.
-//! 2. **Morsel-driven execution on the pool.** Each of the flush's work
-//!    units becomes one **morsel** — a batch-sized, sequence-tagged work
-//!    item — dealt onto **per-worker deques**: worker `w`'s deque holds the
-//!    morsels whose rows hash-partitioned to home shard `w` (plus its
-//!    round-robin share). One job per worker runs on a **persistent
-//!    worker pool** (long-lived threads spawn once, park on condvar
-//!    inboxes, wake per flush — [`types::work::WorkSnapshot::pool_spawns`]
-//!    stays flat after warmup): each worker pops its *own deque's head*
-//!    first, and when that runs dry **steals from the tail** of the next
-//!    busy worker's deque — so a zipf-skewed key distribution that floods
-//!    one home shard rebalances across whichever workers are idle. Executed,
+//! 2. **Morsel-driven execution.** Each of the flush's work units becomes
+//!    one **morsel** — a batch-sized, sequence-tagged work item — dealt
+//!    onto **per-worker deques**: a deque holds the morsels whose rows
+//!    hash-partitioned to one home shard (plus its round-robin share).
+//!    One job per worker drains them (see *The handoff* below for where
+//!    the jobs run): each job pops its *own deque's head* first, and when
+//!    that runs dry **steals from the tail** of the next busy worker's
+//!    deque — so a zipf-skewed key distribution that floods one home
+//!    shard rebalances across whichever workers are idle. Executed,
 //!    stolen, and missed-steal morsels are counted
 //!    ([`types::work::WorkSnapshot::morsels_executed`] /
 //!    [`types::work::WorkSnapshot::morsels_stolen`] /
 //!    [`types::work::WorkSnapshot::steal_misses`]); a worker sweeps the
 //!    victim deques at most once per grab, so the counters also pin that
-//!    nobody spins. Every morsel has **one shape** — a home shard, its
+//!    nobody spins on empty deques. Every morsel has **one shape** — a home shard, its
 //!    units, and whether the watermark pass rides inside — and one body:
 //!    a mini node loop over the plan that invokes each member through the
 //!    same [`ops::Operator::process`] / [`ops::Operator::advance`] the
@@ -336,6 +334,36 @@
 //! ([`ops::Operator::set_partitions`]), so each group's partials
 //! meet in one partition before any per-partition close.
 //!
+//! **The handoff.** Job 0 of every flush runs on the control thread
+//! itself, so the **persistent worker pool** holds `shards − 1` seats —
+//! long-lived threads, spawned on the first parallel flush and parked
+//! between flushes ([`types::work::WorkSnapshot::pool_spawns`] `==
+//! shards − 1` stays flat after warmup). A pooled flush posts one job
+//! per seat ([`types::work::WorkSnapshot::pool_wakeups`]), runs job 0,
+//! and joins.
+//! Both waiting sides — a seat for its next job, the control thread for a
+//! seat's result — **spin for up to 1 ms before they park**, but only
+//! while the flush's jobs do not outnumber the cores (`shards ≤
+//! available_parallelism`): oversubscribed, a spinner would take the core
+//! the thread it waits for needs, so both park at once. The guard counts
+//! one flush's jobs, not every thread of the process — two sharded
+//! engines side by side may spin on each other's cores, each for at most
+//! 1 ms per handoff. A flush of fewer
+//! than [`engine::INLINE_FLUSH_ROWS`] rows wakes nobody: every job runs
+//! on the control thread in seat order — job 0 drains every deque, the
+//! rest find them empty — which a fixed row count decides, never a
+//! timing, so every work counter stays a pure function of the input.
+//! An injected worker death ([`fault::FaultPlan::with_worker_death`]) of
+//! a job on the control thread deserts and replays exactly like a pool
+//! seat's, without a thread to respawn.
+//!
+//! **State partitions = workers.** Keyed state is hash-partitioned into
+//! exactly `shards` partitions, one per home shard. Cutting `k × shards`
+//! partitions (more, smaller chain morsels for stealing to balance) was
+//! measured at k = 2 and 4 and lost to k = 1 on `serve_keyed_stateful`:
+//! every extra partition costs each flush another pass over the plan's
+//! stateless members and another merge part, more than the balance gains.
+//!
 //! **One schedule.** Nothing about the schedule is configurable: a
 //! morsel carries exactly one unit (the finest stealable grain) unless it
 //! is a chain, which carries a home shard's whole hash-partitioned unit
@@ -376,7 +404,11 @@
 //! a query's full multi-core load — including the keyed stateful fraction,
 //! which now genuinely runs on the shards — and the admission auction
 //! compares it against [`cost::effective_capacity`] — `shards × per-core
-//! capacity`.
+//! capacity`. That is still more than two shards deliver: on the 2-vCPU
+//! reference box `serve_keyed_stateful` serves 0.88× at 2 shards what the
+//! same flushes serve on one (1.23 M vs 1.39 M rows/s; 0.62× before the
+//! handoff above). Pricing capacity from a measured factor changes
+//! admissions and is left to a follow-on (ROADMAP direction 1(c)).
 //!
 //! ## Static verification
 //!
@@ -444,7 +476,8 @@
 //!   desertion flag releases the survivors' advance barrier, the control
 //!   thread drains the dead worker's remaining morsels inline and runs the
 //!   skipped watermark passes partition by partition, and the pool
-//!   respawns the seat before the next flush. [`center::DsmsCenter`]
+//!   respawns the seat before the next flush (a job that died on the
+//!   control thread has no seat to respawn). [`center::DsmsCenter`]
 //!   absorbs quarantines into the billing layer: the quarantined bidder's
 //!   payment for the day is zeroed and the bidder sits out the next
 //!   auction round (rejected pre-auction with the quarantine report).

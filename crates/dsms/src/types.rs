@@ -1122,61 +1122,15 @@ impl TupleBatch {
         self.ts.iter().copied().max()
     }
 
-    /// Merges shard outputs back into one batch ordered by their sequence
+    /// Merges shard outputs back into one batch ordered by their merge
     /// tags — the deterministic merge of the shard-per-stream executor.
     ///
-    /// Each part is an output batch plus, aligned with its rows, the
-    /// original (strictly increasing within a part) row sequence numbers
-    /// the rows carried before hash partitioning. The merged batch holds
-    /// every row of every part, ordered by sequence tag — i.e. the exact
-    /// row order a single-threaded run would have produced. The merge is
-    /// columnar (no row materialization); rows crossing a shard boundary
-    /// are counted by [`work::WorkSnapshot::shard_merge_rows`].
-    ///
-    /// Returns `None` when every part is empty.
-    ///
-    /// # Panics
-    /// Debug builds panic when parts disagree on schema types, when a
-    /// part's tags are not aligned with its rows, or when tags collide.
-    pub fn interleave(parts: Vec<(TupleBatch, Vec<u32>)>) -> Option<TupleBatch> {
-        debug_assert!(
-            parts.iter().all(|(b, s)| b.len() == s.len()),
-            "sequence tags must align with part rows"
-        );
-        let mut parts: Vec<(TupleBatch, Vec<u32>)> =
-            parts.into_iter().filter(|(b, _)| !b.is_empty()).collect();
-        if parts.len() <= 1 {
-            return parts.pop().map(|(b, _)| b);
-        }
-        let total: usize = parts.iter().map(|(b, _)| b.len()).sum();
-        // The global order: every (tag, part, row) triple sorted by tag.
-        // Tags are unique (each names one pre-partition row), so the order
-        // is total and shard-count independent.
-        let mut order: Vec<(u32, u32, u32)> = Vec::with_capacity(total);
-        for (p, (_, seqs)) in parts.iter().enumerate() {
-            debug_assert!(
-                seqs.windows(2).all(|w| w[0] < w[1]),
-                "per-part sequence tags must be strictly increasing"
-            );
-            order.extend(
-                seqs.iter()
-                    .enumerate()
-                    .map(|(i, &s)| (s, p as u32, i as u32)),
-            );
-        }
-        order.sort_unstable();
-        debug_assert!(
-            order.windows(2).all(|w| w[0].0 != w[1].0),
-            "sequence tags must be unique across parts"
-        );
-        let order: Vec<(u32, u32)> = order.into_iter().map(|(_, p, i)| (p, i)).collect();
-        let batches: Vec<TupleBatch> = parts.into_iter().map(|(b, _)| b).collect();
-        Some(Self::gather_parts(&batches, &order))
-    }
-
-    /// Merges shard outputs whose per-row merge tags may repeat *within* a
-    /// part — the generalization [`TupleBatch::interleave`] needs once the
-    /// merge barrier moves past keyed stateful operators:
+    /// Each part is an output batch plus, aligned with its rows, its merge
+    /// tags. [`MergeTags::Rows`] are the row sequence numbers the rows
+    /// carried before hash partitioning, so the merged batch holds every
+    /// row of every part in the exact row order a single-threaded run
+    /// would have produced. Tags may repeat *within* a part once the merge
+    /// barrier moves past keyed stateful operators:
     ///
     /// * a **join** emits one output row per (probe row, partner) pair, so
     ///   several output rows of one shard share the probe row's sequence
@@ -1192,71 +1146,49 @@ impl TupleBatch {
     /// lives on exactly one shard); ties across parts would make the order
     /// ill-defined and are a caller bug.
     ///
+    /// The merge order is computed once, as the part each output row comes
+    /// from — a part's rows keep their order, so that sequence places every
+    /// row — and every column is gathered by it, moving cells out of the
+    /// parts rather than cloning them. The merge is columnar (no row
+    /// materialization); rows crossing a shard boundary are counted by
+    /// [`work::WorkSnapshot::shard_merge_rows`].
+    ///
     /// Returns `None` when every part is empty.
+    ///
+    /// # Panics
+    /// Panics when parts disagree on column types. Debug builds also panic
+    /// when a part's tags are not aligned with its rows or decrease, when
+    /// parts mix tag kinds, or when tags collide across parts.
     pub fn interleave_tagged(parts: Vec<(TupleBatch, MergeTags)>) -> Option<TupleBatch> {
         debug_assert!(
             parts.iter().all(|(b, t)| b.len() == t.len()),
             "merge tags must align with part rows"
         );
-        let mut parts: Vec<(TupleBatch, MergeTags)> =
-            parts.into_iter().filter(|(b, _)| !b.is_empty()).collect();
-        if parts.len() <= 1 {
-            return parts.pop().map(|(b, _)| b);
+        let (batches, tags): (Vec<TupleBatch>, Vec<MergeTags>) =
+            parts.into_iter().filter(|(b, _)| !b.is_empty()).unzip();
+        if batches.len() <= 1 {
+            return batches.into_iter().next();
         }
-        // (part, row) pairs sorted by (tag, part, row): stable within a
-        // part for repeated tags, total across parts for disjoint tags.
-        let order: Vec<(u32, u32)> = match &parts[0].1 {
-            MergeTags::Rows(_) => {
-                let mut order: Vec<(u32, u32, u32)> = Vec::new();
-                for (p, (_, tags)) in parts.iter().enumerate() {
-                    let MergeTags::Rows(rows) = tags else {
-                        debug_assert!(false, "mixed merge-tag kinds in one merge group");
-                        continue;
-                    };
-                    debug_assert!(
-                        rows.windows(2).all(|w| w[0] <= w[1]),
-                        "per-part row tags must be non-decreasing"
-                    );
-                    order.extend(
-                        rows.iter()
-                            .enumerate()
-                            .map(|(i, &s)| (s, p as u32, i as u32)),
-                    );
-                }
-                order.sort_unstable();
-                order.into_iter().map(|(_, p, i)| (p, i)).collect()
-            }
-            MergeTags::Emits(_) => {
-                let mut order: Vec<(&EmitKey, u32, u32)> = Vec::new();
-                for (p, (_, tags)) in parts.iter().enumerate() {
-                    let MergeTags::Emits(keys) = tags else {
-                        debug_assert!(false, "mixed merge-tag kinds in one merge group");
-                        continue;
-                    };
-                    debug_assert!(
-                        keys.windows(2).all(|w| w[0] <= w[1]),
-                        "per-part emit keys must be non-decreasing"
-                    );
-                    order.extend(
-                        keys.iter()
-                            .enumerate()
-                            .map(|(i, k)| (k, p as u32, i as u32)),
-                    );
-                }
-                order.sort();
-                order.into_iter().map(|(_, p, i)| (p, i)).collect()
-            }
+        let from = match &tags[0] {
+            MergeTags::Rows(_) => merge_runs(tags.iter().map(|t| match t {
+                MergeTags::Rows(rows) => rows.as_slice(),
+                MergeTags::Emits(_) => mixed_tags(),
+            })),
+            MergeTags::Emits(_) => merge_runs(tags.iter().map(|t| match t {
+                MergeTags::Emits(keys) => keys.as_slice(),
+                MergeTags::Rows(_) => mixed_tags(),
+            })),
         };
-        let batches: Vec<TupleBatch> = parts.into_iter().map(|(b, _)| b).collect();
-        Some(Self::gather_parts(&batches, &order))
+        Some(Self::gather_parts(batches, &from))
     }
 
-    /// Gathers `(part, row)` pairs out of the part batches into one merged
-    /// batch, columnar (no row materialization). Rows crossing a shard
-    /// boundary are counted by [`work::WorkSnapshot::shard_merge_rows`].
-    fn gather_parts(parts: &[TupleBatch], order: &[(u32, u32)]) -> TupleBatch {
-        let total = order.len();
-        work::count_shard_merge_rows(total as u64);
+    /// Builds the merged batch: output row `k` is the next unread row of
+    /// part `from[k]`. The parts are consumed, so string cells move instead
+    /// of touching their reference counts (columns still shared elsewhere
+    /// are cloned first). Rows crossing a shard boundary are counted by
+    /// [`work::WorkSnapshot::shard_merge_rows`].
+    fn gather_parts(parts: Vec<TupleBatch>, from: &[u32]) -> TupleBatch {
+        work::count_shard_merge_rows(from.len() as u64);
         let schema = parts[0].schema.clone();
         debug_assert!(
             parts.iter().all(|b| {
@@ -1269,56 +1201,128 @@ impl TupleBatch {
             }),
             "interleaved parts must be type-compatible"
         );
-        let ts: Vec<u64> = order
-            .iter()
-            .map(|&(p, i)| parts[p as usize].ts[i as usize])
+        let mut ts = Vec::with_capacity(parts.len());
+        let mut columns: Vec<Vec<Column>> = schema.fields.iter().map(|_| Vec::new()).collect();
+        for part in parts {
+            ts.push(Arc::unwrap_or_clone(part.ts));
+            for (c, col) in Arc::unwrap_or_clone(part.columns).into_iter().enumerate() {
+                columns[c].push(col);
+            }
+        }
+        let columns = columns
+            .into_iter()
+            .map(|parts| Column::interleave(parts, from))
             .collect();
-        let columns: Vec<Column> = (0..schema.len())
-            .map(|c| match schema.fields[c].data_type {
-                DataType::Str => Self::gather_str_parts(parts, order, c),
-                data_type => {
-                    let cells = order
-                        .iter()
-                        .map(|&(p, i)| (&parts[p as usize].columns[c], i as usize));
-                    Column::gather(data_type, cells)
-                }
-            })
-            .collect();
-        TupleBatch::from_columns(schema, ts, columns)
+        TupleBatch::from_columns(schema, interleave_parts(ts, from), columns)
     }
+}
 
-    /// Gathers one string column across parts (the merge boundary). When
-    /// every part carries the same dictionary — the common case, since
-    /// shards split one ingestion batch and a stream's batches share one
-    /// dictionary — the merge moves codes and shares the dictionary by
-    /// pointer; any layout mix falls back to gathering `Arc` payloads.
-    fn gather_str_parts(parts: &[TupleBatch], order: &[(u32, u32)], c: usize) -> Column {
-        let first_dict = parts
-            .iter()
-            .find(|b| !b.is_empty())
-            .and_then(|b| b.columns[c].as_shared_dict().map(|(_, d)| d));
-        if let Some(dict) = first_dict {
-            let shared = parts.iter().all(|b| {
-                b.is_empty()
-                    || b.columns[c]
-                        .as_shared_dict()
-                        .is_some_and(|(_, d)| same_dict(d, dict))
-            });
-            if shared {
-                let codes: Vec<u32> = order
-                    .iter()
-                    .map(|&(p, i)| parts[p as usize].columns[c].as_dict().unwrap().0[i as usize])
-                    .collect();
+/// Merges sorted runs whose keys are disjoint across runs (keys may repeat
+/// within one): the run each element of the merged order comes from —
+/// `(key, run, index)` order, with one comparison per run per element
+/// instead of a sort.
+fn merge_runs<'a, K: Ord + 'a>(runs: impl Iterator<Item = &'a [K]>) -> Vec<u32> {
+    let mut runs: Vec<&[K]> = runs.collect();
+    debug_assert!(
+        runs.iter().all(|r| r.windows(2).all(|w| w[0] <= w[1])),
+        "per-part merge tags must be non-decreasing"
+    );
+    let total = runs.iter().map(|r| r.len()).sum();
+    (0..total)
+        .map(|_| {
+            // `min_by_key` keeps the first of equal minima: the lower run.
+            let (p, k) = runs
+                .iter()
+                .enumerate()
+                .filter_map(|(p, r)| r.first().map(|k| (p, k)))
+                .min_by_key(|&(_, k)| k)
+                .expect("a run is left while elements are");
+            debug_assert!(
+                runs.iter()
+                    .enumerate()
+                    .all(|(q, r)| q == p || r.first() != Some(k)),
+                "merge tags must be disjoint across parts"
+            );
+            runs[p] = &runs[p][1..];
+            p as u32
+        })
+        .collect()
+}
+
+/// The empty tag run of a part whose tags are of the other kind — a
+/// caller bug, asserted in debug builds (release builds drop the part).
+fn mixed_tags<K>() -> &'static [K] {
+    debug_assert!(false, "mixed merge-tag kinds in one merge group");
+    &[]
+}
+
+/// Interleaves owned per-part vectors: element `k` is the next unread
+/// element of part `from[k]`.
+fn interleave_parts<T>(parts: impl IntoIterator<Item = Vec<T>>, from: &[u32]) -> Vec<T> {
+    let mut parts: Vec<std::vec::IntoIter<T>> = parts.into_iter().map(Vec::into_iter).collect();
+    from.iter()
+        .map(|&p| {
+            parts[p as usize]
+                .next()
+                .expect("one part row per merge slot")
+        })
+        .collect()
+}
+
+impl Column {
+    /// One column of a merge (see [`TupleBatch::interleave_tagged`]): row
+    /// `k` is the next unread cell of part `from[k]`. When every part
+    /// carries the same dictionary — the common case, since shards split
+    /// one ingestion batch and a stream's batches share one dictionary —
+    /// the merge moves codes and shares the dictionary by pointer; any
+    /// other string layout mix merges plain payloads.
+    ///
+    /// # Panics
+    /// Panics when the parts do not share one logical type.
+    fn interleave(parts: Vec<Column>, from: &[u32]) -> Column {
+        let typed = "merged parts must share the column's type";
+        macro_rules! merge {
+            ($variant:ident) => {
+                Column::$variant(interleave_parts(
+                    parts.into_iter().map(|c| match c {
+                        Column::$variant(v) => v,
+                        _ => panic!("{typed}"),
+                    }),
+                    from,
+                ))
+            };
+        }
+        if let Column::Dict { dict, .. } = &parts[0] {
+            let dict = dict.clone();
+            if parts
+                .iter()
+                .all(|c| c.as_shared_dict().is_some_and(|(_, d)| same_dict(d, &dict)))
+            {
+                let codes = parts.into_iter().map(|c| match c {
+                    Column::Dict { codes, .. } => codes,
+                    _ => unreachable!("checked above"),
+                });
                 return Column::Dict {
-                    codes,
-                    dict: dict.clone(),
+                    codes: interleave_parts(codes, from),
+                    dict,
                 };
             }
         }
-        let cells = order
-            .iter()
-            .map(|&(p, i)| (&parts[p as usize].columns[c], i as usize));
-        Column::gather(DataType::Str, cells)
+        match parts[0].data_type() {
+            DataType::Bool => merge!(Bool),
+            DataType::Int => merge!(Int),
+            DataType::Float => merge!(Float),
+            DataType::Str => Column::Str(interleave_parts(
+                parts.into_iter().map(|c| match c {
+                    Column::Str(v) => v,
+                    Column::Dict { codes, dict } => {
+                        codes.iter().map(|&c| dict[c as usize].clone()).collect()
+                    }
+                    _ => panic!("{typed}"),
+                }),
+                from,
+            )),
+        }
     }
 }
 
@@ -1469,7 +1473,7 @@ pub mod work {
         /// engine runs single-threaded).
         shard_batches => count_shard_batches(n);
         /// Rows gathered by the deterministic cross-shard merge
-        /// ([`super::TupleBatch::interleave`]) — 0 for round-robin batch
+        /// ([`super::TupleBatch::interleave_tagged`]) — 0 for round-robin batch
         /// sharding, where every source batch stays whole on one shard.
         shard_merge_rows => count_shard_merge_rows(n);
         /// Rows absorbed by keyed **stateful** operators (joins,
@@ -1481,11 +1485,14 @@ pub mod work {
         /// avoided row materialization.
         selection_pushdown_rows => count_pushdown_rows(n);
         /// Worker threads spawned by the persistent pool. After warmup
-        /// (one spawn per shard) this must stay flat: flushes reuse parked
+        /// (one spawn per shard after the first — job 0 of a flush runs on
+        /// the control thread) this must stay flat: flushes reuse parked
         /// workers instead of spawning.
         pool_spawns => count_pool_spawn();
-        /// Jobs dispatched to (and woken on) pooled workers — one per
-        /// shard per parallel flush.
+        /// Jobs dispatched to (and woken on) pooled workers — one per pool
+        /// seat per pooled flush; a flush below
+        /// [`crate::engine::INLINE_FLUSH_ROWS`] runs every job on the
+        /// control thread and wakes none.
         pool_wakeups => count_pool_wakeup();
         /// Morsels (batch-sized work items) executed by workers — counts
         /// both locally popped and stolen morsels, so the sum across
@@ -1701,11 +1708,11 @@ mod tests {
         let even: Vec<u32> = vec![0, 2, 4];
         let odd: Vec<u32> = vec![1, 3, 5];
         let parts = vec![
-            (batch.take(&even), even.clone()),
-            (batch.take(&odd), odd.clone()),
+            (batch.take(&even), MergeTags::Rows(even.clone())),
+            (batch.take(&odd), MergeTags::Rows(odd.clone())),
         ];
         work::reset();
-        let merged = TupleBatch::interleave(parts).unwrap();
+        let merged = TupleBatch::interleave_tagged(parts).unwrap();
         assert_eq!(merged.ts(), batch.ts());
         assert_eq!(merged.columns(), batch.columns());
         let snap = work::snapshot();
@@ -1713,10 +1720,13 @@ mod tests {
         assert_eq!(snap.shard_merge_rows, 6);
         // A single non-empty part passes through untouched and uncounted.
         work::reset();
-        let single = TupleBatch::interleave(vec![(batch.take(&even), even)]).unwrap();
+        let single =
+            TupleBatch::interleave_tagged(vec![(batch.take(&even), MergeTags::Rows(even))])
+                .unwrap();
         assert_eq!(single.len(), 3);
         assert_eq!(work::snapshot().shard_merge_rows, 0);
-        assert!(TupleBatch::interleave(vec![(batch.take(&[]), Vec::new())]).is_none());
+        let empty = vec![(batch.take(&[]), MergeTags::Rows(Vec::new()))];
+        assert!(TupleBatch::interleave_tagged(empty).is_none());
     }
 
     #[test]
@@ -1980,10 +1990,10 @@ mod tests {
         let even: Vec<u32> = vec![0, 2, 4];
         let odd: Vec<u32> = vec![1, 3, 5];
         let parts = vec![
-            (batch.take(&even), even.clone()),
-            (batch.take(&odd), odd.clone()),
+            (batch.take(&even), MergeTags::Rows(even.clone())),
+            (batch.take(&odd), MergeTags::Rows(odd.clone())),
         ];
-        let merged = TupleBatch::interleave(parts).unwrap();
+        let merged = TupleBatch::interleave_tagged(parts).unwrap();
         assert_eq!(merged.ts(), batch.ts());
         assert_eq!(merged.columns(), batch.columns());
         assert!(
@@ -2000,7 +2010,11 @@ mod tests {
             batch.schema().clone(),
             vec![Tuple::new(1, vec![Value::str("BBB"), Value::Float(1.0)])],
         );
-        let merged = TupleBatch::interleave(vec![(a, vec![0]), (b, vec![1])]).unwrap();
+        let merged = TupleBatch::interleave_tagged(vec![
+            (a, MergeTags::Rows(vec![0])),
+            (b, MergeTags::Rows(vec![1])),
+        ])
+        .unwrap();
         assert_eq!(merged.row(0).values[0], Value::str("AAA"));
         assert_eq!(merged.row(1).values[0], Value::str("BBB"));
     }

@@ -19,7 +19,7 @@ use cqac_core::model::UserId;
 use cqac_core::units::{Load, Money};
 use cqac_dsms::center::{DsmsCenter, Submission};
 use cqac_dsms::diag::Code;
-use cqac_dsms::engine::{DsmsEngine, IngestError, OverloadPolicy};
+use cqac_dsms::engine::{DsmsEngine, IngestError, OverloadPolicy, INLINE_FLUSH_ROWS};
 use cqac_dsms::expr::Expr;
 use cqac_dsms::fault::{FaultPlan, INJECTED_PANIC_PREFIX};
 use cqac_dsms::network::CqId;
@@ -173,6 +173,12 @@ struct RunOutcome {
     quarantines: u64,
 }
 
+/// Rows of the one flush a `run_kind*` run pushes: at least
+/// [`INLINE_FLUSH_ROWS`], so at shards > 1 jobs 1.. run on pool seats,
+/// concurrently with job 0 on the control thread.
+const FEED_ROWS: usize = 640;
+const _: () = assert!(FEED_ROWS >= INLINE_FLUSH_ROWS);
+
 fn run_kind(kind: &str, shards: usize, fault: Option<Arc<FaultPlan>>) -> RunOutcome {
     run_kind_keyed(kind, shards, &["quotes", "news"], fault)
 }
@@ -183,6 +189,17 @@ fn run_kind_keyed(
     kind: &str,
     shards: usize,
     keyed: &[&str],
+    fault: Option<Arc<FaultPlan>>,
+) -> RunOutcome {
+    run_feed(kind, shards, keyed, FEED_ROWS, fault)
+}
+
+/// [`run_kind_keyed`] over a flush of `rows` rows.
+fn run_feed(
+    kind: &str,
+    shards: usize,
+    keyed: &[&str],
+    rows: usize,
     fault: Option<Arc<FaultPlan>>,
 ) -> RunOutcome {
     work::reset();
@@ -198,7 +215,7 @@ fn run_kind_keyed(
     let victim = e.add_query(victim_plan(kind)).unwrap();
     let survivor = e.add_query(survivor_plan(kind)).unwrap();
     e.set_fault_plan(fault);
-    e.push_batch(mixed_feed(240, 7));
+    e.push_batch(mixed_feed(rows, 7));
     e.finish();
     let events = e.take_quarantine_events();
     let mut quarantined: Vec<CqId> = events.iter().flat_map(|ev| ev.queries.clone()).collect();
@@ -333,8 +350,10 @@ fn shed_and_quarantine_counters_are_shard_invariant() {
         e.set_shard_key("news", 0).unwrap();
         e.register_stream("quotes", quote_schema());
         e.register_stream("news", news_schema());
+        // The flood sheds news down to a budget past INLINE_FLUSH_ROWS, so
+        // what survives still runs on the pool seats.
         e.set_overload_policy(Some(OverloadPolicy {
-            max_rows_per_flush: 200,
+            max_rows_per_flush: 900,
         }));
         e.set_stream_priority("quotes", 1_000);
         e.set_stream_priority("news", 1);
@@ -342,15 +361,16 @@ fn shed_and_quarantine_counters_are_shard_invariant() {
         let q2 = e.add_query(survivor_plan("aggregate")).unwrap();
         // Poison a timestamp that many quote rows carry: the fault fires
         // at the same logical point regardless of shard count.
-        let poison = mixed_feed(240, 7)
+        let poison = mixed_feed(1_200, 7)
             .iter()
             .find(|(s, _)| s == "quotes")
             .map(|(_, t)| t.ts)
             .unwrap();
         e.set_fault_plan(Some(Arc::new(FaultPlan::new().with_poison_ts(poison))));
-        e.push_batch(mixed_feed(240, 7));
+        e.push_batch(mixed_feed(1_200, 7));
         e.finish();
         let snap = work::snapshot();
+        assert_eq!(snap.pool_wakeups > 0, shards > 1, "shards={shards}");
         let mut quarantined: Vec<CqId> = e
             .take_quarantine_events()
             .iter()
@@ -401,6 +421,43 @@ fn worker_death_recovers_inline_and_respawns_the_seat() {
     );
 }
 
+/// Where a job dies decides what respawns. In a pooled flush job 0 runs
+/// on the control thread, so its death deserts and replays exactly like a
+/// pool seat's but spawns no thread, while job 1's kills its seat, which
+/// respawns. Below [`INLINE_FLUSH_ROWS`] every job runs on the control
+/// thread and no death respawns anything. Either way every query's
+/// outputs match the fault-free run and NL062 is reported.
+#[test]
+fn deaths_replay_and_respawn_only_pool_seats() {
+    if !fault_modes().contains(&"death") {
+        return;
+    }
+    for rows in [INLINE_FLUSH_ROWS / 2, FEED_ROWS] {
+        let pooled = u64::from(rows >= INLINE_FLUSH_ROWS);
+        for kind in ["aggregate", "join"] {
+            for shards in shard_counts().into_iter().filter(|&s| s > 1) {
+                let keyed = ["quotes", "news"];
+                let clean = run_feed(kind, shards, &keyed, rows, None);
+                assert_eq!(
+                    clean.pool_spawns,
+                    shards as u64 - 1,
+                    "one seat per job after the first"
+                );
+                for (job, respawns) in [(0, 0), (1, pooled)] {
+                    let death = Arc::new(FaultPlan::new().with_worker_death(job, 1));
+                    let hurt = run_feed(kind, shards, &keyed, rows, Some(death));
+                    let ctx = format!("{kind} rows={rows} shards={shards} job={job}");
+                    assert!(hurt.runtime_report.has_code(Code::WorkerDeath), "{ctx}");
+                    assert!(hurt.quarantined.is_empty(), "{ctx}");
+                    assert_eq!(hurt.victim_out, clean.victim_out, "{ctx}");
+                    assert_eq!(hurt.survivor_out, clean.survivor_out, "{ctx}");
+                    assert_eq!(hurt.pool_spawns, clean.pool_spawns + respawns, "{ctx}");
+                }
+            }
+        }
+    }
+}
+
 /// Keyless roots ride the same recovery machinery as keyed ones. With no
 /// stream keyed, or only `quotes`, a dead worker's whole-batch morsels
 /// replay inline next to its chain morsels, and a panic or a poison row
@@ -431,7 +488,7 @@ fn keyless_roots_recover_and_quarantine_like_keyed_ones() {
             if fault_modes().contains(&"poison") && kind == "aggregate" {
                 // Content-triggered: fires in every kernel that sees the
                 // timestamp, the aggregate reading `quotes` among them.
-                let feed = mixed_feed(240, 7);
+                let feed = mixed_feed(FEED_ROWS, 7);
                 let (_, row) = feed.iter().find(|(s, _)| s == "quotes").unwrap();
                 faults.push(FaultPlan::new().with_poison_ts(row.ts));
             }
@@ -477,6 +534,10 @@ fn respawned_worker_inherits_the_columnar_switch() {
     assert!(
         hurt.runtime_report.has_code(Code::WorkerDeath),
         "death did not land"
+    );
+    assert_eq!(
+        hurt.pool_spawns, 4,
+        "job 1 ran on a pool seat, which died and was respawned"
     );
     assert_eq!(
         hurt_rows, clean_rows,

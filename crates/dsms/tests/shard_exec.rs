@@ -6,13 +6,22 @@
 //! `finish` flushing per-shard window state), the columnar kill switch
 //! reaching pooled workers, and the persistent pool's reuse guarantee
 //! (zero spawns after warmup — flushes wake parked workers).
+//!
+//! A flush below [`INLINE_FLUSH_ROWS`] runs every job on the control
+//! thread, so the tests about concurrent execution flush [`POOLED_ROWS`]
+//! or more rows at a time: jobs 1.. then run on pool seats, next to job 0
+//! on the control thread.
 
-use cqac_dsms::engine::DsmsEngine;
+use cqac_dsms::engine::{DsmsEngine, INLINE_FLUSH_ROWS};
 use cqac_dsms::expr::Expr;
 use cqac_dsms::plan::{AggFunc, LogicalPlan};
 use cqac_dsms::types::{work, DataType, Field, Schema, Tuple, Value};
 
 const SYMS: [&str; 4] = ["IBM", "AAPL", "MSFT", "ORCL"];
+
+/// Rows of a flush that reaches the pool seats.
+const POOLED_ROWS: usize = 640;
+const _: () = assert!(POOLED_ROWS >= INLINE_FLUSH_ROWS);
 
 fn quote_schema() -> Schema {
     Schema::new(vec![
@@ -101,6 +110,7 @@ struct RunResult {
     tuples_processed: u64,
     output_rows: usize,
     watermark: u64,
+    pool_wakeups: u64,
 }
 
 fn run(feed: &[(String, Tuple)], shards: usize, hash_key: bool, chunk: usize) -> RunResult {
@@ -113,6 +123,7 @@ fn run(feed: &[(String, Tuple)], shards: usize, hash_key: bool, chunk: usize) ->
         .into_iter()
         .map(|p| e.add_query(p).unwrap())
         .collect();
+    work::reset();
     let mut watermark = 0;
     for slice in feed.chunks(chunk.max(1)) {
         e.push_batch(slice.iter().cloned());
@@ -129,6 +140,7 @@ fn run(feed: &[(String, Tuple)], shards: usize, hash_key: bool, chunk: usize) ->
         tuples_processed: e.tuples_processed(),
         output_rows,
         watermark: e.watermark(),
+        pool_wakeups: work::snapshot().pool_wakeups,
     }
 }
 
@@ -137,13 +149,22 @@ fn run(feed: &[(String, Tuple)], shards: usize, hash_key: bool, chunk: usize) ->
 /// `tuples_processed` (no lost or duplicated per-row work), identical
 /// buffered `output_len`, identical watermarks. Debug assertions (active
 /// here) additionally check watermark monotonicity and merge-tag
-/// consistency inside the engine on every run.
+/// consistency inside the engine on every run. Even seeds flush small
+/// slices, which run inline; odd seeds flush slices of at least
+/// [`INLINE_FLUSH_ROWS`] rows, which reach the pool seats.
 #[test]
 fn soak_shards4_no_lost_or_duplicated_tuples() {
     for seed in 0..100u64 {
         let mut rng = Lcg(seed.wrapping_mul(0x9e37_79b9).wrapping_add(seed + 1));
-        let len = 40 + rng.below(160) as usize;
-        let chunk = 1 + rng.below(64) as usize;
+        let pooled = seed % 2 == 1;
+        let (len, chunk) = if pooled {
+            (
+                INLINE_FLUSH_ROWS + rng.below(1_200) as usize,
+                INLINE_FLUSH_ROWS + rng.below(512) as usize,
+            )
+        } else {
+            (40 + rng.below(160) as usize, 1 + rng.below(64) as usize)
+        };
         let hash_key = rng.below(2) == 1;
         let feed = random_feed(&mut rng, len);
 
@@ -164,6 +185,11 @@ fn soak_shards4_no_lost_or_duplicated_tuples() {
         for (q, (got, want)) in sharded.outputs.iter().zip(&reference.outputs).enumerate() {
             assert_eq!(got, want, "seed {seed}: query {q} outputs diverged");
         }
+        assert_eq!(
+            sharded.pool_wakeups > 0,
+            pooled,
+            "seed {seed}: only slices of INLINE_FLUSH_ROWS or more wake the pool"
+        );
     }
 }
 
@@ -182,9 +208,9 @@ fn remove_query_mid_stream_under_sharding() {
             .add_query(high.filter(Expr::col(0).eq(Expr::lit(Value::str("IBM")))))
             .unwrap();
         let mut rng = Lcg(7);
-        let feed = random_feed(&mut rng, 120);
-        for (i, slice) in feed.chunks(10).enumerate() {
-            if i == 6 {
+        let feed = random_feed(&mut rng, 3 * POOLED_ROWS);
+        for (i, slice) in feed.chunks(POOLED_ROWS).enumerate() {
+            if i == 1 {
                 e.remove_query(victim);
             }
             e.push_batch(slice.iter().cloned());
@@ -207,9 +233,9 @@ fn transition_held_replay_under_sharding() {
             LogicalPlan::source("quotes").filter(Expr::col(1).gt(Expr::lit(Value::Float(100.0))));
         let cq = e.add_query(high).unwrap();
         let mut rng = Lcg(11);
-        let feed = random_feed(&mut rng, 150);
-        let (before, rest) = feed.split_at(50);
-        let (held, after) = rest.split_at(50);
+        let feed = random_feed(&mut rng, 3 * POOLED_ROWS);
+        let (before, rest) = feed.split_at(POOLED_ROWS);
+        let (held, after) = rest.split_at(POOLED_ROWS);
         e.push_batch(before.iter().cloned());
         e.begin_transition();
         for (s, t) in held {
@@ -247,7 +273,7 @@ fn finish_flushes_all_shards() {
             )
             .unwrap();
         let mut rng = Lcg(13);
-        e.push_batch(random_feed(&mut rng, 200));
+        e.push_batch(random_feed(&mut rng, POOLED_ROWS));
         e.finish();
         e.take_outputs(cq)
     };
@@ -265,7 +291,7 @@ fn finish_flushes_all_shards() {
 fn columnar_kill_switch_reaches_worker_shards() {
     let feed = {
         let mut rng = Lcg(17);
-        random_feed(&mut rng, 150)
+        random_feed(&mut rng, POOLED_ROWS)
     };
     let run = |columnar: bool| {
         cqac_dsms::ops::with_columnar_kernels(columnar, || {
@@ -291,6 +317,10 @@ fn columnar_kill_switch_reaches_worker_shards() {
         columnar_work.shard_batches > 0 && row_work.shard_batches > 0,
         "both runs went through the shard workers"
     );
+    assert!(
+        columnar_work.pool_wakeups > 0 && row_work.pool_wakeups > 0,
+        "both runs handed jobs to pool seats"
+    );
     assert_eq!(
         columnar_work.row_evals, 0,
         "columnar sharded runs never evaluate per row"
@@ -307,7 +337,7 @@ fn columnar_kill_switch_reaches_worker_shards() {
 fn worker_row_work_counters_fold_back_deterministically() {
     let feed = {
         let mut rng = Lcg(19);
-        random_feed(&mut rng, 120)
+        random_feed(&mut rng, POOLED_ROWS)
     };
     let evals_at = |shards: usize| {
         cqac_dsms::ops::with_columnar_kernels(false, || {
@@ -345,7 +375,8 @@ fn keyed_stateful_plans() -> Vec<LogicalPlan> {
 
 /// Stateful rows really run on the shard workers (merge barrier past the
 /// join/aggregate), selection vectors push down into them instead of
-/// densifying, and the worker pool spawns exactly once per shard.
+/// densifying, and the worker pool spawns exactly once per seat — one
+/// per shard after the first, whose jobs run on the control thread.
 #[test]
 fn keyed_stateful_rows_run_on_shards_with_pushdown() {
     let mut e = engine().with_max_batch_size(8).with_shards(4);
@@ -357,7 +388,7 @@ fn keyed_stateful_rows_run_on_shards_with_pushdown() {
         .collect();
     let mut rng = Lcg(23);
     work::reset();
-    e.push_batch(random_feed(&mut rng, 300));
+    e.push_batch(random_feed(&mut rng, POOLED_ROWS));
     let snap = work::snapshot();
     assert!(
         snap.keyed_shard_rows > 0,
@@ -367,18 +398,30 @@ fn keyed_stateful_rows_run_on_shards_with_pushdown() {
         snap.selection_pushdown_rows > 0,
         "the filter's selection must push into the stateful ops: {snap:?}"
     );
-    assert_eq!(snap.pool_spawns, 4, "one worker per shard: {snap:?}");
     assert_eq!(
-        snap.pool_wakeups, 4,
-        "one job per shard per flush: {snap:?}"
+        snap.pool_spawns, 3,
+        "one seat per shard after the first: {snap:?}"
     );
+    assert_eq!(snap.pool_wakeups, 3, "one job per seat per flush: {snap:?}");
     assert_eq!(snap.batch_deep_clones, 0, "COW columns: nobody copies");
     e.finish();
     assert!(cqs.iter().map(|&cq| e.output_len(cq)).sum::<usize>() > 0);
 }
 
-/// The pool-reuse guarantee: after the warmup flush spawns one worker per
-/// shard, further flushes only *wake* parked workers — zero new spawns.
+/// Seat wake-ups one flush of `rows` rows costs at `shards` shards: one
+/// per pool seat when the flush is pooled, none below
+/// [`INLINE_FLUSH_ROWS`], where every job runs on the control thread.
+fn pooled_wakeups(rows: usize, shards: u64) -> u64 {
+    if rows < INLINE_FLUSH_ROWS {
+        0
+    } else {
+        shards - 1
+    }
+}
+
+/// The pool-reuse guarantee: after the warmup flush spawns one seat per
+/// shard after the first, further flushes only *wake* parked seats —
+/// zero new spawns.
 #[test]
 fn pool_reuse_zero_spawns_after_warmup() {
     let mut e = engine().with_max_batch_size(8).with_shards(4);
@@ -388,32 +431,33 @@ fn pool_reuse_zero_spawns_after_warmup() {
         e.add_query(p).unwrap();
     }
     let mut rng = Lcg(29);
-    let feed = random_feed(&mut rng, 400);
-    let (warmup, rest) = feed.split_at(40);
+    let feed = random_feed(&mut rng, 5 * POOLED_ROWS);
+    let (warmup, rest) = feed.split_at(POOLED_ROWS);
     work::reset();
     e.push_batch(warmup.iter().cloned());
     let after_warmup = work::snapshot();
-    assert_eq!(after_warmup.pool_spawns, 4, "warmup spawns one per shard");
+    assert_eq!(after_warmup.pool_spawns, 3, "warmup spawns one per seat");
     let mut flushes = 0u64;
-    for slice in rest.chunks(40) {
+    for slice in rest.chunks(POOLED_ROWS) {
         e.push_batch(slice.iter().cloned());
         flushes += 1;
     }
     let snap = work::snapshot();
     assert_eq!(
-        snap.pool_spawns, 4,
+        snap.pool_spawns, 3,
         "zero spawns after warmup: every flush reuses parked workers"
     );
     assert_eq!(
         snap.pool_wakeups,
-        after_warmup.pool_wakeups + flushes * 4,
-        "each flush wakes each shard's worker exactly once"
+        after_warmup.pool_wakeups + flushes * 3,
+        "each flush wakes each seat exactly once"
     );
-    // The morsel scheduler runs on the same parked workers: morsels were
-    // executed, every executed morsel is either popped from the owner's
-    // deque or stolen from a victim's tail, and steal sweeps are bounded
-    // (at most shards-1 misses per grab plus one parking sweep per
-    // wakeup) — morsel-driven flushes never spawn or spin.
+    // The morsel scheduler runs the same jobs wherever they run: morsels
+    // were executed, every executed morsel is either popped from the
+    // owner's deque or stolen from a victim's tail, and steal sweeps are
+    // bounded — each of a flush's 4 jobs (warmup included) makes one grab
+    // per morsel it runs plus one final sweep, and a grab misses at most
+    // shards-1 victims — so morsel-driven flushes never spin on deques.
     assert!(
         snap.morsels_executed > 0,
         "sharded flushes execute as morsels: {snap:?}"
@@ -423,7 +467,7 @@ fn pool_reuse_zero_spawns_after_warmup() {
         "steals are a subset of executed morsels: {snap:?}"
     );
     assert!(
-        snap.steal_misses <= (snap.morsels_executed + snap.pool_wakeups) * 3,
+        snap.steal_misses <= (snap.morsels_executed + (flushes + 1) * 4) * 3,
         "steal sweeps are bounded — no spinning on empty deques: {snap:?}"
     );
 }
@@ -465,7 +509,11 @@ fn skewed_key_soak_shards4_stays_deterministic() {
             .map(|p| e.add_query(p).unwrap())
             .collect();
         work::reset();
-        for slice in feed.chunks(40) {
+        // Small slices run inline, where job 0 steals every other job's
+        // morsels; the large ones reach the pool seats, which steal from
+        // each other's deques as timing allows.
+        let (small, large) = feed.split_at(320);
+        for slice in small.chunks(40).chain(large.chunks(POOLED_ROWS)) {
             e.push_batch(slice.iter().cloned());
         }
         let snap = work::snapshot();
@@ -475,7 +523,7 @@ fn skewed_key_soak_shards4_stays_deterministic() {
     };
     for seed in 0..8u64 {
         let mut rng = Lcg(seed.wrapping_mul(0x5851_f42d).wrapping_add(43));
-        let feed = feed(&mut rng, 320);
+        let feed = feed(&mut rng, 320 + 2 * POOLED_ROWS);
         let (reference, _) = run(&feed, 1);
         assert!(
             reference.iter().any(|out| !out.is_empty()),
@@ -490,6 +538,7 @@ fn skewed_key_soak_shards4_stays_deterministic() {
             snap.morsels_stolen > 0,
             "seed {seed}: idle workers must steal the hot shard's backlog: {snap:?}"
         );
+        assert_eq!(snap.pool_wakeups, 2 * 3, "seed {seed}: two pooled flushes");
     }
 }
 
@@ -513,9 +562,9 @@ fn remove_query_mid_window_under_keyed_sharding() {
             .add_query(LogicalPlan::source("quotes").aggregate(Some(0), AggFunc::Avg, 1, 70))
             .unwrap();
         let mut rng = Lcg(31);
-        let feed = random_feed(&mut rng, 200);
-        for (i, slice) in feed.chunks(20).enumerate() {
-            if i == 4 {
+        let feed = random_feed(&mut rng, 4 * POOLED_ROWS);
+        for (i, slice) in feed.chunks(POOLED_ROWS).enumerate() {
+            if i == 2 {
                 // Mid-stream, with windows open on every shard.
                 e.remove_query(victim);
             }
@@ -543,9 +592,9 @@ fn transition_held_replay_under_keyed_sharding() {
             .map(|p| e.add_query(p).unwrap())
             .collect();
         let mut rng = Lcg(37);
-        let feed = random_feed(&mut rng, 240);
-        let (before, rest) = feed.split_at(80);
-        let (held, after) = rest.split_at(80);
+        let feed = random_feed(&mut rng, 3 * POOLED_ROWS);
+        let (before, rest) = feed.split_at(POOLED_ROWS);
+        let (held, after) = rest.split_at(POOLED_ROWS);
         e.push_batch(before.iter().cloned());
         e.begin_transition();
         for (s, t) in held {
@@ -586,7 +635,7 @@ fn finish_flushes_per_shard_window_state() {
             )
             .unwrap();
         let mut rng = Lcg(41);
-        e.push_batch(random_feed(&mut rng, 150));
+        e.push_batch(random_feed(&mut rng, POOLED_ROWS));
         assert_eq!(e.output_len(cq), 0, "the wide window is still open");
         e.finish();
         e.take_outputs(cq)
@@ -736,7 +785,11 @@ fn exact_aggregates_over_a_keyless_stream_run_as_partials() {
         );
         let cq = e.add_query(plan.clone()).unwrap();
         work::reset();
-        for chunk in tick_rows(600).chunks(50) {
+        // Two pooled flushes — the advance barrier with jobs on pool
+        // seats — then small ones, which run every job inline.
+        let ticks = tick_rows(2 * POOLED_ROWS as u64 + 200);
+        let (large, small) = ticks.split_at(2 * POOLED_ROWS);
+        for chunk in large.chunks(POOLED_ROWS).chain(small.chunks(50)) {
             e.push_rows("ticks", chunk.to_vec());
         }
         e.finish();
@@ -761,6 +814,104 @@ fn exact_aggregates_over_a_keyless_stream_run_as_partials() {
                 (!std::ptr::eq(plan, &avg), std::ptr::eq(plan, &max)),
                 "shards {shards}: {snap:?}"
             );
+            // The two large flushes are pooled wherever the plan has
+            // morsels to run.
+            let wakeups = if absorbed_in_plan {
+                2 * (shards - 1)
+            } else {
+                0
+            };
+            assert_eq!(snap.pool_wakeups, wakeups as u64, "shards {shards}");
+        }
+    }
+}
+
+/// `rows` rows of a two-stream feed in event-time order, four rows per
+/// millisecond from `start` on, every fourth row a `news` row.
+fn timed_feed(rng: &mut Lcg, start: u64, rows: usize) -> Vec<(String, Tuple)> {
+    (0..rows as u64)
+        .map(|i| {
+            let ts = start + i / 4;
+            let sym = Value::str(SYMS[rng.below(4) as usize]);
+            if i % 4 == 3 {
+                (
+                    "news".to_string(),
+                    Tuple::new(ts, vec![sym, Value::str("h")]),
+                )
+            } else {
+                let price = Value::Float(rng.below(200) as f64 / 3.0);
+                ("quotes".to_string(), Tuple::new(ts, vec![sym, price]))
+            }
+        })
+        .collect()
+}
+
+/// Flushes on both sides of [`INLINE_FLUSH_ROWS`] — inline and pooled — at
+/// 2 and 4 shards, for a chain plan (a join and a float `Avg`: one chain
+/// morsel per home shard) and a commutative one (exact aggregates: the
+/// advance-phase barrier, which an inline flush must pass with every job on
+/// the control thread), with and without a mid-stream `set_shards` that
+/// re-homes live state: every run's outputs, taken after every flush,
+/// equal one shard's byte for byte, and only pooled flushes wake the
+/// pool, once per seat.
+#[test]
+fn flushes_straddling_the_inline_threshold_match_one_shard() {
+    let quotes = || LogicalPlan::source("quotes");
+    let chain = [
+        quotes().join(LogicalPlan::source("news"), 0, 0, 40),
+        quotes().aggregate(Some(0), AggFunc::Avg, 1, 50),
+    ];
+    let commutative = [
+        quotes().aggregate(Some(0), AggFunc::Count, 0, 50),
+        quotes()
+            .filter(Expr::col(1).gt(Expr::lit(Value::Float(20.0))))
+            .aggregate(Some(0), AggFunc::Max, 1, 70),
+    ];
+    let sizes = [
+        INLINE_FLUSH_ROWS - 1,
+        INLINE_FLUSH_ROWS,
+        7,
+        INLINE_FLUSH_ROWS + 50,
+        100,
+        2 * INLINE_FLUSH_ROWS,
+    ];
+    // Shard counts before and after the switch, which comes before the
+    // fourth flush.
+    let run = |plans: &[LogicalPlan], (before, after): (usize, usize)| {
+        let mut e = engine().with_max_batch_size(64).with_shards(before);
+        e.set_shard_key("quotes", 0).unwrap();
+        e.set_shard_key("news", 0).unwrap();
+        let cqs: Vec<_> = plans
+            .iter()
+            .map(|p| e.add_query(p.clone()).unwrap())
+            .collect();
+        let mut rng = Lcg(53);
+        let (mut start, mut wakeups) = (0, 0);
+        let mut outputs = Vec::new();
+        work::reset();
+        for (k, &rows) in sizes.iter().enumerate() {
+            if k == 3 {
+                e.set_shards(after);
+            }
+            e.push_batch(timed_feed(&mut rng, start, rows));
+            start += rows as u64 / 4 + 1;
+            wakeups += pooled_wakeups(rows, if k < 3 { before } else { after } as u64);
+            outputs.extend(cqs.iter().map(|&cq| e.take_outputs(cq)));
+        }
+        assert_eq!(
+            work::snapshot().pool_wakeups,
+            wakeups,
+            "shards {before} -> {after}: only pooled flushes wake seats"
+        );
+        e.finish();
+        outputs.extend(cqs.iter().map(|&cq| e.take_outputs(cq)));
+        outputs
+    };
+    for plans in [&chain[..], &commutative[..]] {
+        let reference = run(plans, (1, 1));
+        assert!(reference.iter().filter(|out| !out.is_empty()).count() > 2 * plans.len());
+        for shards in [(2, 2), (4, 4), (2, 4), (4, 2)] {
+            assert_eq!(run(plans, shards), reference, "shards {shards:?}");
         }
     }
 }
