@@ -1,13 +1,11 @@
 //! Pass 2: the determinism audit.
 //!
-//! The morsel scheduler's correctness argument (see `cqac-dsms`'s module
+//! The parallel executor's correctness argument (see `cqac-dsms`'s module
 //! docs) rests on a classification the network computes physically, by
-//! asking each operator for its `class` / `keyed_out` /
-//! `keyed_commutative` / `keyed_partial` properties: which nodes may run
-//! *inside* the worker shards against partitioned state, which must stay
-//! behind the deterministic merge barrier, and which stateful members are
-//! order-free (commutative absorption) versus order-sensitive (chain
-//! morsels).
+//! asking each operator for its `class` / `keyed_out` / `keyed_partial`
+//! properties: which nodes may run *inside* the home-shard walks against
+//! partitioned state, which must stay behind the deterministic merge
+//! barrier, and which exact aggregates may absorb as per-home partials.
 //!
 //! This pass **re-derives the same classification from the logical
 //! plans** — every registered stream is a root of the plan, covered with
@@ -20,12 +18,12 @@
 //! [`KeyedPlan`] node by node. A divergence means one side's reasoning
 //! is wrong, and the sharded run could silently reorder state mutations:
 //! diagnostic NL020 ([`Code::KeyedClassificationDivergence`]). A
-//! stateful member whose claimed commutativity contradicts the logical
-//! derivation, a partial member with in-plan consumers, or a partial
-//! member whose logical combine is order-sensitive (inexact — per-worker
-//! partials would merge in a worker-dependent order) would let the
-//! scheduler steal morsels across an order-sensitive operator:
-//! diagnostic NL021 ([`Code::StatefulOrderUnsafe`]).
+//! stateful node fed pre-merge input without being a keyed stateful
+//! member, a partial member with in-plan consumers, or a partial member
+//! whose logical combine is order-sensitive (inexact — per-home partials
+//! would round by how the rows split across homes) would let the
+//! executor reorder state mutations: diagnostic NL021
+//! ([`Code::StatefulOrderUnsafe`]).
 //!
 //! Shard keys themselves are validated first (NL014, [`Code::BadShardKey`])
 //! — an invalid key would otherwise reach `ops::shard_of_cell`'s
@@ -47,12 +45,9 @@ struct Expectation {
     /// A keyed *stateful* member (join / aggregate with partitioned
     /// state)?
     stateful: bool,
-    /// A partial-aggregation member (per-worker partials, merge-barrier
+    /// A partial-aggregation member (per-home partials, merge-barrier
     /// output)?
     partial: bool,
-    /// For stateful operators: is absorption order-free (commutative)?
-    /// `None` for stateless nodes, where the question does not arise.
-    commutative: Option<bool>,
     /// The logical exact-combine derivation, recorded for every operator
     /// that *could* hold partitioned state — member or not — so a
     /// physical partial can be checked for order sensitivity even when
@@ -150,8 +145,8 @@ pub fn audit(network: &QueryNetwork, shard_keys: &HashMap<String, usize>) -> Rep
         };
         let actual = physical.get(&id);
         // NL021 first: a physical partial member whose logical combine is
-        // order-sensitive would merge per-worker partials in a
-        // worker-dependent order. Named before the membership
+        // order-sensitive would round its per-home partials differently
+        // from the single-threaded fold. Named before the membership
         // cross-check — such a node usually also diverges on membership,
         // but the order-safety violation is the operative risk.
         if actual.is_some_and(|&(_, partial)| partial) && expect.exact == Some(false) {
@@ -160,8 +155,8 @@ pub fn audit(network: &QueryNetwork, shard_keys: &HashMap<String, usize>) -> Rep
                 Span::Node(id.0),
                 format!(
                     "n{} ({}) is classified a partial-aggregation member but its \
-                     logical combine is inexact (order-sensitive); per-worker \
-                     partials would combine in a worker-dependent order",
+                     logical combine is inexact (order-sensitive); per-home \
+                     partials would round by how the rows split across homes",
                     id.0, node.kind
                 ),
             ));
@@ -198,25 +193,6 @@ pub fn audit(network: &QueryNetwork, shard_keys: &HashMap<String, usize>) -> Rep
                         "n{} ({}): logical derivation expects stateful={} \
                          partial={}, network claims stateful={} partial={}",
                         id.0, node.kind, expect.stateful, expect.partial, stateful, partial
-                    ),
-                ));
-            }
-        }
-        // Order safety of stateful operators: the physical commutativity
-        // claim (which decides whether the scheduler may split a home
-        // shard's work into independently stealable morsels) must match
-        // the logical exact-combine derivation.
-        if let Some(expected_commutative) = expect.commutative {
-            let claimed = node.op.keyed_commutative();
-            if claimed != expected_commutative {
-                report.push(Diagnostic::new(
-                    Code::StatefulOrderUnsafe,
-                    Span::Node(id.0),
-                    format!(
-                        "n{} ({}): operator claims keyed_commutative={claimed} but the \
-                         logical derivation proves {expected_commutative} — an \
-                         order-sensitive absorption could be reordered by work stealing",
-                        id.0, node.kind
                     ),
                 ));
             }
@@ -300,7 +276,6 @@ fn derive(
                     member: d.covered,
                     stateful: false,
                     partial: false,
-                    commutative: None,
                     exact: None,
                 },
             );
@@ -324,7 +299,6 @@ fn derive(
                     member: d.covered,
                     stateful: false,
                     partial: false,
-                    commutative: None,
                     exact: None,
                 },
             );
@@ -355,10 +329,6 @@ fn derive(
                     member,
                     stateful: member,
                     partial: false,
-                    // Symmetric-hash-join absorption produces inline
-                    // probe outputs whose order is observable: never
-                    // order-free.
-                    commutative: member.then_some(false),
                     exact: Some(false),
                 },
             );
@@ -390,7 +360,7 @@ fn derive(
                     // key IS the group key (equal groups share a home
                     // shard). At any other key the groups span shards, so
                     // the node joins only as a grouped *partial* member —
-                    // per-worker hash partials, merge-barrier output —
+                    // per-home hash partials, merge-barrier output —
                     // and only when its combine is exact.
                     let full = d.covered && d.key == Some(*g);
                     let partial = d.covered && !full && exact;
@@ -401,7 +371,6 @@ fn derive(
                             member,
                             stateful: member,
                             partial,
-                            commutative: member.then_some(exact),
                             exact: Some(exact),
                         },
                     );
@@ -425,7 +394,6 @@ fn derive(
                             member,
                             stateful: member,
                             partial: member,
-                            commutative: member.then_some(exact),
                             exact: Some(exact),
                         },
                     );
@@ -448,7 +416,6 @@ fn derive(
                     member: false,
                     stateful: false,
                     partial: false,
-                    commutative: None,
                     exact: None,
                 },
             );

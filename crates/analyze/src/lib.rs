@@ -23,12 +23,12 @@
 //!    re-derives the parallel plan's classification from the *logical*
 //!    plans (every stream a root, keyed or keyless; partition-key flow
 //!    through filters/projects/fused chains, join/group key
-//!    compatibility, commutativity of stateful members, partial-aggregate
-//!    eligibility) and cross-checks the network's one physical plan,
-//!    [`cqac_dsms::network::KeyedPlan`], so the morsel
-//!    scheduler's preconditions are *verified*, not assumed: every
-//!    stateful node is either behind the deterministic merge barrier or
-//!    proven order-free.
+//!    compatibility, partial-aggregate eligibility) and cross-checks the
+//!    network's one physical plan, [`cqac_dsms::network::KeyedPlan`], so
+//!    the parallel executor's preconditions are *verified*, not assumed:
+//!    every stateful node is either behind the deterministic merge
+//!    barrier, a keyed member whose state partitions by its input's key,
+//!    or a partial member with an exact combine.
 //! 3. **Cost-attribution conservation** ([`conservation::check`]) — the
 //!    auction's pricing identity, checked in exact integer micro-units:
 //!    per-CQ analytic costs across shared nodes sum to the per-node
@@ -56,7 +56,7 @@
 //! | NL013 | error    | aggregated column is not numeric |
 //! | NL014 | error    | invalid shard key — guards `ops::shard_of_cell`'s `debug_assert` |
 //! | NL020 | error    | keyed-plan classification divergence (logical vs physical) |
-//! | NL021 | error    | stateful node neither behind a merge barrier nor proven order-free |
+//! | NL021 | error    | stateful node fed pre-merge input outside the keyed plan, or an unsafe partial member |
 //! | NL030 | error    | per-CQ cost attribution does not sum to per-node totals |
 //! | NL031 | error    | node refcounts drift from query attribution lists |
 //! | NL040 | warning  | node duplicates the interior of a fused chain (shared-prefix gap) |
@@ -64,7 +64,7 @@
 //! | NL042 | error    | query sink not wired to its producer |
 //! | NL060 | error    | operator kernel panicked at runtime (the quarantine root cause) |
 //! | NL061 | error    | query quarantined — it owned a panicked operator |
-//! | NL062 | error    | pool worker died mid-flush; morsels replayed inline, seat respawned |
+//! | NL062 | error    | pool worker died mid-flush; homes it left unclaimed ran inline, seat respawned |
 //! | NL063 | warning  | overload shedding dropped ingest rows from a stream |
 //!
 //! `netlint` (this crate's binary) runs every pass over the shipped

@@ -34,14 +34,12 @@
 //! The `hot_key_skew` group drives a keyed aggregation workload with
 //! zipf-skewed vs uniform key distributions (from `cqac-workload`'s
 //! hot-key scenarios) at shards=4. Under skew the hash-partitioned *home*
-//! placement concentrates on the hot shard while the
-//! *executing*-worker rows stay near-balanced — the
-//! morsel scheduler's idle workers steal the hot shard's backlog
-//! (`morsels_stolen > 0`); under uniform load the counters show workers
-//! park after one failed steal sweep instead of spinning. A
-//! `grouped_partials` cell runs a commutative grouped aggregate at a
-//! shard-incompatible group key — per-worker hash partials replace the
-//! chain-morsel fallback (`chain_morsels == 0`).
+//! placement concentrates on the hot shard while the *executing*-job rows
+//! stay spread — a job that finishes its own home claims any home still
+//! unclaimed (`morsels_stolen > 0`); the counters show each job tries
+//! each other home once instead of spinning. A `grouped_partials` cell
+//! runs an exact grouped aggregate at a shard-incompatible group key as
+//! per-home hash partials, combined at every window close.
 //!
 //! The `fault_recovery` group prices the robustness layer: an inert
 //! fault plan vs none (per-invocation injection-hook overhead), a
@@ -309,13 +307,13 @@ fn bench_shards(c: &mut Criterion) {
 }
 
 fn bench_hot_key_skew(c: &mut Criterion) {
-    // Work stealing under key skew. The stream is keyed on an integer
+    // Home claims under key skew. The stream is keyed on an integer
     // column whose distribution is either Zipf(64, 1) — the hottest key
     // draws ~21% of rows, so its home shard owns ~40% of all work — or
     // the uniform control with the same support and seed. Two queries: a
-    // key-grouped Count (commutative keyed member → one stealable morsel
-    // per unit) and an ungrouped Sum over the Int payload (a
-    // partial-aggregation member combined on the control thread). The
+    // key-grouped Count (a keyed full member, one walk per home) and an
+    // ungrouped Sum over the Int payload (a partial-aggregation member
+    // combined on the control thread). The
     // engine persists across iterations with time-advancing rows so
     // windows close and the pool stays warm; counters accumulate over
     // every iteration, which smooths scheduling noise out of the balance
@@ -368,11 +366,10 @@ fn bench_hot_key_skew(c: &mut Criterion) {
             });
             let snap = cqac_dsms::types::work::snapshot();
             assert!(snap.morsels_executed > 0, "sharded flushes run as morsels");
-            // Idle-free: every miss belongs to one bounded victim
-            // sweep (≤ shards-1 per `grab`), and each of a pooled
-            // flush's 4 jobs — 3 woken seats and the control thread —
-            // makes one grab per morsel it executes plus one final
-            // sweep — workers never spin on empty deques.
+            // Idle-free: each of a flush's 4 jobs — 3 woken seats and
+            // the control thread — tries each other home once, so it
+            // misses at most shards-1 claims; nobody spins on taken
+            // homes.
             assert!(
                 snap.steal_misses <= snap.morsels_executed * 3 + snap.pool_wakeups * 4,
                 "steal misses ({}) exceed the sweep bound of {} morsels + {} wakeups",
@@ -399,9 +396,9 @@ fn bench_hot_key_skew(c: &mut Criterion) {
                      (max {home_max} of {home_total})"
                 );
             }
-            // `shard_stats` attributes rows to the *executing*
-            // worker, so stealing keeps them near-balanced even
-            // under skew. Scheduling-dependent, so only asserted
+            // `shard_stats` attributes rows to the *executing* job,
+            // and jobs that finish early claim the other homes, so
+            // no job hoards the rows even under skew. Scheduling-dependent, so only asserted
             // when workers can actually overlap, and leniently:
             // no worker hoards >3/4 of the rows and at least two
             // workers execute.
@@ -421,11 +418,10 @@ fn bench_hot_key_skew(c: &mut Criterion) {
             }
         });
     }
-    // Grouped partial aggregation: a commutative grouped Sum at a
+    // Grouped partial aggregation: an exact grouped Sum at a
     // shard-incompatible group key (the Int payload, col 1 — the shard key
-    // is col 0) runs as per-worker hash partials combined on the control
-    // thread instead of falling back to serialized chain morsels behind
-    // the merge barrier.
+    // is col 0) runs as per-home hash partials combined on the control
+    // thread instead of behind the merge barrier.
     let params = HotKeyParams::skewed(20_000);
     let base = hot_key_rows(&params);
     let span = params.rows as u64;
@@ -443,7 +439,7 @@ fn bench_hot_key_skew(c: &mut Criterion) {
             epoch += 1;
             // Fold the ramp payload down to eight groups so every
             // group spans many rows, home shards, and therefore
-            // worker partitions — each window close must combine
+            // partitions — each window close must combine
             // per-partition partial runs.
             let rows = base
                 .iter()
@@ -471,10 +467,6 @@ fn bench_hot_key_skew(c: &mut Criterion) {
         assert!(
             snap.partial_groups_combined > 0,
             "the watermark pass must combine per-group partial runs"
-        );
-        assert_eq!(
-            snap.chain_morsels, 0,
-            "a commutative grouped workload needs no chain-morsel fallback"
         );
     });
     group.finish();
@@ -560,7 +552,7 @@ fn bench_operators(c: &mut Criterion) {
 /// The robustness layer's price and recovery cost: an inert fault plan
 /// (every kernel invocation pays the injection hook) vs no plan at all,
 /// a mid-run quarantine (panic → attribution → query removal), an
-/// injected worker death (inline morsel replay + seat respawn), and a
+/// injected worker death (unclaimed homes walked inline + seat respawn), and a
 /// flood against the overload guardrails (deterministic shedding).
 fn bench_fault_recovery(c: &mut Criterion) {
     use cqac_dsms::engine::OverloadPolicy;

@@ -130,9 +130,9 @@ pub struct NodeLoadEstimate {
 /// compatible joins/aggregates onto the workers, partial aggregation
 /// moved exact aggregates at any other key — or behind no key — there too
 /// (only the per-window partial-combine fold stays on the control
-/// thread), and morsel-level
-/// work stealing keeps the workers busy under key skew that would
-/// otherwise serialize on the hot shard — but pricing the remaining
+/// thread), and a job that finishes its own home shard claims any home
+/// still unclaimed, so a seat that wakes late does not hold the flush
+/// up — but pricing the remaining
 /// residue against per-core capacity is still a ROADMAP follow-on.
 ///
 /// **Measured:** on the 2-vCPU reference box, `auction-day`'s

@@ -83,9 +83,10 @@ pub enum Code {
     /// NL020: the keyed-plan classification derived from the logical
     /// plans diverges from the network's physical classification.
     KeyedClassificationDivergence,
-    /// NL021: a stateful node's ordering safety cannot be proven — it is
-    /// neither behind a merge barrier nor order-free, or its claimed
-    /// commutativity diverges from the logical re-derivation.
+    /// NL021: a stateful node's ordering safety cannot be proven — it
+    /// receives pre-merge input without being a keyed stateful member, a
+    /// partial member feeds in-plan consumers, or a partial member's
+    /// combine is inexact (order-sensitive).
     StatefulOrderUnsafe,
     /// NL030: per-CQ attributed costs do not sum to the per-node totals.
     CostNotConserved,
@@ -107,9 +108,9 @@ pub enum Code {
     /// operators panicked — it stops serving and its bidder's payment is
     /// voided.
     QuarantinedQuery,
-    /// NL062: a worker died at the start of its job; its work was
-    /// recovered on the control thread, and a pool seat's thread was
-    /// respawned before the next flush.
+    /// NL062: a worker died at the start of its job; the homes it left
+    /// unclaimed were walked on the control thread, and a pool seat's
+    /// thread was respawned before the next flush.
     WorkerDeath,
     /// NL063: ingress exceeded the configured overload budget and whole
     /// ingestion batches were shed, lowest-priority stream first.

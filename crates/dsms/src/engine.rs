@@ -51,7 +51,7 @@ use crate::plan::{LogicalPlan, PlanError};
 use crate::types::{work, DictInterner, MergeTags, Schema, Tuple, TupleBatch};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::Thread;
 use std::time::{Duration, Instant};
@@ -374,12 +374,12 @@ impl DsmsEngine {
     /// Sets the worker-shard count — the knob next to the batch-size and
     /// fusion knobs. `1` (the default) compiles down to the single-threaded
     /// path; `n > 1` runs every flush's share of the one parallel plan
-    /// ([`QueryNetwork::keyed_plan`]) as morsels on `n` workers (this
-    /// thread and `n − 1` pooled seats):
+    /// ([`QueryNetwork::keyed_plan`]) as one walk per home shard on `n`
+    /// jobs (this thread and `n − 1` pooled seats):
     /// every stream's stateless operators, every join and aggregate keyed
     /// compatibly with a shard key (absorbing into per-shard state
-    /// partitions inside the workers), and exact aggregates elsewhere as
-    /// per-worker partials. Shard outputs merge deterministically before
+    /// partitions inside the walks), and exact aggregates elsewhere as
+    /// per-home partials. Shard outputs merge deterministically before
     /// the operators outside the plan and the sinks, which run on the
     /// control thread, so outputs are bit-identical to the single-threaded
     /// engine regardless of shard count.
@@ -429,7 +429,7 @@ impl DsmsEngine {
     /// single-threaded run.
     ///
     /// Safe on a live engine, mid-window: a re-key can turn a partial
-    /// aggregate (per-worker partials of each group) into a full member
+    /// aggregate (per-home partials of each group) into a full member
     /// (one key-homed partition per group) or back, so the next parallel
     /// flush re-derives the plan and first re-homes every operator's
     /// state ([`Operator::set_partitions`]) — open windows keep their
@@ -468,10 +468,12 @@ impl DsmsEngine {
     /// Per-shard execution statistics (index = shard id; all zero until a
     /// sharded run happens).
     ///
-    /// Idle workers always steal, so the index is the **executing
-    /// worker**, not the partition-time home shard: a zipf-skewed key
-    /// distribution still shows near-balanced rows here (the home-shard
-    /// skew stays visible in [`StreamStats::shard_rows`]).
+    /// The index is the **executing job**, not the partition-time home
+    /// shard: a job that finishes its own home claims any home still
+    /// unclaimed, so a job can run several homes' rows and a late seat
+    /// none (the home-shard placement stays visible in
+    /// [`StreamStats::shard_rows`]). A home's rows never split across
+    /// jobs, so a hot home's share lands on one index.
     pub fn shard_stats(&self) -> &[ShardStats] {
         &self.shard_stats
     }
@@ -884,22 +886,21 @@ impl DsmsEngine {
     ///    without one deals whole batches round-robin. Subscribers outside
     ///    the plan (shard-incompatible operators, sinks) receive the raw
     ///    batch at flush time, exactly like the single-threaded path.
-    /// 2. **Morsel-driven execution.** The flush's units are cut into
-    ///    [`Morsel`]s on per-worker deques and one job per worker runs
-    ///    them: job 0 on this thread, the others on the persistent
-    ///    [`WorkerPool`]. Each job drains its own deque head first, then
-    ///    steals from the other deques' tails ([`MorselScheduler`]), so
-    ///    skewed key distributions rebalance. A flush of fewer than
-    ///    [`INLINE_FLUSH_ROWS`] rows runs every job here, one after
-    ///    another: job 0 drains every deque, the others find them empty.
-    ///    Every morsel runs the same **mini node loop** ([`run_morsel`]) —
+    /// 2. **One walk per home shard.** Each home shard's units run as one
+    ///    walk ([`walk_home`]) in arrival order: a **mini node loop** —
     ///    per-node FIFO queues drained in ascending node order, stateful
-    ///    operators absorbing into their home shard's state partition
-    ///    (partial aggregates: the executing worker's partial), selection
-    ///    vectors pushed down into joins/aggregates instead of densifying.
-    ///    Windows close against the flush's merged watermark inside the
-    ///    chain morsel (order-sensitive plans) or in a dedicated advance
-    ///    phase behind an all-absorbed barrier (commutative plans).
+    ///    operators absorbing into the home's state partition (partial
+    ///    aggregates too), selection vectors pushed down into
+    ///    joins/aggregates instead of densifying, and windows closing
+    ///    against the flush's merged watermark right after each node's
+    ///    queue. One job per shard runs the walks: job 0 on this thread,
+    ///    the others on the persistent [`WorkerPool`]. Job `w` claims home
+    ///    `w` first, then any home still unclaimed in ascending seat
+    ///    offset, so a seat that wakes late does not hold the flush up. A
+    ///    flush of fewer than [`INLINE_FLUSH_ROWS`] rows runs every job
+    ///    here, one after another: job 0 claims every home, the others
+    ///    find them taken. A job that dies at start claims nothing; the
+    ///    homes nobody claimed run here after the join.
     /// 3. **Deterministic merge.** Exit outputs are merged per
     ///    `(producing node, entry path)` — interleaved by sequence tag
     ///    (join fan-out repeats its probe row's tag, preserving shard
@@ -932,7 +933,7 @@ impl DsmsEngine {
         // One stable counting sort per keyed batch into the flush's index
         // buffer `idx` (reused across flushes, like the per-row shard
         // buffer `homes`): a unit holds its shard's range of it, and the
-        // morsel gathers the rows on whichever worker runs it.
+        // home's walk gathers the rows on whichever job runs it.
         let (mut idx, mut homes) = std::mem::take(&mut self.partition_buf);
         idx.clear();
         let mut ends: Vec<u32> = Vec::with_capacity(shards);
@@ -1024,7 +1025,7 @@ impl DsmsEngine {
                     // whenever the merged watermark moved past what the
                     // node has seen (mirrors the control loop's
                     // `last_watermark < watermark` check). Partial members
-                    // never advance in-shard: their per-worker partials
+                    // never advance in-shard: their per-home partials
                     // are combined by the control loop's own watermark
                     // pass (see `KeyedNode::partial`).
                     advance: kn.stateful && !kn.partial && node.last_watermark < watermark,
@@ -1046,105 +1047,39 @@ impl DsmsEngine {
             fault: self.fault.as_deref(),
         };
 
-        // -- 2a. Cut morsels ---------------------------------------------
-        // One unit per morsel — the finest stealable grain — when units
-        // are independent, which they are exactly when every stateful
-        // plan member's absorption commutes
-        // ([`crate::ops::Operator::keyed_commutative`]). Joins and inexact
-        // (float) aggregates are order-sensitive, so each home shard's
-        // hash-partitioned units then run as one sequential **chain**
-        // morsel with the watermark pass inside — stealable whole, so a
-        // hot shard can still migrate to an idle worker. Whole-batch
-        // units stay independent either way: an order-sensitive member
-        // needs a tracked key, so none sits behind a keyless root.
-        let ordered = nodes
-            .iter()
-            .any(|n| n.plan.stateful && !n.op.keyed_commutative());
-        let mut deques: Vec<VecDeque<Morsel>> = (0..shards).map(|_| VecDeque::new()).collect();
-        for (home, units) in units.into_iter().enumerate() {
-            let (chain, free): (Vec<_>, Vec<_>) =
-                units.into_iter().partition(|u| ordered && u.rows.is_some());
-            deques[home].extend(free.into_iter().map(|unit| Morsel {
-                home,
-                units: vec![unit],
-                advance: false,
-            }));
-            if ordered && (!chain.is_empty() || run_advance) {
-                // Chain fallbacks are the cost of order sensitivity:
-                // the counter lets benches assert commutative grouped
-                // plans stopped paying it.
-                work::count_chain_morsel();
-                deques[home].push_back(Morsel {
-                    home,
-                    units: chain,
-                    advance: true,
-                });
-            }
-        }
-        let sched = MorselScheduler {
-            pending: AtomicUsize::new(deques.iter().map(VecDeque::len).sum()),
-            deques: deques.into_iter().map(Mutex::new).collect(),
-            aborted: AtomicBool::new(false),
-            deserted: AtomicBool::new(false),
-        };
-        // In commutative mode the watermark pass runs as a second phase:
-        // after every morsel of the flush is absorbed (the `pending == 0`
-        // barrier), worker `w` closes the windows of state partition `w` —
-        // per-partition, so the pass itself needs no synchronization and
-        // emission order stays deterministic.
-        let advance_phase = run_advance && !ordered;
-
-        // -- 2b. Morsel-driven execution ---------------------------------
-        // Job `w`. An injected worker death fires at job start, before any
-        // morsel runs — so a dead job's whole deque can be replayed inline
-        // — and raises the desertion flag first, so no survivor hangs on
-        // the advance barrier waiting for the dead job's `pending` share.
+        // Home `h`'s units, hash-partitioned and round-robin alike, run as
+        // one walk in arrival order with the watermark pass inside, so
+        // state partition `h` (partial members' partials included) is
+        // touched by that walk only. A home with no unit and no window to
+        // close has no walk. Job `w` claims home `w` first, then any home
+        // still unclaimed in ascending seat offset: a seat that wakes late
+        // loses its home to whichever job is free.
+        let slots: Vec<Mutex<Option<Vec<KeyedUnit>>>> = units
+            .into_iter()
+            .map(|units| Mutex::new((!units.is_empty() || run_advance).then_some(units)))
+            .collect();
+        let claim = |home: usize| ride_poison(slots[home].lock()).take();
+        // Job `w`. An injected worker death fires at job start, before the
+        // job claims anything, so every home stays whole for another job
+        // or, after the join, for the control thread.
         let job = |worker: usize| -> Option<ShardReport> {
             if ctx.fault.is_some_and(|f| f.claims_worker_death(worker)) {
-                sched.deserted.store(true, Ordering::Release);
                 return None;
             }
             let mut report = ShardReport::default();
-            while let Some((morsel, stolen)) = sched.grab(worker) {
-                work::count_morsel_executed();
-                if stolen {
-                    work::count_morsel_stolen();
+            for off in 0..shards {
+                let home = (worker + off) % shards;
+                match claim(home) {
+                    Some(units) => {
+                        work::count_morsel_executed();
+                        if off > 0 {
+                            work::count_morsel_stolen();
+                        }
+                        walk_home(&ctx, home, units, &mut report);
+                    }
+                    None if off > 0 => work::count_steal_miss(),
+                    None => {}
                 }
-                // Kernel panics are caught per invocation *inside* the
-                // morsel body (recover-and-continue); this outer net only
-                // catches genuine executor bugs, which still abort the
-                // flush — after unblocking the other jobs' barriers.
-                let done = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    run_morsel(&ctx, worker, morsel, &mut report);
-                }));
-                sched.pending.fetch_sub(1, Ordering::AcqRel);
-                if let Err(payload) = done {
-                    sched.aborted.store(true, Ordering::Release);
-                    std::panic::resume_unwind(payload);
-                }
-            }
-            // All-absorbed barrier: windows may close only once every
-            // morsel's rows reached partitioned state. The deques are
-            // already empty (`grab` returned `None`), so this only waits
-            // out morsels still executing elsewhere — never on an inline
-            // flush, whose first live job drains every deque. A deserted
-            // flush releases the barrier early: the dead job's `pending`
-            // share may never drain, and whether absorption is complete is
-            // only known once the control thread replays the leftovers —
-            // so the close is skipped (`advanced: false`) unless
-            // absorption had already finished.
-            while advance_phase
-                && sched.pending.load(Ordering::Acquire) != 0
-                && !sched.aborted.load(Ordering::Acquire)
-                && !sched.deserted.load(Ordering::Acquire)
-            {
-                std::thread::yield_now();
-            }
-            report.advanced = !advance_phase
-                || (sched.pending.load(Ordering::Acquire) == 0
-                    && !sched.aborted.load(Ordering::Acquire));
-            if advance_phase && report.advanced {
-                run_morsel(&ctx, worker, Morsel::advance_only(worker), &mut report);
             }
             Some(report)
         };
@@ -1176,9 +1111,8 @@ impl DsmsEngine {
         // Surface deaths: a dead pool seat was already respawned (counted
         // by [`work::WorkSnapshot::pool_spawns`], which kernel-panic
         // quarantine keeps flat); a job that died on this thread has no
-        // thread to replace. The report defaults to empty and the
-        // leftovers are replayed below. Any other payload is a genuine
-        // executor bug and unwinds as before.
+        // thread to replace. Any other payload is a genuine executor bug
+        // and unwinds as before.
         let mut deaths: Vec<usize> = Vec::new();
         let mut reports: Vec<(usize, ShardReport)> = Vec::with_capacity(results.len());
         for (w, result) in results.into_iter().enumerate() {
@@ -1191,39 +1125,23 @@ impl DsmsEngine {
                 Err(payload) => std::panic::resume_unwind(payload),
             }
         }
-        // Recover a deserted flush on the control thread, while the
-        // flush's resolved plan is still in scope: (a) replay every
-        // morsel left on the deques, as its home shard's worker — death
-        // fires at job start, so leftover morsels (including chains, whose
-        // watermark pass rides inside) are whole; (b) run the
-        // advance-phase duty of every partition whose worker skipped it
-        // (per-partition, so each partition's windows close exactly once —
-        // either on its worker or here). Recovery outputs join the same
-        // deterministic merge as the job reports, so the flush's output
-        // order is unchanged.
+        // A dead job claimed nothing, so run every home nobody claimed
+        // here, while the flush's resolved plan is still in scope. These
+        // walks join the same deterministic merge as the job reports, so
+        // the flush's output order is unchanged.
         if !deaths.is_empty() {
             let mut recovery = ShardReport::default();
-            for deque in &sched.deques {
-                loop {
-                    let Some(morsel) = lock_deque(deque).pop_front() else {
-                        break;
-                    };
+            for home in 0..shards {
+                if let Some(units) = claim(home) {
                     work::count_morsel_executed();
-                    run_morsel(&ctx, morsel.home, morsel, &mut recovery);
-                }
-            }
-            if advance_phase {
-                for (w, report) in &reports {
-                    if !report.advanced {
-                        run_morsel(&ctx, *w, Morsel::advance_only(*w), &mut recovery);
-                    }
+                    walk_home(&ctx, home, units, &mut recovery);
                 }
             }
             for &w in &deaths {
                 self.runtime_report.push(Diagnostic::new(
                     Code::WorkerDeath,
                     Span::Network,
-                    format!("worker {w} died mid-flush; its morsels were replayed inline"),
+                    format!("worker {w} died mid-flush; the homes it left unclaimed ran inline"),
                 ));
             }
             reports.push((deaths[0], recovery));
@@ -1233,7 +1151,7 @@ impl DsmsEngine {
         // The plan's watermark handling happened inside the shards: mark
         // every member so the control loop does not re-advance (and
         // re-emit from) partitioned state. Partial-aggregation members are
-        // the exception — their per-worker partials close on the control
+        // the exception — their per-home partials close on the control
         // loop's own watermark pass, which stays pending.
         for kn in &keyed.nodes {
             if kn.partial {
@@ -1763,92 +1681,17 @@ struct KeyedUnit {
     batch: TupleBatch,
     /// A hash-partitioned share: its range of the flush's index buffer
     /// ([`FlushCtx::rows`]) — the pre-partition indices of its rows, which
-    /// the morsel gathers and carries on as merge tags. `None` for a whole
-    /// batch dealt round-robin: it lives on one shard, so its outputs
-    /// merge without tags and its kernels run untraced.
+    /// the home's walk gathers and carries on as merge tags. `None` for a
+    /// whole batch dealt round-robin: it lives on one shard, so its
+    /// outputs merge without tags and its kernels run untraced.
     rows: Option<std::ops::Range<u32>>,
 }
 
-/// One work item of the morsel scheduler: `home`'s state partitions, the
-/// units to walk through the plan, and whether the watermark pass rides
-/// inside the walk. Units carry their own sequence metadata (source batch
-/// indices, row tags), so the deterministic merge is independent of which
-/// worker executes a morsel and in what order.
-///
-/// Three uses of the one shape: a single independent unit (stealable
-/// alone: whatever it reaches combines commutatively); a **chain** — one
-/// home shard's entire hash-partitioned workload plus its watermark pass,
-/// run sequentially (order-sensitive plans: joins, float aggregates); and
-/// the commutative plans' advance-only morsel ([`Morsel::advance_only`]).
-struct Morsel {
-    home: usize,
-    units: Vec<KeyedUnit>,
-    advance: bool,
-}
-
-impl Morsel {
-    /// The watermark pass over state partition `home`, on its own — what
-    /// each worker runs for its own partition once every morsel of a
-    /// commutative flush is absorbed.
-    fn advance_only(home: usize) -> Morsel {
-        Morsel {
-            home,
-            units: Vec::new(),
-            advance: true,
-        }
-    }
-}
-
-/// The flush-scoped morsel scheduler: one deque per worker, seeded with
-/// the worker's home-shard morsels. The owner pops from the head; when a
-/// worker's own deque runs dry it pops from the tails of the other
-/// workers' deques in ascending seat offset, so a zipf-hot shard's backlog
-/// spreads over every idle core. Workers never push, so an empty scan
-/// means the flush's distribution phase is over for good.
-struct MorselScheduler {
-    deques: Vec<Mutex<VecDeque<Morsel>>>,
-    /// Morsels dequeued but not yet *finished* — decremented after a
-    /// morsel's rows are absorbed, so `0` is the all-absorbed barrier the
-    /// advance phase waits on.
-    pending: AtomicUsize,
-    /// Set when a morsel panicked: the other workers drop their barriers
-    /// and the pool re-raises the payload on the control thread.
-    aborted: AtomicBool,
-    /// Set by a worker dying at job start (before its morsels ran):
-    /// survivors release their advance barriers — the dead worker's
-    /// `pending` share may never drain — and the control thread replays
-    /// the leftover morsels inline after the pool joins.
-    deserted: AtomicBool,
-}
-
-impl MorselScheduler {
-    /// The next morsel for `me`: own head first, then other workers'
-    /// tails. `true` marks a steal; empty victims count
-    /// [`work::WorkSnapshot::steal_misses`].
-    fn grab(&self, me: usize) -> Option<(Morsel, bool)> {
-        if self.aborted.load(Ordering::Acquire) {
-            return None;
-        }
-        if let Some(m) = lock_deque(&self.deques[me]).pop_front() {
-            return Some((m, false));
-        }
-        let n = self.deques.len();
-        for off in 1..n {
-            match lock_deque(&self.deques[(me + off) % n]).pop_back() {
-                Some(m) => return Some((m, true)),
-                None => work::count_steal_miss(),
-            }
-        }
-        None
-    }
-}
-
 /// Rides over mutex poisoning: every lock in the engine guards data whose
-/// invariants hold between operations (a deque of whole morsels, a slot
-/// state machine), and a panic inside a critical section is surfaced
-/// separately — through a per-kernel catch, the scheduler's `aborted`
-/// flag, or the pool's `Done(Err)` path — so the poison flag carries no
-/// extra information here. One helper instead of scattered
+/// invariants hold between operations (a home's claim slot, a pool
+/// mailbox), and a panic inside a critical section is surfaced
+/// separately — through a per-kernel catch or the pool's `Done(Err)`
+/// path — so the poison flag carries no extra information here. One helper instead of scattered
 /// `unwrap_or_else(PoisonError::into_inner)` copies.
 fn ride_poison<T>(r: Result<T, std::sync::PoisonError<T>>) -> T {
     r.unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -1865,8 +1708,8 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// The one guard around every operator-kernel invocation — the morsel
-/// body's and the control loop's queue walks and watermark passes, and
+/// The one guard around every operator-kernel invocation — the home
+/// walks' and the control loop's queue walks and watermark passes, and
 /// `finish`: a panic net, the fault harness's hook and
 /// the `busy` timer in one place. `f` receives `inject` and calls it with
 /// its input's timestamps before touching the kernel; the hook lives
@@ -1905,12 +1748,6 @@ fn run_kernel<T>(
     }
 }
 
-/// Locks a morsel deque, riding over poisoning (the panic that poisoned it
-/// is surfaced through the pool's `Done(Err)` path).
-fn lock_deque(m: &Mutex<VecDeque<Morsel>>) -> std::sync::MutexGuard<'_, VecDeque<Morsel>> {
-    ride_poison(m.lock())
-}
-
 /// What one operator invocation handed on.
 enum Produced {
     /// A pure filter's survivors, still deferred: row indices into the
@@ -1922,7 +1759,7 @@ enum Produced {
 }
 
 /// Invokes an operator on one queued input — the one way in for the
-/// control loop's queue walk (`partition: None`) and the morsel body
+/// control loop's queue walk (`partition: None`) and the home walks
 /// (`Some(p)`) alike: a filter that can stay selection-deferred refines,
 /// everything else processes, and a keyed operator handed a deferred
 /// selection counts the rows it absorbs through it
@@ -1946,7 +1783,7 @@ fn invoke(
     out.map(|batch| Produced::Batch(batch, trace))
 }
 
-/// Per-node statistic deltas accumulated by one worker.
+/// Per-node statistic deltas accumulated by one job.
 #[derive(Default)]
 struct NodeDelta {
     in_rows: u64,
@@ -1955,7 +1792,7 @@ struct NodeDelta {
     busy: Duration,
 }
 
-/// Everything one worker reports back when its shard joins.
+/// Everything one job reports back when it joins.
 #[derive(Default)]
 struct ShardReport {
     /// Merge-point outputs: `(producing node, entry path, batch, tags)`.
@@ -1972,17 +1809,12 @@ struct ShardReport {
     /// The worker thread's work counters, folded into the control thread
     /// when the shard joins.
     work: work::WorkSnapshot,
-    /// Kernel panics caught during this shard's morsels: `(node id, panic
+    /// Kernel panics caught during this job's walks: `(node id, panic
     /// message)`. Resolved into quarantines by the control thread.
     panics: Vec<(u32, String)>,
-    /// Whether this worker's advance-phase duty ran (always `true` when
-    /// the flush has no second phase). A deserted flush leaves it `false`
-    /// on workers that skipped their advance; the control thread makes
-    /// those partitions up inline.
-    advanced: bool,
 }
 
-/// One plan node resolved for the workers.
+/// One plan node resolved for the home walks.
 struct ResolvedKeyedNode<'a> {
     /// The node's place in the plan: id, membership flags, in-plan
     /// consumers, and exits (a node with exits reports its outputs back
@@ -1996,7 +1828,7 @@ struct ResolvedKeyedNode<'a> {
     /// (always `false` for partial members — the control loop combines
     /// and emits their partials).
     advance: bool,
-    /// Whether the node is a *grouped* partial member (per-worker hash
+    /// Whether the node is a *grouped* partial member (per-home hash
     /// partials over a shard-incompatible group key); counts
     /// [`work::WorkSnapshot::grouped_partial_rows`]. Implies
     /// `plan.partial` — key-compatible grouped aggregates are full
@@ -2004,7 +1836,7 @@ struct ResolvedKeyedNode<'a> {
     grouped: bool,
 }
 
-/// What every morsel of one flush runs against.
+/// What every home walk of one flush runs against.
 struct FlushCtx<'a> {
     nodes: &'a [ResolvedKeyedNode<'a>],
     plan: &'a KeyedPlan,
@@ -2017,7 +1849,7 @@ struct FlushCtx<'a> {
     fault: Option<&'a FaultPlan>,
 }
 
-/// One pending input of a plan node inside a morsel's mini node loop.
+/// One pending input of a plan node inside a home walk's mini node loop.
 struct KeyedEntry {
     /// The entry path (see [`entry_child`]); orders a node's queue the way
     /// the single-threaded node loop fills it.
@@ -2048,29 +1880,26 @@ fn entry_child(id: u32, parent: &[u32]) -> Vec<u32> {
     key
 }
 
-/// The body of every morsel: a **mini node loop** over the parallel plan,
-/// mirroring the single-threaded engine's pass — per-node FIFO queues
-/// drained in ascending node order and (when the morsel's `advance` is
-/// set) each stateful node closing its `home` partition's windows against
-/// the flush's merged watermark right after its queue drains. Because
-/// every pair of rows a stateful full member must combine shares the
-/// unit's home shard (hash partitioning on the tracked key), the walk
-/// observes exactly the single-threaded state restricted to that shard's
-/// keys, and the reported outputs carry entry paths + row tags that let
-/// the control thread reassemble bit-identical batches.
+/// One home shard's walk: a **mini node loop** over the parallel plan,
+/// mirroring the single-threaded engine's pass — the home's units seeded
+/// in arrival order, per-node FIFO queues drained in ascending node order,
+/// and each stateful node closing partition `home`'s windows against the
+/// flush's merged watermark right after its queue drains. Because every
+/// pair of rows a stateful full member must combine shares a home shard
+/// (hash partitioning on the tracked key), the walk observes exactly the
+/// single-threaded state restricted to that shard's keys, and the
+/// reported outputs carry entry paths + row tags that let the control
+/// thread reassemble bit-identical batches.
 ///
-/// Partial-aggregation members are the exception to key homing: they
-/// absorb into partition `worker` — the **executing worker's** — which is
+/// Partial-aggregation members absorb into partition `home` too, which is
 /// exact because only commutative aggregates qualify; the control loop's
-/// watermark pass later combines the per-worker partials in partition
-/// order. (The control thread replaying a dead worker's morsels passes the
-/// morsel's home as `worker`.)
-fn run_morsel(ctx: &FlushCtx<'_>, worker: usize, morsel: Morsel, report: &mut ShardReport) {
+/// watermark pass later combines the partials in partition order.
+fn walk_home(ctx: &FlushCtx<'_>, home: usize, units: Vec<KeyedUnit>, report: &mut ShardReport) {
     let nodes = ctx.nodes;
     let mut queues: Vec<VecDeque<KeyedEntry>> = (0..nodes.len()).map(|_| VecDeque::new()).collect();
     // Seed root targets in source-batch order (= ingestion order), exactly
     // like the single-threaded flush routes raw stream batches.
-    for unit in morsel.units {
+    for unit in units {
         let (batch, tags) = match unit.rows {
             Some(rows) => {
                 let rows = &ctx.rows[rows.start as usize..rows.end as usize];
@@ -2109,11 +1938,6 @@ fn run_morsel(ctx: &FlushCtx<'_>, worker: usize, morsel: Morsel, report: &mut Sh
     for pos in 0..nodes.len() {
         let node = &nodes[pos];
         let id = node.plan.id.0;
-        let partition = if node.plan.partial {
-            worker
-        } else {
-            morsel.home
-        };
         while let Some(entry) = queues[pos].pop_front() {
             let in_rows = entry.sel.as_ref().map_or(entry.batch.len(), Vec::len) as u64;
             report.rows += in_rows;
@@ -2135,12 +1959,12 @@ fn run_morsel(ctx: &FlushCtx<'_>, worker: usize, morsel: Morsel, report: &mut Sh
                     }
                     if node.grouped {
                         // Grouped rows absorbed past the merge barrier
-                        // into per-worker hash partials.
+                        // into the home partition's hash partials.
                         work::count_grouped_partial_rows(in_rows);
                     }
                     invoke(
                         node.op,
-                        Some(partition),
+                        Some(home),
                         entry.port,
                         &entry.batch,
                         entry.sel.as_deref(),
@@ -2178,9 +2002,8 @@ fn run_morsel(ctx: &FlushCtx<'_>, worker: usize, morsel: Morsel, report: &mut Sh
         }
         // Watermark pass: close this shard's windows right after the
         // node's queue — the position the single-threaded loop advances
-        // the node at. Not part of a commutative flush's unit morsels —
-        // that flush runs advance-only morsels behind its barrier instead.
-        if morsel.advance && node.advance {
+        // the node at.
+        if node.advance {
             let (emitted, elapsed) = run_kernel(
                 id,
                 node.kind,
@@ -2189,7 +2012,7 @@ fn run_morsel(ctx: &FlushCtx<'_>, worker: usize, morsel: Morsel, report: &mut Sh
                 &mut report.panics,
                 |inject| {
                     inject(&[]);
-                    node.op.advance(Some(morsel.home), ctx.watermark)
+                    node.op.advance(Some(home), ctx.watermark)
                 },
             );
             report.busy += elapsed;

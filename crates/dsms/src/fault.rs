@@ -22,7 +22,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 /// as a kernel fault) and respawns a replacement once the flush's jobs
 /// have reported back (counted by
 /// [`crate::types::work::WorkSnapshot::pool_spawns`]). A job that dies on
-/// the control thread deserts the same way but has no thread to replace.
+/// the control thread claims no home either but has no thread to replace.
 #[derive(Clone, Copy, Debug)]
 pub struct WorkerDeath;
 
@@ -49,7 +49,7 @@ pub struct FaultPlan {
     fired: [AtomicBool; 6],
     /// Any kernel invocation whose input batch carries this event
     /// timestamp panics (a poison row: content-triggered, so the fault
-    /// site is independent of shard count and morsel scheduling).
+    /// site is independent of shard count and of which job walks a home).
     poison_ts: Option<u64>,
     /// Kill worker `w` when it starts its `n`-th (1-based) job.
     kill_worker: Option<(usize, u64)>,
@@ -110,7 +110,7 @@ impl FaultPlan {
     /// Kills worker `worker` when it starts its `nth` (1-based) job
     /// (builder form). Job 0 of every flush, and every job of a flush
     /// below [`crate::engine::INLINE_FLUSH_ROWS`], runs on the control
-    /// thread: its death deserts and replays like a pool seat's, but no
+    /// thread: it dies like a pool seat's (claiming no home), but no
     /// thread exits. A pool seat's thread exits and the pool respawns it.
     ///
     /// # Panics
@@ -172,9 +172,10 @@ impl FaultPlan {
 
     /// The job-start hook: counts one job for `worker` and reports
     /// whether the worker should die *now* (one-shot). Called by the
-    /// engine at the start of each job of a parallel flush, before any
-    /// morsel runs, so an injected death never leaves a morsel
-    /// half-executed — its whole deque is recovered on the control thread.
+    /// engine at the start of each job of a parallel flush, before the
+    /// job claims a home shard, so an injected death never leaves a home
+    /// half-walked — another job or, after the join, the control thread
+    /// walks every home the dead job would have.
     pub fn claims_worker_death(&self, worker: usize) -> bool {
         let Some((w, nth)) = self.kill_worker else {
             return false;

@@ -219,7 +219,7 @@
 //! row-for-row equivalent (pinned by the `fused_network_equals_unfused`
 //! property in `tests/property_dsms.rs`).
 //!
-//! ## Parallel execution: morsel-driven scheduling with work stealing
+//! ## Parallel execution: one walk per home shard
 //!
 //! The engine scales ingestion across cores without giving up replay
 //! exactness. A **shard-count knob** sits next to the batch-size and
@@ -250,33 +250,30 @@
 //!    else behind members as *partial* members (below). Subscribers
 //!    outside the plan — shard-incompatible operators and sinks — receive
 //!    raw batches at flush time, exactly like the single-threaded engine.
-//! 2. **Morsel-driven execution.** Each of the flush's work units becomes
-//!    one **morsel** — a batch-sized, sequence-tagged work item — dealt
-//!    onto **per-worker deques**: a deque holds the morsels whose rows
-//!    hash-partitioned to one home shard (plus its round-robin share).
-//!    One job per worker drains them (see *The handoff* below for where
-//!    the jobs run): each job pops its *own deque's head* first, and when
-//!    that runs dry **steals from the tail** of the next busy worker's
-//!    deque — so a zipf-skewed key distribution that floods one home
-//!    shard rebalances across whichever workers are idle. Executed,
-//!    stolen, and missed-steal morsels are counted
+//! 2. **One walk per home shard.** A home shard's units — its
+//!    hash-partitioned shares and its round-robin batches — run as one
+//!    **walk** in arrival order: a mini node loop over the plan that
+//!    invokes each member through the same [`ops::Operator::process`] /
+//!    [`ops::Operator::advance`] the control thread uses, only with
+//!    `partition: Some(home)`. Stateful members address the home's
+//!    **state partition** (equal keys share a home), close windows right
+//!    after their queue drains against the flush's merged watermark, and
+//!    absorb filtered input **through the selection vector** (no
+//!    densify; counted by
+//!    [`types::work::WorkSnapshot::selection_pushdown_rows`]). Partition
+//!    `h` — partial members' partials included — is touched by home
+//!    `h`'s walk only. One job per shard runs the walks (see *The
+//!    handoff* below for where the jobs run): job `w` **claims** home `w`
+//!    first, then any home still unclaimed in ascending seat offset, so a
+//!    seat that wakes late loses its home to a job that is free instead
+//!    of holding the flush up. Walks, walks of another job's home, and
+//!    claims that found a home taken are counted
 //!    ([`types::work::WorkSnapshot::morsels_executed`] /
 //!    [`types::work::WorkSnapshot::morsels_stolen`] /
-//!    [`types::work::WorkSnapshot::steal_misses`]); a worker sweeps the
-//!    victim deques at most once per grab, so the counters also pin that
-//!    nobody spins on empty deques. Every morsel has **one shape** — a home shard, its
-//!    units, and whether the watermark pass rides inside — and one body:
-//!    a mini node loop over the plan that invokes each member through the
-//!    same [`ops::Operator::process`] / [`ops::Operator::advance`] the
-//!    control thread uses, only with `partition: Some(..)`. Stateful
-//!    members address the **state partition** of the morsel's *home*
-//!    shard (equal keys share a home, so a stolen morsel mutates exactly
-//!    the partition it would have at home), close windows per-partition
-//!    against the flush's merged watermark, and absorb filtered input
-//!    **through the selection vector** (no densify; counted by
-//!    [`types::work::WorkSnapshot::selection_pushdown_rows`]). A
-//!    whole-batch unit lives on one shard, so everything downstream of it
-//!    runs untraced and merges without tags.
+//!    [`types::work::WorkSnapshot::steal_misses`]); each job tries each
+//!    home once, so a flush makes at most `shards × (shards − 1)` missed
+//!    claims. A whole-batch unit lives on one shard, so everything
+//!    downstream of it runs untraced and merges without tags.
 //! 3. **Deterministic merge — past the stateful operators.** The merge
 //!    barrier sits at the plan's *exits* (the first shard-incompatible
 //!    node or sink), not in front of every join and aggregate. Exit
@@ -290,21 +287,6 @@
 //!    each producer, reproducing the single-threaded arrival interleaving
 //!    at every out-of-plan queue.
 //!
-//! **Two execution modes.** Stealing must not reorder state mutations
-//! that produce inline outputs, so the scheduler classifies the plan:
-//! when every stateful member **commutes** (exact aggregates — absorption
-//! order cannot change the combined state, and aggregates emit only at
-//! window closes), every unit is an independent morsel and the watermark
-//! pass runs as a **second phase** behind an all-absorbed barrier (worker
-//! `w` runs an advance-only morsel over partition `w` — per-partition, so
-//! the pass needs no locks). Plans with order-sensitive members (joins,
-//! float Sum/Avg aggregates) fall back to one **chain morsel** per home
-//! shard for the hash-partitioned units — the one-pass walk with in-line
-//! advances, still stealable as a whole, so skew still rebalances at
-//! shard granularity. Whole-batch units stay independent either way: an
-//! order-sensitive member needs a tracked key, so none sits behind a
-//! keyless root.
-//!
 //! **Partial aggregation.** An ungrouped aggregate cannot be homed by key
 //! (its single group spans every shard), and neither can a grouped
 //! aggregate whose group key is *shard-incompatible* (grouping by a
@@ -313,20 +295,17 @@
 //! but when the combine is **exact** (integer inputs via the
 //! i128 accumulator; Count/Min/Max over anything —
 //! [`ops::AggregateOp`]'s `combine_exact`), either shape joins the
-//! plan as a **partial member**: each worker absorbs its morsels' rows
-//! into its *own* partial accumulator — grouped members hash-accumulate
-//! per group key within the worker's partition (counted by
+//! plan as a **partial member**: each home's walk absorbs its rows into
+//! the home's *own* partial accumulator — grouped members hash-accumulate
+//! per group key within the home's partition (counted by
 //! [`types::work::WorkSnapshot::grouped_partial_rows`]) — and the
-//! control thread's watermark pass folds the per-worker partials **in
+//! control thread's watermark pass folds the per-home partials **in
 //! deterministic partition order** at every window close, run-folding
 //! equal group keys left-to-right
 //! ([`types::work::WorkSnapshot::partial_groups_combined`]). Float
 //! Sum/Avg stay behind the merge barrier (float addition does not
 //! associate) — the determinism audit's `NL021` names any physical node
 //! that claims partial membership with an order-sensitive combine. The
-//! `hot_key_skew` bench's `grouped_partials` cell pins that a
-//! commutative grouped workload cuts **zero chain morsels**
-//! ([`types::work::WorkSnapshot::chain_morsels`]); the
 //! grouped/ungrouped equivalence properties pin both halves. A live
 //! re-key ([`engine::DsmsEngine::set_shard_key`]) can move an aggregate
 //! between partial and full membership in mid-window; the engine re-homes
@@ -350,56 +329,59 @@
 //! engines side by side may spin on each other's cores, each for at most
 //! 1 ms per handoff. A flush of fewer
 //! than [`engine::INLINE_FLUSH_ROWS`] rows wakes nobody: every job runs
-//! on the control thread in seat order — job 0 drains every deque, the
-//! rest find them empty — which a fixed row count decides, never a
+//! on the control thread in seat order — job 0 claims every home, the
+//! rest find them taken — which a fixed row count decides, never a
 //! timing, so every work counter stays a pure function of the input.
-//! An injected worker death ([`fault::FaultPlan::with_worker_death`]) of
-//! a job on the control thread deserts and replays exactly like a pool
-//! seat's, without a thread to respawn.
+//! An injected worker death ([`fault::FaultPlan::with_worker_death`])
+//! fires at job start, before the job claims anything; after the join
+//! the control thread walks every home nobody claimed. A job on the
+//! control thread dies exactly like a pool seat's, without a thread to
+//! respawn.
 //!
 //! **State partitions = workers.** Keyed state is hash-partitioned into
 //! exactly `shards` partitions, one per home shard. Cutting `k × shards`
-//! partitions (more, smaller chain morsels for stealing to balance) was
+//! partitions (more, smaller walks for claims to balance) was
 //! measured at k = 2 and 4 and lost to k = 1 on `serve_keyed_stateful`:
 //! every extra partition costs each flush another pass over the plan's
 //! stateless members and another merge part, more than the balance gains.
 //!
-//! **One schedule.** Nothing about the schedule is configurable: a
-//! morsel carries exactly one unit (the finest stealable grain) unless it
-//! is a chain, which carries a home shard's whole hash-partitioned unit
-//! list; idle workers always steal, sweeping the other deques
+//! **One schedule.** Nothing about the schedule is configurable: every
+//! plan runs one walk per home shard per flush, jobs claim whole homes
 //! in ascending seat offset, the lane loops always run, and worker
-//! threads are never pinned to cores. The engine's callers set what they
+//! threads are never pinned to cores. Claims are not optional: with pure
+//! fork/join, where each job runs only its own home, the control thread
+//! waits out a seat that wakes late instead of taking its home, and
+//! `serve_keyed_stateful` lost 10 of 10 alternating pairs (676.7 k →
+//! 641.0 k rows/s on a 2-vCPU box). The engine's callers set what they
 //! genuinely differ in — shard count, shard keys, batch cap — and the
-//! executor has one behaviour per plan.
+//! executor has one behaviour.
 //!
 //! **Determinism argument.** Hash partitioning sends every pair of rows a
 //! keyed stateful operator must combine (equal join keys, equal group
-//! keys) to the same *home* shard, and a morsel's state-partition index
-//! travels with the morsel, so per-partition operator state evolves
-//! exactly as the single-threaded state restricted to that partition's
-//! keys no matter which worker executes it; morsels of one home shard
-//! preserve source order within each deque (owners pop the head; a chain
-//! morsel is never split; commutative morsels may complete out of order
-//! but their absorptions commute), against the same merged watermark.
-//! Join outputs ordered by probe-row tag and window closes ordered by the
-//! `(window start, group)` emission comparator therefore reassemble the
-//! exact single-threaded output sequences. Output sequences are hence
-//! **bit-identical to the single-threaded engine regardless of shard
-//! count or of which worker ran which morsel** — pinned
+//! keys) to the same *home* shard, and each flush runs **one walk per
+//! partition, in arrival order**, against the same merged watermark.
+//! Per-partition operator state therefore evolves exactly as the
+//! single-threaded state restricted to that partition's keys, whichever
+//! job runs the walk. Join outputs ordered by probe-row tag and window
+//! closes ordered by the `(window start, group)` emission comparator
+//! reassemble the exact single-threaded output sequences. Output
+//! sequences are hence **bit-identical to the single-threaded engine
+//! regardless of shard count or of which job walked which home** — pinned
 //! by the `shard_count_invariance`, `keyed_stateful_shard_invariance`,
 //! `ungrouped_aggregate_partials_match_single_threaded`, and
 //! `grouped_partials_match_single_threaded` properties (stateless,
 //! keyed-stateful, and grouped/ungrouped partial-aggregate plan shapes ×
 //! batch caps 1/7/64/1024 × shard counts 1/2/4/8 × keyed, round-robin and
-//! mixed partitioning, strict sequence equality), a 100-seed concurrency soak, and a skewed-key
-//! soak in `tests/shard_exec.rs`.
+//! mixed partitioning, strict sequence equality), a 100-seed concurrency
+//! soak, and a skewed-key soak in `tests/shard_exec.rs`.
 //!
-//! Per-worker load is observable ([`engine::DsmsEngine::shard_stats`] —
-//! executing-worker attribution, near-balanced under stealing;
-//! [`engine::StreamStats::shard_rows`] — home placement, where skew stays
-//! visible; the `shard_batches` / `shard_merge_rows` / `keyed_shard_rows`
-//! / morsel work counters) and aggregates into the same per-node totals
+//! Per-job load is observable ([`engine::DsmsEngine::shard_stats`] —
+//! executing-job attribution: a home's rows never split, so a hot home
+//! shows on one job, and a job that claimed a late seat's home shows
+//! two homes' rows; [`engine::StreamStats::shard_rows`] — home
+//! placement; the `shard_batches` / `shard_merge_rows` /
+//! `keyed_shard_rows` / walk work counters) and aggregates into the same
+//! per-node totals
 //! the measured cost model reads, so [`cost::CostModel::measured`] prices
 //! a query's full multi-core load — including the keyed stateful fraction,
 //! which now genuinely runs on the shards — and the admission auction
@@ -472,11 +454,10 @@
 //!   to a fault-free run (pinned per operator kind × shard count in
 //!   `tests/fault_recovery.rs`). Worker threads
 //!   survive kernel panics — `pool_spawns` stays flat — while an injected
-//!   worker *death* is detected at job granularity: the scheduler's
-//!   desertion flag releases the survivors' advance barrier, the control
-//!   thread drains the dead worker's remaining morsels inline and runs the
-//!   skipped watermark passes partition by partition, and the pool
-//!   respawns the seat before the next flush (a job that died on the
+//!   worker *death* is detected at job granularity: the dead job claims
+//!   no home, another job or — after the join — the control thread walks
+//!   every home it would have, and the pool respawns the seat before the
+//!   next flush (a job that died on the
 //!   control thread has no seat to respawn). [`center::DsmsCenter`]
 //!   absorbs quarantines into the billing layer: the quarantined bidder's
 //!   payment for the day is zeroed and the bidder sits out the next

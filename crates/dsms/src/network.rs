@@ -144,11 +144,11 @@ pub struct KeyedNode {
     pub stateful: bool,
     /// Whether the node is a **partial-aggregation** member (an exact
     /// aggregate whose single group — or shard-incompatible group key —
-    /// spans shards): workers absorb rows into per-*worker* partial
-    /// accumulators instead of key-homed partitions, and the control
-    /// thread's watermark pass combines the partials in partition order
-    /// when windows close. Grouped members hash-accumulate per group key
-    /// within each worker partition. Downstream consumers still see the
+    /// spans shards): each home shard's walk absorbs its rows into that
+    /// home's partial accumulators instead of key-homed partitions, and
+    /// the control thread's watermark pass combines the partials in
+    /// partition order when windows close. Grouped members
+    /// hash-accumulate per group key within each home partition. Downstream consumers still see the
     /// node as a merge barrier (its output is produced on the control
     /// thread), so a partial node's `internal` is always empty.
     pub partial: bool,
@@ -311,7 +311,7 @@ impl QueryNetwork {
     /// Re-homes every live operator's partitioned state onto the current
     /// shard count ([`crate::ops::Operator::set_partitions`]): a key's
     /// tuples move whole, in order, to the partition the key hashes to,
-    /// and per-worker partials of one group combine there. Afterwards the
+    /// and per-home partials of one group combine there. Afterwards the
     /// state sits where *any* plan membership expects it — a full member
     /// closes windows per partition, which is only right once no group
     /// spans two — so the engine runs this whenever it re-derives the
@@ -820,11 +820,11 @@ impl QueryNetwork {
                 order.push(id);
             } else if class == OpClass::Keyed && node.op.keyed_partial() {
                 // Partial-aggregation member: absorbs rows inside the
-                // shards (per-worker partials, no key needed — every row
-                // folds into whichever worker ran its morsel, legal
-                // because the combine is exact; grouped aggregates at a
+                // shards (per-home partials, no key needed — every row
+                // folds into its home shard's partial, legal because the
+                // combine is exact; grouped aggregates at a
                 // shard-incompatible key accumulate per group *within*
-                // each worker partition), but its *output* is produced by
+                // each home partition), but its *output* is produced by
                 // the control thread's watermark pass, which combines the
                 // partials. Downstream nodes therefore see a merge
                 // barrier: the node joins `order` but not `members`.
@@ -1310,7 +1310,7 @@ mod tests {
     #[test]
     fn keyed_plan_stops_at_inexact_ungrouped_aggregates() {
         let mut n = network_with_quotes();
-        // An ungrouped float Sum cannot combine per-worker partials
+        // An ungrouped float Sum cannot combine per-home partials
         // exactly (reassociation changes the rounding), so it must stay a
         // merge barrier.
         n.add_query(high_price_filter().aggregate(None, AggFunc::Sum, 1, 100))
@@ -1326,7 +1326,7 @@ mod tests {
     fn keyed_plan_admits_ungrouped_exact_aggregates_as_partials() {
         let mut n = network_with_quotes();
         // An ungrouped Count combines exactly, so it joins the plan as a
-        // partial-aggregation member: rows fold into per-worker partials
+        // partial-aggregation member: rows fold into per-home partials
         // in-shard, and the control thread's watermark pass combines
         // them. Its consumers still see a merge barrier (empty internal).
         let q = n
@@ -1395,7 +1395,7 @@ mod tests {
         // A projection that *drops* the key severs the keyed chain for a
         // *grouped* aggregate (its groups then span shards) — but an
         // exact combine lets it rejoin as a grouped *partial* member:
-        // per-worker hash partials, combined behind the merge barrier.
+        // per-home hash partials, combined behind the merge barrier.
         let mut n2 = QueryNetwork::new();
         n2.register_stream(
             "trades",
@@ -1457,7 +1457,7 @@ mod tests {
             .add_query(high_price_filter().aggregate(Some(0), AggFunc::Count, 0, 100))
             .unwrap();
         // No key to home the groups by: the exact Count absorbs as
-        // per-worker partials behind the keyless root, where with
+        // per-home partials behind the keyless root, where with
         // `quotes` keyed on the symbol it would be a full member.
         let plan = n.keyed_plan(&HashMap::new());
         assert_eq!(plan.roots.len(), 1);

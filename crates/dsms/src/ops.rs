@@ -229,10 +229,10 @@ pub type RowTrace = Option<Vec<u32>>;
 /// A physical streaming operator over tuple batches.
 ///
 /// There is **one invocation**, through `&self`, for every way the engine
-/// runs an operator: `partition` is `Some(p)` when a pool worker addresses
-/// state partition `p` of the operator (the rows it brings were routed
-/// there — or, for a partial-aggregation member, `p` is the worker's own
-/// partial), and `None` on the control thread, which sees the operator
+/// runs an operator: `partition` is `Some(p)` when home shard `p`'s walk
+/// addresses state partition `p` of the operator (the rows it brings were
+/// routed there — or, for a partial-aggregation member, fold into the
+/// home's own partial), and `None` on the control thread, which sees the operator
 /// whole: every row routes to the partition its key hashes to
 /// ([`Key::shard_of`]) and window closes combine across partitions in
 /// [`EmitKey`] order. Either view over the same rows leaves the same state
@@ -332,29 +332,17 @@ pub trait Operator: std::fmt::Debug + Send + Sync {
         None
     }
 
-    /// Whether the operator's keyed absorption **commutes across input
-    /// batches**: absorbing a flush's units into per-shard state in any
-    /// order produces bit-identical state and eventual emissions. The
-    /// morsel scheduler only lets work stealing reorder a shard's units
-    /// when every keyed stateful member of the plan commutes; otherwise
-    /// the shard's units run as one sequential chain. Joins never commute
-    /// (the probe/insert interleave determines match order and content);
-    /// aggregates commute exactly when their accumulator combines exactly
-    /// (counts, `i128` integer arithmetic, min/max).
-    fn keyed_commutative(&self) -> bool {
-        false
-    }
-
     /// Whether the operator can run as a **partial-aggregation** member
-    /// of the parallel plan: workers fold rows into per-worker partial
-    /// accumulators ([`Operator::process`] with the *worker* index as the
-    /// partition) and a deterministic partition-order combine merges the
-    /// partials when windows close. Exact combines qualify, grouped or
-    /// not: ungrouped aggregates keep one accumulator per worker, grouped
-    /// aggregates at **shard-incompatible** group keys keep a per-worker
-    /// hash-partial map (a group's rows may land on any worker; the exact
-    /// combine makes the split schedule-invariant). Inexact float sums
-    /// would pick up schedule-dependent rounding, so they never qualify.
+    /// of the parallel plan: each home shard's walk folds its rows into
+    /// that home's partial accumulators ([`Operator::process`] with the
+    /// *home* as the partition) and a deterministic partition-order
+    /// combine merges the partials when windows close. Exact combines
+    /// qualify, grouped or not: ungrouped aggregates keep one accumulator
+    /// per home, grouped aggregates at **shard-incompatible** group keys
+    /// keep a per-home hash-partial map (a group's rows may land on any
+    /// home; the exact combine makes the split shard-count invariant).
+    /// Inexact float sums would round differently per split, so they
+    /// never qualify.
     /// The planner consults this only when [`Operator::keyed_out`] already
     /// failed — a group key that *is* the partition key runs as a full
     /// member with sharded state instead.
@@ -364,7 +352,7 @@ pub trait Operator: std::fmt::Debug + Send + Sync {
 
     /// Whether this partial member folds **grouped** hash partials
     /// (`false` for ungrouped partials and non-partial operators) — the
-    /// engine attributes per-worker absorbs to
+    /// engine attributes partial absorbs to
     /// [`crate::types::work::WorkSnapshot::grouped_partial_rows`] by this
     /// flag.
     fn keyed_partial_grouped(&self) -> bool {
@@ -374,7 +362,7 @@ pub trait Operator: std::fmt::Debug + Send + Sync {
     /// Re-homes internal operator state across `n` partitions (default:
     /// stateless operators have nothing to do). Keyed state moves whole —
     /// a key's tuples stay in arrival order — into the partition its key
-    /// hashes to ([`Key::shard_of`]), and per-worker partials of one group
+    /// hashes to ([`Key::shard_of`]), and per-home partials of one group
     /// combine there, so state location matches row routing whatever the
     /// shard count or plan membership was when the state was built.
     fn set_partitions(&mut self, n: usize) {
@@ -409,8 +397,8 @@ fn process_dense(
 /// Runs `f` over the state partitions an invocation addresses: the one
 /// partition `Some(p)` names, or — the control thread's view — all of
 /// them, in partition order. The locks are uncontended: during a flush a
-/// partition is only ever touched by the worker running its morsels, and
-/// the control thread only runs between flushes.
+/// partition is only ever touched by its home shard's one walk, and the
+/// control thread only runs between flushes.
 fn with_parts<P, R>(
     parts: &[Mutex<P>],
     partition: Option<usize>,
@@ -1607,9 +1595,9 @@ type AggWindow = HashMap<u32, AggState, std::hash::BuildHasherDefault<IdHasher>>
 /// tree and a watermark that closes nothing costs one look at the first key.
 /// When the aggregate runs as a **full** keyed member, a group's windows
 /// live in exactly one partition ([`Key::shard_of`]); as a **partial** member
-/// (ungrouped, or grouped at a shard-incompatible key) each worker owns one
-/// partition of per-worker partials and a window's state spans however
-/// many workers absorbed its rows until the watermark combine folds them.
+/// (ungrouped, or grouped at a shard-incompatible key) each home shard owns
+/// one partition of partials and a window's state spans however many homes
+/// absorbed its rows until the watermark combine folds them.
 #[derive(Debug, Default)]
 struct AggPart {
     keys: KeyIds,
@@ -1823,8 +1811,8 @@ impl AggregateOp {
         }
     }
 
-    /// Whether per-worker partial accumulators combine **exactly** into
-    /// the single-threaded result regardless of which worker absorbed
+    /// Whether per-home partial accumulators combine **exactly** into
+    /// the single-threaded result regardless of which home absorbed
     /// which rows: counts, `i128` integer arithmetic, and min/max (both
     /// input types) associate and commute; float `Sum`/`Avg` round
     /// differently under reassociation, so they stay on the
@@ -1942,9 +1930,9 @@ impl AggregateOp {
 
     /// Absorbs the rows of one batch (`sel`'s rows when a deferred
     /// selection is pushed down — never gathered) into `parts`, routing
-    /// each group to the partition its key hashes to. A worker, whose rows
-    /// are already routed (or fold into its own partial), passes its one
-    /// partition.
+    /// each group to the partition its key hashes to. A home walk, whose
+    /// rows are already routed (or fold into the home's partial), passes
+    /// its one partition.
     fn absorb(
         &self,
         parts: &mut [MutexGuard<'_, AggPart>],
@@ -2086,7 +2074,7 @@ impl AggregateOp {
         let mut grouped_combines = 0u64;
         let mut ready = ready.into_iter().peekable();
         while let Some((start, p, g, mut state)) = ready.next() {
-            // Combine runs of equal keys: a window absorbed as per-worker
+            // Combine runs of equal keys: a window absorbed as per-home
             // partials — ungrouped, or grouped at a shard-incompatible group
             // key — lives in several partitions at once. The stable sort
             // keeps equal keys in partition order, so the left-to-right fold
@@ -2179,10 +2167,6 @@ impl Operator for AggregateOp {
         (self.group_by == Some(key)).then_some(1)
     }
 
-    fn keyed_commutative(&self) -> bool {
-        self.combine_exact()
-    }
-
     fn keyed_partial(&self) -> bool {
         self.combine_exact()
     }
@@ -2202,12 +2186,12 @@ impl Operator for AggregateOp {
             for (&start, window) in &part.windows {
                 for (&id, state) in window {
                     // Ungrouped state re-homes to partition 0 (its partials
-                    // spread across workers only during a flush); grouped
+                    // spread across homes only during a flush); grouped
                     // state moves to the partition its key hashes to.
                     let key = &part.keys.keys[id as usize];
                     let target = &mut parts[key.as_ref().map_or(0, |k| k.shard_of(n))];
                     let to = target.key_id(key.clone());
-                    // Per-worker partials of one window merge when they
+                    // Per-home partials of one window merge when they
                     // meet — iterating `old` in partition order keeps the
                     // combine deterministic. This covers grouped keys
                     // too: under grouped partial aggregation

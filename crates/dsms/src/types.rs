@@ -1396,7 +1396,7 @@ impl MergeTags {
 /// `str_cmps` and every `*_rows` counter are **per-row totals** — exactly
 /// one unit per row touched (`dict_code_cmps`: one code read per keyed or
 /// compared row), even where a kernel adds its batch's share in one step;
-/// every other counter counts events (a batch, a morsel, a flush).
+/// every other counter counts events (a batch, a home walk, a flush).
 pub mod work {
     use std::cell::Cell;
 
@@ -1414,7 +1414,7 @@ pub mod work {
 
             // One thread-local per counter, named after its field. (One
             // struct of cells in a single thread-local measurably shifted
-            // the workers' steal balance in the `hot_key_skew` bench.)
+            // the workers' row balance in the `hot_key_skew` bench.)
             #[allow(non_upper_case_globals)]
             mod cells {
                 use std::cell::Cell;
@@ -1494,16 +1494,17 @@ pub mod work {
         /// [`crate::engine::INLINE_FLUSH_ROWS`] runs every job on the
         /// control thread and wakes none.
         pool_wakeups => count_pool_wakeup();
-        /// Morsels (batch-sized work items) executed by workers — counts
-        /// both locally popped and stolen morsels, so the sum across
-        /// workers equals the morsels scheduled per flush.
+        /// Home walks of parallel flushes: one per home shard with units
+        /// to absorb or windows to close, whichever job (or, after a
+        /// worker death, the control thread) runs it.
         morsels_executed => count_morsel_executed();
-        /// Morsels an idle worker stole from the tail of another worker's
-        /// deque — nonzero under skewed key distributions, where stealing
-        /// rebalances a hot shard's backlog onto idle cores.
+        /// Home walks a job ran for another job's home — a home still
+        /// unclaimed when the job finished its own, such as the home of a
+        /// seat that woke late, or every home of an inline flush after
+        /// the first.
         morsels_stolen => count_morsel_stolen();
-        /// Steal attempts that found the victim's deque empty — a measure
-        /// of wasted scans while draining the flush's final morsels.
+        /// Claims of another job's home that found it taken (or with
+        /// nothing to walk): at most `shards − 1` per job per flush.
         steal_misses => count_steal_miss();
         /// Rows dropped by the overload guardrail: whole ingestion batches
         /// shed, lowest-priority stream first, when a flush's pending rows
@@ -1532,20 +1533,21 @@ pub mod work {
         /// building or remapping a dictionary, never per row.
         str_cmps => count_str_cmps(n);
         /// Always 0: the adaptive morsel controller that counted here is
-        /// gone (every morsel carries one unit). The field stays because
+        /// gone (each home shard runs as one walk). The field stays because
         /// the `auction-day` benchmark builds this struct by literal and
         /// reports `engine.adaptive_resizes`; a benchmark change drops it.
         adaptive_resizes;
-        /// Chain morsels scheduled for order-sensitive keyed plans — the
-        /// serialized fallback that keeps non-commutative stateful
-        /// operators ordered. A fully commutative plan (including grouped
-        /// exact partials) keeps this at zero.
-        chain_morsels => count_chain_morsel();
-        /// Rows absorbed into per-worker **grouped** hash partials of
+        /// Always 0: every plan now runs one walk per home shard, so the
+        /// chain-morsel fallback for order-sensitive plans that counted
+        /// here is gone. The field stays because the `auction-day`
+        /// benchmark builds this struct by literal and reports
+        /// `engine.chain_morsels`; a benchmark change drops it.
+        chain_morsels;
+        /// Rows absorbed into per-home **grouped** hash partials of
         /// shard-incompatible exact aggregates — grouped work that used to
         /// serialize behind the merge barrier.
         grouped_partial_rows => count_grouped_partial_rows(n);
-        /// Grouped per-worker partial accumulators combined by the control
+        /// Grouped per-home partial accumulators combined by the control
         /// thread's watermark pass (one per absorbed duplicate of a group
         /// key across partitions; ungrouped partial combines are not
         /// counted).

@@ -5,7 +5,7 @@
 //! semantics* section): an operator panic quarantines exactly the queries
 //! owning the panicked node — every other query's outputs stay
 //! **byte-identical** to a fault-free run, across shard counts; an
-//! injected worker death never loses or duplicates a morsel; overload
+//! injected worker death never loses or duplicates a home walk; overload
 //! shedding drops the same rows at every
 //! shard count and never touches the highest-priority stream while lower
 //! ones still have batches to give.
@@ -394,8 +394,8 @@ fn shed_and_quarantine_counters_are_shard_invariant() {
     }
 }
 
-/// An injected worker death loses nothing: the deserted deques replay
-/// inline, every query's outputs match the fault-free run, the seat is
+/// An injected worker death loses nothing: the homes the dead job left
+/// unclaimed run inline, every query's outputs match the fault-free run, the seat is
 /// respawned (exactly one extra counted spawn), and an NL062 diagnostic
 /// lands in the runtime report. No query is quarantined — a dying thread
 /// is an infrastructure fault, not an operator fault.
@@ -422,7 +422,7 @@ fn worker_death_recovers_inline_and_respawns_the_seat() {
 }
 
 /// Where a job dies decides what respawns. In a pooled flush job 0 runs
-/// on the control thread, so its death deserts and replays exactly like a
+/// on the control thread, so it dies claiming no home exactly like a
 /// pool seat's but spawns no thread, while job 1's kills its seat, which
 /// respawns. Below [`INLINE_FLUSH_ROWS`] every job runs on the control
 /// thread and no death respawns anything. Either way every query's
@@ -459,10 +459,11 @@ fn deaths_replay_and_respawn_only_pool_seats() {
 }
 
 /// Keyless roots ride the same recovery machinery as keyed ones. With no
-/// stream keyed, or only `quotes`, a dead worker's whole-batch morsels
-/// replay inline next to its chain morsels, and a panic or a poison row
-/// quarantines by the faulted node's kind wherever the node ran — inside a
-/// whole-batch morsel, a hash-partitioned one, or on the control thread.
+/// stream keyed, or only `quotes`, a dead worker's home — whole batches
+/// and hash-partitioned shares alike — runs on another job or inline, and
+/// a panic or a poison row quarantines by the faulted node's kind wherever
+/// the node ran — on a whole batch, a hash-partitioned share, or on the
+/// control thread.
 #[test]
 fn keyless_roots_recover_and_quarantine_like_keyed_ones() {
     for keyed in [&[][..], &["quotes"][..]] {

@@ -897,8 +897,8 @@ enum Partition {
     /// Both streams hash-partitioned on the symbol column.
     Keyed,
     /// `quotes` hash-partitioned on the symbol, `news` keyless — both root
-    /// kinds inside one plan, so hash-partitioned chain morsels and
-    /// whole-batch morsels share a flush.
+    /// kinds inside one plan, so hash-partitioned shares and whole
+    /// batches share a flush and a home walk.
     Mixed,
 }
 
@@ -1166,7 +1166,7 @@ proptest! {
     /// aggregate kind (Count/Sum/Avg/Min/Max) over Int and Float inputs,
     /// optionally behind a filter (so selection vectors push into the
     /// aggregate). Exact combines run as sharded partial-aggregation
-    /// members — per-worker partials folded in deterministic partition
+    /// members — per-home partials folded in deterministic partition
     /// order on the control thread; float Sum/Avg are inexact and keep
     /// the merge barrier. Either path must be **bit-identical** to the
     /// single-threaded engine across shard counts, including windows that
@@ -1226,7 +1226,7 @@ proptest! {
     /// group key (col 1) is *not* the shard key (col 0), so groups span
     /// shards: exact combines (Count/Sum/Avg/Min/Max over Int;
     /// Count/Min/Max over Float) run as grouped partial-aggregation
-    /// members — per-worker hash partials folded per group in
+    /// members — per-home hash partials folded per group in
     /// deterministic partition order on the control thread — while float
     /// Sum/Avg stay behind the merge barrier. Either path must produce a
     /// **strictly equal output sequence** to the single-threaded engine
@@ -1281,7 +1281,7 @@ proptest! {
 
 /// The sharded twin of [`int_sum_query_is_exact_past_2_pow_53`]: the same
 /// mantissa-overflowing terms pushed through shards = 4, where the
-/// ungrouped Sum runs as per-worker i128 partials combined on the control
+/// ungrouped Sum runs as per-home i128 partials combined on the control
 /// thread — partial aggregation must not reintroduce float rounding.
 #[test]
 fn sharded_int_sum_partials_are_exact_past_2_pow_53() {

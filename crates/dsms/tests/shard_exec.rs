@@ -452,12 +452,10 @@ fn pool_reuse_zero_spawns_after_warmup() {
         after_warmup.pool_wakeups + flushes * 3,
         "each flush wakes each seat exactly once"
     );
-    // The morsel scheduler runs the same jobs wherever they run: morsels
-    // were executed, every executed morsel is either popped from the
-    // owner's deque or stolen from a victim's tail, and steal sweeps are
-    // bounded — each of a flush's 4 jobs (warmup included) makes one grab
-    // per morsel it runs plus one final sweep, and a grab misses at most
-    // shards-1 victims — so morsel-driven flushes never spin on deques.
+    // The jobs run the same walks wherever they run: home walks were
+    // executed, a walk of another job's home is one of them, and missed
+    // claims are bounded — each of a flush's 4 jobs (warmup included)
+    // tries each other home once — so no job spins on taken homes.
     assert!(
         snap.morsels_executed > 0,
         "sharded flushes execute as morsels: {snap:?}"
@@ -473,8 +471,8 @@ fn pool_reuse_zero_spawns_after_warmup() {
 }
 
 /// A zipf-flavored hot-key soak at shards = 4: ~90% of rows carry one
-/// symbol, so hash partitioning floods one home shard. Work stealing must
-/// rebalance execution (stolen morsels observed) while outputs stay
+/// symbol, so hash partitioning floods one home shard. Jobs must claim
+/// other jobs' homes (walks of another home observed) while outputs stay
 /// byte-identical to single-threaded.
 #[test]
 fn skewed_key_soak_shards4_stays_deterministic() {
@@ -509,9 +507,9 @@ fn skewed_key_soak_shards4_stays_deterministic() {
             .map(|p| e.add_query(p).unwrap())
             .collect();
         work::reset();
-        // Small slices run inline, where job 0 steals every other job's
-        // morsels; the large ones reach the pool seats, which steal from
-        // each other's deques as timing allows.
+        // Small slices run inline, where job 0 claims every other job's
+        // home; the large ones reach the pool seats, which claim each
+        // other's homes as timing allows.
         let (small, large) = feed.split_at(320);
         for slice in small.chunks(40).chain(large.chunks(POOLED_ROWS)) {
             e.push_batch(slice.iter().cloned());
@@ -698,7 +696,7 @@ fn rekeyed_mid_window(
 
 /// `set_shard_key` on a live engine re-homes partitioned state. Keyed on
 /// the symbol, a venue-grouped exact aggregate is a *partial* member (a
-/// venue's rows fold into per-worker partials); re-keyed onto the venue it
+/// venue's rows fold into per-home partials); re-keyed onto the venue it
 /// becomes a *full* member, which closes windows per partition — so each
 /// group's partials have to meet in the partition its key hashes to
 /// first, or the window emits once per worker that held a share. The
@@ -765,9 +763,9 @@ fn tick_rows(n: u64) -> Vec<Tuple> {
 
 /// No stream needs a shard key for its exact aggregates to leave the
 /// control thread: behind a keyless root an ungrouped `Count` and a
-/// grouped `Max` absorb as per-worker partials — byte-identical to one
-/// shard, with every unit its own morsel — while a float `Avg`, whose
-/// partials would round by schedule, stays behind the merge.
+/// grouped `Max` absorb as per-home partials — byte-identical to one
+/// shard — while a float `Avg`, whose partials would round by how the
+/// rows split, stays behind the merge.
 #[test]
 fn exact_aggregates_over_a_keyless_stream_run_as_partials() {
     let ticks = || LogicalPlan::source("ticks");
@@ -785,8 +783,8 @@ fn exact_aggregates_over_a_keyless_stream_run_as_partials() {
         );
         let cq = e.add_query(plan.clone()).unwrap();
         work::reset();
-        // Two pooled flushes — the advance barrier with jobs on pool
-        // seats — then small ones, which run every job inline.
+        // Two pooled flushes — jobs on pool seats — then small ones,
+        // which run every job inline.
         let ticks = tick_rows(2 * POOLED_ROWS as u64 + 200);
         let (large, small) = ticks.split_at(2 * POOLED_ROWS);
         for chunk in large.chunks(POOLED_ROWS).chain(small.chunks(50)) {
@@ -805,7 +803,6 @@ fn exact_aggregates_over_a_keyless_stream_run_as_partials() {
             let (got, rows, snap) = run(plan, shards);
             assert_eq!(got, reference, "shards {shards}");
             assert_eq!(rows, ref_rows, "shards {shards}");
-            assert_eq!(snap.chain_morsels, 0, "shards {shards}: {snap:?}");
             assert_eq!(snap.shard_merge_rows, 0, "whole batches never interleave");
             let absorbed_in_plan = snap.keyed_shard_rows > 0;
             let as_grouped_partials = snap.grouped_partial_rows > 0;
@@ -815,7 +812,7 @@ fn exact_aggregates_over_a_keyless_stream_run_as_partials() {
                 "shards {shards}: {snap:?}"
             );
             // The two large flushes are pooled wherever the plan has
-            // morsels to run.
+            // homes to walk.
             let wakeups = if absorbed_in_plan {
                 2 * (shards - 1)
             } else {
@@ -847,13 +844,13 @@ fn timed_feed(rng: &mut Lcg, start: u64, rows: usize) -> Vec<(String, Tuple)> {
 }
 
 /// Flushes on both sides of [`INLINE_FLUSH_ROWS`] — inline and pooled — at
-/// 2 and 4 shards, for a chain plan (a join and a float `Avg`: one chain
-/// morsel per home shard) and a commutative one (exact aggregates: the
-/// advance-phase barrier, which an inline flush must pass with every job on
-/// the control thread), with and without a mid-stream `set_shards` that
-/// re-homes live state: every run's outputs, taken after every flush,
-/// equal one shard's byte for byte, and only pooled flushes wake the
-/// pool, once per seat.
+/// 2 and 4 shards, for an order-sensitive plan (a join and a float `Avg`)
+/// and a commutative one (exact aggregates), with and without a
+/// mid-stream `set_shards` that re-homes live state: every run's outputs,
+/// taken after every flush, equal one shard's byte for byte, only pooled
+/// flushes wake the pool, once per seat, and every flush — its event
+/// times ascend, so each one closes windows — walks each home shard
+/// exactly once, whatever the plan.
 #[test]
 fn flushes_straddling_the_inline_threshold_match_one_shard() {
     let quotes = || LogicalPlan::source("quotes");
@@ -886,7 +883,7 @@ fn flushes_straddling_the_inline_threshold_match_one_shard() {
             .map(|p| e.add_query(p.clone()).unwrap())
             .collect();
         let mut rng = Lcg(53);
-        let (mut start, mut wakeups) = (0, 0);
+        let (mut start, mut wakeups, mut walks) = (0, 0, 0);
         let mut outputs = Vec::new();
         work::reset();
         for (k, &rows) in sizes.iter().enumerate() {
@@ -895,13 +892,20 @@ fn flushes_straddling_the_inline_threshold_match_one_shard() {
             }
             e.push_batch(timed_feed(&mut rng, start, rows));
             start += rows as u64 / 4 + 1;
-            wakeups += pooled_wakeups(rows, if k < 3 { before } else { after } as u64);
+            let shards = if k < 3 { before } else { after } as u64;
+            wakeups += pooled_wakeups(rows, shards);
+            // One shard runs the single-threaded path: no walks.
+            walks += if shards > 1 { shards } else { 0 };
             outputs.extend(cqs.iter().map(|&cq| e.take_outputs(cq)));
         }
+        let snap = work::snapshot();
         assert_eq!(
-            work::snapshot().pool_wakeups,
-            wakeups,
+            snap.pool_wakeups, wakeups,
             "shards {before} -> {after}: only pooled flushes wake seats"
+        );
+        assert_eq!(
+            snap.morsels_executed, walks,
+            "shards {before} -> {after}: one walk per home per flush"
         );
         e.finish();
         outputs.extend(cqs.iter().map(|&cq| e.take_outputs(cq)));

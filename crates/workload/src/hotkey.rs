@@ -6,8 +6,8 @@
 //! whose key column follows a bounded [`Zipf`] distribution (`skew = 0`
 //! recovers the uniform control), for benchmarks and soak tests of
 //! load-rebalancing schedulers — the `hot_key_skew` bench group drives
-//! the engine's morsel scheduler with them and asserts that work
-//! stealing rebalances the hot shard's backlog.
+//! the engine's sharded executor with them and asserts that jobs which
+//! finish their own home shard claim the homes still unclaimed.
 //!
 //! The rows are engine-agnostic `(ts, key, value)` triples: timestamps
 //! ascend one per row (so event-time watermarks advance steadily), keys
