@@ -64,7 +64,6 @@
 //! | NL042 | error    | query sink not wired to its producer |
 //! | NL060 | error    | operator kernel panicked at runtime (the quarantine root cause) |
 //! | NL061 | error    | query quarantined — it owned a panicked operator |
-//! | NL062 | error    | pool worker died mid-flush; homes it left unclaimed ran inline, seat respawned |
 //! | NL063 | warning  | overload shedding dropped ingest rows from a stream |
 //!
 //! `netlint` (this crate's binary) runs every pass over the shipped

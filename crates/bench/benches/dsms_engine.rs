@@ -43,8 +43,7 @@
 //!
 //! The `fault_recovery` group prices the robustness layer: an inert
 //! fault plan vs none (per-invocation injection-hook overhead), a
-//! mid-run panic quarantine, an injected worker death (inline replay +
-//! respawn), and overload shedding under a flood.
+//! mid-run panic quarantine, and overload shedding under a flood.
 
 use cqac_dsms::engine::DsmsEngine;
 use cqac_dsms::expr::Expr;
@@ -551,8 +550,7 @@ fn bench_operators(c: &mut Criterion) {
 
 /// The robustness layer's price and recovery cost: an inert fault plan
 /// (every kernel invocation pays the injection hook) vs no plan at all,
-/// a mid-run quarantine (panic → attribution → query removal), an
-/// injected worker death (unclaimed homes walked inline + seat respawn), and a
+/// a mid-run quarantine (panic → attribution → query removal), and a
 /// flood against the overload guardrails (deterministic shedding).
 fn bench_fault_recovery(c: &mut Criterion) {
     use cqac_dsms::engine::OverloadPolicy;
@@ -560,10 +558,8 @@ fn bench_fault_recovery(c: &mut Criterion) {
     use std::sync::Arc;
 
     let rows: Vec<Tuple> = StockStream::new(&SYMBOLS, 1, 42).next_batch(20_000);
-    let build = |shards: usize| {
+    let build = || {
         let mut e = DsmsEngine::new();
-        e.set_shards(shards);
-        e.set_shard_key("quotes", 0).expect("valid shard key");
         e.register_stream("quotes", quote_schema());
         for i in 0..8 {
             e.add_query(
@@ -581,7 +577,7 @@ fn bench_fault_recovery(c: &mut Criterion) {
 
     group.bench_function("no_plan_20k", |b| {
         b.iter(|| {
-            let mut e = build(1);
+            let mut e = build();
             e.push_rows("quotes", rows.clone());
             black_box(e.tuples_processed())
         });
@@ -589,7 +585,7 @@ fn bench_fault_recovery(c: &mut Criterion) {
 
     group.bench_function("inert_plan_20k", |b| {
         b.iter(|| {
-            let mut e = build(1);
+            let mut e = build();
             e.set_fault_plan(Some(Arc::new(FaultPlan::new())));
             e.push_rows("quotes", rows.clone());
             black_box(e.tuples_processed())
@@ -598,7 +594,7 @@ fn bench_fault_recovery(c: &mut Criterion) {
 
     group.bench_function("quarantine_20k", |b| {
         b.iter(|| {
-            let mut e = build(1);
+            let mut e = build();
             // One victim panics mid-run; the other 7 queries keep serving.
             e.set_fault_plan(Some(Arc::new(FaultPlan::new().panic_on("aggregate", 100))));
             e.push_rows("quotes", rows.clone());
@@ -606,18 +602,9 @@ fn bench_fault_recovery(c: &mut Criterion) {
         });
     });
 
-    group.bench_function("worker_death_20k_shards4", |b| {
-        b.iter(|| {
-            let mut e = build(4);
-            e.set_fault_plan(Some(Arc::new(FaultPlan::new().with_worker_death(1, 1))));
-            e.push_rows("quotes", rows.clone());
-            black_box(e.tuples_processed())
-        });
-    });
-
     group.bench_function("overload_shed_20k", |b| {
         b.iter(|| {
-            let mut e = build(1);
+            let mut e = build();
             e.set_overload_policy(Some(OverloadPolicy {
                 max_rows_per_flush: 4_096,
             }));

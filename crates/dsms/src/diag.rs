@@ -48,7 +48,7 @@ impl fmt::Display for Severity {
 /// `NL001`–`NL019` plan-level type/schema inference, `NL020`–`NL029`
 /// determinism audit, `NL030`–`NL039` cost-attribution conservation,
 /// `NL040`–`NL049` sharing lints, `NL060`–`NL069` runtime robustness
-/// events (quarantine, worker death, overload shedding).
+/// events (quarantine, overload shedding).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum Code {
@@ -108,10 +108,6 @@ pub enum Code {
     /// operators panicked — it stops serving and its bidder's payment is
     /// voided.
     QuarantinedQuery,
-    /// NL062: a worker died at the start of its job; the homes it left
-    /// unclaimed were walked on the control thread, and a pool seat's
-    /// thread was respawned before the next flush.
-    WorkerDeath,
     /// NL063: ingress exceeded the configured overload budget and whole
     /// ingestion batches were shed, lowest-priority stream first.
     OverloadShed,
@@ -144,7 +140,6 @@ impl Code {
             Code::UnreachableSink => "NL042",
             Code::OperatorPanic => "NL060",
             Code::QuarantinedQuery => "NL061",
-            Code::WorkerDeath => "NL062",
             Code::OverloadShed => "NL063",
         }
     }

@@ -43,7 +43,7 @@
 //! ingestion paths.
 
 use crate::diag::{Code, Diagnostic, Report, Span};
-use crate::fault::{FaultPlan, WorkerDeath};
+use crate::fault::FaultPlan;
 use crate::network::{CqId, KeyedNode, KeyedPlan, NodeId, QueryInfo, QueryNetwork, Target};
 use crate::ops::{OpClass, Operator, RowTrace};
 use crate::plan::StreamCatalog;
@@ -229,9 +229,6 @@ pub struct DsmsEngine {
     batches: u64,
     /// Ingestion batch-size cap.
     max_batch_size: usize,
-    /// When true (the default), operator calls are wall-clock timed so the
-    /// measured cost model can normalize per-batch work to per-tuple load.
-    timing: bool,
     /// Per-stream shard-key column for hash partitioning (streams without
     /// one fall back to round-robin batch distribution).
     shard_keys: HashMap<String, usize>,
@@ -276,7 +273,7 @@ pub struct DsmsEngine {
     /// highest admitted bid.
     stream_priority: HashMap<String, u64>,
     /// Runtime robustness diagnostics accumulated across flushes
-    /// (`NL060`–`NL062`), exposed via [`DsmsEngine::runtime_report`].
+    /// (`NL060`–`NL061`), exposed via [`DsmsEngine::runtime_report`].
     runtime_report: Report,
 }
 
@@ -302,7 +299,6 @@ impl DsmsEngine {
             processed: 0,
             batches: 0,
             max_batch_size: TupleBatch::DEFAULT_MAX_BATCH,
-            timing: true,
             shard_keys: HashMap::new(),
             shard_rr: HashMap::new(),
             shard_stats: vec![ShardStats::default()],
@@ -476,13 +472,6 @@ impl DsmsEngine {
     /// jobs, so a hot home's share lands on one index.
     pub fn shard_stats(&self) -> &[ShardStats] {
         &self.shard_stats
-    }
-
-    /// Enables or disables per-batch operator timing. On by default (the
-    /// measured cost model needs it); disable for maximum-throughput
-    /// serving when only analytic costs are used.
-    pub fn set_timing(&mut self, enabled: bool) {
-        self.timing = enabled;
     }
 
     /// The underlying network (read-only).
@@ -899,8 +888,7 @@ impl DsmsEngine {
     ///    offset, so a seat that wakes late does not hold the flush up. A
     ///    flush of fewer than [`INLINE_FLUSH_ROWS`] rows runs every job
     ///    here, one after another: job 0 claims every home, the others
-    ///    find them taken. A job that dies at start claims nothing; the
-    ///    homes nobody claimed run here after the join.
+    ///    find them taken.
     /// 3. **Deterministic merge.** Exit outputs are merged per
     ///    `(producing node, entry path)` — interleaved by sequence tag
     ///    (join fan-out repeats its probe row's tag, preserving shard
@@ -1043,7 +1031,6 @@ impl DsmsEngine {
             plan: &keyed,
             rows: &idx,
             watermark,
-            timing: self.timing,
             fault: self.fault.as_deref(),
         };
 
@@ -1059,13 +1046,7 @@ impl DsmsEngine {
             .map(|units| Mutex::new((!units.is_empty() || run_advance).then_some(units)))
             .collect();
         let claim = |home: usize| ride_poison(slots[home].lock()).take();
-        // Job `w`. An injected worker death fires at job start, before the
-        // job claims anything, so every home stays whole for another job
-        // or, after the join, for the control thread.
-        let job = |worker: usize| -> Option<ShardReport> {
-            if ctx.fault.is_some_and(|f| f.claims_worker_death(worker)) {
-                return None;
-            }
+        let job = |worker: usize| -> ShardReport {
             let mut report = ShardReport::default();
             for off in 0..shards {
                 let home = (worker + off) % shards;
@@ -1081,16 +1062,14 @@ impl DsmsEngine {
                     None => {}
                 }
             }
-            Some(report)
+            report
         };
-        let death = || -> Box<dyn std::any::Any + Send> { Box::new(WorkerDeath) };
-        let results: Vec<std::thread::Result<ShardReport>> = if inline {
-            (0..shards).map(|w| job(w).ok_or_else(death)).collect()
+        let reports: Vec<ShardReport> = if inline {
+            (0..shards).map(job).collect()
         } else {
             // Seats persist across flushes: counters and the columnar
-            // switch are re-seeded per job (so a respawned seat picks the
-            // control thread's setting back up), and the end-of-job
-            // snapshot is the job's delta. Job 0 counts in place.
+            // switch are re-seeded per job, and the end-of-job snapshot is
+            // the job's delta. Job 0 counts in place.
             let columnar = crate::ops::columnar_kernels_enabled();
             let job = &job;
             let jobs: Vec<ShardJob<'_>> = (1..shards)
@@ -1098,54 +1077,19 @@ impl DsmsEngine {
                     Box::new(move || {
                         work::reset();
                         crate::ops::set_columnar_kernels(columnar);
-                        let mut report =
-                            job(worker).unwrap_or_else(|| std::panic::panic_any(WorkerDeath));
+                        let mut report = job(worker);
                         report.work = work::snapshot();
                         report
                     })
                 })
                 .collect();
-            self.pool.run(jobs, || job(0).ok_or_else(death))
+            self.pool.run(jobs, || job(0))
         };
-
-        // Surface deaths: a dead pool seat was already respawned (counted
-        // by [`work::WorkSnapshot::pool_spawns`], which kernel-panic
-        // quarantine keeps flat); a job that died on this thread has no
-        // thread to replace. Any other payload is a genuine executor bug
-        // and unwinds as before.
-        let mut deaths: Vec<usize> = Vec::new();
-        let mut reports: Vec<(usize, ShardReport)> = Vec::with_capacity(results.len());
-        for (w, result) in results.into_iter().enumerate() {
-            match result {
-                Ok(report) => reports.push((w, report)),
-                Err(payload) if payload.is::<WorkerDeath>() => {
-                    deaths.push(w);
-                    reports.push((w, ShardReport::default()));
-                }
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-        // A dead job claimed nothing, so run every home nobody claimed
-        // here, while the flush's resolved plan is still in scope. These
-        // walks join the same deterministic merge as the job reports, so
-        // the flush's output order is unchanged.
-        if !deaths.is_empty() {
-            let mut recovery = ShardReport::default();
-            for home in 0..shards {
-                if let Some(units) = claim(home) {
-                    work::count_morsel_executed();
-                    walk_home(&ctx, home, units, &mut recovery);
-                }
-            }
-            for &w in &deaths {
-                self.runtime_report.push(Diagnostic::new(
-                    Code::WorkerDeath,
-                    Span::Network,
-                    format!("worker {w} died mid-flush; the homes it left unclaimed ran inline"),
-                ));
-            }
-            reports.push((deaths[0], recovery));
-        }
+        // Job 0 tried every home before the join, so none is left.
+        debug_assert!(
+            slots.iter().all(|slot| ride_poison(slot.lock()).is_none()),
+            "every home was walked"
+        );
         self.partition_buf = (idx, homes);
 
         // The plan's watermark handling happened inside the shards: mark
@@ -1164,7 +1108,7 @@ impl DsmsEngine {
 
         // -- 3. Deterministic merge --------------------------------------
         let mut merged: BTreeMap<(u32, Vec<u32>), Parts> = BTreeMap::new();
-        for (s, report) in reports {
+        for (s, report) in reports.into_iter().enumerate() {
             work::absorb(&report.work);
             self.processed += report.rows;
             self.batches += report.batches;
@@ -1321,18 +1265,12 @@ impl DsmsEngine {
                 // A panicking kernel loses only this invocation's outputs
                 // and resolves into a quarantine at quiescence — per
                 // query, never per process.
-                let (produced, elapsed) = run_kernel(
-                    id.0,
-                    node.kind,
-                    fault,
-                    self.timing,
-                    &mut self.pending_panics,
-                    |inject| {
+                let (produced, elapsed) =
+                    run_kernel(id.0, node.kind, fault, &mut self.pending_panics, |inject| {
                         inject(shared.ts());
                         let sel = sel.as_ref().map(|s| s.as_slice());
                         invoke(&*node.op, None, port, &shared, sel, false)
-                    },
-                );
+                    });
                 node.busy += elapsed;
                 match produced.flatten() {
                     // A pure filter's survivors stay a deferred selection,
@@ -1381,17 +1319,11 @@ impl DsmsEngine {
                 // Timed too: window-close work (eviction, emission)
                 // happens here, and the measured cost model must not
                 // undercount stateful operators.
-                let (closed, elapsed) = run_kernel(
-                    id.0,
-                    node.kind,
-                    fault,
-                    self.timing,
-                    &mut self.pending_panics,
-                    |inject| {
+                let (closed, elapsed) =
+                    run_kernel(id.0, node.kind, fault, &mut self.pending_panics, |inject| {
                         inject(&[]);
                         node.op.advance(None, watermark)
-                    },
-                );
+                    });
                 node.busy += elapsed;
                 // Marked even when the pass panicked: the node is about
                 // to be quarantined, and a panicking advance must not be
@@ -1500,17 +1432,11 @@ impl DsmsEngine {
             for id in self.network.node_ids() {
                 let fault = self.fault.as_deref();
                 let node = self.network.node_mut(id).expect("live node");
-                let (closed, _) = run_kernel(
-                    id.0,
-                    node.kind,
-                    fault,
-                    false,
-                    &mut self.pending_panics,
-                    |inject| {
+                let (closed, _) =
+                    run_kernel(id.0, node.kind, fault, &mut self.pending_panics, |inject| {
                         inject(&[]);
                         node.op.finish()
-                    },
-                );
+                    });
                 if let Some(batch) = closed.flatten() {
                     node.out_count += batch.len() as u64;
                     any = true;
@@ -1640,8 +1566,7 @@ impl DsmsEngine {
     }
 
     /// Runtime robustness diagnostics accumulated across flushes: one
-    /// `NL060`/`NL061` pair per quarantine incident and one `NL062` per
-    /// worker death.
+    /// `NL060`/`NL061` pair per quarantine incident.
     pub fn runtime_report(&self) -> &Report {
         &self.runtime_report
     }
@@ -1721,13 +1646,11 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// robustness contract (see the crate docs). Kernels only touch
 /// per-invocation inputs and their own node's state, so a caught
 /// invocation cannot corrupt any *other* node's state. Returns the
-/// result (`None` = panicked) and the elapsed wall time (zero with
-/// `timing` off).
+/// result (`None` = panicked) and the elapsed wall time.
 fn run_kernel<T>(
     node: u32,
     kind: &'static str,
     fault: Option<&FaultPlan>,
-    timing: bool,
     panics: &mut Vec<(u32, String)>,
     f: impl FnOnce(&dyn Fn(&[u64])) -> T,
 ) -> (Option<T>, Duration) {
@@ -1736,9 +1659,9 @@ fn run_kernel<T>(
             fault.before_kernel(kind, ts);
         }
     };
-    let start = timing.then(Instant::now);
+    let start = Instant::now();
     let result = std::panic::catch_unwind(AssertUnwindSafe(|| f(&inject)));
-    let elapsed = start.map(|s| s.elapsed()).unwrap_or_default();
+    let elapsed = start.elapsed();
     match result {
         Ok(v) => (Some(v), elapsed),
         Err(payload) => {
@@ -1845,7 +1768,6 @@ struct FlushCtx<'a> {
     rows: &'a [u32],
     /// The flush's merged watermark.
     watermark: u64,
-    timing: bool,
     fault: Option<&'a FaultPlan>,
 }
 
@@ -1946,13 +1868,8 @@ fn walk_home(ctx: &FlushCtx<'_>, home: usize, units: Vec<KeyedUnit>, report: &mu
             // One logical kernel invocation under its own panic net: a
             // caught panic drops only this entry's outputs, and the
             // node's owners are quarantined at quiescence.
-            let (produced, elapsed) = run_kernel(
-                id,
-                node.kind,
-                ctx.fault,
-                ctx.timing,
-                &mut report.panics,
-                |inject| {
+            let (produced, elapsed) =
+                run_kernel(id, node.kind, ctx.fault, &mut report.panics, |inject| {
                     inject(entry.batch.ts());
                     if node.plan.stateful {
                         work::count_keyed_shard_rows(in_rows);
@@ -1970,8 +1887,7 @@ fn walk_home(ctx: &FlushCtx<'_>, home: usize, units: Vec<KeyedUnit>, report: &mu
                         entry.sel.as_deref(),
                         entry.tags.is_some(),
                     )
-                },
-            );
+                });
             report.busy += elapsed;
             let delta = report.node_stats.entry(id).or_default();
             delta.in_rows += in_rows;
@@ -2004,17 +1920,11 @@ fn walk_home(ctx: &FlushCtx<'_>, home: usize, units: Vec<KeyedUnit>, report: &mu
         // node's queue — the position the single-threaded loop advances
         // the node at.
         if node.advance {
-            let (emitted, elapsed) = run_kernel(
-                id,
-                node.kind,
-                ctx.fault,
-                ctx.timing,
-                &mut report.panics,
-                |inject| {
+            let (emitted, elapsed) =
+                run_kernel(id, node.kind, ctx.fault, &mut report.panics, |inject| {
                     inject(&[]);
                     node.op.advance(Some(home), ctx.watermark)
-                },
-            );
+                });
             report.busy += elapsed;
             let delta = report.node_stats.entry(id).or_default();
             delta.busy += elapsed;
@@ -2169,14 +2079,15 @@ impl WorkerSlot {
 
 struct PoolWorker {
     slot: Arc<WorkerSlot>,
-    handle: Option<std::thread::JoinHandle<()>>,
+    handle: std::thread::JoinHandle<()>,
 }
 
 /// The persistent worker pool of the parallel executor: one long-lived
 /// seat per job after the first (job 0 runs on the control thread),
 /// spawned on the first parallel flush and **parked between flushes**. A
 /// flush posts one job per seat and blocks until every job reports back,
-/// so jobs may safely borrow the flush's plan resolution. Both waiting
+/// so jobs may safely borrow the flush's plan resolution; a panic that
+/// escapes a job is re-raised only then. Both waiting
 /// sides — a seat for its next job, the control thread for a result —
 /// spin for up to [`SPIN_BEFORE_PARK`] before they park, but only when
 /// the flush's jobs do not outnumber the machine's cores ([`may_spin`]):
@@ -2210,13 +2121,6 @@ fn may_spin(jobs: usize) -> bool {
     jobs <= *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from))
 }
 
-fn is_death<T>(result: &std::thread::Result<T>) -> bool {
-    result
-        .as_ref()
-        .err()
-        .is_some_and(|payload| payload.is::<WorkerDeath>())
-}
-
 fn pool_worker_main(slot: Arc<WorkerSlot>) {
     let mut spin = false;
     loop {
@@ -2226,25 +2130,8 @@ fn pool_worker_main(slot: Arc<WorkerSlot>) {
         };
         spin = may_spin;
         let result = std::panic::catch_unwind(AssertUnwindSafe(job));
-        let died = is_death(&result);
         slot.post(SlotState::Done(Box::new(result)), &control);
-        if died {
-            // An injected worker death: the result is posted (so the
-            // flush's collection is unaffected) and the thread exits;
-            // `run` respawns the seat afterwards.
-            return;
-        }
     }
-}
-
-/// Spawns the thread of pool seat `seat` (job `seat + 1` of a flush).
-fn spawn_seat(seat: usize, slot: &Arc<WorkerSlot>) -> std::thread::JoinHandle<()> {
-    work::count_pool_spawn();
-    let slot = slot.clone();
-    std::thread::Builder::new()
-        .name(format!("cqac-shard-{}", seat + 1))
-        .spawn(move || pool_worker_main(slot))
-        .expect("spawn pool worker")
 }
 
 impl WorkerPool {
@@ -2257,23 +2144,26 @@ impl WorkerPool {
                 state: Mutex::new(SlotState::Idle),
                 tag: AtomicU8::new(0),
             });
-            let handle = Some(spawn_seat(self.workers.len(), &slot));
+            work::count_pool_spawn();
+            let seat = slot.clone();
+            let handle = std::thread::Builder::new()
+                .name(format!("cqac-shard-{}", self.workers.len() + 1))
+                .spawn(move || pool_worker_main(seat))
+                .expect("spawn pool worker");
             self.workers.push(PoolWorker { slot, handle });
         }
     }
 
     /// Runs `jobs` on the pool's first seats and `own` on this thread,
-    /// blocks until every seat reported back, and returns the results in
-    /// job order, `own`'s first. Panics are *returned*, not re-raised: an
-    /// injected [`WorkerDeath`] is recovered from by the caller (a dead
-    /// seat is respawned here so the next flush finds a full pool), and
-    /// any other payload is re-raised by the caller — in both cases only
-    /// after every job has reported back, so no borrow escapes.
+    /// blocks until every seat reported back, and returns the reports in
+    /// job order, `own`'s first. A panic that escaped a job is re-raised
+    /// — the first in job order — but only after every job has reported
+    /// back, so no borrow escapes.
     fn run(
         &mut self,
         jobs: Vec<ShardJob<'_>>,
-        own: impl FnOnce() -> std::thread::Result<ShardReport>,
-    ) -> Vec<std::thread::Result<ShardReport>> {
+        own: impl FnOnce() -> ShardReport,
+    ) -> Vec<ShardReport> {
         let seats = jobs.len();
         let spin = may_spin(seats + 1);
         let control = std::thread::current();
@@ -2284,11 +2174,12 @@ impl WorkerPool {
             // `'env` borrows captured by the job strictly outlive it.
             let job: ShardJob<'static> = unsafe { std::mem::transmute(job) };
             work::count_pool_wakeup();
-            let seat = w.handle.as_ref().expect("a live seat").thread();
-            w.slot
-                .post(SlotState::Job(job, control.clone(), spin), seat);
+            w.slot.post(
+                SlotState::Job(job, control.clone(), spin),
+                w.handle.thread(),
+            );
         }
-        let own = std::panic::catch_unwind(AssertUnwindSafe(own)).and_then(|r| r);
+        let own = std::panic::catch_unwind(AssertUnwindSafe(own));
         let mut results = vec![own];
         for w in &self.workers[..seats] {
             let SlotState::Done(result) = w.slot.take(|t| t == SlotState::DONE, spin) else {
@@ -2296,36 +2187,23 @@ impl WorkerPool {
             };
             results.push(*result);
         }
-        // Every job has finished; the flush's borrows are released. A seat
-        // whose thread died to an injected WorkerDeath gets a fresh thread
-        // now (a counted spawn), so the pool is whole again.
-        for seat in 0..seats {
-            if is_death(&results[seat + 1]) {
-                let w = &mut self.workers[seat];
-                if let Some(handle) = w.handle.take() {
-                    // It posted `Done` before exiting: the join is immediate.
-                    let _ = handle.join();
-                }
-                w.handle = Some(spawn_seat(seat, &w.slot));
-            }
-        }
+        // Every job has finished; the flush's borrows are released.
         results
+            .into_iter()
+            .map(|r| r.unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
+            .collect()
     }
 }
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
         for w in &self.workers {
-            if let Some(handle) = &w.handle {
-                w.slot.post(SlotState::Exit, handle.thread());
-            }
+            w.slot.post(SlotState::Exit, w.handle.thread());
         }
-        for w in &mut self.workers {
-            if let Some(handle) = w.handle.take() {
-                // A worker that panicked outside a job already unwound;
-                // ignore the join error during teardown.
-                let _ = handle.join();
-            }
+        for w in self.workers.drain(..) {
+            // A worker that panicked outside a job already unwound;
+            // ignore the join error during teardown.
+            let _ = w.handle.join();
         }
     }
 }

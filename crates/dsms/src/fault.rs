@@ -3,9 +3,8 @@
 //! A [`FaultPlan`] is a test/bench-visible knob handed to the engine
 //! ([`crate::engine::DsmsEngine::set_fault_plan`]) that makes failures
 //! *reproducible*: it can panic the Nth kernel invocation of a chosen
-//! operator kind, poison every kernel invocation whose input batch carries
-//! a chosen event timestamp, and kill a worker outright when it starts a
-//! chosen job. The engine's quarantine machinery
+//! operator kind, and poison every kernel invocation whose input batch
+//! carries a chosen event timestamp. The engine's quarantine machinery
 //! (`engine.rs`) is what recovers; this module only *triggers*.
 //!
 //! Triggers are counted with atomics so the plan can be `Arc`-shared
@@ -16,15 +15,6 @@
 
 use crate::ops::OPERATOR_KINDS;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
-/// The panic payload of an injected **worker death** — recognized by the
-/// worker pool, which lets the thread exit (instead of treating the panic
-/// as a kernel fault) and respawns a replacement once the flush's jobs
-/// have reported back (counted by
-/// [`crate::types::work::WorkSnapshot::pool_spawns`]). A job that dies on
-/// the control thread claims no home either but has no thread to replace.
-#[derive(Clone, Copy, Debug)]
-pub struct WorkerDeath;
 
 /// The message prefix of every injected kernel panic, so reports (and
 /// tests) can tell injected faults from genuine operator bugs.
@@ -38,7 +28,7 @@ pub const INJECTED_PANIC_PREFIX: &str = "injected fault";
 /// which keeps the Nth-invocation trigger meaningful under any shard
 /// count, because the quarantine contract is asserted on *outputs*, not
 /// on which thread happened to hit the trigger.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct FaultPlan {
     /// Per-kind invocation counters, indexed like [`OPERATOR_KINDS`].
     counters: [AtomicU64; 6],
@@ -51,31 +41,10 @@ pub struct FaultPlan {
     /// timestamp panics (a poison row: content-triggered, so the fault
     /// site is independent of shard count and of which job walks a home).
     poison_ts: Option<u64>,
-    /// Kill worker `w` when it starts its `n`-th (1-based) job.
-    kill_worker: Option<(usize, u64)>,
-    /// Per-worker job counters for the kill trigger (up to 64 workers;
-    /// larger pools never trigger beyond this, which is fine for a test
-    /// harness).
-    jobs: [AtomicU64; 64],
-    kill_fired: AtomicBool,
 }
 
 fn kind_index(kind: &str) -> Option<usize> {
     OPERATOR_KINDS.iter().position(|k| *k == kind)
-}
-
-impl Default for FaultPlan {
-    fn default() -> Self {
-        Self {
-            counters: Default::default(),
-            panic_at: [None; 6],
-            fired: Default::default(),
-            poison_ts: None,
-            kill_worker: None,
-            jobs: std::array::from_fn(|_| AtomicU64::new(0)),
-            kill_fired: AtomicBool::new(false),
-        }
-    }
 }
 
 impl FaultPlan {
@@ -104,21 +73,6 @@ impl FaultPlan {
     #[must_use]
     pub fn with_poison_ts(mut self, ts: u64) -> Self {
         self.poison_ts = Some(ts);
-        self
-    }
-
-    /// Kills worker `worker` when it starts its `nth` (1-based) job
-    /// (builder form). Job 0 of every flush, and every job of a flush
-    /// below [`crate::engine::INLINE_FLUSH_ROWS`], runs on the control
-    /// thread: it dies like a pool seat's (claiming no home), but no
-    /// thread exits. A pool seat's thread exits and the pool respawns it.
-    ///
-    /// # Panics
-    /// Panics when `nth == 0`.
-    #[must_use]
-    pub fn with_worker_death(mut self, worker: usize, nth: u64) -> Self {
-        assert!(nth > 0, "job counts are 1-based");
-        self.kill_worker = Some((worker, nth));
         self
     }
 
@@ -169,23 +123,6 @@ impl FaultPlan {
             panic!("{INJECTED_PANIC_PREFIX}: {kind} kernel invocation #{count}");
         }
     }
-
-    /// The job-start hook: counts one job for `worker` and reports
-    /// whether the worker should die *now* (one-shot). Called by the
-    /// engine at the start of each job of a parallel flush, before the
-    /// job claims a home shard, so an injected death never leaves a home
-    /// half-walked — another job or, after the join, the control thread
-    /// walks every home the dead job would have.
-    pub fn claims_worker_death(&self, worker: usize) -> bool {
-        let Some((w, nth)) = self.kill_worker else {
-            return false;
-        };
-        if w != worker || w >= self.jobs.len() {
-            return false;
-        }
-        let count = self.jobs[w].fetch_add(1, Ordering::AcqRel) + 1;
-        count == nth && !self.kill_fired.swap(true, Ordering::AcqRel)
-    }
 }
 
 #[cfg(test)]
@@ -215,15 +152,6 @@ mod tests {
             plan.before_kernel("join", &[41, 42]);
         }));
         assert!(hit.is_err(), "poison ts must panic");
-    }
-
-    #[test]
-    fn worker_death_claims_once_for_the_right_worker() {
-        let plan = FaultPlan::new().with_worker_death(1, 2);
-        assert!(!plan.claims_worker_death(0));
-        assert!(!plan.claims_worker_death(1), "first job survives");
-        assert!(plan.claims_worker_death(1), "second job dies");
-        assert!(!plan.claims_worker_death(1), "one-shot");
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //!   transitions, billing.
 //! * [`streams`] — deterministic synthetic stock-quote and news feeds.
 //! * [`fault`] — deterministic fault injection (seeded kernel panics,
-//!   poison rows, worker death) driving the robustness soak tests.
+//!   poison rows) driving the robustness soak tests.
 //!
 //! ## Columnar batched execution model
 //!
@@ -332,11 +332,10 @@
 //! on the control thread in seat order — job 0 claims every home, the
 //! rest find them taken — which a fixed row count decides, never a
 //! timing, so every work counter stays a pure function of the input.
-//! An injected worker death ([`fault::FaultPlan::with_worker_death`])
-//! fires at job start, before the job claims anything; after the join
-//! the control thread walks every home nobody claimed. A job on the
-//! control thread dies exactly like a pool seat's, without a thread to
-//! respawn.
+//! Job 0 tries every home before the join, so no home is left unwalked.
+//! Kernel panics never leave their kernel's guard; a panic that escapes
+//! a job anyway (an executor bug) is handed back by its seat and
+//! re-raised on the control thread once every seat has reported.
 //!
 //! **State partitions = workers.** Keyed state is hash-partitioned into
 //! exactly `shards` partitions, one per home shard. Cutting `k × shards`
@@ -446,19 +445,14 @@
 //!   `remove_query` + transition machinery the daily auction uses. Each
 //!   quarantine is recorded as an [`engine::QuarantineEvent`] carrying a
 //!   structured [`diag::Report`] (`NL060` operator panic at the node span,
-//!   `NL061` per quarantined query, `NL062` for worker death) and counted
+//!   `NL061` per quarantined query) and counted
 //!   by [`types::work::WorkSnapshot::quarantines`]. Every other query
 //!   keeps serving: kernels are pure functions of per-invocation inputs
 //!   plus per-node state, so a caught invocation cannot corrupt a
 //!   *different* node's state, and surviving-CQ outputs stay bit-identical
 //!   to a fault-free run (pinned per operator kind × shard count in
 //!   `tests/fault_recovery.rs`). Worker threads
-//!   survive kernel panics — `pool_spawns` stays flat — while an injected
-//!   worker *death* is detected at job granularity: the dead job claims
-//!   no home, another job or — after the join — the control thread walks
-//!   every home it would have, and the pool respawns the seat before the
-//!   next flush (a job that died on the
-//!   control thread has no seat to respawn). [`center::DsmsCenter`]
+//!   survive kernel panics — `pool_spawns` stays flat. [`center::DsmsCenter`]
 //!   absorbs quarantines into the billing layer: the quarantined bidder's
 //!   payment for the day is zeroed and the bidder sits out the next
 //!   auction round (rejected pre-auction with the quarantine report).
@@ -475,8 +469,8 @@
 //!   [`engine::DsmsEngine::overload_report`].
 //! * **Determinism under injected faults.** The [`fault`] harness
 //!   triggers failures at *logical* points — the Nth kernel invocation of
-//!   an operator kind, a poison row identified by content, a worker death
-//!   at job start — never at wall-clock points, so every soak replays
+//!   an operator kind, a poison row identified by content — never at
+//!   wall-clock points, so every soak replays
 //!   from its seed. Quarantine resolution runs after the flush/drain
 //!   loop reaches quiescence and removes queries in ascending CQ order;
 //!   shedding picks victims by `(priority, stream name)`; both are pure

@@ -1484,10 +1484,10 @@ pub mod work {
         /// vector instead of a densified (gathered) batch — each one an
         /// avoided row materialization.
         selection_pushdown_rows => count_pushdown_rows(n);
-        /// Worker threads spawned by the persistent pool. After warmup
-        /// (one spawn per shard after the first — job 0 of a flush runs on
-        /// the control thread) this must stay flat: flushes reuse parked
-        /// workers instead of spawning.
+        /// Worker threads spawned by the persistent pool: one per shard
+        /// after the first (job 0 of a flush runs on the control thread),
+        /// and only when the pool grows. Flushes reuse parked workers, so
+        /// this stays flat after warmup.
         pool_spawns => count_pool_spawn();
         /// Jobs dispatched to (and woken on) pooled workers — one per pool
         /// seat per pooled flush; a flush below
@@ -1495,8 +1495,7 @@ pub mod work {
         /// control thread and wakes none.
         pool_wakeups => count_pool_wakeup();
         /// Home walks of parallel flushes: one per home shard with units
-        /// to absorb or windows to close, whichever job (or, after a
-        /// worker death, the control thread) runs it.
+        /// to absorb or windows to close, whichever job runs it.
         morsels_executed => count_morsel_executed();
         /// Home walks a job ran for another job's home — a home still
         /// unclaimed when the job finished its own, such as the home of a

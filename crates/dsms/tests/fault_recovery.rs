@@ -1,18 +1,17 @@
-//! Robustness integration tests: panic quarantine, worker-death recovery,
-//! overload shedding, and the deterministic fault-injection harness.
+//! Robustness integration tests: panic quarantine, overload shedding, and
+//! the deterministic fault-injection harness.
 //!
 //! The contract under test (see the crate docs' *Robustness & failure
 //! semantics* section): an operator panic quarantines exactly the queries
 //! owning the panicked node — every other query's outputs stay
-//! **byte-identical** to a fault-free run, across shard counts; an
-//! injected worker death never loses or duplicates a home walk; overload
+//! **byte-identical** to a fault-free run, across shard counts; overload
 //! shedding drops the same rows at every
 //! shard count and never touches the highest-priority stream while lower
 //! ones still have batches to give.
 //!
 //! Env axes (mirroring `property_dsms.rs`): `CQAC_SHARDS` picks the shard
 //! counts, `CQAC_FAULTS` picks the injection families (`panic`, `poison`,
-//! `death`, or a comma list; default all).
+//! or a comma list; default both).
 
 use cqac_core::mechanisms::Cat;
 use cqac_core::model::UserId;
@@ -116,9 +115,9 @@ fn shard_counts() -> Vec<usize> {
 }
 
 /// Injection families under test; `CQAC_FAULTS` (comma list of
-/// `panic`/`poison`/`death`) overrides the default of all three.
+/// `panic`/`poison`) overrides the default of both.
 fn fault_modes() -> Vec<&'static str> {
-    const ALL: [&str; 3] = ["panic", "poison", "death"];
+    const ALL: [&str; 2] = ["panic", "poison"];
     match std::env::var("CQAC_FAULTS") {
         Ok(s) => {
             let modes: Vec<&'static str> = ALL
@@ -127,7 +126,7 @@ fn fault_modes() -> Vec<&'static str> {
                 .collect();
             assert!(
                 !modes.is_empty(),
-                "CQAC_FAULTS must list panic|poison|death, got '{s}'"
+                "CQAC_FAULTS must list panic|poison, got '{s}'"
             );
             modes
         }
@@ -194,15 +193,9 @@ fn run_kind_keyed(
     run_feed(kind, shards, keyed, FEED_ROWS, fault)
 }
 
-/// [`run_kind_keyed`] over a flush of `rows` rows.
-fn run_feed(
-    kind: &str,
-    shards: usize,
-    keyed: &[&str],
-    rows: usize,
-    fault: Option<Arc<FaultPlan>>,
-) -> RunOutcome {
-    work::reset();
+/// An engine serving [`victim_plan`] and [`survivor_plan`] for `kind`,
+/// with the `keyed` streams hash-partitioned on the symbol.
+fn engine(kind: &str, shards: usize, keyed: &[&str]) -> (DsmsEngine, CqId, CqId) {
     let mut e = DsmsEngine::new();
     e.set_fusion(kind == "fused");
     e.set_shards(shards);
@@ -214,6 +207,19 @@ fn run_feed(
     e.register_stream("news", news_schema());
     let victim = e.add_query(victim_plan(kind)).unwrap();
     let survivor = e.add_query(survivor_plan(kind)).unwrap();
+    (e, victim, survivor)
+}
+
+/// [`run_kind_keyed`] over a flush of `rows` rows.
+fn run_feed(
+    kind: &str,
+    shards: usize,
+    keyed: &[&str],
+    rows: usize,
+    fault: Option<Arc<FaultPlan>>,
+) -> RunOutcome {
+    work::reset();
+    let (mut e, victim, survivor) = engine(kind, shards, keyed);
     e.set_fault_plan(fault);
     e.push_batch(mixed_feed(rows, 7));
     e.finish();
@@ -265,7 +271,7 @@ fn each_kind_quarantines_only_its_owner() {
             );
             assert_eq!(
                 hurt.pool_spawns, clean.pool_spawns,
-                "kernel panic must not respawn workers ({ctx})"
+                "kernel panic must not spawn workers ({ctx})"
             );
             let event = &hurt.events[0];
             assert_eq!(event.kind, kind, "panic attributed to the kind ({ctx})");
@@ -394,92 +400,14 @@ fn shed_and_quarantine_counters_are_shard_invariant() {
     }
 }
 
-/// An injected worker death loses nothing: the homes the dead job left
-/// unclaimed run inline, every query's outputs match the fault-free run, the seat is
-/// respawned (exactly one extra counted spawn), and an NL062 diagnostic
-/// lands in the runtime report. No query is quarantined — a dying thread
-/// is an infrastructure fault, not an operator fault.
-#[test]
-fn worker_death_recovers_inline_and_respawns_the_seat() {
-    if !fault_modes().contains(&"death") {
-        return;
-    }
-    let clean = run_kind("aggregate", 4, None);
-    let fault = Arc::new(FaultPlan::new().with_worker_death(1, 1));
-    let hurt = run_kind("aggregate", 4, Some(fault));
-    assert!(hurt.quarantined.is_empty(), "death quarantined a CQ");
-    assert_eq!(hurt.victim_out, clean.victim_out, "victim lost rows");
-    assert_eq!(hurt.survivor_out, clean.survivor_out, "survivor lost rows");
-    assert_eq!(
-        hurt.pool_spawns,
-        clean.pool_spawns + 1,
-        "exactly one respawn"
-    );
-    assert!(
-        hurt.runtime_report.has_code(Code::WorkerDeath),
-        "missing NL062"
-    );
-}
-
-/// Where a job dies decides what respawns. In a pooled flush job 0 runs
-/// on the control thread, so it dies claiming no home exactly like a
-/// pool seat's but spawns no thread, while job 1's kills its seat, which
-/// respawns. Below [`INLINE_FLUSH_ROWS`] every job runs on the control
-/// thread and no death respawns anything. Either way every query's
-/// outputs match the fault-free run and NL062 is reported.
-#[test]
-fn deaths_replay_and_respawn_only_pool_seats() {
-    if !fault_modes().contains(&"death") {
-        return;
-    }
-    for rows in [INLINE_FLUSH_ROWS / 2, FEED_ROWS] {
-        let pooled = u64::from(rows >= INLINE_FLUSH_ROWS);
-        for kind in ["aggregate", "join"] {
-            for shards in shard_counts().into_iter().filter(|&s| s > 1) {
-                let keyed = ["quotes", "news"];
-                let clean = run_feed(kind, shards, &keyed, rows, None);
-                assert_eq!(
-                    clean.pool_spawns,
-                    shards as u64 - 1,
-                    "one seat per job after the first"
-                );
-                for (job, respawns) in [(0, 0), (1, pooled)] {
-                    let death = Arc::new(FaultPlan::new().with_worker_death(job, 1));
-                    let hurt = run_feed(kind, shards, &keyed, rows, Some(death));
-                    let ctx = format!("{kind} rows={rows} shards={shards} job={job}");
-                    assert!(hurt.runtime_report.has_code(Code::WorkerDeath), "{ctx}");
-                    assert!(hurt.quarantined.is_empty(), "{ctx}");
-                    assert_eq!(hurt.victim_out, clean.victim_out, "{ctx}");
-                    assert_eq!(hurt.survivor_out, clean.survivor_out, "{ctx}");
-                    assert_eq!(hurt.pool_spawns, clean.pool_spawns + respawns, "{ctx}");
-                }
-            }
-        }
-    }
-}
-
-/// Keyless roots ride the same recovery machinery as keyed ones. With no
-/// stream keyed, or only `quotes`, a dead worker's home — whole batches
-/// and hash-partitioned shares alike — runs on another job or inline, and
-/// a panic or a poison row quarantines by the faulted node's kind wherever
-/// the node ran — on a whole batch, a hash-partitioned share, or on the
-/// control thread.
+/// Keyless roots quarantine like keyed ones. With no stream keyed, or
+/// only `quotes`, a panic or a poison row quarantines by the faulted
+/// node's kind wherever the node ran — on a whole batch, a
+/// hash-partitioned share, or on the control thread.
 #[test]
 fn keyless_roots_recover_and_quarantine_like_keyed_ones() {
     for keyed in [&[][..], &["quotes"][..]] {
         let ctx = format!("keyed={keyed:?}");
-        if fault_modes().contains(&"death") {
-            for kind in ["fused", "aggregate", "join"] {
-                let clean = run_kind_keyed(kind, 4, keyed, None);
-                let death = Arc::new(FaultPlan::new().with_worker_death(1, 1));
-                let hurt = run_kind_keyed(kind, 4, keyed, Some(death));
-                assert!(hurt.quarantined.is_empty(), "{kind} {ctx}");
-                assert_eq!(hurt.victim_out, clean.victim_out, "{kind} {ctx}");
-                assert_eq!(hurt.survivor_out, clean.survivor_out, "{kind} {ctx}");
-                assert_eq!(hurt.pool_spawns, clean.pool_spawns + 1, "{kind} {ctx}");
-                assert!(hurt.runtime_report.has_code(Code::WorkerDeath), "{ctx}");
-            }
-        }
         for kind in OPERATOR_KINDS {
             let clean = run_kind_keyed(kind, 4, keyed, None);
             let mut faults = Vec::new();
@@ -510,56 +438,60 @@ fn keyless_roots_recover_and_quarantine_like_keyed_ones() {
     }
 }
 
-/// A seat respawned after a worker death re-seeds the control thread's
-/// columnar kill switch on its next job. With the switch off, every row
-/// must take the row path — so `row_evals` matches the shards=1 run
-/// exactly even when a shards=4 worker dies mid-flush and is replaced. A
-/// respawned seat that silently reverted to the default would push its
-/// share of rows through the columnar kernels and skew the counter.
+/// Pooled seats re-seed the control thread's columnar kill switch on
+/// every job. One shards=4 engine serves two pooled flushes: the first
+/// with the switch off, where every row must take the row path — so
+/// `row_evals` matches the shards=1 run exactly — and the second, on the
+/// same seats, at the default, where the lane loops handle every row. A
+/// seat that ignored the switch, or kept the value it first saw, would
+/// skew one of the two counters. Each flush is eight times the pooled
+/// minimum, so job 0 is still on its own home when the seats wake and
+/// they walk theirs; a flush only job 0 walks would hide a stray seat.
 #[test]
-fn respawned_worker_inherits_the_columnar_switch() {
+fn pooled_seats_follow_the_columnar_switch() {
     use cqac_dsms::ops::with_columnar_kernels;
-    if !fault_modes().contains(&"death") {
-        return;
-    }
-    let death = || Some(Arc::new(FaultPlan::new().with_worker_death(1, 1)));
-    let run = |shards: usize, fault: Option<Arc<FaultPlan>>| {
-        with_columnar_kernels(false, || {
-            let out = run_kind("fused", shards, fault);
-            (out, work::snapshot().row_evals)
-        })
+    let serve = |shards: usize| {
+        let (mut e, victim, survivor) = engine("fused", shards, &["quotes", "news"]);
+        let mut phases = Vec::new();
+        for (phase, columnar) in [(0, false), (1, true)] {
+            let feed = mixed_feed(8 * FEED_ROWS, 7 + phase)
+                .into_iter()
+                .map(|(s, mut t)| {
+                    t.ts += 400 * phase;
+                    (s, t)
+                });
+            work::reset();
+            if columnar {
+                e.push_batch(feed);
+            } else {
+                with_columnar_kernels(false, || e.push_batch(feed));
+            }
+            let snap = work::snapshot();
+            phases.push((e.take_outputs(victim), e.take_outputs(survivor), snap));
+        }
+        phases
     };
-    let (clean, clean_rows) = run(1, None);
-    assert!(clean_rows > 0, "columnar off must force the row path");
-    let (hurt, hurt_rows) = run(4, death());
+    let clean = serve(1);
+    let pooled = serve(4);
+    let (off, on) = (&pooled[0].2, &pooled[1].2);
     assert!(
-        hurt.runtime_report.has_code(Code::WorkerDeath),
-        "death did not land"
+        clean[0].2.row_evals > 0,
+        "columnar off must force the row path"
     );
+    assert!(off.pool_wakeups > 0, "the first flush must reach the pool");
     assert_eq!(
-        hurt.pool_spawns, 4,
-        "job 1 ran on a pool seat, which died and was respawned"
+        off.row_evals, clean[0].2.row_evals,
+        "pooled seats must follow the columnar kill switch"
     );
-    assert_eq!(
-        hurt_rows, clean_rows,
-        "respawned seat must inherit the columnar kill switch"
-    );
-    assert_eq!(hurt.victim_out, clean.victim_out);
-    assert_eq!(hurt.survivor_out, clean.survivor_out);
-
-    // The converse: at the default setting the same faulted run counts
-    // lanes and zero row evals — the re-seed forwards the live switch
-    // value, it does not pin a stale 'off'.
-    let on = run_kind("fused", 4, death());
-    let snap = work::snapshot();
-    assert!(on.runtime_report.has_code(Code::WorkerDeath));
-    assert!(snap.simd_lanes > 0, "columnar kernels run the lane loops");
-    assert_eq!(snap.row_evals, 0, "columnar kernels must handle every row");
-    assert_eq!(
-        on.victim_out, clean.victim_out,
-        "the switch must not change outputs"
-    );
-    assert_eq!(on.survivor_out, clean.survivor_out);
+    assert!(on.pool_wakeups > 0, "the second flush must reach the pool");
+    assert_eq!(on.pool_spawns, 0, "the second flush reuses the seats");
+    assert_eq!(on.row_evals, 0, "columnar kernels must handle every row");
+    assert!(on.simd_lanes > 0, "columnar kernels run the lane loops");
+    for (phase, (p, c)) in pooled.iter().zip(&clean).enumerate() {
+        assert!(!p.0.is_empty(), "flush {phase} must reach the victim");
+        assert_eq!(p.0, c.0, "victim diverged in flush {phase}");
+        assert_eq!(p.1, c.1, "survivor diverged in flush {phase}");
+    }
 }
 
 /// Overload shedding under a flash-crowd flood: whole batches are shed

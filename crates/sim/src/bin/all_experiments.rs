@@ -1,5 +1,5 @@
 //! Runs every experiment with quick defaults — a one-shot regeneration of
-//! all tables and figures (see EXPERIMENTS.md).
+//! all tables and figures (see the experiment table in `crates/sim/src/lib.rs`).
 //!
 //! ```text
 //! cargo run -p cqac-sim --release --bin all_experiments

@@ -416,8 +416,8 @@ mod tests {
 
 impl RawWorkload {
     /// Serializes the workload to JSON (experiment artifacts are stored
-    /// alongside the CSVs so every EXPERIMENTS.md row can be regenerated
-    /// from the exact inputs).
+    /// alongside the CSVs so every row of the experiment table in
+    /// `crates/sim/src/lib.rs` can be regenerated from the exact inputs).
     pub fn save_json(&self, path: &std::path::Path) -> std::io::Result<()> {
         let json = serde_json::to_string(self).map_err(std::io::Error::other)?;
         std::fs::write(path, json)
