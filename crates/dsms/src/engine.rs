@@ -5,9 +5,14 @@
 //! Determinism is a design requirement, not an optimization: the
 //! transition-correctness guarantee ("CQs that continue to execute for the
 //! next day produce correct results") is proved here *by test*, which needs
-//! replay-exact runs. The engine is single-threaded, processes nodes in
-//! ascending id order (a topological order — see `network.rs`), and uses
-//! event-time watermarks for all windowing.
+//! replay-exact runs. Every operator runs through one node loop, the
+//! **walk**, which processes nodes in ascending order (a topological order
+//! — see `network.rs`) and uses event-time watermarks for all windowing.
+//! At one shard a flush is one walk on the calling thread; with more, the
+//! flush's share of the parallel plan first runs as one walk per home
+//! shard on a worker pool, and a control walk merges their outputs into
+//! the rest of the network (see [`DsmsEngine::set_shards`]), so outputs
+//! do not depend on the shard count.
 //!
 //! ## Batched execution
 //!
@@ -20,9 +25,10 @@
 //!   multisets for multi-port operators — the tested scalar-vs-batched
 //!   property; see the crate docs for why the weaker multi-port guarantee
 //!   is inherent).
-//! * **Node queues** hold `(port, batch)` pairs; one operator invocation
-//!   amortizes queue traffic, downstream fan-out, watermark checks, and the
-//!   per-node timing probe over the whole batch.
+//! * **A walk's node queues** live for one walk and hold `(port, batch,
+//!   deferred selection)` entries; one operator invocation amortizes queue
+//!   traffic, downstream fan-out, watermark checks, and the per-node
+//!   timing probe over the whole batch.
 //! * **Fan-out is `Arc`-shared and copy-on-write**: a produced batch is
 //!   wrapped in one `Arc` and every downstream target receives a pointer
 //!   clone. Sinks *keep* the shared batch (rows materialize only when
@@ -44,7 +50,7 @@
 
 use crate::diag::{Code, Diagnostic, Report, Span};
 use crate::fault::FaultPlan;
-use crate::network::{CqId, KeyedNode, KeyedPlan, NodeId, QueryInfo, QueryNetwork, Target};
+use crate::network::{CqId, KeyedPlan, Node, NodeId, QueryInfo, QueryNetwork, Target};
 use crate::ops::{OpClass, Operator, RowTrace};
 use crate::plan::StreamCatalog;
 use crate::plan::{LogicalPlan, PlanError};
@@ -139,8 +145,8 @@ pub struct QuarantineEvent {
     pub report: Report,
 }
 
-/// A node's pending inputs: `(port, batch, deferred selection)`.
-type QueueEntries = VecDeque<(usize, Arc<TupleBatch>, Option<Arc<Vec<u32>>>)>;
+/// A flush's ingested batches, `(stream, batch)` in arrival order.
+type Ingested = Vec<(String, TupleBatch)>;
 
 /// Per-stream ingestion statistics (for cost estimation).
 #[derive(Clone, Debug, Default)]
@@ -194,23 +200,17 @@ impl StreamStats {
 #[derive(Debug)]
 pub struct DsmsEngine {
     network: QueryNetwork,
-    /// Pending input batches per node `(port, batch, selection)`, FIFO.
-    /// Batches are `Arc`-shared with every other consumer of the same
-    /// producing call. The optional selection is a deferred filter result
-    /// (batch-row indices): pure filters forward `(batch, selection)`
-    /// instead of gathering survivors, filters downstream refine it, and
-    /// stateful consumers absorb straight through it (selection pushdown,
-    /// counted by [`work::WorkSnapshot::selection_pushdown_rows`]); any
-    /// other consumer gathers once on entry.
-    queues: HashMap<NodeId, QueueEntries>,
-    /// Ingested batches not yet routed into node queues (routed at the
-    /// start of the next [`DsmsEngine::run_until_quiescent`]).
+    /// Ingested batches not yet flushed (they seed the next
+    /// [`DsmsEngine::run_until_quiescent`]).
     ingest: VecDeque<(String, TupleBatch)>,
     /// Collected output batches per query sink, `Arc`-shared across sinks
     /// (rows materialize when outputs are read).
     outputs: HashMap<CqId, Vec<Arc<TupleBatch>>>,
     /// Maximum event time routed so far (the watermark).
     watermark: u64,
+    /// No live node's watermark is below this: the control walk leaves
+    /// every node at the engine watermark, and new nodes start at 0.
+    watermark_floor: u64,
     /// When true, arriving batches are held at the connection points.
     holding: bool,
     /// Batches held during a transition, in arrival order.
@@ -218,7 +218,7 @@ pub struct DsmsEngine {
     /// The stream-lifetime dictionaries: per registered stream, one
     /// append-only interner per column (only those of string columns are
     /// ever used). Every batch of the stream is sealed against them
-    /// ([`DsmsEngine::next_ingest`]), so a dictionary code means the same
+    /// ([`DsmsEngine::seal_ingest`]), so a dictionary code means the same
     /// string for the life of the stream.
     dicts: HashMap<String, Vec<DictInterner>>,
     /// Per-stream ingestion stats.
@@ -240,12 +240,6 @@ pub struct DsmsEngine {
     /// the network or the shard keys change (see
     /// [`DsmsEngine::keyed_plan`]).
     keyed_cache: Option<Arc<KeyedPlan>>,
-    /// Merged shard outputs awaiting dispatch: `(producer node id,
-    /// targets, batch)` in ascending `(node, entry)` order. The control
-    /// loop dispatches a producer's pending batches exactly when its node
-    /// loop reaches that producer, reproducing the single-threaded
-    /// dispatch interleaving with out-of-plan nodes.
-    merged_pending: VecDeque<(u32, Vec<Target>, TupleBatch)>,
     /// The persistent worker pool (threads spawn on the first parallel
     /// flush and park between flushes).
     pool: WorkerPool,
@@ -253,6 +247,9 @@ pub struct DsmsEngine {
     /// by home shard (units hold ranges of it) and one batch's per-row
     /// home shards.
     partition_buf: (Vec<u32>, Vec<u32>),
+    /// The control walk's reused buffers — its queues, arrivals and node
+    /// deltas, empty between flushes — so a flush allocates none of them.
+    walk_buf: WalkBuf,
     /// The fault-injection plan driving soak tests and benches (`None` —
     /// inert — outside them).
     fault: Option<Arc<FaultPlan>>,
@@ -288,10 +285,10 @@ impl DsmsEngine {
     pub fn new() -> Self {
         Self {
             network: QueryNetwork::new(),
-            queues: HashMap::new(),
             ingest: VecDeque::new(),
             outputs: HashMap::new(),
             watermark: 0,
+            watermark_floor: 0,
             holding: false,
             held: VecDeque::new(),
             dicts: HashMap::new(),
@@ -303,9 +300,9 @@ impl DsmsEngine {
             shard_rr: HashMap::new(),
             shard_stats: vec![ShardStats::default()],
             keyed_cache: None,
-            merged_pending: VecDeque::new(),
             pool: WorkerPool::default(),
             partition_buf: (Vec::new(), Vec::new()),
+            walk_buf: WalkBuf::default(),
             fault: None,
             pending_panics: Vec::new(),
             quarantine_log: Vec::new(),
@@ -522,6 +519,7 @@ impl DsmsEngine {
         }
         let result = self.network.add_query(plan);
         self.keyed_cache = None;
+        self.watermark_floor = 0;
         if let Ok(cq) = result {
             self.outputs.entry(cq).or_default();
         }
@@ -751,30 +749,22 @@ impl DsmsEngine {
             .expect("entry inserted above")
     }
 
-    /// Hands the oldest pending ingestion batch to a flush, **sealed**
-    /// against its stream's dictionaries ([`TupleBatch::seal_into`]). Both
-    /// flush paths take their batches here, and a transition's held batches
-    /// re-enter `ingest` before they flush, so this is the one point where
-    /// row-pushed (`push`/`push_batch`) and column-pushed (`push_rows`)
-    /// batches take the same shape: operators see `Column::Dict` for
-    /// low-cardinality strings whatever the entry point, every batch of a
-    /// stream sharing one dictionary. Runs after shedding — shed batches
-    /// are never encoded.
-    fn next_ingest(&mut self) -> Option<(String, TupleBatch)> {
-        let (stream, mut batch) = self.ingest.pop_front()?;
-        let dicts = self.dicts.get_mut(&stream);
-        batch.seal_into(dicts.expect("only registered streams buffer batches"));
-        Some((stream, batch))
-    }
-
-    /// Advances the watermark to cover `ts`. Every routing path — single
-    /// threaded or sharded — funnels through here, so the watermark can
-    /// only move forward; the non-vacuous halves of that invariant are the
-    /// `debug_assert`s in [`DsmsEngine::run_until_quiescent`] (no node is
-    /// ever ahead of the engine watermark) and the per-shard
-    /// `max_ts ≤ watermark` check after the parallel merge.
-    fn advance_watermark_to(&mut self, ts: u64) {
-        self.watermark = self.watermark.max(ts);
+    /// Readies a flush's input: sheds ([`DsmsEngine::apply_shedding`]),
+    /// then **seals** every remaining batch against its stream's
+    /// dictionaries ([`TupleBatch::seal_into`]) and advances the watermark
+    /// over it. Held batches re-enter `ingest` before they flush, so
+    /// row-pushed and column-pushed batches all take one shape here:
+    /// `Column::Dict` for low-cardinality strings, one dictionary per
+    /// stream. The watermark moves only here, and only forward.
+    fn seal_ingest(&mut self) {
+        self.apply_shedding();
+        for (stream, batch) in &mut self.ingest {
+            let dicts = self.dicts.get_mut(stream);
+            batch.seal_into(dicts.expect("only registered streams buffer batches"));
+            if let Some(ts) = batch.max_ts() {
+                self.watermark = self.watermark.max(ts);
+            }
+        }
     }
 
     /// The deterministic load-shedding pass (see [`OverloadPolicy`]): when
@@ -782,10 +772,10 @@ impl DsmsEngine {
     /// batches, lowest-priority stream first** (ties broken by stream
     /// name; within a stream, newest arrivals first, so the oldest
     /// admitted data still flows), until the flush fits. Runs at the head
-    /// of **both** flush paths, before any partitioning, on
-    /// arrival-ordered whole batches — so the shed set, and with it
-    /// [`work::WorkSnapshot::rows_shed`], is identical for every shard
-    /// count. Shed batches never advance the watermark.
+    /// of every flush ([`DsmsEngine::seal_ingest`]), before any
+    /// partitioning, on arrival-ordered whole batches — so the shed set,
+    /// and with it [`work::WorkSnapshot::rows_shed`], is identical for
+    /// every shard count. Shed batches never advance the watermark.
     fn apply_shedding(&mut self) {
         let Some(policy) = &self.overload else {
             return;
@@ -819,34 +809,6 @@ impl DsmsEngine {
         }
     }
 
-    /// Routes ingested batches into node queues (and source-only sinks),
-    /// advancing the watermark.
-    fn flush_ingest(&mut self) {
-        self.apply_shedding();
-        while let Some((stream, batch)) = self.next_ingest() {
-            if let Some(ts) = batch.max_ts() {
-                self.advance_watermark_to(ts);
-            }
-            // Clone the subscriber list (tiny) to appease the borrow checker.
-            let subs: Vec<Target> = self.network.stream_subscribers(&stream).to_vec();
-            self.route_shared(&subs, batch);
-        }
-    }
-
-    /// Routes one batch to a target list with `Arc`-shared fan-out (every
-    /// target gets a pointer clone of the same batch).
-    fn route_shared(&mut self, targets: &[Target], batch: TupleBatch) {
-        let Some((&last, rest)) = targets.split_last() else {
-            return;
-        };
-        // One Arc for the whole fan-out: every target shares the batch.
-        let shared = Arc::new(batch);
-        for &target in rest {
-            self.route(target, shared.clone());
-        }
-        self.route(last, shared);
-    }
-
     /// The cached parallel plan. Everything that can move plan membership
     /// (shard keys, streams, queries) drops the cache, and this — the one
     /// place the plan is re-derived — first re-homes operator state
@@ -866,51 +828,25 @@ impl DsmsEngine {
         p
     }
 
-    /// The shard-parallel twin of [`DsmsEngine::flush_ingest`]:
+    /// The shard-parallel half of a flush (the crate docs' *Parallel
+    /// execution*): **partition** the batches over the roots of the one
+    /// parallel plan ([`QueryNetwork::keyed_plan`]) — row by row on a
+    /// shard key, whole batches round-robin without one; run **one walk
+    /// per home shard** ([`walk_home`]) on one job per shard — job 0 on
+    /// this thread, the others on the [`WorkerPool`], all of them here
+    /// below [`INLINE_FLUSH_ROWS`] rows — where job `w` claims home `w`
+    /// first, then any home still unclaimed; and **merge** exit outputs
+    /// deterministically per `(producing node, entry path)`, by sequence
+    /// tag or window-close [`crate::types::EmitKey`].
     ///
-    /// 1. **Partition.** Every stream is a root of the one parallel plan
-    ///    ([`QueryNetwork::keyed_plan`]). A root with a shard key
-    ///    hash-partitions its batches row by row (same key, same shard;
-    ///    rows carry their pre-partition index as a sequence tag); a root
-    ///    without one deals whole batches round-robin. Subscribers outside
-    ///    the plan (shard-incompatible operators, sinks) receive the raw
-    ///    batch at flush time, exactly like the single-threaded path.
-    /// 2. **One walk per home shard.** Each home shard's units run as one
-    ///    walk ([`walk_home`]) in arrival order: a **mini node loop** —
-    ///    per-node FIFO queues drained in ascending node order, stateful
-    ///    operators absorbing into the home's state partition (partial
-    ///    aggregates too), selection vectors pushed down into
-    ///    joins/aggregates instead of densifying, and windows closing
-    ///    against the flush's merged watermark right after each node's
-    ///    queue. One job per shard runs the walks: job 0 on this thread,
-    ///    the others on the persistent [`WorkerPool`]. Job `w` claims home
-    ///    `w` first, then any home still unclaimed in ascending seat
-    ///    offset, so a seat that wakes late does not hold the flush up. A
-    ///    flush of fewer than [`INLINE_FLUSH_ROWS`] rows runs every job
-    ///    here, one after another: job 0 claims every home, the others
-    ///    find them taken.
-    /// 3. **Deterministic merge.** Exit outputs are merged per
-    ///    `(producing node, entry path)` — interleaved by sequence tag
-    ///    (join fan-out repeats its probe row's tag, preserving shard
-    ///    order) or by window-close [`crate::types::EmitKey`]s, trivially
-    ///    for whole-batch units — and queued on
-    ///    [`DsmsEngine::merged_pending`] in ascending order; the control
-    ///    loop dispatches each producer's
-    ///    batches exactly when its node-loop pass reaches that producer,
-    ///    so out-of-plan consumers observe the single-threaded arrival
-    ///    order. Everything downstream of the merge is byte-identical to
-    ///    the single-threaded engine.
-    fn flush_ingest_sharded(&mut self) {
+    /// Returns the control walk's seeds: the plan, the batches for the
+    /// subscribers outside it (arrival order), and the merged outputs as
+    /// `(producer id, batch)`, ascending — the order the single-threaded
+    /// walk hands them on.
+    fn flush_ingest_sharded(&mut self) -> (Arc<KeyedPlan>, Ingested, Vec<(u32, TupleBatch)>) {
         type Parts = Vec<(TupleBatch, Option<MergeTags>)>;
+        let ingested = std::mem::take(&mut self.ingest);
         let shards = self.shards();
-        // Shedding runs on the arrival-ordered whole batches, before any
-        // partitioning — the shed set cannot depend on the shard count.
-        self.apply_shedding();
-        let ingested: Vec<(String, TupleBatch)> =
-            std::iter::from_fn(|| self.next_ingest()).collect();
-        if ingested.is_empty() {
-            return;
-        }
         let keyed = self.keyed_plan();
         let inline = ingested.iter().map(|(_, b)| b.len()).sum::<usize>() < INLINE_FLUSH_ROWS;
         // The first parallel flush spawns the pool, whatever its size, so
@@ -926,121 +862,113 @@ impl DsmsEngine {
         idx.clear();
         let mut ends: Vec<u32> = Vec::with_capacity(shards);
         let mut units: Vec<Vec<KeyedUnit>> = (0..shards).map(|_| Vec::new()).collect();
+        let mut direct = Vec::new();
         for (batch_idx, (stream, batch)) in ingested.into_iter().enumerate() {
-            if let Some(ts) = batch.max_ts() {
-                self.advance_watermark_to(ts);
-            }
             let root_idx = keyed
                 .root_of(&stream)
                 .expect("registering a stream re-derives the plan");
             let root = &keyed.roots[root_idx];
-            if root.targets.is_empty() {
-                self.route_shared(&root.direct, batch);
-                continue;
-            }
-            let batch = if root.direct.is_empty() {
-                batch
-            } else {
-                // Non-plan subscribers share the batch (COW columns);
-                // the shard path keeps its own handle.
-                let copy = batch.clone();
-                self.route_shared(&root.direct, batch);
-                copy
-            };
-            let Some(key) = root.key else {
-                // Keyless root: the whole batch goes to the next shard.
-                let cursor = self.shard_rr.entry(stream.clone()).or_insert(0);
-                let s = *cursor % shards;
-                *cursor = (*cursor + 1) % shards;
-                self.note_shard_rows(&stream, s, batch.len() as u64, shards);
-                units[s].push(KeyedUnit {
-                    batch_idx,
-                    root: root_idx,
-                    batch,
-                    rows: None,
-                });
-                continue;
-            };
-            // A dictionary-encoded key column reads each row's hash off
-            // the stream's dictionary: no string is hashed here.
-            let mut reader = crate::ops::KeyReader::new(batch.column(key));
-            homes.clear();
-            homes.extend((0..batch.len()).map(|i| reader.shard(i, shards) as u32));
-            // `ends[s]` counts shard `s`'s rows, turns into its start in
-            // `idx`, and ends as its end.
-            ends.clear();
-            ends.resize(shards, 0);
-            for &s in &homes {
-                ends[s as usize] += 1;
-            }
-            let mut at = idx.len() as u32;
-            for end in &mut ends {
-                at += std::mem::replace(end, at);
-            }
-            let mut lo = idx.len() as u32;
-            idx.resize(idx.len() + batch.len(), 0);
-            for (i, &s) in homes.iter().enumerate() {
-                idx[ends[s as usize] as usize] = i as u32;
-                ends[s as usize] += 1;
-            }
-            for (s, &hi) in ends.iter().enumerate() {
-                if hi > lo {
-                    self.note_shard_rows(&stream, s, u64::from(hi - lo), shards);
+            match root.key {
+                // No plan member reads the stream.
+                _ if root.targets.is_empty() => {}
+                None => {
+                    // Keyless root: the whole batch goes to the next shard.
+                    let cursor = self.shard_rr.entry(stream.clone()).or_insert(0);
+                    let s = *cursor % shards;
+                    *cursor = (*cursor + 1) % shards;
+                    self.note_shard_rows(&stream, s, batch.len() as u64, shards);
                     units[s].push(KeyedUnit {
                         batch_idx,
                         root: root_idx,
                         batch: batch.clone(),
-                        rows: Some(lo..hi),
+                        rows: None,
                     });
                 }
-                lo = hi;
+                Some(key) => {
+                    // A dictionary-encoded key column reads each row's hash
+                    // off the stream's dictionary: no string is hashed here.
+                    let mut reader = crate::ops::KeyReader::new(batch.column(key));
+                    homes.clear();
+                    homes.extend((0..batch.len()).map(|i| reader.shard(i, shards) as u32));
+                    // `ends[s]` counts shard `s`'s rows, turns into its
+                    // start in `idx`, and ends as its end.
+                    ends.clear();
+                    ends.resize(shards, 0);
+                    for &s in &homes {
+                        ends[s as usize] += 1;
+                    }
+                    let mut at = idx.len() as u32;
+                    for end in &mut ends {
+                        at += std::mem::replace(end, at);
+                    }
+                    let mut lo = idx.len() as u32;
+                    idx.resize(idx.len() + batch.len(), 0);
+                    for (i, &s) in homes.iter().enumerate() {
+                        idx[ends[s as usize] as usize] = i as u32;
+                        ends[s as usize] += 1;
+                    }
+                    for (s, &hi) in ends.iter().enumerate() {
+                        if hi > lo {
+                            self.note_shard_rows(&stream, s, u64::from(hi - lo), shards);
+                            units[s].push(KeyedUnit {
+                                batch_idx,
+                                root: root_idx,
+                                batch: batch.clone(),
+                                rows: Some(lo..hi),
+                            });
+                        }
+                        lo = hi;
+                    }
+                }
+            }
+            // Subscribers outside the plan share the batch (COW columns)
+            // in the control walk.
+            if !root.direct.is_empty() {
+                direct.push((stream, batch));
             }
         }
 
         // -- 2. Parallel execution on the persistent pool ----------------
         let watermark = self.watermark;
         let network = &self.network;
-        let nodes: Vec<ResolvedKeyedNode<'_>> = keyed
+        let nodes: Vec<WalkNode<'_>> = keyed
             .nodes
             .iter()
             .map(|kn| {
                 let node = network.node(kn.id).expect("live plan node");
-                ResolvedKeyedNode {
-                    plan: kn,
+                WalkNode {
+                    id: kn.id.0,
                     kind: node.kind,
                     op: &*node.op,
+                    internal: &kn.internal,
+                    targets: &kn.exits,
                     // A stateful member closes windows on every shard
                     // whenever the merged watermark moved past what the
-                    // node has seen (mirrors the control loop's
-                    // `last_watermark < watermark` check). Partial members
-                    // never advance in-shard: their per-home partials
-                    // are combined by the control loop's own watermark
-                    // pass (see `KeyedNode::partial`).
-                    advance: kn.stateful && !kn.partial && node.last_watermark < watermark,
+                    // node has seen (the control walk's own check).
+                    // Partial members never advance in-shard: their
+                    // per-home partials are combined by the control walk's
+                    // watermark pass (see `KeyedNode::partial`).
+                    close: kn.stateful && !kn.partial && node.last_watermark < watermark,
+                    stateful: kn.stateful,
                     grouped: kn.partial && node.op.keyed_partial_grouped(),
                 }
             })
             .collect();
-        let run_advance = nodes.iter().any(|n| n.advance);
+        let run_advance = nodes.iter().any(|n| n.close);
         if units.iter().all(Vec::is_empty) && !run_advance {
             self.partition_buf = (idx, homes);
-            return;
+            return (keyed, direct, Vec::new());
         }
-        let ctx = FlushCtx {
-            nodes: &nodes,
-            plan: &keyed,
-            rows: &idx,
+        let ctx = WalkCtx {
+            nodes: WalkNodes::Plan(&nodes),
             watermark,
             fault: self.fault.as_deref(),
+            finish: false,
         };
 
-        // Home `h`'s units, hash-partitioned and round-robin alike, run as
-        // one walk in arrival order with the watermark pass inside, so
-        // state partition `h` (partial members' partials included) is
-        // touched by that walk only. A home with no unit and no window to
-        // close has no walk. Job `w` claims home `w` first, then any home
-        // still unclaimed in ascending seat offset: a seat that wakes late
-        // loses its home to whichever job is free.
+        // Home `h`'s units run as one walk, the only one to touch state
+        // partition `h`; a home with no unit and no window to close has
+        // none. A seat that wakes late loses its home to a free job.
         let slots: Vec<Mutex<Option<Vec<KeyedUnit>>>> = units
             .into_iter()
             .map(|units| Mutex::new((!units.is_empty() || run_advance).then_some(units)))
@@ -1056,7 +984,7 @@ impl DsmsEngine {
                         if off > 0 {
                             work::count_morsel_stolen();
                         }
-                        walk_home(&ctx, home, units, &mut report);
+                        walk_home(&ctx, &keyed, &idx, home, units, &mut report);
                     }
                     None if off > 0 => work::count_steal_miss(),
                     None => {}
@@ -1091,19 +1019,13 @@ impl DsmsEngine {
             "every home was walked"
         );
         self.partition_buf = (idx, homes);
-
-        // The plan's watermark handling happened inside the shards: mark
-        // every member so the control loop does not re-advance (and
-        // re-emit from) partitioned state. Partial-aggregation members are
-        // the exception — their per-home partials close on the control
-        // loop's own watermark pass, which stays pending.
-        for kn in &keyed.nodes {
-            if kn.partial {
-                continue;
-            }
-            if let Some(node) = self.network.node_mut(kn.id) {
-                node.last_watermark = watermark;
-            }
+        // The home walks closed the members' windows; a partial member's
+        // partials close in the control walk.
+        for kn in keyed.nodes.iter().filter(|kn| !kn.partial) {
+            self.network
+                .node_mut(kn.id)
+                .expect("live member")
+                .last_watermark = watermark;
         }
 
         // -- 3. Deterministic merge --------------------------------------
@@ -1124,47 +1046,35 @@ impl DsmsEngine {
             stats.busy += report.busy;
             stats.max_ts = stats.max_ts.max(report.max_ts);
             // Caught kernel panics resolve into quarantines once the
-            // control loop reaches quiescence (see `resolve_panics`).
+            // control walk reaches quiescence (see `resolve_panics`).
             self.pending_panics.extend(report.panics);
-            for (id, delta) in report.node_stats {
-                let node = self.network.node_mut(NodeId(id)).expect("live plan node");
-                node.in_count += delta.in_rows;
-                node.in_batches += delta.in_batches;
-                node.out_count += delta.out_rows;
-                node.busy += delta.busy;
+            for (kn, delta) in keyed.nodes.iter().zip(&report.node_stats) {
+                delta.fold_into(self.network.node_mut(kn.id).expect("live plan node"));
             }
             for (node, entry, batch, tags) in report.outputs {
                 merged.entry((node, entry)).or_default().push((batch, tags));
             }
         }
         // BTreeMap order = ascending (node id, entry path): exactly the
-        // order the single-threaded node loop dispatches these outputs.
-        // Dispatch is deferred to the control loop (see `merged_pending`)
-        // so it interleaves with out-of-plan node processing the way the
-        // single-threaded pass would.
-        debug_assert!(
-            self.merged_pending.is_empty(),
-            "prior merge fully dispatched"
-        );
-        for ((node_id, _), mut parts) in merged {
-            let batch = if parts.len() == 1 {
-                parts.pop().expect("one part").0
-            } else {
-                TupleBatch::interleave_tagged(
-                    parts
-                        .into_iter()
-                        .map(|(b, t)| (b, t.expect("multi-part merges carry tags")))
-                        .collect(),
-                )
-                .expect("merged parts are non-empty")
-            };
-            let producer = keyed
-                .nodes
-                .binary_search_by_key(&NodeId(node_id), |kn| kn.id)
-                .expect("merge outputs come from plan members");
-            self.merged_pending
-                .push_back((node_id, keyed.nodes[producer].exits.clone(), batch));
-        }
+        // order the single-threaded walk hands these outputs on.
+        let merged = merged
+            .into_iter()
+            .map(|((node_id, _), mut parts)| {
+                let batch = if parts.len() == 1 {
+                    parts.pop().expect("one part").0
+                } else {
+                    TupleBatch::interleave_tagged(
+                        parts
+                            .into_iter()
+                            .map(|(b, t)| (b, t.expect("multi-part merges carry tags")))
+                            .collect(),
+                    )
+                    .expect("merged parts are non-empty")
+                };
+                (node_id, batch)
+            })
+            .collect();
+        (keyed, direct, merged)
     }
 
     /// Records rows routed to one shard in the stream's statistics.
@@ -1176,170 +1086,86 @@ impl DsmsEngine {
         stats.shard_rows[shard] += rows;
     }
 
-    fn route(&mut self, target: Target, batch: Arc<TupleBatch>) {
-        match target {
-            Target::Node(id, port) => {
-                self.queues
-                    .entry(id)
-                    .or_default()
-                    .push_back((port, batch, None));
-            }
-            Target::Sink(cq) => {
-                // Zero-copy sink delivery: the sink keeps the shared batch;
-                // rows materialize only when the outputs are read.
-                self.outputs.entry(cq).or_default().push(batch);
-            }
-        }
-    }
-
-    /// Routes a deferred selection `(batch, sel)` produced by a pure
-    /// filter: node consumers share the undensified pair (they refine or
-    /// absorb through it), sinks share one gathered batch. All-row
-    /// selections forward dense — nothing downstream could save work on
-    /// them.
-    fn dispatch_selected(&mut self, from: NodeId, batch: Arc<TupleBatch>, sel: Vec<u32>) {
-        let targets: Vec<Target> = self
-            .network
-            .node(from)
-            .expect("live node")
-            .downstream
-            .clone();
-        if targets.is_empty() {
-            return;
-        }
-        if sel.len() == batch.len() {
-            for &target in &targets {
-                self.route(target, batch.clone());
-            }
-            return;
-        }
-        let sel = Arc::new(sel);
-        // Sinks materialize once and share the gathered batch.
-        let mut dense: Option<Arc<TupleBatch>> = None;
-        for &target in &targets {
-            match target {
-                Target::Node(id, port) => {
-                    self.queues.entry(id).or_default().push_back((
-                        port,
-                        batch.clone(),
-                        Some(sel.clone()),
-                    ));
-                }
-                Target::Sink(cq) => {
-                    let d = dense
-                        .get_or_insert_with(|| Arc::new(batch.take(&sel)))
-                        .clone();
-                    self.outputs.entry(cq).or_default().push(d);
-                }
-            }
-        }
-    }
-
-    /// Processes every queued batch and propagates the watermark until the
-    /// network is quiescent. With a shard count above 1 the flush's share
-    /// of the parallel plan runs on the worker pool first (see
-    /// [`DsmsEngine::set_shards`]); the deterministic merge and every
-    /// operator outside the plan run on this thread exactly like the
-    /// single-threaded engine.
+    /// Processes every pending batch and propagates the watermark until
+    /// the network is quiescent: one control walk over every live node, on
+    /// this thread. With a shard count above 1 the flush's share of the
+    /// parallel plan first runs as one walk per home shard (see
+    /// [`DsmsEngine::set_shards`]), and the control walk takes the merged
+    /// outputs on from their producers.
     pub fn run_until_quiescent(&mut self) {
-        if self.shards() > 1 {
-            self.flush_ingest_sharded();
+        self.seal_ingest();
+        if self.shards() > 1 && !self.ingest.is_empty() {
+            let (plan, direct, merged) = self.flush_ingest_sharded();
+            self.control_walk(Some(&plan), direct, merged, false);
         } else {
-            self.flush_ingest();
+            self.control_walk(None, Vec::new(), Vec::new(), false);
         }
-        // Edges only ascend, so one ascending pass reaches quiescence:
-        // whatever a node emits lands in a higher-numbered node's queue,
-        // which the pass has yet to visit.
-        for id in self.network.node_ids() {
-            // Drain the node's input queue, batch by batch.
-            while let Some((port, shared, sel)) =
-                self.queues.get_mut(&id).and_then(VecDeque::pop_front)
-            {
-                let in_rows = sel.as_ref().map_or(shared.len(), |s| s.len()) as u64;
-                self.processed += in_rows;
-                self.batches += 1;
-                let fault = self.fault.as_deref();
-                let node = self.network.node_mut(id).expect("live node");
-                node.in_count += in_rows;
-                node.in_batches += 1;
-                // A panicking kernel loses only this invocation's outputs
-                // and resolves into a quarantine at quiescence — per
-                // query, never per process.
-                let (produced, elapsed) =
-                    run_kernel(id.0, node.kind, fault, &mut self.pending_panics, |inject| {
-                        inject(shared.ts());
-                        let sel = sel.as_ref().map(|s| s.as_slice());
-                        invoke(&*node.op, None, port, &shared, sel, false)
-                    });
-                node.busy += elapsed;
-                match produced.flatten() {
-                    // A pure filter's survivors stay a deferred selection,
-                    // forwarded undensified.
-                    Some(Produced::Selection(out_sel)) => {
-                        node.out_count += out_sel.len() as u64;
-                        self.dispatch_selected(id, shared, out_sel);
-                    }
-                    Some(Produced::Batch(batch, _)) => {
-                        node.out_count += batch.len() as u64;
-                        self.dispatch(id, batch);
-                    }
-                    None => {}
-                }
-            }
-            // Dispatch merged shard outputs *produced by* this node at
-            // exactly the point the single-threaded pass would have —
-            // after the node's (empty, it ran in-shard) queue, before
-            // later nodes — so out-of-plan consumers see the same
-            // arrival interleaving either way.
-            while self
-                .merged_pending
-                .front()
-                .is_some_and(|(n, _, _)| *n == id.0)
-            {
-                let (_, targets, batch) = self.merged_pending.pop_front().expect("checked front");
-                self.route_shared(&targets, batch);
-            }
-            // Propagate the watermark once per value per node.
-            let needs_watermark = self.network.node(id).is_some_and(|n| {
-                // The watermark-advancement invariant the parallel
-                // merge relies on: a node can never have been told a
-                // watermark the engine has since moved below.
-                debug_assert!(
-                    n.last_watermark <= self.watermark,
-                    "node {id} watermark {} is ahead of the engine watermark {}",
-                    n.last_watermark,
-                    self.watermark
-                );
-                n.last_watermark < self.watermark
-            });
-            if needs_watermark {
-                let fault = self.fault.as_deref();
-                let watermark = self.watermark;
-                let node = self.network.node_mut(id).expect("live node");
-                // Timed too: window-close work (eviction, emission)
-                // happens here, and the measured cost model must not
-                // undercount stateful operators.
-                let (closed, elapsed) =
-                    run_kernel(id.0, node.kind, fault, &mut self.pending_panics, |inject| {
-                        inject(&[]);
-                        node.op.advance(None, watermark)
-                    });
-                node.busy += elapsed;
-                // Marked even when the pass panicked: the node is about
-                // to be quarantined, and a panicking advance must not be
-                // offered the same watermark again.
-                node.last_watermark = watermark;
-                if let Some((batch, _)) = closed.flatten() {
-                    node.out_count += batch.len() as u64;
-                    self.dispatch(id, batch);
-                }
-            }
-        }
-        debug_assert!(
-            self.queues.values().all(VecDeque::is_empty) && self.merged_pending.is_empty(),
-            "one ascending pass drains every queue and every merged output"
-        );
         self.resolve_panics();
+    }
+
+    /// The control walk: one [`Walk`] with `home: None` over every live
+    /// node, seeded with the batches left in `ingest` (for all their
+    /// stream's subscribers), with `direct` (for the subscribers outside
+    /// `plan`) and with the `merged` shard outputs. Its close step is the
+    /// watermark pass, which combines partial members' partials, or
+    /// [`Operator::finish`] when `finish`.
+    fn control_walk(
+        &mut self,
+        plan: Option<&KeyedPlan>,
+        direct: Ingested,
+        merged: Vec<(u32, TupleBatch)>,
+        finish: bool,
+    ) {
+        let watermark = self.watermark;
+        let idle = direct.is_empty() && self.ingest.is_empty() && merged.is_empty();
+        if idle && !finish && self.watermark_floor >= watermark {
+            return; // Nothing reaches a node, and no node has windows to close.
+        }
+        self.watermark_floor = watermark;
+        let network = &self.network;
+        let ids = network.node_ids();
+        let ctx = WalkCtx {
+            nodes: WalkNodes::Network(network, &ids, plan),
+            watermark,
+            fault: self.fault.as_deref(),
+            finish,
+        };
+        let (queues, arrivals, node_stats) = std::mem::take(&mut self.walk_buf);
+        let mut report = ShardReport {
+            node_stats,
+            ..ShardReport::default()
+        };
+        let mut walk = Walk {
+            ctx: &ctx,
+            home: None,
+            queues,
+            arrivals,
+            sinks: Some(&mut self.outputs),
+            report: &mut report,
+        };
+        for (stream, batch) in direct.into_iter().chain(self.ingest.drain(..)) {
+            let targets = match plan {
+                Some(p) => &p.roots[p.root_of(&stream).expect("every stream is a root")].direct,
+                None => network.stream_subscribers(&stream),
+            };
+            walk.hand_on(0, &[], targets, Entry::dense(batch));
+        }
+        walk.run(merged);
+        let (mut queues, mut arrivals) = (walk.queues, walk.arrivals);
+        self.processed += report.rows;
+        self.batches += report.batches;
+        self.pending_panics.extend(report.panics);
+        for (&id, delta) in ids.iter().zip(&report.node_stats) {
+            let node = self.network.node_mut(id).expect("live node");
+            delta.fold_into(node);
+            // Marked even after a panicking close step: a node about to be
+            // quarantined is not offered the same watermark again.
+            node.last_watermark = watermark;
+        }
+        queues.clear();
+        arrivals.clear();
+        report.node_stats.clear();
+        self.walk_buf = (queues, arrivals, report.node_stats);
     }
 
     /// Resolves every caught kernel panic into a **quarantine**: the
@@ -1401,53 +1227,17 @@ impl DsmsEngine {
         self.quarantining = false;
     }
 
-    /// Routes one produced batch to its producer's consumers: one `Arc`,
-    /// every target gets a pointer clone. Sinks never copy; a node
-    /// consumer only ever reads the shared columns — zero data copies
-    /// either way.
-    fn dispatch(&mut self, from: NodeId, batch: TupleBatch) {
-        let targets: Vec<Target> = self
-            .network
-            .node(from)
-            .expect("live node")
-            .downstream
-            .clone();
-        self.route_shared(&targets, batch);
-    }
-
     /// Force-closes all windowed state (the end of the *final* day) and
-    /// drains the resulting outputs.
-    ///
-    /// Runs force-close passes to a fixed point: a stateful operator
-    /// downstream of another stateful operator only receives its upstream's
-    /// force-closed rows *after* that upstream's `finish` ran, and those
-    /// rows land in windows the (already final) watermark will never close
-    /// — so passes repeat until no operator emits anything new. Operator
-    /// `finish` is idempotent (it drains state), which bounds the loop by
-    /// the depth of the operator DAG.
+    /// drains the resulting outputs: one control walk whose close step is
+    /// [`Operator::finish`], run right after the node's queue drains.
+    /// Edges ascend, so an upstream operator's force-closed rows are in a
+    /// stacked operator's queue before that operator force-closes: an
+    /// aggregate over an aggregate closes each outer window once, with
+    /// every inner row in it.
     pub fn finish(&mut self) {
         self.run_until_quiescent();
-        loop {
-            let mut any = false;
-            for id in self.network.node_ids() {
-                let fault = self.fault.as_deref();
-                let node = self.network.node_mut(id).expect("live node");
-                let (closed, _) =
-                    run_kernel(id.0, node.kind, fault, &mut self.pending_panics, |inject| {
-                        inject(&[]);
-                        node.op.finish()
-                    });
-                if let Some(batch) = closed.flatten() {
-                    node.out_count += batch.len() as u64;
-                    any = true;
-                    self.dispatch(id, batch);
-                }
-            }
-            self.run_until_quiescent();
-            if !any {
-                break;
-            }
-        }
+        self.control_walk(None, Vec::new(), Vec::new(), true);
+        self.resolve_panics();
     }
 
     /// Takes (and clears) the collected outputs of a query, materializing
@@ -1605,7 +1395,7 @@ struct KeyedUnit {
     /// The whole source batch (its columns are shared, not copied).
     batch: TupleBatch,
     /// A hash-partitioned share: its range of the flush's index buffer
-    /// ([`FlushCtx::rows`]) — the pre-partition indices of its rows, which
+    /// (`walk_home`'s `rows`) — the pre-partition indices of its rows, which
     /// the home's walk gathers and carries on as merge tags. `None` for a
     /// whole batch dealt round-robin: it lives on one shard, so its
     /// outputs merge without tags and its kernels run untraced.
@@ -1633,12 +1423,11 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// The one guard around every operator-kernel invocation — the home
-/// walks' and the control loop's queue walks and watermark passes, and
-/// `finish`: a panic net, the fault harness's hook and
-/// the `busy` timer in one place. `f` receives `inject` and calls it with
-/// its input's timestamps before touching the kernel; the hook lives
-/// *inside* the net, so an injected panic is indistinguishable from a
+/// The one guard around every operator-kernel invocation — each input
+/// and each close step of a [`Walk`], whichever walk runs it: a panic
+/// net, the fault harness's hook and the `busy` timer in one place. `f`
+/// receives `inject` and calls it with its input's timestamps before
+/// touching the kernel; the hook lives *inside* the net, so an injected panic is indistinguishable from a
 /// genuine kernel bug to the recovery machinery it exercises (and inert
 /// without a plan). On panic the invocation's outputs are lost, the
 /// incident is recorded as `(node, message)` for quarantine resolution,
@@ -1681,11 +1470,11 @@ enum Produced {
     Batch(TupleBatch, RowTrace),
 }
 
-/// Invokes an operator on one queued input — the one way in for the
-/// control loop's queue walk (`partition: None`) and the home walks
-/// (`Some(p)`) alike: a filter that can stay selection-deferred refines,
-/// everything else processes, and a keyed operator handed a deferred
-/// selection counts the rows it absorbs through it
+/// Invokes an operator on one queued input — only [`Walk::run`] does,
+/// with `partition: None` in the control walk and `Some(home)` in a home
+/// walk: a filter that can stay selection-deferred refines, everything
+/// else processes, and a keyed operator handed a deferred selection counts
+/// the rows it absorbs through it
 /// ([`work::WorkSnapshot::selection_pushdown_rows`]). `None` when nothing
 /// came out.
 fn invoke(
@@ -1706,8 +1495,9 @@ fn invoke(
     out.map(|batch| Produced::Batch(batch, trace))
 }
 
-/// Per-node statistic deltas accumulated by one job.
-#[derive(Default)]
+/// Per-node statistic deltas of a walk (or of one job's walks), folded
+/// into the node afterwards.
+#[derive(Debug, Default)]
 struct NodeDelta {
     in_rows: u64,
     in_batches: u64,
@@ -1715,86 +1505,188 @@ struct NodeDelta {
     busy: Duration,
 }
 
-/// Everything one job reports back when it joins.
+impl NodeDelta {
+    fn fold_into(&self, node: &mut Node) {
+        node.in_count += self.in_rows;
+        node.in_batches += self.in_batches;
+        node.out_count += self.out_rows;
+        node.busy += self.busy;
+    }
+}
+
+/// What a walk reports: the control walk's, or one job's home walks.
 #[derive(Default)]
 struct ShardReport {
-    /// Merge-point outputs: `(producing node, entry path, batch, tags)`.
-    /// The entry path orders a node's outputs exactly as the
-    /// single-threaded node loop dispatches them (see [`entry_child`]);
-    /// tags order rows *within* one logical output across shards.
+    /// Outputs leaving a home walk: `(producing node, entry path, batch,
+    /// tags)`. Entry paths order a node's outputs as the single-threaded
+    /// walk hands them on (see [`entry_child`]); tags order rows *within*
+    /// one logical output across shards.
     outputs: Vec<(u32, Vec<u32>, TupleBatch, Option<MergeTags>)>,
-    node_stats: HashMap<u32, NodeDelta>,
+    /// Statistic deltas by walk position.
+    node_stats: Vec<NodeDelta>,
     rows: u64,
     batches: u64,
-    /// The shard's watermark (largest event timestamp processed).
+    /// The largest event timestamp a home walk was seeded with.
     max_ts: u64,
     busy: Duration,
-    /// The worker thread's work counters, folded into the control thread
-    /// when the shard joins.
+    /// A pool seat's work counters, folded into the control thread's.
     work: work::WorkSnapshot,
-    /// Kernel panics caught during this job's walks: `(node id, panic
-    /// message)`. Resolved into quarantines by the control thread.
+    /// Caught kernel panics, `(node id, message)`, for quarantine.
     panics: Vec<(u32, String)>,
 }
 
-/// One plan node resolved for the home walks.
-struct ResolvedKeyedNode<'a> {
-    /// The node's place in the plan: id, membership flags, in-plan
-    /// consumers, and exits (a node with exits reports its outputs back
-    /// for the merge).
-    plan: &'a KeyedNode,
-    /// The node's operator kind (for fault attribution and the harness's
-    /// per-kind triggers).
+/// One node of a walk.
+#[derive(Clone, Copy)]
+struct WalkNode<'a> {
+    id: u32,
     kind: &'static str,
     op: &'a dyn Operator,
-    /// Whether this flush advances the node's watermark on every shard
-    /// (always `false` for partial members — the control loop combines
-    /// and emits their partials).
-    advance: bool,
-    /// Whether the node is a *grouped* partial member (per-home hash
-    /// partials over a shard-incompatible group key); counts
-    /// [`work::WorkSnapshot::grouped_partial_rows`]. Implies
-    /// `plan.partial` — key-compatible grouped aggregates are full
-    /// members, not partials.
+    /// A home walk's consumers inside the plan, `(position, port)`.
+    internal: &'a [(usize, usize)],
+    /// The other consumers: the control walk queues node targets and
+    /// delivers to sinks; a home walk records outputs for the merge.
+    targets: &'a [Target],
+    /// Whether the walk runs the node's close step.
+    close: bool,
+    /// A home walk's counters: stateful members count
+    /// [`work::WorkSnapshot::keyed_shard_rows`], grouped partial members
+    /// [`work::WorkSnapshot::grouped_partial_rows`].
+    stateful: bool,
     grouped: bool,
 }
 
-/// What every home walk of one flush runs against.
-struct FlushCtx<'a> {
-    nodes: &'a [ResolvedKeyedNode<'a>],
-    plan: &'a KeyedPlan,
-    /// The flush's row indices, grouped by home shard per source
-    /// batch (see [`KeyedUnit::rows`]).
-    rows: &'a [u32],
-    /// The flush's merged watermark.
-    watermark: u64,
-    fault: Option<&'a FaultPlan>,
+/// The nodes a walk visits, by position.
+enum WalkNodes<'a> {
+    /// A home walk's: the plan's members, resolved once per flush.
+    Plan(&'a [WalkNode<'a>]),
+    /// The control walk's: every live node, ascending, resolved when the
+    /// walk reaches it — plan members (when a parallel flush ran) reach
+    /// only their exits.
+    Network(&'a QueryNetwork, &'a [NodeId], Option<&'a KeyedPlan>),
 }
 
-/// One pending input of a plan node inside a home walk's mini node loop.
-struct KeyedEntry {
-    /// The entry path (see [`entry_child`]); orders a node's queue the way
-    /// the single-threaded node loop fills it.
-    key: Vec<u32>,
+/// What a walk runs against.
+struct WalkCtx<'a> {
+    nodes: WalkNodes<'a>,
+    watermark: u64,
+    fault: Option<&'a FaultPlan>,
+    /// Whether the close step is [`Operator::finish`] rather than
+    /// [`Operator::advance`] to the watermark.
+    finish: bool,
+}
+
+impl<'a> WalkCtx<'a> {
+    /// The control walk's position of node `id`.
+    fn position(&self, id: NodeId) -> usize {
+        let WalkNodes::Network(_, ids, _) = self.nodes else {
+            unreachable!("a home walk's consumers come by position")
+        };
+        ids.binary_search(&id).expect("consumers are live nodes")
+    }
+
+    fn len(&self) -> usize {
+        match self.nodes {
+            WalkNodes::Plan(nodes) => nodes.len(),
+            WalkNodes::Network(_, ids, _) => ids.len(),
+        }
+    }
+
+    fn id(&self, pos: usize) -> u32 {
+        match self.nodes {
+            WalkNodes::Plan(nodes) => nodes[pos].id,
+            WalkNodes::Network(_, ids, _) => ids[pos].0,
+        }
+    }
+
+    /// Whether the node at `pos` runs its close step: all the walk reads
+    /// of a node nothing reaches.
+    fn closes(&self, pos: usize) -> bool {
+        match self.nodes {
+            WalkNodes::Plan(nodes) => nodes[pos].close,
+            WalkNodes::Network(network, ids, _) => {
+                let node = network.node(ids[pos]).expect("live node");
+                self.finish || node.last_watermark < self.watermark
+            }
+        }
+    }
+
+    fn node(&self, pos: usize) -> WalkNode<'a> {
+        let (network, id, plan) = match self.nodes {
+            WalkNodes::Plan(nodes) => return nodes[pos],
+            WalkNodes::Network(network, ids, plan) => (network, ids[pos], plan),
+        };
+        let node = network.node(id).expect("live node");
+        // No node is ever ahead of the engine watermark.
+        debug_assert!(
+            node.last_watermark <= self.watermark,
+            "node {id} watermark {} is ahead of the engine watermark {}",
+            node.last_watermark,
+            self.watermark
+        );
+        let member = plan.and_then(|p| {
+            let i = p.nodes.binary_search_by_key(&id, |kn| kn.id).ok()?;
+            Some(&p.nodes[i])
+        });
+        WalkNode {
+            id: id.0,
+            kind: node.kind,
+            op: &*node.op,
+            internal: &[],
+            targets: member.map_or(&node.downstream, |kn| &kn.exits),
+            close: self.closes(pos),
+            stateful: false,
+            grouped: false,
+        }
+    }
+}
+
+/// One pending input of a walk node.
+#[derive(Debug)]
+struct Entry {
+    /// A home walk's entry path (see [`entry_child`]).
+    key: Option<Vec<u32>>,
     port: usize,
-    batch: TupleBatch,
-    /// Deferred selection (batch-row indices): the rows of `batch` this
-    /// entry logically consists of. `None` = all. Filters refine it
-    /// without gathering; stateful consumers absorb straight through it
-    /// (selection pushdown); anything else densifies on entry.
-    sel: Option<Vec<u32>>,
-    /// Merge tags aligned with `batch`'s rows; `None` downstream of a
-    /// whole-batch unit, whose kernels therefore run untraced.
+    /// Shared by every consumer of one output, and by its sinks.
+    batch: Arc<TupleBatch>,
+    /// Deferred selection: the rows of `batch` this entry consists of
+    /// (`None` = all). Filters refine it, stateful consumers absorb
+    /// through it (selection pushdown), anything else gathers on entry.
+    sel: Option<Arc<Vec<u32>>>,
+    /// Merge tags aligned with `batch`'s rows; `None` in the control walk
+    /// and downstream of a whole-batch unit, whose kernels run untraced.
     tags: Option<MergeTags>,
 }
 
+impl Entry {
+    fn dense(batch: TupleBatch) -> Self {
+        Entry {
+            key: None,
+            port: 0,
+            batch: Arc::new(batch),
+            sel: None,
+            tags: None,
+        }
+    }
+
+    /// Another consumer's entry, sharing this one's batch (COW columns).
+    fn share(&self, key: Option<Vec<u32>>, port: usize) -> Self {
+        Entry {
+            key,
+            port,
+            batch: self.batch.clone(),
+            sel: self.sel.clone(),
+            tags: self.tags.clone(),
+        }
+    }
+}
+
 /// The child entry path for outputs of node `id` processing an entry with
-/// path `parent`: `[id + 1] ++ parent` (`[id + 1, u32::MAX]` for watermark
-/// emissions, which the single-threaded loop dispatches after the node's
-/// whole queue). Paths compare lexicographically; root entries are
-/// `[0, source batch]`, so a queue ordered by path is exactly the order
-/// the single-threaded loop fills it: stream batches first, then each
-/// producer's outputs in the producer's own processing order.
+/// path `parent`: `[id + 1] ++ parent` (`[id + 1, u32::MAX]` for window
+/// closes, which the walk hands on after the node's whole queue). Paths
+/// compare lexicographically; root entries are `[0, source batch]`, so a
+/// queue ordered by path is exactly the order the single-threaded walk
+/// fills it: stream batches first, then each producer's outputs in the
+/// producer's own processing order.
 fn entry_child(id: u32, parent: &[u32]) -> Vec<u32> {
     let mut key = Vec::with_capacity(parent.len() + 1);
     key.push(id + 1);
@@ -1802,190 +1694,274 @@ fn entry_child(id: u32, parent: &[u32]) -> Vec<u32> {
     key
 }
 
-/// One home shard's walk: a **mini node loop** over the parallel plan,
-/// mirroring the single-threaded engine's pass — the home's units seeded
-/// in arrival order, per-node FIFO queues drained in ascending node order,
-/// and each stateful node closing partition `home`'s windows against the
-/// flush's merged watermark right after its queue drains. Because every
-/// pair of rows a stateful full member must combine shares a home shard
-/// (hash partitioning on the tracked key), the walk observes exactly the
-/// single-threaded state restricted to that shard's keys, and the
-/// reported outputs carry entry paths + row tags that let the control
-/// thread reassemble bit-identical batches.
+/// No arrival: an empty walk queue's first and last.
+const NONE: usize = usize::MAX;
+
+/// A walk's queues, arrivals and node deltas (see [`Walk`]).
+type WalkBuf = (
+    Vec<(usize, usize)>,
+    Vec<(Option<Entry>, usize)>,
+    Vec<NodeDelta>,
+);
+
+/// The engine's one node loop: node inputs drain in ascending position, a
+/// topological order, so one pass reaches quiescence, each node's in
+/// arrival order (a FIFO queue per node). Each input runs through
+/// [`invoke`]; outputs queue at the consumers inside the walk and leave it
+/// — recorded for the merge (home walk) or delivered to the query sinks
+/// (control walk) — for every other target. Right after a node's queue,
+/// the walk runs the node's close step.
 ///
-/// Partial-aggregation members absorb into partition `home` too, which is
-/// exact because only commutative aggregates qualify; the control loop's
-/// watermark pass later combines the partials in partition order.
-fn walk_home(ctx: &FlushCtx<'_>, home: usize, units: Vec<KeyedUnit>, report: &mut ShardReport) {
-    let nodes = ctx.nodes;
-    let mut queues: Vec<VecDeque<KeyedEntry>> = (0..nodes.len()).map(|_| VecDeque::new()).collect();
-    // Seed root targets in source-batch order (= ingestion order), exactly
-    // like the single-threaded flush routes raw stream batches.
+/// `home: Some(h)` is home shard `h`'s walk over the parallel plan: its
+/// operators address state partition `h`, its entries carry paths and
+/// tags for the merge. `home: None` is the control walk, with neither.
+struct Walk<'w, 'a> {
+    ctx: &'w WalkCtx<'a>,
+    home: Option<usize>,
+    /// Each position's queue as its first and last arrival ([`NONE`] when
+    /// empty); `arrivals` holds every input until its node takes it, with
+    /// the next arrival in its queue. Allocated on the first input.
+    queues: Vec<(usize, usize)>,
+    arrivals: Vec<(Option<Entry>, usize)>,
+    /// The control walk's query sinks.
+    sinks: Option<&'w mut HashMap<CqId, Vec<Arc<TupleBatch>>>>,
+    report: &'w mut ShardReport,
+}
+
+impl Walk<'_, '_> {
+    /// Runs every position once, in ascending order. `merged` holds
+    /// merged shard outputs, `(producer id, batch)` ascending, handed on
+    /// when the walk reaches their producer, after its queue and before
+    /// its close step.
+    fn run(&mut self, merged: Vec<(u32, TupleBatch)>) {
+        let (ctx, home) = (self.ctx, self.home);
+        let mut merged = merged.into_iter().peekable();
+        for pos in 0..ctx.len() {
+            let queued = self.queues.get(pos).is_some_and(|queue| queue.0 != NONE);
+            if !queued && merged.peek().is_none_or(|m| m.0 != ctx.id(pos)) && !ctx.closes(pos) {
+                continue;
+            }
+            let node = &ctx.node(pos);
+            while let Some(entry) = self.pop(pos) {
+                let in_rows = entry.sel.as_ref().map_or(entry.batch.len(), |s| s.len()) as u64;
+                self.report.rows += in_rows;
+                self.report.batches += 1;
+                if home.is_some() {
+                    work::count_shard_batches(1);
+                }
+                let produced = self.kernel(pos, node, |inject| {
+                    inject(entry.batch.ts());
+                    if node.stateful {
+                        work::count_keyed_shard_rows(in_rows);
+                    }
+                    if node.grouped {
+                        work::count_grouped_partial_rows(in_rows);
+                    }
+                    let sel = entry.sel.as_deref().map(Vec::as_slice);
+                    let traced = entry.tags.is_some();
+                    invoke(node.op, home, entry.port, &entry.batch, sel, traced)
+                });
+                let delta = self.delta(pos);
+                delta.in_rows += in_rows;
+                delta.in_batches += 1;
+                // The input under a refined selection, or a new batch with
+                // its tags composed through the trace.
+                let out = match produced.flatten() {
+                    None => continue,
+                    Some(Produced::Selection(sel)) => Entry {
+                        sel: Some(Arc::new(sel)),
+                        ..entry
+                    },
+                    Some(Produced::Batch(batch, trace)) => Entry {
+                        batch: Arc::new(batch),
+                        sel: None,
+                        tags: match (entry.tags, trace) {
+                            (Some(tags), Some(trace)) => Some(tags.take(&trace)),
+                            (tags, _) => tags,
+                        },
+                        ..entry
+                    },
+                };
+                delta.out_rows += out.sel.as_ref().map_or(out.batch.len(), |s| s.len()) as u64;
+                self.hand_on(node.id, node.internal, node.targets, out);
+            }
+            while let Some((_, batch)) = merged.next_if(|(id, _)| *id == node.id) {
+                self.hand_on(node.id, node.internal, node.targets, Entry::dense(batch));
+            }
+            if !node.close {
+                continue;
+            }
+            let closed = self.kernel(pos, node, |inject| {
+                inject(&[]);
+                if ctx.finish {
+                    node.op.finish().map(|batch| (batch, Vec::new()))
+                } else {
+                    node.op.advance(home, ctx.watermark)
+                }
+            });
+            if let Some((batch, keys)) = closed.flatten() {
+                self.delta(pos).out_rows += batch.len() as u64;
+                let out = Entry {
+                    key: home.map(|_| vec![u32::MAX]),
+                    tags: home.map(|_| MergeTags::Emits(keys)),
+                    ..Entry::dense(batch)
+                };
+                self.hand_on(node.id, node.internal, node.targets, out);
+            }
+        }
+        debug_assert!(merged.next().is_none(), "merged outputs have producers");
+    }
+
+    /// One kernel call of the node at `pos` under [`run_kernel`], timed
+    /// into its `busy` — window closes too, so the measured cost model
+    /// does not undercount stateful operators.
+    fn kernel<T>(
+        &mut self,
+        pos: usize,
+        node: &WalkNode<'_>,
+        f: impl FnOnce(&dyn Fn(&[u64])) -> T,
+    ) -> Option<T> {
+        let fault = self.ctx.fault;
+        let (out, elapsed) = run_kernel(node.id, node.kind, fault, &mut self.report.panics, f);
+        self.report.busy += elapsed;
+        self.delta(pos).busy += elapsed;
+        out
+    }
+
+    /// The statistics delta of the node at `pos` (allocated on first use).
+    fn delta(&mut self, pos: usize) -> &mut NodeDelta {
+        let stats = &mut self.report.node_stats;
+        if stats.is_empty() {
+            stats.resize_with(self.ctx.len(), NodeDelta::default);
+        }
+        &mut stats[pos]
+    }
+
+    fn push(&mut self, pos: usize, entry: Entry) {
+        if self.queues.is_empty() {
+            self.queues.resize(self.ctx.len(), (NONE, NONE));
+            self.arrivals.reserve(self.ctx.len());
+        }
+        let arrival = self.arrivals.len();
+        self.arrivals.push((Some(entry), NONE));
+        match self.queues[pos] {
+            (NONE, _) => self.queues[pos] = (arrival, arrival),
+            (_, last) => (self.arrivals[last].1, self.queues[pos].1) = (arrival, arrival),
+        }
+    }
+
+    /// The next input of the node at `pos`, if any is left.
+    fn pop(&mut self, pos: usize) -> Option<Entry> {
+        let first = self.queues.get(pos)?.0;
+        let (entry, next) = self.arrivals.get_mut(first)?;
+        self.queues[pos].0 = *next;
+        entry.take()
+    }
+
+    /// Hands one output of node `from` on (the control walk's seeds come
+    /// from no node and carry no path): consumers inside the walk share it,
+    /// targets outside receive it once, densified. The control walk
+    /// forwards an all-row selection dense; a home walk's keyed consumers
+    /// absorb it, counted as pushed down.
+    fn hand_on(&mut self, from: u32, inner: &[(usize, usize)], targets: &[Target], out: Entry) {
+        let control = self.home.is_none();
+        let mut out = out;
+        if control && out.sel.as_ref().is_some_and(|s| s.len() == out.batch.len()) {
+            out.sel = None;
+        }
+        let inside = targets.iter().filter_map(|&t| match t {
+            Target::Node(id, port) if control => Some((self.ctx.position(id), port)),
+            _ => None,
+        });
+        let leaves = targets
+            .iter()
+            .any(|t| !control || matches!(t, Target::Sink(_)));
+        let key = out.key.as_deref().map(|parent| entry_child(from, parent));
+        let Some(out) = self.queue(inner.iter().copied().chain(inside), key, out, leaves) else {
+            return;
+        };
+        let (batch, tags) = match out.sel {
+            Some(sel) => (
+                Arc::new(out.batch.take(&sel)),
+                out.tags.map(|t| t.take(&sel)),
+            ),
+            None => (out.batch, out.tags),
+        };
+        let Some(sinks) = self.sinks.as_deref_mut() else {
+            let key = out.key.expect("home walk entries carry paths");
+            let batch = Arc::unwrap_or_clone(batch);
+            self.report.outputs.push((from, key, batch, tags));
+            return;
+        };
+        // Sinks keep the shared batch: rows materialize only when the
+        // outputs are read.
+        for &target in targets {
+            if let Target::Sink(cq) = target {
+                sinks.entry(cq).or_default().push(batch.clone());
+            }
+        }
+    }
+
+    /// Queues `out` under path `key` at every `(position, port)` of
+    /// `dests`; the last takes `out` itself unless `keep` wants it back.
+    fn queue(
+        &mut self,
+        dests: impl Iterator<Item = (usize, usize)>,
+        key: Option<Vec<u32>>,
+        out: Entry,
+        keep: bool,
+    ) -> Option<Entry> {
+        let mut dests = dests.peekable();
+        while let Some((pos, port)) = dests.next() {
+            if dests.peek().is_none() && !keep {
+                self.push(pos, Entry { key, port, ..out });
+                return None;
+            }
+            self.push(pos, out.share(key.clone(), port));
+        }
+        keep.then_some(out)
+    }
+}
+
+/// Home shard `home`'s walk over the parallel plan, seeded with the home's
+/// units in arrival order. Rows a stateful full member must combine share
+/// a home (hash partitioning on the tracked key), so the walk sees the
+/// single-threaded state restricted to the home's keys; partial members
+/// absorb into partition `home` too, exact because only commutative
+/// aggregates qualify, and combine in the control walk.
+fn walk_home(
+    ctx: &WalkCtx<'_>,
+    plan: &KeyedPlan,
+    rows: &[u32],
+    home: usize,
+    units: Vec<KeyedUnit>,
+    report: &mut ShardReport,
+) {
+    let mut walk = Walk {
+        ctx,
+        home: Some(home),
+        queues: Vec::new(),
+        arrivals: Vec::new(),
+        sinks: None,
+        report,
+    };
     for unit in units {
         let (batch, tags) = match unit.rows {
-            Some(rows) => {
-                let rows = &ctx.rows[rows.start as usize..rows.end as usize];
+            Some(range) => {
+                let rows = &rows[range.start as usize..range.end as usize];
                 (unit.batch.take(rows), Some(MergeTags::Rows(rows.to_vec())))
             }
             None => (unit.batch, None),
         };
         if let Some(ts) = batch.max_ts() {
-            report.max_ts = report.max_ts.max(ts);
+            walk.report.max_ts = walk.report.max_ts.max(ts);
         }
-        let Some((&(last, last_port), rest)) = ctx.plan.roots[unit.root].targets.split_last()
-        else {
-            continue;
-        };
-        let key = vec![0u32, unit.batch_idx as u32];
-        for &(n, port) in rest {
-            queues[n].push_back(KeyedEntry {
-                key: key.clone(),
-                port,
-                batch: batch.clone(),
-                sel: None,
-                tags: tags.clone(),
-            });
-        }
-        queues[last].push_back(KeyedEntry {
-            key,
-            port: last_port,
-            batch,
-            sel: None,
-            tags,
-        });
+        let mut seed = Entry::dense(batch);
+        seed.tags = tags;
+        let targets = plan.roots[unit.root].targets.iter().copied();
+        walk.queue(targets, Some(vec![0, unit.batch_idx as u32]), seed, false);
     }
-    // Ascending plan position is a topological order, so one pass drains
-    // everything — including watermark emissions, which only flow to
-    // higher-numbered nodes.
-    for pos in 0..nodes.len() {
-        let node = &nodes[pos];
-        let id = node.plan.id.0;
-        while let Some(entry) = queues[pos].pop_front() {
-            let in_rows = entry.sel.as_ref().map_or(entry.batch.len(), Vec::len) as u64;
-            report.rows += in_rows;
-            report.batches += 1;
-            work::count_shard_batches(1);
-            // One logical kernel invocation under its own panic net: a
-            // caught panic drops only this entry's outputs, and the
-            // node's owners are quarantined at quiescence.
-            let (produced, elapsed) =
-                run_kernel(id, node.kind, ctx.fault, &mut report.panics, |inject| {
-                    inject(entry.batch.ts());
-                    if node.plan.stateful {
-                        work::count_keyed_shard_rows(in_rows);
-                    }
-                    if node.grouped {
-                        // Grouped rows absorbed past the merge barrier
-                        // into the home partition's hash partials.
-                        work::count_grouped_partial_rows(in_rows);
-                    }
-                    invoke(
-                        node.op,
-                        Some(home),
-                        entry.port,
-                        &entry.batch,
-                        entry.sel.as_deref(),
-                        entry.tags.is_some(),
-                    )
-                });
-            report.busy += elapsed;
-            let delta = report.node_stats.entry(id).or_default();
-            delta.in_rows += in_rows;
-            delta.in_batches += 1;
-            delta.busy += elapsed;
-            // Either the input batch under a refined selection, or a
-            // materialized output with its tags composed through the trace.
-            let (batch, sel, tags) = match produced.flatten() {
-                None => continue,
-                Some(Produced::Selection(sel)) => (entry.batch, Some(sel), entry.tags),
-                Some(Produced::Batch(out, trace)) => {
-                    let tags = match (entry.tags, trace) {
-                        (Some(tags), Some(trace)) => Some(tags.take(&trace)),
-                        (tags, _) => tags,
-                    };
-                    (out, None, tags)
-                }
-            };
-            delta.out_rows += sel.as_ref().map_or(batch.len(), Vec::len) as u64;
-            let out = KeyedEntry {
-                key: entry.key,
-                port: 0,
-                batch,
-                sel,
-                tags,
-            };
-            dispatch_keyed(node.plan, out, &mut queues, report);
-        }
-        // Watermark pass: close this shard's windows right after the
-        // node's queue — the position the single-threaded loop advances
-        // the node at.
-        if node.advance {
-            let (emitted, elapsed) =
-                run_kernel(id, node.kind, ctx.fault, &mut report.panics, |inject| {
-                    inject(&[]);
-                    node.op.advance(Some(home), ctx.watermark)
-                });
-            report.busy += elapsed;
-            let delta = report.node_stats.entry(id).or_default();
-            delta.busy += elapsed;
-            if let Some((batch, keys)) = emitted.flatten() {
-                delta.out_rows += batch.len() as u64;
-                let out = KeyedEntry {
-                    key: vec![u32::MAX],
-                    port: 0,
-                    batch,
-                    sel: None,
-                    tags: Some(MergeTags::Emits(keys)),
-                };
-                dispatch_keyed(node.plan, out, &mut queues, report);
-            }
-        }
-    }
-}
-
-/// Routes one produced output of plan node `node` (still possibly
-/// selection-deferred) to its in-plan consumers, and records it —
-/// densified, an all-row selection passing through untouched — for the
-/// merge when the node has exits.
-fn dispatch_keyed(
-    node: &KeyedNode,
-    out: KeyedEntry,
-    queues: &mut [VecDeque<KeyedEntry>],
-    report: &mut ShardReport,
-) {
-    // Consumers share the output (COW columns); the original moves on to
-    // the merge record or, without exits, to the last consumer.
-    let record = !node.exits.is_empty();
-    if let Some((&(last, last_port), rest)) = node.internal.split_last() {
-        let child_key = entry_child(node.id.0, &out.key);
-        let sharers = if record { &node.internal[..] } else { rest };
-        for &(c, port) in sharers {
-            queues[c].push_back(KeyedEntry {
-                key: child_key.clone(),
-                port,
-                batch: out.batch.clone(),
-                sel: out.sel.clone(),
-                tags: out.tags.clone(),
-            });
-        }
-        if !record {
-            queues[last].push_back(KeyedEntry {
-                key: child_key,
-                port: last_port,
-                ..out
-            });
-            return;
-        }
-    }
-    if record {
-        let (batch, tags) = match out.sel {
-            Some(sel) if sel.len() < out.batch.len() => {
-                (out.batch.take(&sel), out.tags.map(|t| t.take(&sel)))
-            }
-            _ => (out.batch, out.tags),
-        };
-        report.outputs.push((node.id.0, out.key, batch, tags));
-    }
+    walk.run(Vec::new());
 }
 
 /// Rows below which a flush runs every job on the control thread instead
@@ -2436,21 +2412,37 @@ mod tests {
     #[test]
     fn finish_reaches_stacked_stateful_operators() {
         // An aggregate over an aggregate: the outer one only receives rows
-        // when the inner one force-closes, so finish() must iterate to a
-        // fixed point instead of running one pass.
+        // when the inner one force-closes, so finish() must drain a node's
+        // queue before force-closing it.
+        let stacked = || {
+            LogicalPlan::source("quotes")
+                .aggregate(None, AggFunc::Count, 0, 100)
+                .aggregate(None, AggFunc::Max, 1, 1000)
+        };
         let mut e = engine_with_quotes();
-        let cq = e
-            .add_query(
-                LogicalPlan::source("quotes")
-                    .aggregate(None, AggFunc::Count, 0, 100)
-                    .aggregate(None, AggFunc::Max, 1, 1000),
-            )
-            .unwrap();
+        let cq = e.add_query(stacked()).unwrap();
         e.push_rows("quotes", (0..5).map(|i| quote(i * 10, "A", 1.0)).collect());
         e.finish();
         let out = e.take_outputs(cq);
         assert_eq!(out.len(), 1, "the day's nested result must not be lost");
         assert_eq!(out[0].values[1], Value::Int(5), "max of inner count");
+
+        // Inner windows [0, 100) and [100, 200) close on the watermark
+        // (10 rows each); [200, 300) is force-closed (6 rows) into the one
+        // outer window [0, 1000), which must then close exactly once.
+        for shards in [1, 2, 4] {
+            let mut e = engine_with_quotes().with_shards(shards);
+            let cq = e.add_query(stacked()).unwrap();
+            e.push_rows("quotes", (0..26).map(|i| quote(i * 10, "A", 1.0)).collect());
+            e.run_until_quiescent();
+            e.finish();
+            let out: Vec<Vec<Value>> = e.take_outputs(cq).into_iter().map(|t| t.values).collect();
+            assert_eq!(
+                out,
+                vec![vec![Value::Int(1000), Value::Int(10)]],
+                "one row for the one outer window at {shards} shards"
+            );
+        }
     }
 
     #[test]

@@ -227,10 +227,14 @@
 //! [`engine::DsmsEngine::set_shards`] / [`engine::DsmsEngine::with_shards`],
 //! [`center::DsmsCenter::with_shards`] (which also applies it to the
 //! shadow calibration engines, like
-//! [`center::DsmsCenter::with_shard_key`]). Shard count 1 — the default —
-//! compiles down to the single-threaded path (which still carries the
-//! filters' selection vectors through its per-node queues instead of
-//! densifying at every hop); `n > 1` runs each flush in three phases:
+//! [`center::DsmsCenter::with_shard_key`]). Every flush runs through one
+//! node loop, the **walk**: per-node FIFO queues drained in ascending node
+//! order, every kernel under one panic net, windows closing right after a
+//! node's queue, and filters' selection vectors carried through the
+//! queues instead of densifying at every hop. Shard count 1 — the
+//! default — runs each flush as one walk over the whole network on the
+//! calling thread (the *control walk*); `n > 1` runs each flush in three
+//! phases:
 //!
 //! 1. **Partition.** There is **one parallel plan**
 //!    ([`network::QueryNetwork::keyed_plan`]) and every registered stream
@@ -249,13 +253,13 @@
 //!    so never behind a keyless root; and **exact** aggregates anywhere
 //!    else behind members as *partial* members (below). Subscribers
 //!    outside the plan — shard-incompatible operators and sinks — receive
-//!    raw batches at flush time, exactly like the single-threaded engine.
+//!    raw batches in the control walk, exactly like the single-threaded
+//!    engine.
 //! 2. **One walk per home shard.** A home shard's units — its
 //!    hash-partitioned shares and its round-robin batches — run as one
-//!    **walk** in arrival order: a mini node loop over the plan that
-//!    invokes each member through the same [`ops::Operator::process`] /
-//!    [`ops::Operator::advance`] the control thread uses, only with
-//!    `partition: Some(home)`. Stateful members address the home's
+//!    **walk** in arrival order: the same walk the control thread runs,
+//!    over the plan's members and with `partition: Some(home)` in every
+//!    [`ops::Operator::process`] / [`ops::Operator::advance`] call. Stateful members address the home's
 //!    **state partition** (equal keys share a home), close windows right
 //!    after their queue drains against the flush's merged watermark, and
 //!    absorb filtered input **through the selection vector** (no
@@ -282,10 +286,10 @@
 //!    ([`types::TupleBatch::interleave_tagged`] — join fan-out repeats
 //!    its probe row's tag, preserving shard-local partner order), and
 //!    window closes merge their per-shard sorted runs by
-//!    [`types::EmitKey`] `(window start, group)`. Merged batches dispatch
-//!    in ascending order exactly when the control loop's pass reaches
-//!    each producer, reproducing the single-threaded arrival interleaving
-//!    at every out-of-plan queue.
+//!    [`types::EmitKey`] `(window start, group)`. The merged batches seed
+//!    the control walk over every live node, which hands each on to its
+//!    producer's exits when it reaches that producer, reproducing the
+//!    single-threaded arrival interleaving at every out-of-plan queue.
 //!
 //! **Partial aggregation.** An ungrouped aggregate cannot be homed by key
 //! (its single group spans every shard), and neither can a grouped
@@ -299,7 +303,7 @@
 //! the home's *own* partial accumulator — grouped members hash-accumulate
 //! per group key within the home's partition (counted by
 //! [`types::work::WorkSnapshot::grouped_partial_rows`]) — and the
-//! control thread's watermark pass folds the per-home partials **in
+//! control walk's watermark pass folds the per-home partials **in
 //! deterministic partition order** at every window close, run-folding
 //! equal group keys left-to-right
 //! ([`types::work::WorkSnapshot::partial_groups_combined`]). Float
